@@ -31,7 +31,6 @@ from .transformer_costs import (
     predict_decode_latency,
     predict_prefill_latency,
     prefill_costs,
-    size_scaling_curve,
     weight_bytes,
 )
 from .numerics import DesignMatrix, FitResult, column_scale, ols_fit

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import bundled
 from .errors import InferwattError
 from .estimator import (
+    DEFAULT_CONTOUR_G,
     AnalyticSource,
     FittedSource,
     WorkloadSpec,
@@ -69,10 +71,16 @@ def _fmt_cell(value, full_precision: bool) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    """JSON has no NaN or infinity: non-finite floats are written as null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit_rows(rows, fmt: str, out) -> None:
     """Render a list of uniform mappings as table, json, or delimited text."""
     if fmt == "json":
-        print(json.dumps(rows if len(rows) != 1 else rows[0], indent=2), file=out)
+        rows = [{k: _json_cell(v) for k, v in row.items()} for row in rows]
+        print(json.dumps(rows if len(rows) != 1 else rows[0], indent=2, allow_nan=False), file=out)
         return
     if not rows:
         return
@@ -99,10 +107,7 @@ def _read_trace(args):
     fmt = args.trace_format
     if fmt is None:
         fmt = FORMAT_LINE_JSON if path.suffix in (".jsonl", ".ndjson") else FORMAT_DELIMITED
-    rename = None
-    if getattr(args, "rename", None):
-        rename = dict(pair.split("=", 1) for pair in args.rename.split(","))
-    records, issues = parse_records(path, fmt, rename=rename)
+    records, issues = parse_records(path, fmt, rename=getattr(args, "rename", None))
     for issue in issues:
         print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
     if getattr(args, "drop_first", 0):
@@ -122,11 +127,34 @@ def _load_hw(args):
     return bundled.reference_profile()
 
 
+def _arg_type(convert, expected: str, ok=lambda value: True):
+    """An argparse type: text that does not convert, or whose value fails
+    `ok`, is a usage error naming what was expected."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise _UsageError(f"expected a comma-separated integer list, got {text!r}") from None
+    return [int(v) for v in text.split(",") if v.strip() != ""]
+
+
+_POSITIVE_INT = _arg_type(int, "an integer >= 1", lambda v: v >= 1)
+_COUNT = _arg_type(int, "an integer >= 0", lambda v: v >= 0)
+_POSITIVE = _arg_type(float, "a positive number", lambda v: v > 0)
+_NONNEGATIVE = _arg_type(float, "a number >= 0", lambda v: v >= 0)
+_LENGTHS = _arg_type(_int_list, "comma-separated integers >= 1", lambda v: v and min(v) >= 1)
+_COUNTS = _arg_type(_int_list, "comma-separated integers >= 0", lambda v: v and min(v) >= 0)
+_NUMBERS = _arg_type(lambda text: [float(v) for v in text.split(",")], "comma-separated numbers")
+_RENAME = _arg_type(lambda text: dict(p.split("=", 1) for p in text.split(",")), "external=canonical pairs")
 
 
 # --- subcommand handlers --------------------------------------------------
@@ -245,33 +273,21 @@ def _cmd_stats(args, out) -> int:
         }
         for comp, cs in stats.components.items()
     ]
-    rows.append(
-        {
-            "component": "total",
-            "mean_wh": stats.total_mean,
-            "std_wh": float("nan"),
-            "count": rows[0]["count"],
-            "min_wh": float("nan"),
-            "max_wh": float("nan"),
-        }
-    )
+    nan = float("nan")  # the total row has a mean only
+    rows.append({"component": "total", "mean_wh": stats.total_mean, "std_wh": nan,
+                 "count": rows[0]["count"], "min_wh": nan, "max_wh": nan})
     _emit_rows(rows, args.format, out)
     return 0
 
 
 def _cmd_hist(args, out) -> int:
     records = _read_trace(args)
-    items = records
     if args.phase == PHASE_DECODE:
-        items, _ = decompose(records)
-    if args.phase == PHASE_PREFILL and items and isinstance(items[0], type(records[0])):
-        values = [r.energy.get(args.component) for r in records if r.run_kind is RunKind.PREFILL_ONLY]
-    elif args.phase == PHASE_DECODE:
-        values = [d.decode_wh.get(args.component) for d in items]
+        values = [d.decode_wh.get(args.component) for d in decompose(records)[0]]
     else:
-        values = [r.energy.get(args.component) for r in records if r.run_kind is RunKind.FULL]
-    bins = [float(v) for v in args.edges.split(",")] if args.edges else args.bins
-    result = histogram(values, bins)
+        kind = RunKind.PREFILL_ONLY if args.phase == PHASE_PREFILL else RunKind.FULL
+        values = [r.energy.get(args.component) for r in records if r.run_kind is kind]
+    result = histogram(values, args.edges or args.bins)
     skew = "right-skewed (mean > median)" if result.right_skewed else "not right-skewed"
     print(
         f"note: mean={result.mean:.6g} Wh, median={result.median:.6g} Wh: {skew}",
@@ -288,19 +304,12 @@ def _cmd_hist(args, out) -> int:
 def _cmd_compare(args, out) -> int:
     specs = [load_model(path) for path in args.models]
     if args.family:
-        if args.family != "qwen25":
-            raise _UsageError(f"unknown bundled family {args.family!r}")
         specs.extend(bundled.qwen_family())
     if not specs:
         raise _UsageError("give model spec files and/or --family")
     hw = _load_hw(args)
     workload = WorkloadSpec.single(args.s, args.g)
-    contour_g = tuple(_int_list(args.contour_g)) if args.contour_g else None
-    comparison = (
-        compare_models(specs, hw, workload, contour_g)
-        if contour_g
-        else compare_models(specs, hw, workload)
-    )
+    comparison = compare_models(specs, hw, workload, tuple(args.contour_g))
     rows = [
         {
             "name": r.name,
@@ -341,7 +350,7 @@ def _cmd_extrapolate(args, out) -> int:
 
 def _cmd_synth(args, out) -> int:
     coeffs = _load_coeffs(args)
-    plan = [(s, g) for s in _int_list(args.s_values) for g in _int_list(args.g_values)]
+    plan = [(s, g) for s in args.s_values for g in args.g_values]
     records = synthesize_trace(
         plan, coeffs, noise=args.noise, seed=args.seed, runs=args.runs
     )
@@ -368,8 +377,8 @@ def _add_common(sub, trace=False, fmt=True):
             default=None,
             help="default: by file extension (.jsonl/.ndjson is line-json)",
         )
-        sub.add_argument("--rename", default=None, help="external=canonical[,..] column mapping")
-        sub.add_argument("--drop-first", type=int, default=0, help="drop first k runs per prompt+kind")
+        sub.add_argument("--rename", type=_RENAME, default=None, help="external=canonical[,..] column mapping")
+        sub.add_argument("--drop-first", type=_COUNT, default=0, help="drop first k runs per prompt+kind")
 
 
 def build_parser() -> _Parser:
@@ -377,12 +386,12 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command")
 
     p = subs.add_parser("predict", help="energy breakdown of one interaction")
-    p.add_argument("-s", type=int, required=True, help="input (prompt) tokens")
-    p.add_argument("-g", type=int, required=True, help="generated tokens")
+    p.add_argument("-s", type=_POSITIVE_INT, required=True, help="input (prompt) tokens")
+    p.add_argument("-g", type=_POSITIVE_INT, required=True, help="generated tokens")
     p.add_argument("--coeffs", help="coefficient file (default: bundled reference set)")
     p.add_argument("--model", help="model spec file: use the analytic roofline source")
     p.add_argument("--hw", help="hardware profile file (default: bundled H100 profile)")
-    p.add_argument("--led-watts", type=float, default=5.0)
+    p.add_argument("--led-watts", type=_POSITIVE, default=5.0)
     _add_common(p)
     p.set_defaults(func=_cmd_predict)
 
@@ -405,35 +414,35 @@ def build_parser() -> _Parser:
     _add_common(p, trace=True)
     p.add_argument("--component", choices=("gpu", "cpu", "ram", "total"), default="gpu")
     p.add_argument("--phase", choices=("prefill", "full", "decode"), default="full")
-    p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--edges", default=None, help="explicit comma-separated bin edges")
+    p.add_argument("--bins", type=_POSITIVE_INT, default=10)
+    p.add_argument("--edges", type=_NUMBERS, default=None, help="explicit comma-separated bin edges")
     p.set_defaults(func=_cmd_hist)
 
     p = subs.add_parser("compare", help="workload energy across model sizes")
     p.add_argument("models", nargs="*", help="model spec files")
-    p.add_argument("--family", help="bundled family name (qwen25)")
+    p.add_argument("--family", choices=("qwen25",), help="bundled model family")
     p.add_argument("--hw", help="hardware profile file (default: bundled H100 profile)")
-    p.add_argument("-s", type=int, required=True)
-    p.add_argument("-g", type=int, required=True)
-    p.add_argument("--contour-g", default=None, help="g values for the contour grid")
+    p.add_argument("-s", type=_POSITIVE_INT, required=True)
+    p.add_argument("-g", type=_POSITIVE_INT, required=True)
+    p.add_argument("--contour-g", type=_LENGTHS, default=DEFAULT_CONTOUR_G, help="g values for the contour grid")
     p.add_argument("--grid-out", default=None, help="write contour grid (delimited) here")
     _add_common(p)
     p.set_defaults(func=_cmd_compare)
 
     p = subs.add_parser("extrapolate", help="scale one interaction to fleet level")
-    p.add_argument("--wh", type=float, required=True, help="Wh per interaction")
-    p.add_argument("--per-day", type=float, required=True, help="interactions per day")
-    p.add_argument("--led-watts", type=float, default=5.0)
+    p.add_argument("--wh", type=_NONNEGATIVE, required=True, help="Wh per interaction")
+    p.add_argument("--per-day", type=_NONNEGATIVE, required=True, help="interactions per day")
+    p.add_argument("--led-watts", type=_POSITIVE, default=5.0)
     _add_common(p)
     p.set_defaults(func=_cmd_extrapolate)
 
     p = subs.add_parser("synth", help="generate a synthetic trace from coefficients")
     p.add_argument("--coeffs", help="coefficient file (default: bundled reference set)")
-    p.add_argument("--s-values", required=True, help="comma-separated input lengths")
-    p.add_argument("--g-values", required=True, help="comma-separated output lengths (0 = prefill-only)")
-    p.add_argument("--noise", type=float, default=0.0, help="relative noise std")
+    p.add_argument("--s-values", type=_LENGTHS, required=True, help="comma-separated input lengths")
+    p.add_argument("--g-values", type=_COUNTS, required=True, help="comma-separated output lengths (0 = prefill-only)")
+    p.add_argument("--noise", type=_NONNEGATIVE, default=0.0, help="relative noise std")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=1, help="runs per kind per grid point")
+    p.add_argument("--runs", type=_POSITIVE_INT, default=1, help="runs per kind per grid point")
     p.add_argument("--out", help="write trace here instead of stdout")
     p.add_argument(
         "--trace-format", choices=(FORMAT_DELIMITED, FORMAT_LINE_JSON), default=None

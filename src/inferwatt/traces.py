@@ -28,6 +28,7 @@ from .errors import BadEdges, EmptyInput, EmptySelection, UnknownFormat
 from .phase_model import LatencySample
 
 COMPONENTS = ("gpu", "cpu", "ram")
+_INF = float("inf")
 
 _FIELDS = (
     "prompt_id",
@@ -95,10 +96,11 @@ class RunRecord:
             raise ValueError("output_tokens must be >= 1")
         if self.run_kind is RunKind.PREFILL_ONLY and self.output_tokens != 1:
             raise ValueError("prefill-only runs have exactly one output token")
-        if not self.latency_s > 0:
-            raise ValueError("latency_s must be positive")
-        if min(self.gpu_wh, self.cpu_wh, self.ram_wh) < 0:
-            raise ValueError("component energies must be nonnegative")
+        # chained comparisons against inf: NaN fails every one of them
+        if not 0 < self.latency_s < _INF:
+            raise ValueError("latency_s must be positive and finite")
+        if not (0 <= self.gpu_wh < _INF and 0 <= self.cpu_wh < _INF and 0 <= self.ram_wh < _INF):
+            raise ValueError("component energies must be nonnegative and finite")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
 
@@ -418,7 +420,7 @@ def histogram(values: Sequence[float], bins) -> HistogramResult:
         counts, edges = np.histogram(data, bins=bins)
     else:
         edges = np.asarray(list(bins), dtype=float)
-        if edges.size < 2 or np.any(np.diff(edges) <= 0):
+        if edges.size < 2 or not np.all(np.diff(edges) > 0):  # NaN edges fail too
             raise BadEdges("edges must be strictly increasing with at least two entries")
         clipped = np.clip(data, edges[0], edges[-1])
         counts, edges = np.histogram(clipped, bins=edges)

@@ -19,16 +19,22 @@ Counting rules
 Prefill processes s tokens through every class at once; a decode step
 processes one token against a cached context of length ctx, rereading all
 weights plus 2 * ctx * kv_dim * bytes_per_param of KV cache per layer.
+
+Every class's decode-step FLOPs and bytes are affine in ctx, so the decode
+phase is summed in closed form: per class, compute and memory time cross at
+most once, and the g per-step roofline maxima are arithmetic series on either
+side of that step. Its cost is independent of g; the per-token loop it
+replaces is kept in the tests as the oracle the closed form is checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from . import kvconfig
-from .phase_model import energy_from_power
-from .roofline import HardwareProfile, OpCost, Phase, op_latency
+from .roofline import HardwareProfile, OpCost, effective_ceilings, op_latency
 
 SOFTMAX_FLOPS_PER_SCORE = 4
 NORM_FLOPS_PER_ELEMENT = 8
@@ -222,57 +228,40 @@ def predict_decode_latency(
 ) -> PhaseCostBreakdown:
     """Roofline latency of generating g tokens after an s-token prompt.
 
-    Sums per-step rooflines over steps t = 1..g at context s + t - 1.
+    Step j = 0..g-1 runs at context s + j; each class's step FLOPs and bytes
+    are affine in j (two step evaluations give base and slope), so the sum of
+    step maxima is three arithmetic series split at the crossover step.
     """
     if s < 1 or g < 1:
         raise ValueError("need s >= 1 and g >= 1")
-    flops: dict[str, float] = {}
-    traffic: dict[str, float] = {}
-    seconds: dict[str, float] = {}
-    order: list[str] = []
-    for step in range(1, g + 1):
-        for cost in decode_step_costs(model, s + step - 1):
-            if cost.label not in seconds:
-                order.append(cost.label)
-                flops[cost.label] = traffic[cost.label] = seconds[cost.label] = 0.0
-            flops[cost.label] += cost.flops
-            traffic[cost.label] += cost.bytes
-            seconds[cost.label] += op_latency(cost, hw)
-    classes = tuple(
-        ClassCost(label, OpCost(flops[label], traffic[label], label), seconds[label])
-        for label in order
-    )
-    return PhaseCostBreakdown(classes)
+    f_eff, b_eff = effective_ceilings(hw)
+    classes = []
+    for first, second in zip(decode_step_costs(model, s), decode_step_costs(model, s + 1)):
+        df, db = second.flops - first.flops, second.bytes - first.bytes
+        c0, c1 = first.flops / f_eff, df / f_eff
+        m0, m1 = first.bytes / b_eff, db / b_eff
+        lo, hi = _compute_bound_steps(c0 - m0, c1 - m1, g)
+        seconds = _series(m0, m1, 0, lo) + _series(c0, c1, lo, hi) + _series(m0, m1, hi, g)
+        total = OpCost(_series(first.flops, df, 0, g), _series(first.bytes, db, 0, g), first.label)
+        classes.append(ClassCost(first.label, total, seconds))
+    return PhaseCostBreakdown(tuple(classes))
 
 
-@dataclass(frozen=True)
-class ScalingRow:
-    name: str
-    n_params: int
-    decode_wh: float
+def _series(v0: float, v1: float, lo: int, hi: int) -> float:
+    """Sum of v0 + v1*j over the integers j in [lo, hi)."""
+    n = hi - lo
+    return n * v0 + v1 * ((lo + hi - 1) * n // 2)
 
 
-def size_scaling_curve(
-    models: list[ModelSpec], hw: HardwareProfile, s: int, g: int
-) -> list[ScalingRow]:
-    """Predicted decode energy per model, ordered by parameter count.
-
-    Energy is phase power times the roofline decode latency; in the
-    memory-bound regime it scales with g * n_layers * hidden^2.
-    """
-    if not models:
-        raise ValueError("need at least one model")
-    rows = [
-        ScalingRow(
-            name=m.name or f"model-{i}",
-            n_params=m.n_params,
-            decode_wh=energy_from_power(
-                Phase.DECODE, predict_decode_latency(m, hw, s, g).total_seconds, hw
-            ),
-        )
-        for i, m in enumerate(models)
-    ]
-    return sorted(rows, key=lambda r: r.n_params)
+def _compute_bound_steps(d0: float, d1: float, g: int) -> tuple[int, int]:
+    """Steps j in [lo, hi) of 0..g-1 where d0 + d1*j > 0: a prefix or a suffix."""
+    if d1 == 0:
+        return (0, g) if d0 > 0 else (g, g)
+    # clamping to [-1, g] keeps the same integers on each side of the crossover
+    cross = min(max(-d0 / d1, -1.0), float(g))
+    if d1 > 0:
+        return min(g, math.floor(cross) + 1), g
+    return 0, max(0, math.ceil(cross))
 
 
 # Model spec files use the field names verbatim; kv_heads defaults to

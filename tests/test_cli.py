@@ -49,6 +49,30 @@ class TestExitCodes:
         assert code == 0
 
 
+class TestArgumentValidation:
+    @pytest.mark.parametrize("argv", [
+        ["predict", "-s", "0", "-g", "5"],
+        ["stats", "--trace", "{trace}", "--rename", "abc"],
+        ["hist", "--trace", "{trace}", "--edges", "a,b"],
+        ["compare", "--family", "qwen25", "-s", "0", "-g", "4"],
+        ["compare", "--family", "qwen25", "-s", "5", "-g", "4", "--contour-g", "0"],
+        ["compare", "--family", "qwen25", "-s", "5", "-g", "4", "--contour-g", ""],
+        ["hist", "--trace", "{trace}", "--bins", "0"],
+        ["stats", "--trace", "{trace}", "--drop-first", "-1"],
+        ["synth", "--s-values", "0", "--g-values", "50"],
+        ["synth", "--s-values", "900", "--g-values", "50", "--runs", "0"],
+        ["synth", "--s-values", "900", "--g-values", "50", "--noise", "-1"],
+        ["extrapolate", "--wh", "-1", "--per-day", "5"],
+        ["predict", "-s", "5", "-g", "5", "--led-watts", "nan"],
+    ])
+    def test_bad_argument_is_a_one_line_usage_error(self, argv, trace_file, capsys):
+        code, out = run_cli(*(a.replace("{trace}", trace_file) for a in argv))
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert len([ln for ln in err.splitlines() if ln.startswith("error:")]) == 1, err
+        assert "Traceback" not in err
+
+
 class TestPredict:
     def test_default_source_reference_point(self):
         code, out = run_cli("predict", "-s", "1000", "-g", "100", "--format", "json")
@@ -89,6 +113,22 @@ class TestStats:
         assert rows["cpu"]["mean_wh"] == 0.024
         assert rows["ram"]["mean_wh"] == 0.019
         assert rows["total"]["mean_wh"] == pytest.approx(0.245, abs=1e-15)
+
+    def test_json_is_strict_with_null_for_the_total_row_gaps(self, trace_file):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code, out = run_cli("stats", "--trace", trace_file, "--phase", "decode", "--format", "json")
+        assert code == 0
+        rows = {r["component"]: r for r in json.loads(out, parse_constant=reject)}
+        total = rows["total"]
+        assert total["std_wh"] is None and total["min_wh"] is None and total["max_wh"] is None
+        assert total["mean_wh"] == pytest.approx(sum(rows[c]["mean_wh"] for c in ("gpu", "cpu", "ram")))
+
+    def test_table_and_delimited_keep_nan(self, trace_file):
+        for fmt in ("table", "delimited"):
+            code, out = run_cli("stats", "--trace", trace_file, "--format", fmt)
+            assert code == 0 and "nan" in out.splitlines()[-1]
 
     def test_prefill_phase_selector(self, trace_file):
         code, out = run_cli("stats", "--trace", trace_file, "--phase", "prefill",

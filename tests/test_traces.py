@@ -282,6 +282,8 @@ class TestHistogram:
     def test_bad_edges(self):
         with pytest.raises(BadEdges):
             histogram([1.0, 2.0], bins=[0.0, 1.0, 0.5])
+        with pytest.raises(BadEdges):
+            histogram([1.0, 2.0], bins=[0.0, 1.0, float("nan")])
 
     def test_empty_values(self):
         with pytest.raises(EmptyInput):
@@ -361,3 +363,21 @@ class TestRecordValidation:
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
             RunRecord("p", RunKind.FULL, 10, 5, 1.0, -0.1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("latency", [float("inf"), float("nan")])
+    def test_non_finite_latency_rejected(self, latency):
+        with pytest.raises(ValueError):
+            RunRecord("p", RunKind.FULL, 10, 5, latency, 0.1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_energy_rejected(self, position, value):
+        energies = [0.1, 0.01, 0.01]
+        energies[position] = value
+        with pytest.raises(ValueError):
+            RunRecord("p", RunKind.FULL, 10, 5, 1.0, *energies)
+
+    def test_non_finite_cell_is_a_parse_issue(self):
+        text = HEADER + "\np,full,10,5,1.0,nan,0.0,0.0,m,fp32,1\np,full,10,5,1.0,0.1,0.0,0.0,m,fp32,1\n"
+        records, issues = parse_records(text)
+        assert len(records) == 1 and [i.line for i in issues] == [2]

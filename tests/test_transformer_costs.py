@@ -3,19 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inferwatt import transformer_costs
 from inferwatt.bundled import bundled_model, qwen_family
 from inferwatt.errors import ConfigError
 from inferwatt.kvconfig import parse_kv
-from inferwatt.roofline import Boundedness, boundedness, total_latency
+from inferwatt.estimator import WorkloadSpec, compare_models
+from inferwatt.roofline import (
+    Boundedness,
+    HardwareProfile,
+    OpCost,
+    boundedness,
+    op_latency,
+    total_latency,
+)
 from inferwatt.transformer_costs import (
+    ClassCost,
     ModelSpec,
+    PhaseCostBreakdown,
+    _compute_bound_steps,
     decode_step_costs,
     kv_cache_bytes,
     model_from_kv,
     predict_decode_latency,
     predict_prefill_latency,
     prefill_costs,
-    size_scaling_curve,
     weight_bytes,
 )
 
@@ -28,6 +39,28 @@ def tiny_model(**overrides):
 
 def by_label(costs):
     return {c.label: c for c in costs}
+
+
+def _decode_latency_oracle(model, hw, s, g):
+    """The per-token loop: sums per-step rooflines over steps t = 1..g at
+    context s + t - 1. The closed form in predict_decode_latency must agree."""
+    flops: dict[str, float] = {}
+    traffic: dict[str, float] = {}
+    seconds: dict[str, float] = {}
+    order: list[str] = []
+    for step in range(1, g + 1):
+        for cost in decode_step_costs(model, s + step - 1):
+            if cost.label not in seconds:
+                order.append(cost.label)
+                flops[cost.label] = traffic[cost.label] = seconds[cost.label] = 0.0
+            flops[cost.label] += cost.flops
+            traffic[cost.label] += cost.bytes
+            seconds[cost.label] += op_latency(cost, hw)
+    classes = tuple(
+        ClassCost(label, OpCost(flops[label], traffic[label], label), seconds[label])
+        for label in order
+    )
+    return PhaseCostBreakdown(classes)
 
 
 class TestModelSpec:
@@ -243,14 +276,102 @@ class TestPredictDecode:
         assert residual < 1e-3 * np.max(y) * 0.001  # 0.1% of 0.1% headroom
 
 
+def _assert_matches_oracle(model, hw, s, g):
+    closed = predict_decode_latency(model, hw, s, g)
+    oracle = _decode_latency_oracle(model, hw, s, g)
+    assert [c.label for c in closed.classes] == [c.label for c in oracle.classes]
+    for got, want in zip(closed.classes, oracle.classes):
+        assert got.seconds == pytest.approx(want.seconds, rel=1e-12, abs=0), got.label
+        assert got.cost.flops == pytest.approx(want.cost.flops, rel=1e-12, abs=0), got.label
+        assert got.cost.bytes == pytest.approx(want.cost.bytes, rel=1e-12, abs=0), got.label
+    assert closed.dominant_class == oracle.dominant_class
+
+
+@st.composite
+def small_models(draw):
+    head_dim = draw(st.sampled_from([8, 16, 32, 64]))
+    n_heads = draw(st.integers(1, 8))
+    kv_heads = draw(st.sampled_from([d for d in range(1, n_heads + 1) if n_heads % d == 0]))
+    return ModelSpec(
+        n_layers=draw(st.integers(1, 4)),
+        hidden=n_heads * head_dim,
+        n_heads=n_heads,
+        head_dim=head_dim,
+        ffn_dim=draw(st.integers(1, 1024)),
+        vocab=draw(st.integers(1, 4000)),
+        bytes_per_param=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
+        kv_heads=kv_heads,
+        gated_ffn=draw(st.booleans()),
+        tied_embeddings=draw(st.booleans()),
+    )
+
+
+def _attn_intensity(model, ctx):
+    cost = by_label(decode_step_costs(model, ctx))["attn"]
+    return cost.flops / cost.bytes
+
+
+class TestClosedFormDecode:
+    @settings(max_examples=40, deadline=None)
+    @given(model=small_models(), s=st.integers(1, 2000), g=st.integers(2, 5000),
+           where=st.floats(0.0, 1.0), mu=st.sampled_from([(1.0, 1.0), (0.675, 0.443)]))
+    def test_matches_oracle_across_a_crossover(self, model, s, g, where, mu):
+        # the attention class's FLOPs per byte grow with the context, so a
+        # device balance between its first- and last-step intensity makes
+        # that class switch from memory- to compute-bound during generation
+        lo, hi = _attn_intensity(model, s), _attn_intensity(model, s + g - 1)
+        balance = lo + where * (hi - lo)
+        b_max = 1e12
+        hw = HardwareProfile(f_max=balance * b_max * mu[1] / mu[0], b_max=b_max,
+                             mu_comp=mu[0], mu_mem=mu[1])
+        _assert_matches_oracle(model, hw, s, g)
+
+    @pytest.mark.parametrize("s,g", [(1, 1), (900, 82), (1000, 4096), (10, 20000)])
+    def test_matches_oracle_on_reference_hardware(self, llama8b, hw, s, g):
+        _assert_matches_oracle(llama8b, hw, s, g)
+
+    def test_step_evaluations_independent_of_g(self, llama8b, hw, monkeypatch):
+        calls = []
+        real = transformer_costs.decode_step_costs
+
+        def counting(model, context_len):
+            calls.append(context_len)
+            return real(model, context_len)
+
+        monkeypatch.setattr(transformer_costs, "decode_step_costs", counting)
+        counts = []
+        for g in (1, 100, 10000):
+            calls.clear()
+            predict_decode_latency(llama8b, hw, 500, g)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2] <= 2
+
+    @pytest.mark.parametrize("s,g", [(0, 5), (5, 0)])
+    def test_rejects_empty_prompt_or_generation(self, llama8b, hw, s, g):
+        with pytest.raises(ValueError):
+            predict_decode_latency(llama8b, hw, s, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d0=st.integers(-1000, 1000), d1=st.integers(-20, 20), g=st.integers(1, 300))
+    def test_compute_bound_steps_are_where_the_difference_is_positive(self, d0, d1, g):
+        # integer-valued differences keep the reference comparison exact
+        lo, hi = _compute_bound_steps(float(d0), float(d1), g)
+        assert [j for j in range(g) if d0 + d1 * j > 0] == list(range(lo, hi))
+
+
+def decode_grid(specs, hw, s, g):
+    """compare_models' decode-energy grid at one (s, g) point."""
+    return compare_models(specs, hw, WorkloadSpec.single(s, g), contour_g=(g,)).grid
+
+
 class TestSizeScaling:
     def test_single_model_single_row(self, llama8b, hw):
-        rows = size_scaling_curve([llama8b], hw, 128, 16)
+        rows = decode_grid([llama8b], hw, 128, 16)
         assert len(rows) == 1 and rows[0].n_params == llama8b.n_params
 
     def test_rows_ordered_by_parameter_count(self, hw):
         fam = qwen_family()
-        rows = size_scaling_curve(fam[::-1], hw, 128, 16)
+        rows = decode_grid(fam[::-1], hw, 128, 16)
         params = [r.n_params for r in rows]
         assert params == sorted(params)
 
@@ -261,7 +382,7 @@ class TestSizeScaling:
                       ffn_dim=4 * h, vocab=16000, name=f"h{h}")
             for h in hs
         ]
-        rows = size_scaling_curve(family, hw, 128, 64)
+        rows = decode_grid(family, hw, 128, 64)
         slope = np.polyfit(np.log(hs), np.log([r.decode_wh for r in rows]), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
