@@ -57,12 +57,14 @@ FORMATS = ("table", "json", "delimited")
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message, parser=None):
+        super().__init__(message)
+        self.parser = parser  # the (sub)parser whose arguments were wrong
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self)
 
 
 def _fmt_cell(value, full_precision: bool) -> str:
@@ -113,6 +115,15 @@ def _read_trace(args):
     if getattr(args, "drop_first", 0):
         records = drop_warmup(records, args.drop_first)
     return records
+
+
+def _decompose(records):
+    """decompose, with a warning per group that misses a run kind."""
+    decomps, missing = decompose(records)
+    for m in missing:
+        print(f"warning: prompt {m.prompt_id!r} (model {m.model_id!r}, precision {m.precision!r}, "
+              f"batch {m.batch}) has no {m.missing.value} runs", file=sys.stderr)
+    return decomps
 
 
 def _load_coeffs(args) -> CoefficientSet:
@@ -186,9 +197,7 @@ def _cmd_predict(args, out) -> int:
 
 def _cmd_fit(args, out) -> int:
     records = _read_trace(args)
-    decomps, missing = decompose(records)
-    for m in missing:
-        print(f"warning: prompt {m.prompt_id!r} has no {m.missing.value} runs", file=sys.stderr)
+    decomps = _decompose(records)
     prefill_records = [r for r in records if r.run_kind is RunKind.PREFILL_ONLY]
     samples = to_fit_samples(prefill_records, component=args.component)
     samples += [s for s in to_fit_samples(decomps, component=args.component) if s.g >= 1]
@@ -232,13 +241,11 @@ def _cmd_fit(args, out) -> int:
 
 
 def _cmd_decompose(args, out) -> int:
-    records = _read_trace(args)
-    decomps, missing = decompose(records)
-    for m in missing:
-        print(f"warning: prompt {m.prompt_id!r} has no {m.missing.value} runs", file=sys.stderr)
+    decomps = _decompose(_read_trace(args))
     rows = [
         {
             "prompt_id": d.prompt_id,
+            "model_id": d.model_id,
             "input_tokens": d.input_tokens,
             "output_tokens": d.output_tokens,
             "prefill_gpu_wh": d.prefill_mean_wh.gpu,
@@ -258,9 +265,7 @@ def _cmd_stats(args, out) -> int:
     records = _read_trace(args)
     items = records
     if args.phase == PHASE_DECODE:
-        items, missing = decompose(records)
-        for m in missing:
-            print(f"warning: prompt {m.prompt_id!r} has no {m.missing.value} runs", file=sys.stderr)
+        items = _decompose(records)
     stats = aggregate(items, phase=args.phase)
     rows = [
         {
@@ -460,7 +465,7 @@ def cli_dispatch(argv, out=None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        exc.parser.print_usage(sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

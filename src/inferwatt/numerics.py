@@ -24,37 +24,41 @@ from .errors import DimensionMismatch, RankDeficient, ZeroColumn
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """Row-major dense design matrix: one row per observation, one column
-    per basis function."""
+    per basis function. `values` is a read-only 1-D float64 array holding
+    the matrix row by row (a copy of what the constructor was given)."""
 
     rows: int
     cols: int
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         if not (self.rows >= self.cols >= 1):
             raise ValueError("need rows >= cols >= 1")
-        if len(self.values) != self.rows * self.cols:
+        values = np.array(self.values, dtype=float)
+        if values.shape != (self.rows * self.cols,):
             raise ValueError("values length does not match rows*cols")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("design matrix values must be finite")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "DesignMatrix":
         n_rows = len(rows)
         n_cols = len(rows[0]) if n_rows else 0
-        flat = tuple(float(v) for row in rows for v in row)
-        return cls(n_rows, n_cols, flat)
+        return cls(n_rows, n_cols, [v for row in rows for v in row])
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[float]]) -> "DesignMatrix":
         arr = np.column_stack([np.asarray(c, dtype=float) for c in cols])
-        return cls(arr.shape[0], arr.shape[1], tuple(arr.ravel()))
+        return cls(arr.shape[0], arr.shape[1], arr.ravel())
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float).reshape(self.rows, self.cols)
+        """A read-only (rows, cols) view of `values`."""
+        return self.values.reshape(self.rows, self.cols)
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ def column_scale(x: DesignMatrix) -> tuple[DesignMatrix, tuple[float, ...]]:
         dead = [i for i, s in enumerate(scales) if s == 0]
         raise ZeroColumn(f"columns {dead} are identically zero")
     scaled = arr / scales
-    return DesignMatrix(x.rows, x.cols, tuple(scaled.ravel())), tuple(float(s) for s in scales)
+    return DesignMatrix(x.rows, x.cols, scaled.ravel()), tuple(float(s) for s in scales)
 
 
 def ols_fit(

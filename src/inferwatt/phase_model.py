@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,22 +112,31 @@ class DecodeEnergyCoeffs:
         return self.c >= 0 and self.d >= 0
 
 
-@dataclass(frozen=True)
-class LatencySample:
-    """One measured or synthesized generation: g = 0 marks a prefill-only run."""
-
+class _SampleFields(NamedTuple):
     s: int
     g: int
     t: float
     energy_wh: float | None = None
 
-    def __post_init__(self):
-        if self.s < 1:
+
+class LatencySample(_SampleFields):
+    """One measured or synthesized generation: g = 0 marks a prefill-only run.
+    An immutable tuple, validated when built (also by `_make`/`_replace`)."""
+
+    __slots__ = ()
+
+    def __new__(cls, s, g, t, energy_wh=None):
+        if s < 1:
             raise ValueError("s must be >= 1")
-        if self.g < 0:
+        if g < 0:
             raise ValueError("g must be >= 0")
-        if not self.t > 0:
+        if not t > 0:
             raise ValueError("t must be positive")
+        return tuple.__new__(cls, (s, g, t, energy_wh))
+
+    @classmethod
+    def _make(cls, iterable) -> "LatencySample":
+        return cls(*iterable)
 
 
 class Regime(enum.Enum):

@@ -4,20 +4,35 @@ A trace is a flat file of generation runs, two kinds per prompt: prefill-only
 runs (generation constrained to a single output token) and full runs. The
 decode cost of a prompt is estimated by subtracting the mean prefill-only
 cost from the mean full cost, component-wise (GPU/CPU/RAM energy) and for
-latency. Negative decode estimates are preserved and flagged, never clamped:
-they are measurement-noise evidence.
+latency. Runs are grouped by (prompt_id, model_id, precision, batch), so runs
+of different models, precisions or batch sizes under one prompt id are never
+averaged together. Negative decode estimates are preserved and flagged, never
+clamped: they are measurement-noise evidence. A group whose runs disagree on
+input_tokens is flagged too.
+
+Records are immutable tuples, validated when built: `RunRecord(...)`,
+`_make` and `_replace` all reject the same bad values.
 
 Two serializations are supported, both UTF-8 with field names exactly as the
 RunRecord fields: `delimited` (CSV with a header row) and `line-json` (one
 object per line). Floats are written with shortest round-trip precision, so
-parse -> write -> parse is identity.
+parse -> write -> parse is identity. Delimited cells are quoted as the csv
+module does (a cell holding a comma, a double quote or a newline is wrapped
+in double quotes, inner quotes doubled) and read back with their surrounding
+whitespace stripped. A text field holding a line break that csv leaves
+unquoted (a lone carriage return, or one of the other breaks of
+`str.splitlines`, such as U+2028) cannot be carried: writing it raises
+ValueError; line-json carries any text.
 """
 
 from __future__ import annotations
 
+import csv
 import enum
 import io
 import json
+import operator
+import re
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -30,20 +45,6 @@ from .phase_model import LatencySample
 COMPONENTS = ("gpu", "cpu", "ram")
 _INF = float("inf")
 
-_FIELDS = (
-    "prompt_id",
-    "run_kind",
-    "input_tokens",
-    "output_tokens",
-    "latency_s",
-    "gpu_wh",
-    "cpu_wh",
-    "ram_wh",
-    "model_id",
-    "precision",
-    "batch",
-)
-
 FORMAT_DELIMITED = "delimited"
 FORMAT_LINE_JSON = "line-json"
 
@@ -51,6 +52,12 @@ FORMAT_LINE_JSON = "line-json"
 class RunKind(enum.Enum):
     PREFILL_ONLY = "prefill_only"
     FULL = "full"
+
+
+_RUN_KINDS = {kind.value: kind for kind in RunKind}
+# Per-record code reads the members from globals: that is faster than the
+# enum class attribute.
+_PREFILL_ONLY, _FULL = RunKind.PREFILL_ONLY, RunKind.FULL
 
 
 class ComponentEnergy(NamedTuple):
@@ -73,10 +80,7 @@ class ComponentEnergy(NamedTuple):
         return getattr(self, component)
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One measured generation run."""
-
+class _RunFields(NamedTuple):
     prompt_id: str
     run_kind: RunKind
     input_tokens: int
@@ -89,24 +93,43 @@ class RunRecord:
     precision: str = ""
     batch: int = 1
 
-    def __post_init__(self):
-        if self.input_tokens < 1:
+
+class RunRecord(_RunFields):
+    """One measured generation run."""
+
+    __slots__ = ()
+
+    def __new__(cls, prompt_id, run_kind, input_tokens, output_tokens, latency_s,
+                gpu_wh, cpu_wh, ram_wh, model_id="", precision="", batch=1):
+        if input_tokens < 1:
             raise ValueError("input_tokens must be >= 1")
-        if self.output_tokens < 1:
+        if output_tokens < 1:
             raise ValueError("output_tokens must be >= 1")
-        if self.run_kind is RunKind.PREFILL_ONLY and self.output_tokens != 1:
+        if run_kind is _PREFILL_ONLY and output_tokens != 1:
             raise ValueError("prefill-only runs have exactly one output token")
         # chained comparisons against inf: NaN fails every one of them
-        if not 0 < self.latency_s < _INF:
+        if not 0 < latency_s < _INF:
             raise ValueError("latency_s must be positive and finite")
-        if not (0 <= self.gpu_wh < _INF and 0 <= self.cpu_wh < _INF and 0 <= self.ram_wh < _INF):
+        if not (0 <= gpu_wh < _INF and 0 <= cpu_wh < _INF and 0 <= ram_wh < _INF):
             raise ValueError("component energies must be nonnegative and finite")
-        if self.batch < 1:
+        if batch < 1:
             raise ValueError("batch must be >= 1")
+        return tuple.__new__(cls, (prompt_id, run_kind, input_tokens, output_tokens, latency_s,
+                                   gpu_wh, cpu_wh, ram_wh, model_id, precision, batch))
+
+    @classmethod
+    def _make(cls, iterable) -> "RunRecord":
+        return cls(*iterable)  # `_replace` builds through here, so it validates too
 
     @property
     def energy(self) -> ComponentEnergy:
         return ComponentEnergy(self.gpu_wh, self.cpu_wh, self.ram_wh)
+
+
+_FIELDS = RunRecord._fields
+_REQUIRED = _FIELDS[:8]
+# Cell text of the optional fields when a delimited header lacks them.
+_DEFAULT_CELLS = {"model_id": "", "precision": "", "batch": "1"}
 
 
 @dataclass(frozen=True)
@@ -115,25 +138,76 @@ class ParseIssue:
     message: str
 
 
-def _record_from_fields(fields: dict) -> RunRecord:
-    kind_raw = str(fields["run_kind"])
+def _record_from_cells(cells: Iterable) -> RunRecord:
+    """Convert the eleven field values, in field order, into a record."""
+    prompt_id, kind, input_tokens, output_tokens, latency_s, gpu_wh, cpu_wh, ram_wh, \
+        model_id, precision, batch = cells
+    run_kind = _RUN_KINDS.get(str(kind))
+    if run_kind is None:
+        raise ValueError(f"unknown run_kind {str(kind)!r}")
+    return RunRecord(str(prompt_id), run_kind, int(input_tokens), int(output_tokens),
+                     float(latency_s), float(gpu_wh), float(cpu_wh), float(ram_wh),
+                     str(model_id), str(precision), int(batch))
+
+
+# What a bad cell or value can raise on its way into a record: int(None)
+# (TypeError) and int(inf) (OverflowError) are reachable from line-json.
+_BAD_VALUE = (ValueError, TypeError, OverflowError)
+
+
+def _parse_delimited(text: str, rename: dict, records: list, issues: list) -> None:
+    reader = csv.reader(text.splitlines(keepends=True))
     try:
-        kind = RunKind(kind_raw)
-    except ValueError:
-        raise ValueError(f"unknown run_kind {kind_raw!r}") from None
-    return RunRecord(
-        prompt_id=str(fields["prompt_id"]),
-        run_kind=kind,
-        input_tokens=int(fields["input_tokens"]),
-        output_tokens=int(fields["output_tokens"]),
-        latency_s=float(fields["latency_s"]),
-        gpu_wh=float(fields["gpu_wh"]),
-        cpu_wh=float(fields["cpu_wh"]),
-        ram_wh=float(fields["ram_wh"]),
-        model_id=str(fields.get("model_id", "")),
-        precision=str(fields.get("precision", "")),
-        batch=int(fields.get("batch", 1)),
-    )
+        header = [rename.get(h.strip(), h.strip()) for h in next(reader)]
+    except csv.Error as exc:
+        raise UnknownFormat(f"unreadable header: {exc}") from None
+    position = {name: i for i, name in enumerate(header)}  # a repeated name: the last one
+    missing = [f for f in _REQUIRED if f not in position]
+    if missing:
+        raise UnknownFormat(f"header is missing required columns {missing}")
+    width = len(header)
+    defaults = []  # absent optional columns read these cells, appended to every row
+    for name, cell in _DEFAULT_CELLS.items():
+        if name not in position:
+            position[name] = width + len(defaults)
+            defaults.append(cell)
+    cells = operator.itemgetter(*(position[f] for f in _FIELDS))
+
+    start = 2  # the line on which the next csv record starts
+    while True:
+        try:
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
+                if len(row) != width:
+                    if len(row) > 1 or (row and row[0].strip()):  # blank lines are skipped
+                        issues.append(ParseIssue(lineno, f"expected {width} cells, got {len(row)}"))
+                    continue
+                try:
+                    records.append(_record_from_cells(map(str.strip, cells(row + defaults))))
+                except _BAD_VALUE as exc:
+                    issues.append(ParseIssue(lineno, str(exc)))
+            return
+        except csv.Error as exc:  # a cell longer than csv.field_size_limit(); reading goes on
+            issues.append(ParseIssue(start, str(exc)))
+            start = reader.line_num + 1
+
+
+def _parse_line_json(text: str, rename: dict, records: list, issues: list) -> None:
+    required = operator.itemgetter(*_REQUIRED)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("line is not a JSON object")
+            if rename:
+                obj = {rename.get(k, k): v for k, v in obj.items()}
+            records.append(_record_from_cells(
+                (*required(obj), obj.get("model_id", ""), obj.get("precision", ""), obj.get("batch", 1))
+            ))
+        except (*_BAD_VALUE, KeyError, RecursionError) as exc:
+            issues.append(ParseIssue(lineno, str(exc)))
 
 
 def parse_records(
@@ -145,7 +219,9 @@ def parse_records(
 
     Malformed lines are collected as ParseIssues with their line numbers and
     never silently dropped; well-formed records are returned in file order.
-    `rename` maps external column/key names onto the canonical field names.
+    A delimited record that spans lines (a quoted newline) is reported at the
+    line where it starts. `rename` maps external column/key names onto the
+    canonical field names.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -157,66 +233,41 @@ def parse_records(
         raise UnknownFormat(f"unknown trace format {fmt!r}")
     if not text.strip():
         raise EmptyInput("trace contains no data")
-    rename = rename or {}
-
     records: list[RunRecord] = []
     issues: list[ParseIssue] = []
-    lines = text.splitlines()
-
-    if fmt == FORMAT_DELIMITED:
-        header = [rename.get(h.strip(), h.strip()) for h in lines[0].split(",")]
-        missing = [f for f in _FIELDS[:8] if f not in header]
-        if missing:
-            raise UnknownFormat(f"header is missing required columns {missing}")
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            cells = line.split(",")
-            if len(cells) != len(header):
-                issues.append(ParseIssue(lineno, f"expected {len(header)} cells, got {len(cells)}"))
-                continue
-            try:
-                records.append(_record_from_fields(dict(zip(header, (c.strip() for c in cells)))))
-            except (ValueError, KeyError) as exc:
-                issues.append(ParseIssue(lineno, str(exc)))
-    else:
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("line is not a JSON object")
-                obj = {rename.get(k, k): v for k, v in obj.items()}
-                records.append(_record_from_fields(obj))
-            except (ValueError, KeyError) as exc:
-                issues.append(ParseIssue(lineno, str(exc)))
+    parse = _parse_delimited if fmt == FORMAT_DELIMITED else _parse_line_json
+    parse(text, rename or {}, records, issues)
     return records, issues
 
 
-def _cell(value) -> str:
-    if isinstance(value, RunKind):
-        return value.value
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# Line breaks that str.splitlines (and so the reader) splits on but that csv
+# leaves unquoted: a field holding one would be cut in two on reading.
+_UNQUOTED_BREAK = re.compile(r"\r(?!\n)|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _row(rec: RunRecord) -> tuple:
+    return (rec[0], rec[1].value, *rec[2:])
 
 
 def write_records(records: Iterable[RunRecord], fmt: str = FORMAT_DELIMITED) -> str:
-    """Serialize records; inverse of parse_records for both formats."""
+    """Serialize records; inverse of parse_records for both formats.
+
+    Raises ValueError when a delimited text field holds a line break the
+    format cannot carry (see the module docstring).
+    """
     if fmt == FORMAT_DELIMITED:
         out = io.StringIO()
-        out.write(",".join(_FIELDS) + "\n")
-        for rec in records:
-            out.write(",".join(_cell(getattr(rec, f)) for f in _FIELDS) + "\n")
-        return out.getvalue()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(_FIELDS)
+        writer.writerows(map(_row, records))
+        text = out.getvalue()
+        bad = _UNQUOTED_BREAK.search(text)
+        if bad:
+            raise ValueError(f"a text field holds the line break {bad.group()!r}, which "
+                             "the delimited format cannot carry; use line-json")
+        return text
     if fmt == FORMAT_LINE_JSON:
-        lines = []
-        for rec in records:
-            obj = {f: getattr(rec, f) for f in _FIELDS}
-            obj["run_kind"] = rec.run_kind.value
-            lines.append(json.dumps(obj))
-        return "\n".join(lines) + "\n"
+        return "\n".join(json.dumps(dict(zip(_FIELDS, _row(rec)))) for rec in records) + "\n"
     raise UnknownFormat(f"unknown trace format {fmt!r}")
 
 
@@ -239,11 +290,13 @@ def drop_warmup(records: Sequence[RunRecord], k: int) -> list[RunRecord]:
 
 
 NEGATIVE_DECODE = "negative_decode"
+MIXED_INPUT_TOKENS = "mixed_input_tokens"
 
 
 @dataclass(frozen=True)
 class PromptDecomposition:
-    """Per-prompt phase split: decode = mean(full) - mean(prefill-only)."""
+    """Per-group phase split: decode = mean(full) - mean(prefill-only), over
+    the runs of one (prompt_id, model_id, precision, batch)."""
 
     prompt_id: str
     prefill_mean_wh: ComponentEnergy
@@ -257,66 +310,107 @@ class PromptDecomposition:
     n_prefill_runs: int
     n_full_runs: int
     flags: tuple[str, ...] = ()
+    model_id: str = ""
+    precision: str = ""
+    batch: int = 1
 
 
 @dataclass(frozen=True)
 class MissingKind:
     prompt_id: str
     missing: RunKind
+    model_id: str = ""
+    precision: str = ""
+    batch: int = 1
 
 
-def _mean_energy(records: Sequence[RunRecord]) -> ComponentEnergy:
-    return ComponentEnergy(
-        gpu=float(np.mean([r.gpu_wh for r in records])),
-        cpu=float(np.mean([r.cpu_wh for r in records])),
-        ram=float(np.mean([r.ram_wh for r in records])),
-    )
+_TOKENS_IN, _TOKENS_OUT, _LATENCY, _GPU, _CPU, _RAM = range(6)  # rows of decompose's values
+
+
+def _group_means(values: np.ndarray, group: np.ndarray, picked: np.ndarray, n_groups: int,
+                 rows: Sequence[int]):
+    """Per-group counts of the runs `picked`, and the means of `values[rows]`
+    over them (runs are columns of `values`; `group` numbers their groups).
+
+    Groups of equal size are gathered into one C-contiguous (groups, size)
+    block per value row and reduced along it, which sums each group in the
+    same order as np.mean on that group's list, so the means are bitwise
+    equal to it. Groups without picked runs get zeros.
+    """
+    counts = np.bincount(group[picked], minlength=n_groups)
+    order = picked[np.argsort(group[picked], kind="stable")]  # grouped, in record order
+    starts = np.cumsum(counts) - counts
+    means = np.zeros((len(rows), n_groups))
+    # np.unique would also do, but its first call costs ~1.5 MB of memory
+    for size in sorted(set(counts.tolist()) - {0}):
+        members = np.flatnonzero(counts == size)
+        runs = order[starts[members, None] + np.arange(size)]
+        for i, row in enumerate(rows):
+            means[i, members] = values[row][runs].mean(axis=1)
+    return counts, means
 
 
 def decompose(
     records: Iterable[RunRecord],
 ) -> tuple[list[PromptDecomposition], list[MissingKind]]:
-    """Split each prompt's cost into prefill and decode phases.
+    """Split the cost of each (prompt_id, model_id, precision, batch) group
+    into prefill and decode phases, in the order the groups first appear.
 
-    Prompts missing one run kind are reported as MissingKind entries and get
+    Groups missing one run kind are reported as MissingKind entries and get
     no decomposition; nothing is fabricated. A negative decode estimate in
-    any component sets the negative_decode flag on the decomposition.
+    any component sets the negative_decode flag on the decomposition; runs
+    that disagree on input_tokens set mixed_input_tokens (input_tokens is
+    then the rounded mean over the full runs).
     """
-    groups: dict[str, list[RunRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.prompt_id, []).append(rec)
+    records = list(records)
+    if not records:
+        return [], []
+    prompt_ids, kinds, *numbers, model_ids, precisions, batches = zip(*records)
+    groups: dict[tuple, int] = {}
+    keys = [groups.setdefault(key, len(groups)) for key in zip(prompt_ids, model_ids, precisions, batches)]
+    group = np.array(keys, dtype=np.intp)
+    full = np.array([kind is _FULL for kind in kinds], dtype=bool)
+    values = np.array(numbers, dtype=float)  # one row per field, input_tokens .. ram_wh
+    n_groups = len(groups)
+    distinct_inputs = set(zip(keys, numbers[_TOKENS_IN]))
+    mixed = np.bincount([key for key, _ in distinct_inputs], minlength=n_groups) > 1
+
+    rows = (_LATENCY, _GPU, _CPU, _RAM)
+    pre_counts, pre_means = _group_means(values, group, np.flatnonzero(~full), n_groups, rows)
+    full_counts, full_means = _group_means(values, group, np.flatnonzero(full), n_groups,
+                                           rows + (_TOKENS_IN, _TOKENS_OUT))
+    decode = full_means[:4] - pre_means
+    negative = (decode[1:] < 0).any(axis=0)
 
     decompositions = []
     missing = []
-    for prompt_id, group in groups.items():
-        prefill = [r for r in group if r.run_kind is RunKind.PREFILL_ONLY]
-        full = [r for r in group if r.run_kind is RunKind.FULL]
-        if not prefill:
-            missing.append(MissingKind(prompt_id, RunKind.PREFILL_ONLY))
-        if not full:
-            missing.append(MissingKind(prompt_id, RunKind.FULL))
-        if not prefill or not full:
+    for (prompt_id, model_id, precision, batch), n_pre, n_full, p, f, d, neg, mix in zip(
+        groups, pre_counts.tolist(), full_counts.tolist(), pre_means.T.tolist(), full_means.T.tolist(),
+        decode.T.tolist(), negative.tolist(), mixed.tolist(),
+    ):
+        if not n_pre:
+            missing.append(MissingKind(prompt_id, RunKind.PREFILL_ONLY, model_id, precision, batch))
+        if not n_full:
+            missing.append(MissingKind(prompt_id, RunKind.FULL, model_id, precision, batch))
+        if not n_pre or not n_full:
             continue
-        prefill_wh = _mean_energy(prefill)
-        full_wh = _mean_energy(full)
-        decode_wh = full_wh.minus(prefill_wh)
-        prefill_lat = float(np.mean([r.latency_s for r in prefill]))
-        full_lat = float(np.mean([r.latency_s for r in full]))
-        flags = (NEGATIVE_DECODE,) if min(decode_wh) < 0 else ()
         decompositions.append(
             PromptDecomposition(
                 prompt_id=prompt_id,
-                prefill_mean_wh=prefill_wh,
-                full_mean_wh=full_wh,
-                decode_wh=decode_wh,
-                prefill_mean_latency_s=prefill_lat,
-                full_mean_latency_s=full_lat,
-                decode_latency_s=full_lat - prefill_lat,
-                input_tokens=int(round(np.mean([r.input_tokens for r in full]))),
-                output_tokens=int(round(np.mean([r.output_tokens for r in full]))),
-                n_prefill_runs=len(prefill),
-                n_full_runs=len(full),
-                flags=flags,
+                prefill_mean_wh=ComponentEnergy(*p[1:]),
+                full_mean_wh=ComponentEnergy(*f[1:4]),
+                decode_wh=ComponentEnergy(*d[1:]),
+                prefill_mean_latency_s=p[0],
+                full_mean_latency_s=f[0],
+                decode_latency_s=d[0],
+                input_tokens=int(round(f[4])),
+                output_tokens=int(round(f[5])),
+                n_prefill_runs=n_pre,
+                n_full_runs=n_full,
+                flags=(NEGATIVE_DECODE,) * neg + (MIXED_INPUT_TOKENS,) * mix,
+                model_id=model_id,
+                precision=precision,
+                batch=batch,
             )
         )
     return decompositions, missing
@@ -522,7 +616,7 @@ def to_fit_samples(items: Sequence, component: str = "total") -> list[LatencySam
             samples.append(
                 LatencySample(
                     s=item.input_tokens,
-                    g=0 if item.run_kind is RunKind.PREFILL_ONLY else item.output_tokens,
+                    g=0 if item.run_kind is _PREFILL_ONLY else item.output_tokens,
                     t=item.latency_s,
                     energy_wh=item.energy.get(component),
                 )

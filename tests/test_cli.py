@@ -72,6 +72,12 @@ class TestArgumentValidation:
         assert len([ln for ln in err.splitlines() if ln.startswith("error:")]) == 1, err
         assert "Traceback" not in err
 
+    def test_usage_is_the_failing_subcommands(self, capsys):
+        code, _ = run_cli("predict", "-s", "0", "-g", "5")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "usage: inferwatt predict" in err
+
 
 class TestPredict:
     def test_default_source_reference_point(self):
@@ -146,6 +152,18 @@ class TestDecompose:
         rows = json.loads(out)
         assert len(rows) == 8
         assert all(r["decode_gpu_wh"] > 0 for r in rows)
+        assert list(rows[0])[:2] == ["prompt_id", "model_id"]
+        assert {r["model_id"] for r in rows} == {"llama31-8b-fp32"}
+
+    def test_missing_kind_warning_names_the_group(self, tmp_path, capsys):
+        path = tmp_path / "two-models.csv"
+        header = data_path(REFERENCE_TRACE).read_text(encoding="utf-8").splitlines()[0]
+        path.write_text(header + "\np,full,10,5,1.0,0.1,0,0,a,fp32,1\np,full,10,5,1.0,0.1,0,0,b,fp32,1\n")
+        code, _ = run_cli("decompose", "--trace", str(path))
+        warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+        assert code == 0
+        assert len(warnings) == len(set(warnings)) == 2
+        assert "model 'a'" in warnings[0] and "model 'b'" in warnings[1]
 
 
 class TestHist:

@@ -92,6 +92,18 @@ class TestDesignMatrix:
         with pytest.raises(ValueError):
             DesignMatrix(rows=2, cols=1, values=(1.0, float("nan")))
 
+    def test_values_are_a_read_only_copy_and_as_array_a_view(self):
+        source = np.arange(6.0)
+        dm = DesignMatrix(rows=3, cols=2, values=source)
+        source[0] = 99.0
+        assert dm.values.dtype == np.float64 and dm.values.shape == (6,)
+        assert dm.values[0] == 0.0
+        assert np.shares_memory(dm.as_array(), dm.values)
+        with pytest.raises(ValueError):
+            dm.values[0] = 1.0
+        with pytest.raises(ValueError):
+            dm.as_array()[0, 0] = 1.0
+
 
 well_conditioned = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),

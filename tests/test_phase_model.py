@@ -360,6 +360,12 @@ class TestSampleValidation:
         with pytest.raises(ValueError):
             LatencySample(1, 0, 0.0)
 
+    def test_replace_validates(self):
+        sample = LatencySample(100, 0, 0.5)
+        assert sample._replace(g=3) == LatencySample(100, 3, 0.5, None)
+        with pytest.raises(ValueError):
+            sample._replace(t=-1.0)
+
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(ValueError):
             PrefillLatencyCoeffs(float("nan"), 0.0, 0.0)

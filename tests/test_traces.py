@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -14,8 +15,12 @@ from inferwatt.errors import (
     UnknownFormat,
 )
 from inferwatt.traces import (
+    MIXED_INPUT_TOKENS,
     NEGATIVE_DECODE,
     ComponentEnergy,
+    MissingKind,
+    ParseIssue,
+    PromptDecomposition,
     RunKind,
     RunRecord,
     aggregate,
@@ -29,6 +34,11 @@ from inferwatt.traces import (
 )
 
 HEADER = "prompt_id,run_kind,input_tokens,output_tokens,latency_s,gpu_wh,cpu_wh,ram_wh,model_id,precision,batch"
+
+# Text fields for round trips: quotes, commas and newlines, but no leading or
+# trailing whitespace (the delimited reader strips cells).
+_ID = st.lists(st.sampled_from(["a", "Z", "7", " ", ",", '"', "\n", "\r\n", "é"]), max_size=6).map(
+    "".join).filter(lambda text: text == text.strip())
 
 
 def record(prompt="p0", kind=RunKind.FULL, s=100, g=20, t=1.0,
@@ -104,27 +114,52 @@ class TestRoundTrip:
         again, _ = parse_records(write_records(records))
         assert again == records
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.lists(
         st.tuples(
+            _ID,
             st.sampled_from([RunKind.PREFILL_ONLY, RunKind.FULL]),
             st.integers(min_value=1, max_value=10000),
             st.integers(min_value=1, max_value=300),
             st.floats(min_value=1e-6, max_value=1e4, allow_nan=False),
             st.floats(min_value=0, max_value=10.0, allow_nan=False),
+            _ID,
+            _ID,
         ),
         min_size=1, max_size=10,
     ))
     def test_random_records_round_trip_both_formats(self, rows):
         records = [
-            RunRecord(f"p{i}", kind, s, 1 if kind is RunKind.PREFILL_ONLY else g,
-                      t, e, e / 3, e / 7)
-            for i, (kind, s, g, t, e) in enumerate(rows)
+            RunRecord(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else g,
+                      t, e, e / 3, e / 7, model, precision)
+            for pid, kind, s, g, t, e, model, precision in rows
         ]
         for fmt in ("delimited", "line-json"):
             parsed, issues = parse_records(write_records(records, fmt), fmt)
             assert not issues
             assert parsed == records
+
+    def test_quoted_cells_round_trip(self):
+        records = [record(prompt='a,b'), record(prompt='say "hi"'),
+                   record(prompt="two\nlines"), record(prompt="crlf\r\nline")]
+        text = write_records(records)
+        assert text.splitlines()[1].startswith('"a,b",')
+        assert parse_records(text) == (records, [])
+
+    @pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028", "\u2029"])
+    def test_line_break_csv_leaves_unquoted_is_refused(self, char):
+        records = [record(prompt=f"a{char}b")]
+        with pytest.raises(ValueError):
+            write_records(records)
+        # line-json escapes it
+        assert parse_records(write_records(records, "line-json"), "line-json") == (records, [])
+
+    def test_issue_line_is_where_a_multi_line_record_starts(self):
+        text = HEADER + '\n"a\nb",full,10,5,1.0,0.1,0,0,m,fp32,1\n"c\nd",full,x,5,1.0,0.1,0,0,m,fp32,1\n'
+        records, issues = parse_records(text)
+        assert [r.prompt_id for r in records] == ["a\nb"]
+        assert [i.line for i in issues] == [4]
 
 
 class TestDropWarmup:
@@ -381,3 +416,333 @@ class TestRecordValidation:
         text = HEADER + "\np,full,10,5,1.0,nan,0.0,0.0,m,fp32,1\np,full,10,5,1.0,0.1,0.0,0.0,m,fp32,1\n"
         records, issues = parse_records(text)
         assert len(records) == 1 and [i.line for i in issues] == [2]
+
+
+class TestRecordTuple:
+    def test_replace_and_make_validate(self):
+        rec = record()
+        assert rec._replace(latency_s=2.0).latency_s == 2.0
+        with pytest.raises(ValueError, match="latency_s must be positive and finite"):
+            rec._replace(latency_s=0.0)
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            RunRecord._make((*rec[:10], 0))
+
+    def test_immutable_hashable_with_defaults(self):
+        rec = RunRecord("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)
+        assert (rec.model_id, rec.precision, rec.batch) == ("", "", 1)
+        assert rec.energy == ComponentEnergy(0.1, 0.0, 0.0)
+        assert len({rec, RunRecord("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)}) == 1
+        with pytest.raises(AttributeError):
+            rec.latency_s = 2.0
+
+
+# --- the parser before csv-module reading, kept as the reference ------------
+
+_ORACLE_FIELDS = RunRecord._fields
+
+
+def _record_from_fields_oracle(fields: dict) -> RunRecord:
+    kind_raw = str(fields["run_kind"])
+    try:
+        kind = RunKind(kind_raw)
+    except ValueError:
+        raise ValueError(f"unknown run_kind {kind_raw!r}") from None
+    return RunRecord(
+        prompt_id=str(fields["prompt_id"]),
+        run_kind=kind,
+        input_tokens=int(fields["input_tokens"]),
+        output_tokens=int(fields["output_tokens"]),
+        latency_s=float(fields["latency_s"]),
+        gpu_wh=float(fields["gpu_wh"]),
+        cpu_wh=float(fields["cpu_wh"]),
+        ram_wh=float(fields["ram_wh"]),
+        model_id=str(fields.get("model_id", "")),
+        precision=str(fields.get("precision", "")),
+        batch=int(fields.get("batch", 1)),
+    )
+
+
+def _parse_records_oracle(text, fmt="delimited", rename=None):
+    rename = rename or {}
+    records, issues = [], []
+    lines = text.splitlines()
+    if fmt == "delimited":
+        header = [rename.get(h.strip(), h.strip()) for h in lines[0].split(",")]
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            if len(cells) != len(header):
+                issues.append(ParseIssue(lineno, f"expected {len(header)} cells, got {len(cells)}"))
+                continue
+            try:
+                records.append(_record_from_fields_oracle(dict(zip(header, (c.strip() for c in cells)))))
+            except (ValueError, KeyError) as exc:
+                issues.append(ParseIssue(lineno, str(exc)))
+    else:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("line is not a JSON object")
+                obj = {rename.get(k, k): v for k, v in obj.items()}
+                records.append(_record_from_fields_oracle(obj))
+            except (ValueError, KeyError) as exc:
+                issues.append(ParseIssue(lineno, str(exc)))
+    return records, issues
+
+
+# Per field: good cells (with padding whitespace), then bad numbers, NaN,
+# negative and infinite values and unknown kinds.
+_GOOD_CELLS = {
+    "prompt_id": ["p0", "p1", " p 2 ", ""],
+    "run_kind": ["full", "prefill_only", " full "],
+    "input_tokens": ["100", "1", " 7 ", "1_0"],
+    "output_tokens": ["1", "20"],
+    "latency_s": ["1.5", "0.25", "1e-3"],
+    "gpu_wh": ["0.3", "0"],
+    "cpu_wh": ["0.02", "0", " 0.5 "],
+    "ram_wh": ["0.01", "0"],
+    "model_id": ["m", "", " m2 "],
+    "precision": ["fp32", ""],
+    "batch": ["1", "2"],
+}
+_CELLS = {name: good + bad for (name, good), bad in zip(_GOOD_CELLS.items(), [
+    [], ["bogus", ""], ["0", "-5", "2.5", "x"], ["0", "nan"], ["0", "-1", "nan", "inf", "abc"],
+    ["-0.1", "nan", "1e400", "x"], ["-inf"], ["NaN"], [], [], ["0", "x"],
+])}
+_HEADERS = [
+    list(_ORACLE_FIELDS),
+    list(_ORACLE_FIELDS[:8]),
+    ["batch", "ram_wh", "prompt_id", "input_tokens", "run_kind", "output_tokens",
+     "latency_s", "gpu_wh", "cpu_wh", "model_id"],
+    list(_ORACLE_FIELDS) + ["prompt_id"],  # a repeated column: the last one is read
+]
+
+
+@st.composite
+def _quote_free_trace(draw):
+    header = draw(st.sampled_from(_HEADERS))
+    lines = [" " + ", ".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["good", "good", "any", "any", "short", "long", "blank"]))
+        if shape == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        pool = _GOOD_CELLS if shape == "good" else _CELLS
+        cells = [draw(st.sampled_from(pool[name])) for name in header]
+        if shape == "short":
+            cells = cells[:draw(st.integers(1, len(cells) - 1))]
+        elif shape == "long":
+            cells.append("extra")
+        lines.append(",".join(cells))
+    # line breaks of str.splitlines, csv's own ones included
+    breaks = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", " "])) for _ in lines]
+    return "".join(line + br for line, br in zip(lines, breaks))
+
+
+class TestParseOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_quote_free_trace())
+    def test_delimited_matches_the_split_parser(self, text):
+        assert parse_records(text) == _parse_records_oracle(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(
+        st.fixed_dictionaries(
+            {name: st.sampled_from(cells) for name, cells in _CELLS.items()},
+        ).map(json.dumps),
+        st.fixed_dictionaries(
+            {"prompt_id": st.sampled_from(["p", 5]), "run_kind": st.sampled_from(["full", 1]),
+             "input_tokens": st.sampled_from([10, 2.5, "10"]), "output_tokens": st.sampled_from([1, 3]),
+             "latency_s": st.sampled_from([1.0, -1.0, "nan"]), "gpu_wh": st.sampled_from([0.1, 0]),
+             "cpu_wh": st.just(0.0), "ram_wh": st.just(0.0)},
+            optional={"batch": st.sampled_from([1, 2, 0]), "model_id": st.sampled_from(["m", 3])},
+        ).map(json.dumps),
+        st.sampled_from(["", "  ", "[1, 2]", "17", "{", "not json", '{"prompt_id": "p"}']),
+    ), max_size=12))
+    def test_line_json_matches_the_split_parser(self, lines):
+        text = "\n".join(lines) + "\n"
+        if not text.strip():
+            return
+        assert parse_records(text, "line-json") == _parse_records_oracle(text, "line-json")
+
+    def test_rename_matches_the_split_parser(self):
+        text = "prompt,kind,input_tokens,output_tokens,latency_s,gpu_wh,cpu_wh,ram_wh\n" \
+               "p1,full,100,20,1.5,0.3,0.02,0.01\np2,prefill_only,100,3,1.5,0.3,0.02,0.01\n"
+        rename = {"prompt": "prompt_id", "kind": "run_kind"}
+        assert parse_records(text, rename=rename) == _parse_records_oracle(text, rename=rename)
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text().map(lambda body: HEADER + "\n" + body)),
+           st.sampled_from(["delimited", "line-json"]))
+    def test_any_text_gives_records_and_issues_or_a_typed_error(self, text, fmt):
+        try:
+            records, issues = parse_records(text, fmt)
+        except (EmptyInput, UnknownFormat):
+            return
+        assert all(isinstance(r, RunRecord) for r in records)
+        assert all(isinstance(i, ParseIssue) for i in issues)
+
+    @pytest.mark.parametrize("value", ["null", "[1]", "Infinity", "1e400"])
+    def test_wrong_json_types_are_issues(self, value):
+        obj = ('{"prompt_id": "p", "run_kind": "full", "input_tokens": %s, "output_tokens": 2, '
+               '"latency_s": 1.0, "gpu_wh": 0.1, "cpu_wh": 0.0, "ram_wh": 0.0}' % value)
+        records, issues = parse_records(obj + "\n", "line-json")
+        assert not records and [i.line for i in issues] == [1]
+
+    def test_oversized_cell_is_an_issue_and_reading_goes_on(self):
+        good = "p1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1"
+        text = "\n".join([HEADER, "x" * 200_000 + good, good]) + "\n"
+        records, issues = parse_records(text)
+        assert len(records) == 1 and [i.line for i in issues] == [2]
+
+
+# --- the per-group loop before the numpy group-by, kept as the reference ----
+
+
+def _decompose_oracle(records):
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.prompt_id, rec.model_id, rec.precision, rec.batch), []).append(rec)
+
+    def mean_energy(runs):
+        return ComponentEnergy(
+            gpu=float(np.mean([r.gpu_wh for r in runs])),
+            cpu=float(np.mean([r.cpu_wh for r in runs])),
+            ram=float(np.mean([r.ram_wh for r in runs])),
+        )
+
+    decompositions, missing = [], []
+    for (prompt_id, model_id, precision, batch), group in groups.items():
+        prefill = [r for r in group if r.run_kind is RunKind.PREFILL_ONLY]
+        full = [r for r in group if r.run_kind is RunKind.FULL]
+        if not prefill:
+            missing.append(MissingKind(prompt_id, RunKind.PREFILL_ONLY, model_id, precision, batch))
+        if not full:
+            missing.append(MissingKind(prompt_id, RunKind.FULL, model_id, precision, batch))
+        if not prefill or not full:
+            continue
+        prefill_wh = mean_energy(prefill)
+        full_wh = mean_energy(full)
+        decode_wh = full_wh.minus(prefill_wh)
+        prefill_lat = float(np.mean([r.latency_s for r in prefill]))
+        full_lat = float(np.mean([r.latency_s for r in full]))
+        flags = (NEGATIVE_DECODE,) if min(decode_wh) < 0 else ()
+        if len({r.input_tokens for r in group}) > 1:
+            flags += (MIXED_INPUT_TOKENS,)
+        decompositions.append(PromptDecomposition(
+            prompt_id=prompt_id,
+            prefill_mean_wh=prefill_wh,
+            full_mean_wh=full_wh,
+            decode_wh=decode_wh,
+            prefill_mean_latency_s=prefill_lat,
+            full_mean_latency_s=full_lat,
+            decode_latency_s=full_lat - prefill_lat,
+            input_tokens=int(round(np.mean([r.input_tokens for r in full]))),
+            output_tokens=int(round(np.mean([r.output_tokens for r in full]))),
+            n_prefill_runs=len(prefill),
+            n_full_runs=len(full),
+            flags=flags,
+            model_id=model_id,
+            precision=precision,
+            batch=batch,
+        ))
+    return decompositions, missing
+
+
+def _assert_same_decomposition(records):
+    got, want = decompose(records), _decompose_oracle(records)
+    assert got == want
+    assert repr(got) == repr(want)  # repr tells -0.0 from 0.0 and shows every bit
+
+
+_run = st.tuples(
+    st.sampled_from(["p0", "p1", "p2"]),
+    st.sampled_from(["m0", "m1"]),
+    st.sampled_from(["fp32", "bf16"]),
+    st.sampled_from([1, 2]),
+    st.sampled_from([RunKind.PREFILL_ONLY, RunKind.FULL]),
+    st.sampled_from([10, 500, 501]),
+    st.integers(1, 300),
+    st.floats(min_value=1e-6, max_value=1e4),
+    st.lists(st.floats(min_value=0, max_value=10.0), min_size=3, max_size=3),
+)
+
+
+class TestDecomposeOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_run, max_size=60))
+    def test_matches_the_per_group_loop(self, runs):
+        records = [
+            RunRecord(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else g, t, *energy,
+                      model, precision, batch)
+            for pid, model, precision, batch, kind, s, g, t, energy in runs
+        ]
+        _assert_same_decomposition(records)
+
+    def test_unequal_group_sizes_across_the_summation_blocks(self):
+        # np.mean sums pairwise in blocks of 8 and 128: cover sizes around both
+        rng = np.random.default_rng(5)
+        sizes = [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 130, 255, 256, 257, 300]
+        records = []
+        for i, n_pre in enumerate(sizes):
+            n_full = sizes[(i * 7) % len(sizes)]
+            for kind, n in ((RunKind.PREFILL_ONLY, n_pre), (RunKind.FULL, n_full)):
+                for _ in range(n):
+                    records.append(RunRecord(f"p{i}", kind, 100, 1 if kind is RunKind.PREFILL_ONLY else 40,
+                                             *rng.uniform(1e-3, 5.0, 4).tolist()))
+        rng.shuffle(records)
+        records.append(record(prompt="only_full"))
+        _assert_same_decomposition(records)
+
+    def test_synthetic_trace(self, coeffs):
+        plan = [(s, g) for s in (300, 900, 2500) for g in (0, 16, 200)]
+        _assert_same_decomposition(synthesize_trace(plan, coeffs, noise=0.05, seed=1, runs=9))
+
+    def test_empty(self):
+        assert decompose([]) == ([], [])
+
+
+class TestDecomposeGrouping:
+    def test_two_models_under_one_id_give_two_decompositions(self):
+        records = []
+        for model, s in (("small", 10), ("large", 500)):
+            records += [
+                RunRecord("p", RunKind.PREFILL_ONLY, s, 1, 0.5, 0.1, 0.0, 0.0, model),
+                RunRecord("p", RunKind.FULL, s, 20, 2.0, 0.3, 0.0, 0.0, model),
+            ]
+        decomps, missing = decompose(records)
+        assert not missing
+        assert [(d.model_id, d.input_tokens, d.flags) for d in decomps] == [
+            ("small", 10, ()), ("large", 500, ()),
+        ]
+
+    def test_precision_and_batch_split_groups(self):
+        records = [
+            RunRecord("p", kind, 10, 1 if kind is RunKind.PREFILL_ONLY else 5, 1.0, 0.1, 0.0, 0.0,
+                      "m", precision, batch)
+            for precision, batch in (("fp32", 1), ("bf16", 1), ("fp32", 4))
+            for kind in RunKind
+        ]
+        decomps, _ = decompose(records)
+        assert [(d.precision, d.batch) for d in decomps] == [("fp32", 1), ("bf16", 1), ("fp32", 4)]
+
+    def test_disagreeing_input_tokens_flagged(self):
+        records = [record(kind=RunKind.PREFILL_ONLY, s=100), record(s=120)]
+        decomps, _ = decompose(records)
+        assert decomps[0].flags == (MIXED_INPUT_TOKENS,)
+        assert decomps[0].input_tokens == 120
+
+    def test_missing_kind_reported_per_group(self):
+        records = [
+            RunRecord("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0, "a"),
+            RunRecord("p", RunKind.PREFILL_ONLY, 10, 1, 1.0, 0.1, 0.0, 0.0, "b"),
+        ]
+        decomps, missing = decompose(records)
+        assert not decomps
+        assert missing == [MissingKind("p", RunKind.PREFILL_ONLY, "a"), MissingKind("p", RunKind.FULL, "b")]
