@@ -20,8 +20,8 @@ from .roofline import (
     Phase,
     boundedness,
     effective_ceilings,
+    energy_from_power,
     op_latency,
-    total_latency,
 )
 from .transformer_costs import (
     ModelSpec,
@@ -41,10 +41,7 @@ from .phase_model import (
     LatencySample,
     PrefillEnergyCoeffs,
     PrefillLatencyCoeffs,
-    Regime,
-    RegimeThresholds,
     consistency_report,
-    energy_from_power,
     eval_decode_energy,
     eval_decode_latency,
     eval_prefill_energy,
@@ -53,8 +50,6 @@ from .phase_model import (
     fit_decode_latency,
     fit_prefill_energy,
     fit_prefill_latency,
-    regime_classify,
-    synth_generate,
 )
 from .traces import (
     EnergyStats,

@@ -9,6 +9,7 @@ significant digits; json and delimited output carry full precision.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -66,6 +67,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message, self)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # A subcommand's parser runs this on its own arguments, so leftovers
+        # are reported with its usage, not the root's.
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
 
 def _fmt_cell(value, full_precision: bool) -> str:
     if isinstance(value, float):
@@ -88,9 +97,9 @@ def _emit_rows(rows, fmt: str, out) -> None:
         return
     keys = list(rows[0])
     if fmt == "delimited":
-        print(",".join(keys), file=out)
-        for row in rows:
-            print(",".join(_fmt_cell(row[k], True) for k in keys), file=out)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([_fmt_cell(row[k], True) for k in keys] for row in rows)
         return
     cells = [[_fmt_cell(row[k], False) for k in keys] for row in rows]
     widths = [max(len(k), *(len(r[i]) for r in cells)) for i, k in enumerate(keys)]
@@ -186,7 +195,9 @@ def _cmd_predict(args, out) -> int:
                 "prefill_wh": breakdown.prefill_wh,
                 "decode_wh": breakdown.decode_wh,
                 "total_wh": breakdown.total_wh,
-                "led_minutes": led_equivalent_minutes(breakdown.total_wh, args.led_watts),
+                # a negative total is out of range (and flagged): it has no LED equivalent
+                "led_minutes": (led_equivalent_minutes(breakdown.total_wh, args.led_watts)
+                                if breakdown.total_wh >= 0 else float("nan")),
             }
         ],
         args.format,
@@ -288,7 +299,7 @@ def _cmd_stats(args, out) -> int:
 def _cmd_hist(args, out) -> int:
     records = _read_trace(args)
     if args.phase == PHASE_DECODE:
-        values = [d.decode_wh.get(args.component) for d in decompose(records)[0]]
+        values = [d.decode_wh.get(args.component) for d in _decompose(records)]
     else:
         kind = RunKind.PREFILL_ONLY if args.phase == PHASE_PREFILL else RunKind.FULL
         values = [r.energy.get(args.component) for r in records if r.run_kind is kind]
@@ -446,7 +457,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s-values", type=_LENGTHS, required=True, help="comma-separated input lengths")
     p.add_argument("--g-values", type=_COUNTS, required=True, help="comma-separated output lengths (0 = prefill-only)")
     p.add_argument("--noise", type=_NONNEGATIVE, default=0.0, help="relative noise std")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--runs", type=_POSITIVE_INT, default=1, help="runs per kind per grid point")
     p.add_argument("--out", help="write trace here instead of stdout")
     p.add_argument(

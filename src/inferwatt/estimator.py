@@ -17,13 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InferwattError, ModelOutOfRangeWarning
-from .phase_model import (
-    CoefficientSet,
-    energy_from_power,
-    eval_decode_energy,
-    eval_prefill_energy,
-)
-from .roofline import HardwareProfile, Phase
+from .phase_model import CoefficientSet, eval_decode_energy, eval_prefill_energy
+from .roofline import HardwareProfile, Phase, energy_from_power
 from .transformer_costs import (
     ModelSpec,
     predict_decode_latency,
@@ -78,17 +73,21 @@ class AnalyticSource:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Per-phase energy of one interaction (or a weighted mean of many)."""
+    """Per-phase energy of one interaction (or a weighted mean of many).
+    A non-finite total raises OverflowError: no estimate is reported as inf
+    or NaN."""
 
     prefill_wh: float
     decode_wh: float
     provenance: str = ""
-    component_split: dict[str, float] | None = None
     warnings: tuple[str, ...] = ()
     total_wh: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "total_wh", self.prefill_wh + self.decode_wh)
+        total = self.prefill_wh + self.decode_wh
+        if not math.isfinite(total):
+            raise OverflowError(f"energy estimate {total!r} Wh is not finite; inputs are implausibly large")
+        object.__setattr__(self, "total_wh", total)
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,6 @@ class DesignMatrix:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "DesignMatrix":
-        n_rows = len(rows)
-        n_cols = len(rows[0]) if n_rows else 0
-        return cls(n_rows, n_cols, [v for row in rows for v in row])
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence[float]]) -> "DesignMatrix":
         arr = np.column_stack([np.asarray(c, dtype=float) for c in cols])
         return cls(arr.shape[0], arr.shape[1], arr.ravel())

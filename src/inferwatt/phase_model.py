@@ -7,12 +7,18 @@ Four coefficient families describe one generation:
     prefill energy    E(s)    = a*s + b
     decode energy     E(s, g) = c*g + d*s*g + g_intercept
 
-with s input tokens and g generated tokens. The polynomials are fitted
-approximations: intercepts can be negative, so evaluation at very small
-arguments can dip below zero. Such results are flagged with a
-ModelOutOfRangeWarning instead of being clamped, and fits return the raw
-least-squares coefficients; `is_physical` on each coefficient set tells you
-whether the sign pattern matches the underlying cost structure.
+with s input tokens and g generated tokens. Each family's coefficient class
+is the one definition of its polynomial: calling it on (s, g) evaluates it
+(on numbers or numpy arrays), fitting evaluates it on unit coefficient
+vectors to build its basis columns, and its fields name the keys of the
+coefficient file. The last field is always the intercept.
+
+The polynomials are fitted approximations: intercepts can be negative, so
+evaluation at very small arguments can dip below zero. Such results are
+flagged with a ModelOutOfRangeWarning, in both phases, instead of being
+clamped, and fits return the raw least-squares coefficients; `is_physical`
+on each coefficient set tells you whether the sign pattern matches the
+underlying cost structure.
 
 Energy and latency are linked through per-phase mean power:
 E = t * P_phase / 3600 (watts and seconds to Wh). `consistency_report`
@@ -22,94 +28,93 @@ coefficients and flags pairs that disagree by more than a tolerance.
 
 from __future__ import annotations
 
-import enum
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientSamples, ModelOutOfRangeWarning
 from . import kvconfig
 from .numerics import DesignMatrix, FitResult, ols_fit
-from .roofline import HardwareProfile, Phase
-
-SECONDS_PER_HOUR = 3600.0
+from .roofline import SECONDS_PER_HOUR, HardwareProfile
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+class _Polynomial:
+    """Base of the four coefficient families. Subclasses are frozen
+    dataclasses whose fields are the coefficients, intercept last, and whose
+    `__call__(s, g)` evaluates the polynomial. Class constants: `decode`
+    (the family is fitted to g >= 1 samples, else to g = 0 ones), `what`
+    ("latency" or "energy") and `unit` of the value."""
+
+    decode: bool
+    what: str
+    unit: str
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+    @property
+    def is_physical(self) -> bool:
+        """Every coefficient but the intercept is nonnegative."""
+        return all(getattr(self, f.name) >= 0 for f in fields(self)[:-1])
 
 
 @dataclass(frozen=True)
-class PrefillLatencyCoeffs:
+class PrefillLatencyCoeffs(_Polynomial):
     """Seconds per input token (alpha), per token squared (beta), intercept (gamma)."""
 
+    decode, what, unit = False, "latency", "s"
     alpha: float
     beta: float
     gamma: float
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            _require_finite(name, getattr(self, name))
-
-    @property
-    def is_physical(self) -> bool:
-        return self.alpha >= 0 and self.beta >= 0
+    def __call__(self, s, g=0):
+        return self.alpha * s + self.beta * s * s + self.gamma
 
 
 @dataclass(frozen=True)
-class DecodeLatencyCoeffs:
+class DecodeLatencyCoeffs(_Polynomial):
     """Seconds per output token (eta), per input*output token (theta),
     per output token squared (phi), intercept (rho, may be negative)."""
 
+    decode, what, unit = True, "latency", "s"
     eta: float
     theta: float
     phi: float
     rho: float
 
-    def __post_init__(self):
-        for name in ("eta", "theta", "phi", "rho"):
-            _require_finite(name, getattr(self, name))
-
-    @property
-    def is_physical(self) -> bool:
-        return self.eta >= 0 and self.theta >= 0 and self.phi >= 0
+    def __call__(self, s, g):
+        return self.eta * g + self.theta * s * g + self.phi * g * g + self.rho
 
 
 @dataclass(frozen=True)
-class PrefillEnergyCoeffs:
+class PrefillEnergyCoeffs(_Polynomial):
     """Wh per input token (a) and intercept (b)."""
 
+    decode, what, unit = False, "energy", "Wh"
     a: float
     b: float
 
-    def __post_init__(self):
-        _require_finite("a", self.a)
-        _require_finite("b", self.b)
-
-    @property
-    def is_physical(self) -> bool:
-        return self.a >= 0
+    def __call__(self, s, g=0):
+        return self.a * s + self.b
 
 
 @dataclass(frozen=True)
-class DecodeEnergyCoeffs:
+class DecodeEnergyCoeffs(_Polynomial):
     """Wh per output token (c), per input*output token (d), intercept
     (g_intercept, may be negative)."""
 
+    decode, what, unit = True, "energy", "Wh"
     c: float
     d: float
     g_intercept: float
 
-    def __post_init__(self):
-        for name in ("c", "d", "g_intercept"):
-            _require_finite(name, getattr(self, name))
-
-    @property
-    def is_physical(self) -> bool:
-        return self.c >= 0 and self.d >= 0
+    def __call__(self, s, g):
+        return self.c * g + self.d * s * g + self.g_intercept
 
 
 class _SampleFields(NamedTuple):
@@ -139,96 +144,75 @@ class LatencySample(_SampleFields):
         return cls(*iterable)
 
 
-class Regime(enum.Enum):
-    CONSTANT = "constant"
-    LINEAR = "linear"
-    QUADRATIC = "quadratic"
-
-
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Prompt-length boundaries between intercept-, linear-, and
-    quadratic-dominated prefill latency."""
-
-    constant_max: float = 100.0
-    quadratic_min: float = 30000.0
-
-    def __post_init__(self):
-        if not (0 < self.constant_max < self.quadratic_min):
-            raise ValueError("need 0 < constant_max < quadratic_min")
-
-
-DEFAULT_REGIME_THRESHOLDS = RegimeThresholds()
-
-
 # --- evaluation ---------------------------------------------------------
+# Each eval_* checks its domain and evaluates in two Python frames; only a
+# nonpositive value takes the warning helper. `coeffs.__call__(...)` is spelled
+# out: CPython specializes that method call, while `coeffs(...)` goes through
+# the type's call slot, about 200 ns slower.
+
+
+def _out_of_range(coeffs: _Polynomial, value: float, s, g) -> None:
+    phase, at = ("decode", f"s={s}, g={g}") if coeffs.decode else ("prefill", f"s={s}")
+    warnings.warn(f"{phase} {coeffs.what} model returned {value:.4g} {coeffs.unit} at {at}; "
+                  "inputs are outside the fit's validity range", ModelOutOfRangeWarning, stacklevel=3)
 
 
 def eval_prefill_latency(coeffs: PrefillLatencyCoeffs, s: float) -> float:
     if s < 0:
         raise ValueError("s must be >= 0")
-    return coeffs.alpha * s + coeffs.beta * s * s + coeffs.gamma
+    value = coeffs.__call__(s)
+    if value <= 0:
+        _out_of_range(coeffs, value, s, 0)
+    return value
 
 
 def eval_decode_latency(coeffs: DecodeLatencyCoeffs, s: float, g: float) -> float:
     if s < 1 or g < 1:
         raise ValueError("need s >= 1 and g >= 1")
-    value = coeffs.eta * g + coeffs.theta * s * g + coeffs.phi * g * g + coeffs.rho
+    value = coeffs.__call__(s, g)
     if value <= 0:
-        warnings.warn(
-            f"decode latency model returned {value:.4g} s at s={s}, g={g}; "
-            "inputs are outside the fit's validity range",
-            ModelOutOfRangeWarning,
-            stacklevel=2,
-        )
+        _out_of_range(coeffs, value, s, g)
     return value
 
 
 def eval_prefill_energy(coeffs: PrefillEnergyCoeffs, s: float) -> float:
     if s < 0:
         raise ValueError("s must be >= 0")
-    return coeffs.a * s + coeffs.b
+    value = coeffs.__call__(s)
+    if value <= 0:
+        _out_of_range(coeffs, value, s, 0)
+    return value
 
 
 def eval_decode_energy(coeffs: DecodeEnergyCoeffs, s: float, g: float) -> float:
     if s < 1 or g < 1:
         raise ValueError("need s >= 1 and g >= 1")
-    value = coeffs.c * g + coeffs.d * s * g + coeffs.g_intercept
+    value = coeffs.__call__(s, g)
     if value <= 0:
-        warnings.warn(
-            f"decode energy model returned {value:.4g} Wh at s={s}, g={g}; "
-            "inputs are outside the fit's validity range",
-            ModelOutOfRangeWarning,
-            stacklevel=2,
-        )
+        _out_of_range(coeffs, value, s, g)
     return value
-
-
-def energy_from_power(phase: Phase, t: float, hw: HardwareProfile) -> float:
-    """Convert a phase latency to Wh using the phase's mean power draw."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return t * hw.power(phase) / SECONDS_PER_HOUR
-
-
-def regime_classify(
-    s: float, thresholds: RegimeThresholds = DEFAULT_REGIME_THRESHOLDS
-) -> Regime:
-    """Classify a prompt length by which prefill-latency term dominates."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if s <= thresholds.constant_max:
-        return Regime.CONSTANT
-    if s <= thresholds.quadratic_min:
-        return Regime.LINEAR
-    return Regime.QUADRATIC
 
 
 # --- fitting ------------------------------------------------------------
 
 
-def _fit(columns, y) -> FitResult:
-    return ols_fit(DesignMatrix.from_columns(columns), y)
+def _fit(family: type[_Polynomial], samples: Iterable[LatencySample]):
+    """Least-squares fit of one family to the samples of its phase (g >= 1
+    for decode, g = 0 for prefill; energy families also need energy_wh). The
+    basis columns are the polynomial at each unit coefficient vector."""
+    energy = family.what == "energy"
+    sel = [smp for smp in samples if (smp.g >= 1 if family.decode else smp.g == 0)
+           and not (energy and smp.energy_wh is None)]
+    n = len(fields(family))
+    if len(sel) < n:
+        phase = "decode" if family.decode else "prefill"
+        raise InsufficientSamples(f"need >= {n} {phase} {family.what} samples, got {len(sel)}")
+    s = np.array([smp.s for smp in sel], dtype=float)
+    g = np.array([smp.g for smp in sel], dtype=float)
+    y = np.array([smp.energy_wh if energy else smp.t for smp in sel], dtype=float)
+    columns = [family(*unit)(s, g) for unit in np.eye(n).tolist()]
+    fit = ols_fit(DesignMatrix.from_columns(columns), y)
+    return family(*fit.coefficients), fit
 
 
 def fit_prefill_latency(
@@ -239,54 +223,28 @@ def fit_prefill_latency(
     Returns the raw least-squares coefficients; check `.is_physical` before
     treating negative slopes as meaningful.
     """
-    sel = [smp for smp in samples if smp.g == 0]
-    if len(sel) < 3:
-        raise InsufficientSamples(f"need >= 3 prefill-only samples, got {len(sel)}")
-    s = np.array([smp.s for smp in sel], dtype=float)
-    t = np.array([smp.t for smp in sel], dtype=float)
-    fit = _fit([s, s * s, np.ones_like(s)], t)
-    return PrefillLatencyCoeffs(*fit.coefficients), fit
+    return _fit(PrefillLatencyCoeffs, samples)
 
 
 def fit_decode_latency(
     samples: Iterable[LatencySample],
 ) -> tuple[DecodeLatencyCoeffs, FitResult]:
     """Fit t = eta*g + theta*s*g + phi*g^2 + rho to decode-phase samples (g >= 1)."""
-    sel = [smp for smp in samples if smp.g >= 1]
-    if len(sel) < 4:
-        raise InsufficientSamples(f"need >= 4 decode samples, got {len(sel)}")
-    s = np.array([smp.s for smp in sel], dtype=float)
-    g = np.array([smp.g for smp in sel], dtype=float)
-    t = np.array([smp.t for smp in sel], dtype=float)
-    fit = _fit([g, s * g, g * g, np.ones_like(g)], t)
-    return DecodeLatencyCoeffs(*fit.coefficients), fit
+    return _fit(DecodeLatencyCoeffs, samples)
 
 
 def fit_prefill_energy(
     samples: Iterable[LatencySample],
 ) -> tuple[PrefillEnergyCoeffs, FitResult]:
     """Fit E = a*s + b to prefill-only samples carrying energy."""
-    sel = [smp for smp in samples if smp.g == 0 and smp.energy_wh is not None]
-    if len(sel) < 2:
-        raise InsufficientSamples(f"need >= 2 prefill energy samples, got {len(sel)}")
-    s = np.array([smp.s for smp in sel], dtype=float)
-    e = np.array([smp.energy_wh for smp in sel], dtype=float)
-    fit = _fit([s, np.ones_like(s)], e)
-    return PrefillEnergyCoeffs(*fit.coefficients), fit
+    return _fit(PrefillEnergyCoeffs, samples)
 
 
 def fit_decode_energy(
     samples: Iterable[LatencySample],
 ) -> tuple[DecodeEnergyCoeffs, FitResult]:
     """Fit E = c*g + d*s*g + g_intercept to decode samples carrying energy."""
-    sel = [smp for smp in samples if smp.g >= 1 and smp.energy_wh is not None]
-    if len(sel) < 3:
-        raise InsufficientSamples(f"need >= 3 decode energy samples, got {len(sel)}")
-    s = np.array([smp.s for smp in sel], dtype=float)
-    g = np.array([smp.g for smp in sel], dtype=float)
-    e = np.array([smp.energy_wh for smp in sel], dtype=float)
-    fit = _fit([g, s * g, np.ones_like(g)], e)
-    return DecodeEnergyCoeffs(*fit.coefficients), fit
+    return _fit(DecodeEnergyCoeffs, samples)
 
 
 # --- power consistency --------------------------------------------------
@@ -355,7 +313,7 @@ def consistency_report(
     return ConsistencyReport(tuple(entries))
 
 
-# --- synthetic sample generation ----------------------------------------
+# --- coefficient file IO --------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -368,69 +326,8 @@ class CoefficientSet:
     decode_energy: DecodeEnergyCoeffs | None = None
 
 
-def synth_generate(
-    plan: Sequence[tuple[int, int]],
-    coeffs: CoefficientSet,
-    noise: float = 0.0,
-    seed: int = 0,
-) -> list[LatencySample]:
-    """Generate samples from the polynomials over a plan of (s, g) points.
-
-    g = 0 points evaluate the prefill family, g >= 1 the decode family.
-    `noise` is the relative standard deviation of independent multiplicative
-    Gaussian perturbations on every latency and energy value; noise = 0 gives
-    exact polynomial values. Deterministic for a fixed seed. Points must lie
-    inside the polynomials' validity range (positive predictions).
-    """
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
-    rng = np.random.default_rng(seed)
-
-    def perturb(value: float) -> float:
-        if noise == 0.0:
-            return value
-        return value * (1.0 + noise * rng.standard_normal())
-
-    out = []
-    for s, g in plan:
-        if g == 0:
-            if coeffs.prefill_latency is None:
-                raise ValueError("plan has g=0 points but no prefill latency coefficients")
-            t = eval_prefill_latency(coeffs.prefill_latency, s)
-            e = (
-                eval_prefill_energy(coeffs.prefill_energy, s)
-                if coeffs.prefill_energy is not None
-                else None
-            )
-        else:
-            if coeffs.decode_latency is None:
-                raise ValueError("plan has g>=1 points but no decode latency coefficients")
-            t = eval_decode_latency(coeffs.decode_latency, s, g)
-            e = (
-                eval_decode_energy(coeffs.decode_energy, s, g)
-                if coeffs.decode_energy is not None
-                else None
-            )
-        out.append(
-            LatencySample(
-                s=s,
-                g=g,
-                t=perturb(t),
-                energy_wh=perturb(e) if e is not None else None,
-            )
-        )
-    return out
-
-
-# --- coefficient file IO --------------------------------------------------
-
-_GROUP_FIELDS = {
-    "prefill_latency": ("alpha", "beta", "gamma"),
-    "decode_latency": ("eta", "theta", "phi", "rho"),
-    "prefill_energy": ("a", "b"),
-    "decode_energy": ("c", "d", "g_intercept"),
-}
-_GROUP_TYPES = {
+# Coefficient file groups, in file order; keys are "<group>.<field>".
+_FAMILIES = {
     "prefill_latency": PrefillLatencyCoeffs,
     "decode_latency": DecodeLatencyCoeffs,
     "prefill_energy": PrefillEnergyCoeffs,
@@ -442,37 +339,31 @@ def _sci(value: float) -> str:
     return np.format_float_scientific(value, unique=True)
 
 
-def coefficients_to_kv(cs: CoefficientSet) -> list[tuple[str, str]]:
-    pairs = []
-    for group, fields in _GROUP_FIELDS.items():
-        obj = getattr(cs, group)
-        if obj is None:
-            continue
-        pairs.extend((f"{group}.{field}", _sci(getattr(obj, field))) for field in fields)
-    return pairs
-
-
 def format_coefficients(cs: CoefficientSet, header: str = "") -> str:
-    return kvconfig.format_kv(coefficients_to_kv(cs), header=header)
+    pairs = []
+    for group in _FAMILIES:
+        obj = getattr(cs, group)
+        if obj is not None:
+            pairs.extend((f"{group}.{f.name}", _sci(getattr(obj, f.name))) for f in fields(obj))
+    return kvconfig.format_kv(pairs, header=header)
 
 
 def coefficients_from_kv(kv: dict) -> CoefficientSet:
     groups: dict[str, dict[str, float]] = {}
     for key, raw in kv.items():
         group, _, field = key.partition(".")
-        if group not in _GROUP_FIELDS or field not in _GROUP_FIELDS[group]:
+        if group not in _FAMILIES or field not in {f.name for f in fields(_FAMILIES[group])}:
             raise ConfigError(f"unknown coefficient key {key!r}")
         try:
             groups.setdefault(group, {})[field] = float(raw)
         except ValueError:
             raise ConfigError(f"key {key!r}: {raw!r} is not a number") from None
     built = {}
-    for group, fields in groups.items():
-        expected = _GROUP_FIELDS[group]
-        missing = set(expected) - set(fields)
+    for group, values in groups.items():
+        missing = {f.name for f in fields(_FAMILIES[group])} - set(values)
         if missing:
             raise ConfigError(f"coefficient group {group!r} missing {sorted(missing)}")
-        built[group] = _GROUP_TYPES[group](**fields)
+        built[group] = _FAMILIES[group](**values)
     return CoefficientSet(**built)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import ConfigError
 from . import kvconfig
@@ -28,6 +27,8 @@ from . import kvconfig
 # H100 SXM; used when a profile file omits mu_comp / mu_mem.
 DEFAULT_MU_COMP = 0.675
 DEFAULT_MU_MEM = 0.443
+SECONDS_PER_HOUR = 3600.0
+_INF = float("inf")
 
 
 class Phase(enum.Enum):
@@ -61,15 +62,23 @@ class HardwareProfile:
     name: str = ""
 
     def __post_init__(self):
-        if not (self.f_max > 0 and self.b_max > 0):
-            raise ValueError("f_max and b_max must be positive")
+        # chained comparisons against inf: NaN fails every one of them
+        if not (0 < self.f_max < _INF and 0 < self.b_max < _INF):
+            raise ValueError("f_max and b_max must be positive and finite")
         if not (0 < self.mu_comp <= 1 and 0 < self.mu_mem <= 1):
             raise ValueError("efficiency factors must lie in (0, 1]")
-        if not (self.p_prefill > 0 and self.p_decode > 0):
-            raise ValueError("phase powers must be positive")
+        if not (0 < self.p_prefill < _INF and 0 < self.p_decode < _INF):
+            raise ValueError("phase powers must be positive and finite")
 
     def power(self, phase: Phase) -> float:
         return self.p_prefill if phase is Phase.PREFILL else self.p_decode
+
+
+def energy_from_power(phase: Phase, t: float, hw: HardwareProfile) -> float:
+    """Convert a phase latency to Wh using the phase's mean power draw."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    return t * hw.power(phase) / SECONDS_PER_HOUR
 
 
 @dataclass(frozen=True)
@@ -112,11 +121,6 @@ def boundedness(cost: OpCost, hw: HardwareProfile) -> Boundedness:
     if compute_time < memory_time:
         return Boundedness.MEMORY_BOUND
     return Boundedness.BALANCED
-
-
-def total_latency(costs: Iterable[OpCost], hw: HardwareProfile) -> float:
-    """Sum of per-operation roofline latencies (no-overlap assumption)."""
-    return sum(op_latency(c, hw) for c in costs)
 
 
 # Profile file keys match the HardwareProfile field names; mu_comp / mu_mem

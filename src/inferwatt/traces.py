@@ -34,13 +34,15 @@ import json
 import operator
 import re
 import statistics
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadEdges, EmptyInput, EmptySelection, UnknownFormat
-from .phase_model import LatencySample
+from .errors import BadEdges, EmptyInput, EmptySelection, InferwattError, ModelOutOfRangeWarning, UnknownFormat
+from .phase_model import (LatencySample, eval_decode_energy, eval_decode_latency, eval_prefill_energy,
+                          eval_prefill_latency)
 
 COMPONENTS = ("gpu", "cpu", "ram")
 _INF = float("inf")
@@ -272,17 +274,18 @@ def write_records(records: Iterable[RunRecord], fmt: str = FORMAT_DELIMITED) -> 
 
 
 def drop_warmup(records: Sequence[RunRecord], k: int) -> list[RunRecord]:
-    """Drop the first k runs of each (prompt, kind) group, preserving order.
+    """Drop the first k runs of each kind in each group `decompose` forms
+    (prompt_id, model_id, precision, batch), preserving order.
 
     Traces are normally expected to have warmup runs already excluded; this
     is the escape hatch for ones that do not.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    seen: dict[tuple[str, RunKind], int] = {}
+    seen: dict[tuple, int] = {}
     kept = []
     for rec in records:
-        key = (rec.prompt_id, rec.run_kind)
+        key = (rec.prompt_id, rec.model_id, rec.precision, rec.batch, rec.run_kind)
         seen[key] = seen.get(key, 0) + 1
         if seen[key] > k:
             kept.append(rec)
@@ -542,17 +545,11 @@ def synthesize_trace(
     decode polynomial values, each independently perturbed by multiplicative
     Gaussian noise of relative std `noise`. Polynomial energy goes to the
     gpu_wh component (the families model device-side energy); cpu and ram
-    are zero. Deterministic for a fixed seed.
+    are zero. Deterministic for a fixed seed. A grid point where a polynomial
+    is nonpositive, or a drawn value no RunRecord can hold (nonpositive or
+    non-finite, as large noise or overflowing coefficients give), raises
+    InferwattError.
     """
-    from .phase_model import (
-        eval_decode_energy,
-        eval_decode_latency,
-        eval_prefill_energy,
-        eval_prefill_latency,
-    )
-    from .errors import InferwattError, ModelOutOfRangeWarning
-    import warnings as _warnings
-
     if noise < 0:
         raise ValueError("noise must be >= 0")
     if runs < 1:
@@ -566,34 +563,26 @@ def synthesize_trace(
 
     records = []
     for idx, (s, g) in enumerate(plan):
-        prompt = f"p{idx:04d}"
-        t_pre = eval_prefill_latency(coeffs.prefill_latency, s)
-        e_pre = eval_prefill_energy(coeffs.prefill_energy, s)
-        if t_pre <= 0 or e_pre <= 0:
-            raise InferwattError(f"grid point s={s} is outside the coefficient validity range")
-        for _ in range(runs):
-            records.append(
-                RunRecord(prompt, RunKind.PREFILL_ONLY, s, 1, draw(t_pre), draw(e_pre),
-                          0.0, 0.0, model_id, precision, 1)
-            )
-        if g >= 1:
-            if coeffs.decode_latency is None or coeffs.decode_energy is None:
-                raise InferwattError("plan has g>=1 points but no decode coefficients")
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("error", ModelOutOfRangeWarning)
-                try:
+        if g >= 1 and (coeffs.decode_latency is None or coeffs.decode_energy is None):
+            raise InferwattError("plan has g>=1 points but no decode coefficients")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ModelOutOfRangeWarning)
+            try:
+                t_pre = eval_prefill_latency(coeffs.prefill_latency, s)
+                e_pre = eval_prefill_energy(coeffs.prefill_energy, s)
+                if g >= 1:
                     t_dec = eval_decode_latency(coeffs.decode_latency, s, g)
                     e_dec = eval_decode_energy(coeffs.decode_energy, s, g)
-                except ModelOutOfRangeWarning:
-                    raise InferwattError(
-                        f"grid point (s={s}, g={g}) is outside the coefficient validity range"
-                    ) from None
-            for _ in range(runs):
-                records.append(
-                    RunRecord(prompt, RunKind.FULL, s, g,
-                              draw(t_pre) + draw(t_dec), draw(e_pre) + draw(e_dec),
-                              0.0, 0.0, model_id, precision, 1)
-                )
+            except ModelOutOfRangeWarning:
+                raise InferwattError(f"grid point (s={s}, g={g}) is outside the coefficient validity range") from None
+        prompt = f"p{idx:04d}"
+        try:
+            records += [RunRecord(prompt, RunKind.PREFILL_ONLY, s, 1, draw(t_pre), draw(e_pre),
+                                  0.0, 0.0, model_id, precision, 1) for _ in range(runs)]
+            records += [RunRecord(prompt, RunKind.FULL, s, g, draw(t_pre) + draw(t_dec), draw(e_pre) + draw(e_dec),
+                                  0.0, 0.0, model_id, precision, 1) for _ in range(runs if g >= 1 else 0)]
+        except ValueError as exc:
+            raise InferwattError(f"grid point (s={s}, g={g}) drew a value no run can hold: {exc}") from None
     return records
 
 
@@ -610,6 +599,7 @@ def to_fit_samples(items: Sequence, component: str = "total") -> list[LatencySam
     """
     if component not in COMPONENTS + ("total",):
         raise ValueError(f"unknown component {component!r}")
+    field = f"{component}_wh"
     samples = []
     for item in items:
         if isinstance(item, RunRecord):
@@ -618,7 +608,8 @@ def to_fit_samples(items: Sequence, component: str = "total") -> list[LatencySam
                     s=item.input_tokens,
                     g=0 if item.run_kind is _PREFILL_ONLY else item.output_tokens,
                     t=item.latency_s,
-                    energy_wh=item.energy.get(component),
+                    energy_wh=(item.gpu_wh + item.cpu_wh + item.ram_wh if component == "total"
+                               else getattr(item, field)),
                 )
             )
         else:

@@ -80,8 +80,8 @@ class ModelSpec:
                 raise ValueError("kv_heads must be in [1, n_heads]")
             if self.n_heads % self.kv_heads != 0:
                 raise ValueError("kv_heads must divide n_heads")
-        if not self.bytes_per_param > 0:
-            raise ValueError("bytes_per_param must be positive")
+        if not 0 < self.bytes_per_param < float("inf"):  # NaN fails too
+            raise ValueError("bytes_per_param must be positive and finite")
 
     @property
     def effective_kv_heads(self) -> int:
@@ -240,6 +240,8 @@ def predict_decode_latency(
         df, db = second.flops - first.flops, second.bytes - first.bytes
         c0, c1 = first.flops / f_eff, df / f_eff
         m0, m1 = first.bytes / b_eff, db / b_eff
+        if not math.isfinite(c0 + c1 + m0 + m1):
+            raise OverflowError(f"{first.label} step cost is not finite; the model is implausibly large")
         lo, hi = _compute_bound_steps(c0 - m0, c1 - m1, g)
         seconds = _series(m0, m1, 0, lo) + _series(c0, c1, lo, hi) + _series(m0, m1, hi, g)
         total = OpCost(_series(first.flops, df, 0, g), _series(first.bytes, db, 0, g), first.label)

@@ -1,10 +1,15 @@
+import contextlib
+import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from inferwatt.bundled import data_path, REFERENCE_TRACE
 from inferwatt.cli import cli_dispatch
+from inferwatt.traces import RunKind, RunRecord, write_records
 
 
 def run_cli(*argv):
@@ -18,6 +23,29 @@ def trace_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "ref.csv"
     path.write_text(data_path(REFERENCE_TRACE).read_text(encoding="utf-8"))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def bad_files(tmp_path_factory):
+    """Configuration files holding non-finite or overflowing values."""
+    root = tmp_path_factory.mktemp("bad")
+    llama = data_path("llama31_8b_fp32.model").read_text(encoding="utf-8")
+    hw = data_path("h100_sxm_80gb_fp32.hw").read_text(encoding="utf-8")
+    coeffs = data_path("llama31_8b_h100_fp32.coeffs").read_text(encoding="utf-8")
+    files = {
+        "inf_model": llama.replace("bytes_per_param = 4", "bytes_per_param = inf"),
+        "huge_model": llama.replace("bytes_per_param = 4", "bytes_per_param = 1e308"),
+        "inf_hw": hw.replace("p_prefill = 684", "p_prefill = inf"),
+        "huge_coeffs": coeffs.replace("prefill_energy.a = 6.05e-05", "prefill_energy.a = 1e308"),
+        "negative_coeffs": coeffs.replace("decode_energy.g_intercept = -4.71e-03", "decode_energy.g_intercept = -1"),
+    }
+    paths = {"llama": str(data_path("llama31_8b_fp32.model"))}
+    for name, text in files.items():
+        assert text not in (llama, hw, coeffs), name  # the replacement took
+        path = root / name
+        path.write_text(text, encoding="utf-8")
+        paths[name] = str(path)
+    return paths
 
 
 class TestExitCodes:
@@ -48,6 +76,20 @@ class TestExitCodes:
         code, _ = run_cli("--help")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "-s", "900", "-g", "82", "--model", "{inf_model}"],
+        ["predict", "-s", "900", "-g", "82", "--model", "{huge_model}"],
+        ["predict", "-s", "900", "-g", "82", "--model", "{llama}", "--hw", "{inf_hw}"],
+        ["predict", "-s", "900", "-g", "82", "--coeffs", "{huge_coeffs}"],
+        ["synth", "--s-values", "900", "--g-values", "0", "--coeffs", "{huge_coeffs}"],
+        ["synth", "--s-values", "200,500,900,1500", "--g-values", "0,82", "--noise", "5"],
+    ])
+    def test_nonfinite_configuration_or_estimate_is_data_error(self, argv, bad_files, capsys):
+        code, out = run_cli(*(a.format(**bad_files) for a in argv))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestArgumentValidation:
     @pytest.mark.parametrize("argv", [
@@ -64,6 +106,7 @@ class TestArgumentValidation:
         ["synth", "--s-values", "900", "--g-values", "50", "--noise", "-1"],
         ["extrapolate", "--wh", "-1", "--per-day", "5"],
         ["predict", "-s", "5", "-g", "5", "--led-watts", "nan"],
+        ["synth", "--s-values", "900", "--g-values", "50", "--seed", "-1"],
     ])
     def test_bad_argument_is_a_one_line_usage_error(self, argv, trace_file, capsys):
         code, out = run_cli(*(a.replace("{trace}", trace_file) for a in argv))
@@ -76,6 +119,13 @@ class TestArgumentValidation:
         code, _ = run_cli("predict", "-s", "0", "-g", "5")
         err = capsys.readouterr().err
         assert code == 1
+        assert "usage: inferwatt predict" in err
+
+    def test_unrecognized_argument_usage_is_the_subcommands(self, capsys):
+        code, _ = run_cli("predict", "-s", "5", "-g", "5", "--bogus")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: unrecognized arguments: --bogus" in err
         assert "usage: inferwatt predict" in err
 
 
@@ -102,6 +152,14 @@ class TestPredict:
         first = run_cli("predict", "-s", "777", "-g", "42")
         second = run_cli("predict", "-s", "777", "-g", "42")
         assert first == second
+
+    def test_negative_total_is_reported_without_led_minutes(self, bad_files, capsys):
+        code, out = run_cli("predict", "-s", "900", "-g", "82", "--coeffs", bad_files["negative_coeffs"],
+                            "--format", "json")
+        assert code == 0
+        assert "validity range" in capsys.readouterr().err
+        payload = json.loads(out)
+        assert payload["total_wh"] < 0 and payload["led_minutes"] is None
 
     def test_out_of_range_warning_on_stderr(self, capsys):
         code, out = run_cli("predict", "-s", "1", "-g", "1", "--format", "json")
@@ -155,6 +213,18 @@ class TestDecompose:
         assert list(rows[0])[:2] == ["prompt_id", "model_id"]
         assert {r["model_id"] for r in rows} == {"llama31-8b-fp32"}
 
+    def test_delimited_output_is_quoted_csv(self, tmp_path):
+        path = tmp_path / "comma.csv"
+        path.write_text(write_records([
+            RunRecord("a,b", RunKind.PREFILL_ONLY, 10, 1, 0.5, 0.1, 0.0, 0.0, 'm"1', "fp32", 1),
+            RunRecord("a,b", RunKind.FULL, 10, 5, 1.0, 0.3, 0.0, 0.0, 'm"1', "fp32", 1),
+        ]))
+        code, out = run_cli("decompose", "--trace", str(path), "--format", "delimited")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert len(header) == len(row) == 10
+        assert row[:2] == ["a,b", 'm"1']
+
     def test_missing_kind_warning_names_the_group(self, tmp_path, capsys):
         path = tmp_path / "two-models.csv"
         header = data_path(REFERENCE_TRACE).read_text(encoding="utf-8").splitlines()[0]
@@ -176,6 +246,15 @@ class TestHist:
         assert len(lines) == 5
         counts = [int(line.split(",")[1]) for line in lines[1:]]
         assert sum(counts) == 8
+
+
+    def test_decode_phase_warns_about_missing_kinds(self, trace_file, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        text = data_path(REFERENCE_TRACE).read_text(encoding="utf-8")
+        path.write_text(text + "lonely,full,10,5,1.0,0.1,0,0,m,fp32,1\n")
+        code, out = run_cli("hist", "--trace", str(path), "--phase", "decode", "--bins", "2")
+        assert code == 0
+        assert "warning: prompt 'lonely'" in capsys.readouterr().err
 
 
 class TestExtrapolate:
@@ -259,3 +338,86 @@ class TestTableFormat:
         header, row = out.splitlines()
         assert "0.3025" in row  # 4 significant digits
         assert header.index("total_wh") + len("total_wh") == row.index("0.3025") + len("0.3025")
+
+
+# --- argv fuzz ------------------------------------------------------------
+
+_HOSTILE = ["nan", "inf", "-inf", "-1", "0", "", "a,b", "1e308", "-1e308", "99999999999999999999", "1,2"]
+# Values for the flags that size the work (runs, grid and histogram lengths,
+# generated tokens): hostile, but never large.
+_SMALL = ["nan", "inf", "-1", "0", "", "a,b", "1", "3", "1,2", "0,5", "1e3"]
+_FORMATS = ["table", "json", "delimited", "xml", ""]
+_TRACE_FORMATS = ["delimited", "line-json", "csv", ""]
+_COMPONENTS = ["gpu", "cpu", "ram", "total", "gpuu", ""]
+_PHASES = ["prefill", "full", "decode", "both", ""]
+
+
+@pytest.fixture(scope="module")
+def cli_flags(tmp_path_factory, bad_files):
+    """Per subcommand: (flag, good values, hostile values, required) for
+    every flag it has ("" for a positional). Files are real, broken or
+    missing; outputs go to a temporary directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    two_models = root / "two-models.csv"
+    two_models.write_text(write_records([
+        RunRecord("a,b", kind, 10, 1 if kind is RunKind.PREFILL_ONLY else 5, 1.0 + i, 0.1 * i, 0.0, 0.0,
+                  model, "fp32", 1)
+        for i, (model, kind) in enumerate((m, k) for m in "AB" for k in RunKind)
+    ]))
+    missing = str(root / "missing")
+    trace = ([str(data_path(REFERENCE_TRACE)), str(two_models)], [missing, str(root)])
+    coeffs = ([str(data_path("llama31_8b_h100_fp32.coeffs"))],
+              [bad_files["huge_coeffs"], bad_files["negative_coeffs"], missing])
+    models = ([bad_files["llama"]], [bad_files["inf_model"], bad_files["huge_model"], missing])
+    hws = ([str(data_path("h100_sxm_80gb_fp32.hw"))], [bad_files["inf_hw"], missing])
+    out = ([str(root / "out.txt")], [str(root)])
+    fmt = ("--format", ["table", "json", "delimited"], ["xml", ""], False)
+    with_trace = [
+        ("--trace", *trace, True),
+        ("--trace-format", ["delimited", "line-json"], ["csv", ""], False),
+        ("--rename", ["x=prompt_id"], ["prompt_id=x", "=", "a,b", ""], False),
+        ("--drop-first", ["1"], _HOSTILE, False),
+        fmt,
+    ]
+    component = ("--component", ["gpu", "cpu", "ram", "total"], ["gpuu", ""], False)
+    phase = ("--phase", ["prefill", "full", "decode"], ["both", ""], False)
+    return {
+        "predict": [("-s", ["900", "1"], _HOSTILE, True), ("-g", ["82", "1"], _SMALL, True),
+                    ("--coeffs", *coeffs, False), ("--model", *models, False), ("--hw", *hws, False),
+                    ("--led-watts", ["5"], _HOSTILE, False), fmt],
+        "fit": with_trace + [component, ("--out", *out, False)],
+        "decompose": with_trace,
+        "stats": with_trace + [phase],
+        "hist": with_trace + [component, phase, ("--bins", ["3"], _SMALL, False),
+                              ("--edges", ["0,0.1,1"], _HOSTILE + ["1,0", "0,inf", "nan,1"], False)],
+        "compare": [("-s", ["900"], _HOSTILE, True), ("-g", ["82"], _SMALL, True),
+                    ("--family", ["qwen25"], ["llama"], False), ("--hw", *hws, False),
+                    ("--contour-g", ["16,64"], _SMALL, False), ("--grid-out", *out, False), fmt,
+                    ("", *models, False)],
+        "extrapolate": [("--wh", ["0.245"], _HOSTILE, True), ("--per-day", ["1e9"], _HOSTILE, True),
+                        ("--led-watts", ["5"], _HOSTILE, False), fmt],
+        "synth": [("--s-values", ["900", "200,900"], _SMALL, True), ("--g-values", ["0,82"], _SMALL, True),
+                  ("--coeffs", *coeffs, False), ("--noise", ["0.02"], _HOSTILE + ["5"], False),
+                  ("--seed", ["7"], _HOSTILE, False), ("--runs", ["2"], _SMALL, False), ("--out", *out, False),
+                  ("--trace-format", ["delimited", "line-json"], ["csv", ""], False)],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_0_1_or_2(cli_flags, data):
+    command = data.draw(st.sampled_from(sorted(cli_flags)), label="command")
+    argv = [command]
+    for flag, good, hostile, required in cli_flags[command]:
+        if required or data.draw(st.booleans()):
+            value = data.draw(st.sampled_from(good) | st.sampled_from(hostile))
+            argv += [flag, value] if flag else [value]
+    argv += data.draw(st.sampled_from([[], [], [], ["--bogus"], ["-h"], ["extra"]]))
+    if data.draw(st.integers(0, 9)) == 0:  # a required flag left out
+        del argv[1:3]
+    note(repr(argv))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_dispatch(argv, out=io.StringIO())
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

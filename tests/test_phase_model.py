@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from inferwatt.errors import (
     ModelOutOfRangeWarning,
     RankDeficient,
 )
+from inferwatt.numerics import DesignMatrix, ols_fit
 from inferwatt.phase_model import (
     CoefficientSet,
     DecodeEnergyCoeffs,
@@ -16,10 +19,7 @@ from inferwatt.phase_model import (
     LatencySample,
     PrefillEnergyCoeffs,
     PrefillLatencyCoeffs,
-    Regime,
-    RegimeThresholds,
     consistency_report,
-    energy_from_power,
     eval_decode_energy,
     eval_decode_latency,
     eval_prefill_energy,
@@ -30,10 +30,9 @@ from inferwatt.phase_model import (
     fit_prefill_latency,
     format_coefficients,
     parse_coefficients,
-    regime_classify,
-    synth_generate,
 )
-from inferwatt.roofline import Phase
+from inferwatt.roofline import Phase, energy_from_power
+from inferwatt.traces import RunKind, decompose, synthesize_trace, to_fit_samples
 
 
 class TestPrefillLatencyEval:
@@ -53,6 +52,12 @@ class TestPrefillLatencyEval:
     def test_rejects_negative_s(self, coeffs):
         with pytest.raises(ValueError):
             eval_prefill_latency(coeffs.prefill_latency, -1)
+
+    def test_linear_quadratic_crossover_at_27180(self, coeffs):
+        c = coeffs.prefill_latency
+        crossover = c.alpha / c.beta  # where beta*s^2 == alpha*s
+        assert crossover == pytest.approx(27180, abs=1)
+        assert crossover < 30000
 
 
 class TestDecodeLatencyEval:
@@ -155,30 +160,17 @@ class TestConsistencyReport:
         assert not entry.flagged
 
 
-class TestRegimeClassify:
-    @pytest.mark.parametrize("s,regime", [
-        (50, Regime.CONSTANT),
-        (2000, Regime.LINEAR),
-        (40000, Regime.QUADRATIC),
-        (100, Regime.CONSTANT),
-        (30000, Regime.LINEAR),
-    ])
-    def test_default_thresholds(self, s, regime):
-        assert regime_classify(s) is regime
-
-    def test_thresholds_configurable(self):
-        custom = RegimeThresholds(constant_max=10, quadratic_min=100)
-        assert regime_classify(50, custom) is Regime.LINEAR
-        assert regime_classify(101, custom) is Regime.QUADRATIC
-
-    def test_crossover_sits_below_quadratic_threshold(self, coeffs):
-        c = coeffs.prefill_latency
-        crossover = c.alpha / c.beta  # where beta*s^2 == alpha*s
-        assert crossover == pytest.approx(27180, abs=1)
-        assert crossover < RegimeThresholds().quadratic_min
-
-
 NOISY_SEED = 42
+
+
+def synth_samples(plan, coeffs, noise=0.0, seed=0):
+    """Fit samples from a synthetic trace, selected as `inferwatt fit` selects
+    them: prefill-only runs give the g = 0 samples, and the decompositions'
+    subtracted decode costs give the g >= 1 ones."""
+    records = synthesize_trace(plan, coeffs, noise=noise, seed=seed)
+    prefill = [r for r in records if r.run_kind is RunKind.PREFILL_ONLY]
+    decode = [smp for smp in to_fit_samples(decompose(records)[0]) if smp.g >= 1]
+    return to_fit_samples(prefill) + decode
 
 
 def prefill_plan(rng, n):
@@ -193,7 +185,7 @@ def decode_plan(rng, n):
 
 class TestFits:
     def test_noiseless_prefill_latency_recovery(self, coeffs):
-        samples = synth_generate(prefill_plan(np.random.default_rng(1), 200), coeffs)
+        samples = synth_samples(prefill_plan(np.random.default_rng(1), 200), coeffs)
         fitted, fit = fit_prefill_latency(samples)
         c = coeffs.prefill_latency
         for got, want in zip((fitted.alpha, fitted.beta, fitted.gamma), (c.alpha, c.beta, c.gamma)):
@@ -201,7 +193,7 @@ class TestFits:
         assert fit.r_squared == pytest.approx(1.0)
 
     def test_noiseless_decode_latency_recovery(self, coeffs):
-        samples = synth_generate(decode_plan(np.random.default_rng(2), 200), coeffs)
+        samples = synth_samples(decode_plan(np.random.default_rng(2), 200), coeffs)
         fitted, _ = fit_decode_latency(samples)
         c = coeffs.decode_latency
         for got, want in zip((fitted.eta, fitted.theta, fitted.phi, fitted.rho),
@@ -210,8 +202,8 @@ class TestFits:
 
     def test_noiseless_energy_recovery(self, coeffs):
         rng = np.random.default_rng(3)
-        pre = synth_generate(prefill_plan(rng, 100), coeffs)
-        dec = synth_generate(decode_plan(rng, 100), coeffs)
+        pre = synth_samples(prefill_plan(rng, 100), coeffs)
+        dec = synth_samples(decode_plan(rng, 100), coeffs)
         fitted_pre, _ = fit_prefill_energy(pre)
         fitted_dec, _ = fit_decode_energy(dec)
         assert abs(fitted_pre.a - coeffs.prefill_energy.a) / coeffs.prefill_energy.a < 1e-6
@@ -223,8 +215,8 @@ class TestFits:
 
     def test_noisy_recovery_within_5_percent(self, coeffs):
         rng = np.random.default_rng(7)
-        pre = synth_generate(prefill_plan(rng, 500), coeffs, noise=0.01, seed=NOISY_SEED)
-        dec = synth_generate(decode_plan(rng, 500), coeffs, noise=0.01, seed=NOISY_SEED + 1)
+        pre = synth_samples(prefill_plan(rng, 500), coeffs, noise=0.01, seed=NOISY_SEED)
+        dec = synth_samples(decode_plan(rng, 500), coeffs, noise=0.01, seed=NOISY_SEED + 1)
         alpha = fit_prefill_latency(pre)[0].alpha
         eta = fit_decode_latency(dec)[0].eta
         a = fit_prefill_energy(pre)[0].a
@@ -246,7 +238,7 @@ class TestFits:
 
     def test_shared_output_length_is_rank_deficient(self, coeffs):
         # one g value makes the g, g^2, and intercept columns collinear
-        samples = synth_generate([(s, 64) for s in range(100, 1100, 100)], coeffs)
+        samples = synth_samples([(s, 64) for s in range(100, 1100, 100)], coeffs)
         with pytest.raises(RankDeficient):
             fit_decode_latency(samples)
 
@@ -269,22 +261,26 @@ class TestFits:
 class TestSynthGenerate:
     def test_zero_noise_round_trips_exactly(self, coeffs):
         plan = [(100, 0), (200, 0), (400, 16), (800, 64)]
-        samples = synth_generate(plan, coeffs)
-        for (s, g), smp in zip(plan, samples):
+        samples = synth_samples(plan, coeffs)
+        # every point has prefill-only runs; g >= 1 points add a decode sample
+        assert [(smp.s, smp.g) for smp in samples] == [(s, 0) for s, _ in plan] + plan[2:]
+        for smp in samples:
+            s, g = smp.s, smp.g
             if g == 0:
                 assert smp.t == eval_prefill_latency(coeffs.prefill_latency, s)
                 assert smp.energy_wh == eval_prefill_energy(coeffs.prefill_energy, s)
-            else:
-                assert smp.t == eval_decode_latency(coeffs.decode_latency, s, g)
-                assert smp.energy_wh == eval_decode_energy(coeffs.decode_energy, s, g)
+            else:  # decode values are full minus prefill-only: not bitwise
+                assert smp.t == pytest.approx(eval_decode_latency(coeffs.decode_latency, s, g), rel=1e-12)
+                assert smp.energy_wh == pytest.approx(eval_decode_energy(coeffs.decode_energy, s, g),
+                                                      rel=1e-12)
 
     def test_same_seed_identical(self, coeffs):
         plan = decode_plan(np.random.default_rng(5), 50)
-        assert synth_generate(plan, coeffs, 0.02, seed=9) == synth_generate(plan, coeffs, 0.02, seed=9)
+        assert synth_samples(plan, coeffs, 0.02, seed=9) == synth_samples(plan, coeffs, 0.02, seed=9)
 
     def test_noise_level_matches_request(self, coeffs):
         plan = [(1000, 0)] * 10000
-        samples = synth_generate(plan, coeffs, noise=0.01, seed=123)
+        samples = synth_samples(plan, coeffs, noise=0.01, seed=123)
         truth = eval_prefill_latency(coeffs.prefill_latency, 1000)
         ratios = np.array([smp.t / truth - 1.0 for smp in samples])
         assert abs(float(np.std(ratios)) - 0.01) < 0.001
@@ -301,7 +297,7 @@ def test_any_prefill_polynomial_survives_refit(alpha, beta, gamma):
         prefill_latency=PrefillLatencyCoeffs(alpha, beta, gamma + 1e-3),
         prefill_energy=PrefillEnergyCoeffs(1e-5, 1e-3),
     )
-    samples = synth_generate([(s, 0) for s in range(100, 4100, 200)], coeffs)
+    samples = synth_samples([(s, 0) for s in range(100, 4100, 200)], coeffs)
     fitted, _ = fit_prefill_latency(samples)
     assert fitted.alpha == pytest.approx(alpha, rel=1e-6, abs=1e-15)
     assert fitted.beta == pytest.approx(beta, rel=1e-6, abs=1e-18)
@@ -371,3 +367,133 @@ class TestSampleValidation:
             PrefillLatencyCoeffs(float("nan"), 0.0, 0.0)
         with pytest.raises(ValueError):
             DecodeEnergyCoeffs(1.0, float("inf"), 0.0)
+
+
+# --- the family classes against the hand-written polynomials they replaced ---
+
+# The four polynomials as eval_* and fit_* wrote them out before the
+# coefficient classes defined them; evaluation and fitting must match these
+# bitwise.
+_ORACLE_VALUE = {
+    PrefillLatencyCoeffs: lambda c, s, g: c.alpha * s + c.beta * s * s + c.gamma,
+    DecodeLatencyCoeffs: lambda c, s, g: c.eta * g + c.theta * s * g + c.phi * g * g + c.rho,
+    PrefillEnergyCoeffs: lambda c, s, g: c.a * s + c.b,
+    DecodeEnergyCoeffs: lambda c, s, g: c.c * g + c.d * s * g + c.g_intercept,
+}
+_ORACLE_COLUMNS = {
+    PrefillLatencyCoeffs: lambda s, g: [s, s * s, np.ones_like(s)],
+    DecodeLatencyCoeffs: lambda s, g: [g, s * g, g * g, np.ones_like(g)],
+    PrefillEnergyCoeffs: lambda s, g: [s, np.ones_like(s)],
+    DecodeEnergyCoeffs: lambda s, g: [g, s * g, np.ones_like(g)],
+}
+_OLD_IS_PHYSICAL = {
+    PrefillLatencyCoeffs: lambda c: c.alpha >= 0 and c.beta >= 0,
+    DecodeLatencyCoeffs: lambda c: c.eta >= 0 and c.theta >= 0 and c.phi >= 0,
+    PrefillEnergyCoeffs: lambda c: c.a >= 0,
+    DecodeEnergyCoeffs: lambda c: c.c >= 0 and c.d >= 0,
+}
+_EVAL = {
+    PrefillLatencyCoeffs: lambda c, s, g: eval_prefill_latency(c, s),
+    DecodeLatencyCoeffs: eval_decode_latency,
+    PrefillEnergyCoeffs: lambda c, s, g: eval_prefill_energy(c, s),
+    DecodeEnergyCoeffs: eval_decode_energy,
+}
+_FIT = {
+    PrefillLatencyCoeffs: fit_prefill_latency,
+    DecodeLatencyCoeffs: fit_decode_latency,
+    PrefillEnergyCoeffs: fit_prefill_energy,
+    DecodeEnergyCoeffs: fit_decode_energy,
+}
+FAMILIES = list(_ORACLE_VALUE)
+N_COEFFS = {PrefillLatencyCoeffs: 3, DecodeLatencyCoeffs: 4, PrefillEnergyCoeffs: 2, DecodeEnergyCoeffs: 3}
+GROUP = {
+    PrefillLatencyCoeffs: "prefill_latency", DecodeLatencyCoeffs: "decode_latency",
+    PrefillEnergyCoeffs: "prefill_energy", DecodeEnergyCoeffs: "decode_energy",
+}
+
+
+class TestFamiliesMatchTheOldFormulas:
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+    def test_eval_bitwise_on_a_random_grid(self, coeffs, family):
+        c = getattr(coeffs, GROUP[family])
+        rng = np.random.default_rng(11)
+        s_int = rng.integers(1, 40001, 5000).tolist()
+        g_int = rng.integers(1, 5001, 5000).tolist()
+        s_float = rng.uniform(1, 40000, 5000).tolist()
+        g_float = rng.uniform(1, 5000, 5000).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelOutOfRangeWarning)
+            for s, g in zip(s_int + s_float, g_int + g_float):
+                assert _EVAL[family](c, s, g) == _ORACLE_VALUE[family](c, s, g)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+    def test_call_on_arrays_is_elementwise_bitwise(self, coeffs, family):
+        c = getattr(coeffs, GROUP[family])
+        rng = np.random.default_rng(12)
+        s = rng.uniform(1, 40000, 2000)
+        g = rng.uniform(1, 5000, 2000)
+        values = c(s, g)
+        assert np.array_equal(values, [_ORACLE_VALUE[family](c, a, b) for a, b in zip(s.tolist(), g.tolist())])
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+    def test_fit_bitwise_equal_to_hand_written_columns(self, coeffs, family):
+        plan = [(s, g) for s in range(200, 4001, 400) for g in (0, 8, 40, 130, 256)]
+        samples = synth_samples(plan, coeffs, noise=0.02, seed=5)
+        decode = family in (DecodeLatencyCoeffs, DecodeEnergyCoeffs)
+        sel = [smp for smp in samples if (smp.g >= 1) == decode]
+        s = np.array([smp.s for smp in sel], dtype=float)
+        g = np.array([smp.g for smp in sel], dtype=float)
+        y = [smp.energy_wh if family in (PrefillEnergyCoeffs, DecodeEnergyCoeffs) else smp.t
+             for smp in sel]
+        want = ols_fit(DesignMatrix.from_columns(_ORACLE_COLUMNS[family](s, g)), y)
+        got_coeffs, got = _FIT[family](samples)
+        assert got == want
+        assert got_coeffs == family(*want.coefficients)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_is_physical_matches_the_old_sign_rules(self, data):
+        family = data.draw(st.sampled_from(FAMILIES))
+        n = N_COEFFS[family]
+        values = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.5e-7]), min_size=n, max_size=n))
+        c = family(*values)
+        assert c.is_physical == _OLD_IS_PHYSICAL[family](c)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+    def test_too_few_samples_is_insufficient(self, coeffs, family):
+        plan = [(s, 64 if family in (DecodeLatencyCoeffs, DecodeEnergyCoeffs) else 0)
+                for s in (100, 200, 300, 400)]
+        with pytest.raises(InsufficientSamples):
+            _FIT[family](synth_samples(plan[: N_COEFFS[family] - 1], coeffs))
+
+
+class TestOutOfRangeWarnings:
+    def test_decode_texts_unchanged(self, coeffs):
+        with pytest.warns(ModelOutOfRangeWarning) as caught:
+            t = eval_decode_latency(coeffs.decode_latency, 1, 1)
+            e = eval_decode_energy(coeffs.decode_energy, 1, 1)
+        assert [str(w.message) for w in caught] == [
+            f"decode latency model returned {t:.4g} s at s=1, g=1; "
+            "inputs are outside the fit's validity range",
+            f"decode energy model returned {e:.4g} Wh at s=1, g=1; "
+            "inputs are outside the fit's validity range",
+        ]
+
+    def test_prefill_evaluation_warns_too(self):
+        with pytest.warns(ModelOutOfRangeWarning, match="prefill latency model returned -0.01 s at s=0;"):
+            assert eval_prefill_latency(PrefillLatencyCoeffs(1e-4, 1e-8, -0.01), 0) == -0.01
+        with pytest.warns(ModelOutOfRangeWarning, match="prefill energy model returned -0.002 Wh at s=10;"):
+            eval_prefill_energy(PrefillEnergyCoeffs(-1e-4, -1e-3), 10)
+
+    def test_warning_points_at_the_caller(self, coeffs):
+        with pytest.warns(ModelOutOfRangeWarning) as caught:
+            eval_decode_energy(coeffs.decode_energy, 1, 1)
+        assert caught[0].filename == __file__
+
+    def test_positive_values_do_not_warn(self, coeffs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ModelOutOfRangeWarning)
+            eval_prefill_latency(coeffs.prefill_latency, 900)
+            eval_prefill_energy(coeffs.prefill_energy, 900)
+            eval_decode_latency(coeffs.decode_latency, 900, 82)
+            eval_decode_energy(coeffs.decode_energy, 900, 82)

@@ -15,8 +15,8 @@ from inferwatt.roofline import (
     op_latency,
     profile_from_kv,
     profile_to_kv,
-    total_latency,
 )
+from inferwatt.transformer_costs import ClassCost, PhaseCostBreakdown
 
 
 def make_hw(f_max=1.0e12, b_max=1.0e12, mu_comp=0.675, mu_mem=0.443):
@@ -71,20 +71,24 @@ class TestBoundedness:
         assert boundedness(OpCost(1e9, 1e9), hw) is Boundedness.BALANCED
 
 
-class TestTotalLatency:
-    def test_empty_sequence_is_zero(self):
-        assert total_latency([], make_hw()) == 0
+def phase_total(ops, hw):
+    """A phase's latency as the model sums it: per-class roofline latencies
+    added with no compute/memory overlap."""
+    classes = tuple(ClassCost(f"op{i}", op, op_latency(op, hw)) for i, op in enumerate(ops))
+    return PhaseCostBreakdown(classes).total_seconds
 
+
+class TestTotalLatency:
     def test_two_unit_ops(self):
         hw = make_hw()
         f_eff, _ = effective_ceilings(hw)
         op = OpCost(flops=f_eff, bytes=0)
-        assert total_latency([op, op], hw) == pytest.approx(2.0)
+        assert phase_total([op, op], hw) == pytest.approx(2.0)
 
     def test_permutation_invariant(self):
         hw = make_hw()
         ops = [OpCost(1e9, 2e9), OpCost(5e8, 1e7), OpCost(0, 3e9)]
-        assert total_latency(ops, hw) == pytest.approx(total_latency(ops[::-1], hw))
+        assert phase_total(ops, hw) == pytest.approx(phase_total(ops[::-1], hw))
 
 
 positive = st.floats(min_value=1e3, max_value=1e15, allow_nan=False)
@@ -120,13 +124,14 @@ def test_joint_scaling_is_exactly_linear(flops, nbytes, k):
 def test_no_overlap_total_bounds_any_schedule(pairs):
     hw = make_hw()
     ops = [OpCost(f, b) for f, b in pairs]
-    assert total_latency(ops, hw) >= max(op_latency(o, hw) for o in ops)
+    assert phase_total(ops, hw) >= max(op_latency(o, hw) for o in ops)
 
 
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(f_max=0.0), dict(b_max=-1.0),
         dict(mu_comp=0.0), dict(mu_comp=1.5), dict(mu_mem=-0.1),
+        dict(f_max=math.inf), dict(b_max=math.inf), dict(f_max=math.nan),
     ])
     def test_bad_profile_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -135,6 +140,11 @@ class TestValidation:
     def test_bad_powers_rejected(self):
         with pytest.raises(ValueError):
             HardwareProfile(f_max=1e12, b_max=1e12, p_prefill=0.0, p_decode=100.0)
+
+    @pytest.mark.parametrize("powers", [(math.inf, 100.0), (100.0, math.inf), (math.nan, 100.0)])
+    def test_nonfinite_powers_rejected(self, powers):
+        with pytest.raises(ValueError):
+            HardwareProfile(f_max=1e12, b_max=1e12, p_prefill=powers[0], p_decode=powers[1])
 
     def test_opcost_needs_work_or_traffic(self):
         with pytest.raises(ValueError):

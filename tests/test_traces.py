@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inferwatt import traces
 from inferwatt.bundled import reference_trace_text
 from inferwatt.errors import (
     BadEdges,
@@ -14,6 +15,7 @@ from inferwatt.errors import (
     InferwattError,
     UnknownFormat,
 )
+from inferwatt.phase_model import CoefficientSet, PrefillEnergyCoeffs
 from inferwatt.traces import (
     MIXED_INPUT_TOKENS,
     NEGATIVE_DECODE,
@@ -169,6 +171,21 @@ class TestDropWarmup:
         kept = drop_warmup(records, 2)
         assert [r.latency_s for r in kept if r.run_kind is RunKind.FULL] == [3.0, 4.0]
         assert len([r for r in kept if r.run_kind is RunKind.PREFILL_ONLY]) == 0
+
+    def test_groups_are_the_decompose_groups(self):
+        def run(model, kind):
+            return record(prompt="p", kind=kind)._replace(model_id=model)
+
+        kinds = (RunKind.PREFILL_ONLY, RunKind.FULL)
+        # two runs of each kind per model: each model keeps its second ones
+        records = [run(m, k) for k in kinds for m in "AB" for _ in range(2)]
+        assert [(r.model_id, r.run_kind) for r in drop_warmup(records, 1)] == \
+            [(m, k) for k in kinds for m in "AB"]
+        # one run of each: the first model's runs are not counted against the second's
+        records = [run(m, k) for m in "AB" for k in kinds]
+        assert drop_warmup(records, 1) == []
+        split = [r._replace(precision=p) for r in records for p in ("fp32", "bf16")]
+        assert [r.precision for r in drop_warmup(split, 1)] == []
 
 
 class TestDecompose:
@@ -344,6 +361,20 @@ class TestToFitSamples:
     def test_empty_input_empty_output(self):
         assert to_fit_samples([]) == []
 
+    def test_records_read_the_component_fields(self, monkeypatch):
+        records = [record(kind=RunKind.PREFILL_ONLY, gpu=0.1, cpu=0.2, ram=0.7),
+                   record(gpu=1 / 3, cpu=0.1, ram=1e-17)]
+
+        def no_per_record_energy(*args):
+            raise AssertionError("to_fit_samples built a ComponentEnergy per record")
+
+        monkeypatch.setattr(traces, "ComponentEnergy", no_per_record_energy)
+        for component in ("gpu", "cpu", "ram"):
+            got = [smp.energy_wh for smp in to_fit_samples(records, component=component)]
+            assert got == [getattr(r, f"{component}_wh") for r in records]
+        totals = [smp.energy_wh for smp in to_fit_samples(records)]
+        assert totals == [r.gpu_wh + r.cpu_wh + r.ram_wh for r in records]  # bitwise, in that order
+
     def test_decompositions_yield_prefill_and_decode_samples(self):
         records = [
             record(kind=RunKind.PREFILL_ONLY, s=300, t=0.5, gpu=0.1, cpu=0.0, ram=0.0),
@@ -384,6 +415,15 @@ class TestSynthesizeTrace:
     def test_out_of_range_grid_point_rejected(self, coeffs):
         with pytest.raises(InferwattError):
             synthesize_trace([(1, 1)], coeffs)
+
+    def test_values_no_run_can_hold_are_an_error(self, coeffs):
+        # relative noise 5 draws negative values; a coefficient of 1e308
+        # overflows to inf. Neither is a RunRecord, so neither is a trace.
+        with pytest.raises(InferwattError, match="drew a value no run can hold"):
+            synthesize_trace([(900, 0)] * 20, coeffs, noise=5.0)
+        huge = CoefficientSet(coeffs.prefill_latency, None, PrefillEnergyCoeffs(1e308, 0.0))
+        with pytest.raises(InferwattError, match="drew a value no run can hold"):
+            synthesize_trace([(900, 0)], huge)
 
 
 class TestRecordValidation:

@@ -14,7 +14,6 @@ from inferwatt.roofline import (
     OpCost,
     boundedness,
     op_latency,
-    total_latency,
 )
 from inferwatt.transformer_costs import (
     ClassCost,
@@ -87,6 +86,11 @@ class TestModelSpec:
             tiny_model(vocab=0)
         with pytest.raises(ValueError):
             tiny_model(hidden=256.0, n_heads=4)
+
+    @pytest.mark.parametrize("bpp", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bytes_per_param_must_be_positive_and_finite(self, bpp):
+        with pytest.raises(ValueError):
+            tiny_model(bytes_per_param=bpp)
 
     def test_tied_embeddings_counted_once(self):
         untied = tiny_model()
@@ -220,7 +224,7 @@ class TestPredictPrefill:
         s = 777
         breakdown = predict_prefill_latency(llama8b, hw, s)
         assert breakdown.total_seconds == pytest.approx(
-            total_latency(prefill_costs(llama8b, s), hw), rel=1e-12
+            sum(op_latency(c, hw) for c in prefill_costs(llama8b, s)), rel=1e-12
         )
         assert breakdown.total_seconds == pytest.approx(
             sum(c.seconds for c in breakdown.classes), rel=1e-12
@@ -245,7 +249,7 @@ class TestPredictDecode:
     def test_single_step_matches_step_costs(self, llama8b, hw):
         one = predict_decode_latency(llama8b, hw, 1000, 1)
         assert one.total_seconds == pytest.approx(
-            total_latency(decode_step_costs(llama8b, 1000), hw), rel=1e-12
+            sum(op_latency(c, hw) for c in decode_step_costs(llama8b, 1000)), rel=1e-12
         )
 
     def test_per_token_cost_near_reference_eta(self, llama8b, hw, coeffs):
@@ -261,7 +265,8 @@ class TestPredictDecode:
         assert t[300] - t[200] > t[200] - t[100]
 
     def test_step_latency_nondecreasing_in_context(self, llama8b, hw):
-        steps = [total_latency(decode_step_costs(llama8b, ctx), hw) for ctx in (1, 10, 100, 1000, 10000)]
+        steps = [sum(op_latency(c, hw) for c in decode_step_costs(llama8b, ctx))
+                 for ctx in (1, 10, 100, 1000, 10000)]
         assert all(b >= a for a, b in zip(steps, steps[1:]))
 
     def test_latency_lies_in_the_polynomial_family(self, llama8b, hw):
