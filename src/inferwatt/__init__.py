@@ -38,7 +38,7 @@ from .phase_model import (
     CoefficientSet,
     DecodeEnergyCoeffs,
     DecodeLatencyCoeffs,
-    LatencySample,
+    FitSamples,
     PrefillEnergyCoeffs,
     PrefillLatencyCoeffs,
     consistency_report,

@@ -41,13 +41,12 @@ from .traces import (
     FORMAT_DELIMITED,
     FORMAT_LINE_JSON,
     PHASE_DECODE,
-    PHASE_PREFILL,
-    RunKind,
     aggregate,
     decompose,
     drop_warmup,
     histogram,
     parse_records,
+    phase_energies,
     synthesize_trace,
     to_fit_samples,
     write_records,
@@ -169,8 +168,8 @@ def _int_list(text: str) -> list[int]:
 
 _POSITIVE_INT = _arg_type(int, "an integer >= 1", lambda v: v >= 1)
 _COUNT = _arg_type(int, "an integer >= 0", lambda v: v >= 0)
-_POSITIVE = _arg_type(float, "a positive number", lambda v: v > 0)
-_NONNEGATIVE = _arg_type(float, "a number >= 0", lambda v: v >= 0)
+_POSITIVE = _arg_type(float, "a positive finite number", lambda v: 0 < v < math.inf)
+_NONNEGATIVE = _arg_type(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
 _LENGTHS = _arg_type(_int_list, "comma-separated integers >= 1", lambda v: v and min(v) >= 1)
 _COUNTS = _arg_type(_int_list, "comma-separated integers >= 0", lambda v: v and min(v) >= 0)
 _NUMBERS = _arg_type(lambda text: [float(v) for v in text.split(",")], "comma-separated numbers")
@@ -208,10 +207,7 @@ def _cmd_predict(args, out) -> int:
 
 def _cmd_fit(args, out) -> int:
     records = _read_trace(args)
-    decomps = _decompose(records)
-    prefill_records = [r for r in records if r.run_kind is RunKind.PREFILL_ONLY]
-    samples = to_fit_samples(prefill_records, component=args.component)
-    samples += [s for s in to_fit_samples(decomps, component=args.component) if s.g >= 1]
+    samples = to_fit_samples(records, _decompose(records), args.component)
 
     families = (
         ("prefill_latency", fit_prefill_latency),
@@ -272,12 +268,14 @@ def _cmd_decompose(args, out) -> int:
     return 0
 
 
-def _cmd_stats(args, out) -> int:
+def _phase_items(args):
+    """The trace's records, or their decompositions for the decode phase."""
     records = _read_trace(args)
-    items = records
-    if args.phase == PHASE_DECODE:
-        items = _decompose(records)
-    stats = aggregate(items, phase=args.phase)
+    return _decompose(records) if args.phase == PHASE_DECODE else records
+
+
+def _cmd_stats(args, out) -> int:
+    stats = aggregate(_phase_items(args), phase=args.phase)
     rows = [
         {
             "component": comp,
@@ -297,12 +295,8 @@ def _cmd_stats(args, out) -> int:
 
 
 def _cmd_hist(args, out) -> int:
-    records = _read_trace(args)
-    if args.phase == PHASE_DECODE:
-        values = [d.decode_wh.get(args.component) for d in _decompose(records)]
-    else:
-        kind = RunKind.PREFILL_ONLY if args.phase == PHASE_PREFILL else RunKind.FULL
-        values = [r.energy.get(args.component) for r in records if r.run_kind is kind]
+    gpu, cpu, ram = phase_energies(_phase_items(args), args.phase)
+    values = {"gpu": gpu, "cpu": cpu, "ram": ram, "total": gpu + cpu + ram}[args.component]
     result = histogram(values, args.edges or args.bins)
     skew = "right-skewed (mean > median)" if result.right_skewed else "not right-skewed"
     print(
@@ -394,7 +388,8 @@ def _add_common(sub, trace=False, fmt=True):
             help="default: by file extension (.jsonl/.ndjson is line-json)",
         )
         sub.add_argument("--rename", type=_RENAME, default=None, help="external=canonical[,..] column mapping")
-        sub.add_argument("--drop-first", type=_COUNT, default=0, help="drop first k runs per prompt+kind")
+        sub.add_argument("--drop-first", type=_COUNT, default=0,
+                         help="drop the first k runs of each kind per (prompt, model, precision, batch)")
 
 
 def build_parser() -> _Parser:

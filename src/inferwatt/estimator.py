@@ -193,7 +193,10 @@ def led_equivalent_minutes(wh: float, led_watts: float = DEFAULT_LED_WATTS) -> f
         raise ValueError("wh must be >= 0")
     if not led_watts > 0:
         raise ValueError("led_watts must be positive")
-    return wh / led_watts * 60.0
+    minutes = wh / led_watts * 60.0
+    if not math.isfinite(minutes):
+        raise OverflowError("LED equivalent overflowed; inputs are implausibly large")
+    return minutes
 
 
 def fleet_extrapolate(

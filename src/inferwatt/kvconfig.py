@@ -1,6 +1,8 @@
 """Key-value text configuration format.
 
-One `key = value` pair per line, `#` starts a comment, blank lines ignored.
+One `key = value` pair per line. A line whose first non-blank character is
+`#` is a comment, and blank lines are ignored; a `#` anywhere else is part
+of the value (`name = H100 #2` reads as `H100 #2`).
 Used for hardware profiles, model specs, and coefficient files so that every
 configurable input is a plain, diffable text file.
 """
@@ -17,8 +19,8 @@ def parse_kv(text: str) -> "OrderedDict[str, str]":
     """Parse key-value text into an ordered mapping of raw string values."""
     out: "OrderedDict[str, str]" = OrderedDict()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")

@@ -13,6 +13,11 @@ is the one definition of its polynomial: calling it on (s, g) evaluates it
 vectors to build its basis columns, and its fields name the keys of the
 coefficient file. The last field is always the intercept.
 
+Fits read a `FitSamples` table: columns s, g, latency t and (optionally)
+energy, one row per generation. Each family fits the rows of its phase,
+selected by mask: g = 0 for prefill, g >= 1 for decode.
+`traces.to_fit_samples` builds the table a trace gives.
+
 The polynomials are fitted approximations: intercepts can be negative, so
 evaluation at very small arguments can dip below zero. Such results are
 flagged with a ModelOutOfRangeWarning, in both phases, instead of being
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -117,31 +121,37 @@ class DecodeEnergyCoeffs(_Polynomial):
         return self.c * g + self.d * s * g + self.g_intercept
 
 
-class _SampleFields(NamedTuple):
-    s: int
-    g: int
-    t: float
-    energy_wh: float | None = None
+@dataclass(frozen=True, eq=False)
+class FitSamples:
+    """Fit samples as columns, one row per measured or synthesized generation:
+    input length s, output length g (g = 0 marks a prefill-only run), latency
+    t and energy_wh (None when the samples carry no energy). Each column is
+    stored as a read-only float64 copy, checked once when built."""
 
+    s: np.ndarray
+    g: np.ndarray
+    t: np.ndarray
+    energy_wh: np.ndarray | None = None
 
-class LatencySample(_SampleFields):
-    """One measured or synthesized generation: g = 0 marks a prefill-only run.
-    An immutable tuple, validated when built (also by `_make`/`_replace`)."""
-
-    __slots__ = ()
-
-    def __new__(cls, s, g, t, energy_wh=None):
-        if s < 1:
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name == "energy_wh":
+                continue
+            column = np.array(value, dtype=float)
+            if column.ndim != 1:
+                raise ValueError(f"{f.name} must be a 1-D column")
+            column.flags.writeable = False
+            object.__setattr__(self, f.name, column)
+        if len({len(c) for c in (self.s, self.g, self.t, self.energy_wh) if c is not None}) > 1:
+            raise ValueError("columns must have equal length")
+        # NaN fails each of these
+        if not np.all(self.s >= 1):
             raise ValueError("s must be >= 1")
-        if g < 0:
+        if not np.all(self.g >= 0):
             raise ValueError("g must be >= 0")
-        if not t > 0:
+        if not np.all(self.t > 0):
             raise ValueError("t must be positive")
-        return tuple.__new__(cls, (s, g, t, energy_wh))
-
-    @classmethod
-    def _make(cls, iterable) -> "LatencySample":
-        return cls(*iterable)
 
 
 # --- evaluation ---------------------------------------------------------
@@ -196,28 +206,24 @@ def eval_decode_energy(coeffs: DecodeEnergyCoeffs, s: float, g: float) -> float:
 # --- fitting ------------------------------------------------------------
 
 
-def _fit(family: type[_Polynomial], samples: Iterable[LatencySample]):
-    """Least-squares fit of one family to the samples of its phase (g >= 1
-    for decode, g = 0 for prefill; energy families also need energy_wh). The
-    basis columns are the polynomial at each unit coefficient vector."""
-    energy = family.what == "energy"
-    sel = [smp for smp in samples if (smp.g >= 1 if family.decode else smp.g == 0)
-           and not (energy and smp.energy_wh is None)]
-    n = len(fields(family))
-    if len(sel) < n:
+def _fit(family: type[_Polynomial], samples: FitSamples):
+    """Least-squares fit of one family to the rows of its phase (g >= 1 for
+    decode, g = 0 for prefill; energy families take no rows from samples
+    without energy). The basis columns are the polynomial at each unit
+    coefficient vector."""
+    y = samples.energy_wh if family.what == "energy" else samples.t
+    rows = (samples.g >= 1 if family.decode else samples.g == 0) & (y is not None)
+    n, found = len(fields(family)), int(np.count_nonzero(rows))
+    if found < n:
         phase = "decode" if family.decode else "prefill"
-        raise InsufficientSamples(f"need >= {n} {phase} {family.what} samples, got {len(sel)}")
-    s = np.array([smp.s for smp in sel], dtype=float)
-    g = np.array([smp.g for smp in sel], dtype=float)
-    y = np.array([smp.energy_wh if energy else smp.t for smp in sel], dtype=float)
+        raise InsufficientSamples(f"need >= {n} {phase} {family.what} samples, got {found}")
+    s, g = samples.s[rows], samples.g[rows]
     columns = [family(*unit)(s, g) for unit in np.eye(n).tolist()]
-    fit = ols_fit(DesignMatrix.from_columns(columns), y)
+    fit = ols_fit(DesignMatrix.from_columns(columns), y[rows])
     return family(*fit.coefficients), fit
 
 
-def fit_prefill_latency(
-    samples: Iterable[LatencySample],
-) -> tuple[PrefillLatencyCoeffs, FitResult]:
+def fit_prefill_latency(samples: FitSamples) -> tuple[PrefillLatencyCoeffs, FitResult]:
     """Fit t = alpha*s + beta*s^2 + gamma to prefill-only samples (g = 0).
 
     Returns the raw least-squares coefficients; check `.is_physical` before
@@ -226,23 +232,17 @@ def fit_prefill_latency(
     return _fit(PrefillLatencyCoeffs, samples)
 
 
-def fit_decode_latency(
-    samples: Iterable[LatencySample],
-) -> tuple[DecodeLatencyCoeffs, FitResult]:
+def fit_decode_latency(samples: FitSamples) -> tuple[DecodeLatencyCoeffs, FitResult]:
     """Fit t = eta*g + theta*s*g + phi*g^2 + rho to decode-phase samples (g >= 1)."""
     return _fit(DecodeLatencyCoeffs, samples)
 
 
-def fit_prefill_energy(
-    samples: Iterable[LatencySample],
-) -> tuple[PrefillEnergyCoeffs, FitResult]:
+def fit_prefill_energy(samples: FitSamples) -> tuple[PrefillEnergyCoeffs, FitResult]:
     """Fit E = a*s + b to prefill-only samples carrying energy."""
     return _fit(PrefillEnergyCoeffs, samples)
 
 
-def fit_decode_energy(
-    samples: Iterable[LatencySample],
-) -> tuple[DecodeEnergyCoeffs, FitResult]:
+def fit_decode_energy(samples: FitSamples) -> tuple[DecodeEnergyCoeffs, FitResult]:
     """Fit E = c*g + d*s*g + g_intercept to decode samples carrying energy."""
     return _fit(DecodeEnergyCoeffs, samples)
 

@@ -10,6 +10,12 @@ averaged together. Negative decode estimates are preserved and flagged, never
 clamped: they are measurement-noise evidence. A group whose runs disagree on
 input_tokens is flagged too.
 
+Each selection has one definition. `phase_energies` picks the component
+energies of one phase (prefill-only runs, full runs, or the decode
+estimates of decompositions); `aggregate` and the CLI's `hist` both read
+it. `to_fit_samples` picks what `fit` fits: the prefill-only runs as g = 0
+rows, then the positive decode estimates, as one `FitSamples` table.
+
 Records are immutable tuples, validated when built: `RunRecord(...)`,
 `_make` and `_replace` all reject the same bad values.
 
@@ -41,7 +47,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BadEdges, EmptyInput, EmptySelection, InferwattError, ModelOutOfRangeWarning, UnknownFormat
-from .phase_model import (LatencySample, eval_decode_energy, eval_decode_latency, eval_prefill_energy,
+from .phase_model import (FitSamples, eval_decode_energy, eval_decode_latency, eval_prefill_energy,
                           eval_prefill_latency)
 
 COMPONENTS = ("gpu", "cpu", "ram")
@@ -72,14 +78,6 @@ class ComponentEnergy(NamedTuple):
     @property
     def total(self) -> float:
         return self.gpu + self.cpu + self.ram
-
-    def minus(self, other: "ComponentEnergy") -> "ComponentEnergy":
-        return ComponentEnergy(self.gpu - other.gpu, self.cpu - other.cpu, self.ram - other.ram)
-
-    def get(self, component: str) -> float:
-        if component == "total":
-            return self.total
-        return getattr(self, component)
 
 
 class _RunFields(NamedTuple):
@@ -122,10 +120,6 @@ class RunRecord(_RunFields):
     @classmethod
     def _make(cls, iterable) -> "RunRecord":
         return cls(*iterable)  # `_replace` builds through here, so it validates too
-
-    @property
-    def energy(self) -> ComponentEnergy:
-        return ComponentEnergy(self.gpu_wh, self.cpu_wh, self.ram_wh)
 
 
 _FIELDS = RunRecord._fields
@@ -443,46 +437,48 @@ PHASE_FULL = "full"
 PHASE_DECODE = "decode"
 
 
-def _phase_energies(item, phase: str) -> ComponentEnergy:
-    if isinstance(item, RunRecord):
-        return item.energy
-    if phase == PHASE_PREFILL:
-        return item.prefill_mean_wh
-    if phase == PHASE_FULL:
-        return item.full_mean_wh
-    return item.decode_wh
+_PHASE_ENERGY = {PHASE_PREFILL: "prefill_mean_wh", PHASE_FULL: "full_mean_wh", PHASE_DECODE: "decode_wh"}
+
+
+def phase_energies(items: Sequence, phase: str = PHASE_FULL) -> np.ndarray:
+    """The gpu, cpu and ram energy (Wh) of one phase, as a (3, n) array with
+    one C-contiguous row per component, items in order.
+
+    For records the phase selects the run kind (prefill <-> prefill-only
+    runs, full <-> full runs; decode requires decompositions); for
+    decompositions it selects their prefill mean, full mean or decode
+    estimate.
+    """
+    if phase not in _PHASE_ENERGY:
+        raise ValueError(f"unknown phase {phase!r}")
+    items = list(items)
+    if items and isinstance(items[0], RunRecord):
+        if phase == PHASE_DECODE:
+            raise EmptySelection("decode statistics require decompositions, not raw records")
+        want = _PREFILL_ONLY if phase == PHASE_PREFILL else _FULL
+        energies = [(r.gpu_wh, r.cpu_wh, r.ram_wh) for r in items if r.run_kind is want]
+    else:
+        energies = list(map(operator.attrgetter(_PHASE_ENERGY[phase]), items))
+    if not energies:
+        raise EmptySelection(f"no items match phase {phase!r}")
+    return np.ascontiguousarray(np.array(energies, dtype=float).T)
 
 
 def aggregate(items: Sequence, phase: str = PHASE_FULL) -> EnergyStats:
-    """Aggregate per-component energy statistics over records or
-    decompositions.
-
-    For records the phase selects the run kind (prefill <-> prefill-only
-    runs, full <-> full runs; decode requires decompositions). Uses the
-    arithmetic mean and the population standard deviation.
+    """Aggregate per-component energy statistics over the records or
+    decompositions `phase_energies` selects, with the arithmetic mean and the
+    population standard deviation.
     """
-    if phase not in (PHASE_PREFILL, PHASE_FULL, PHASE_DECODE):
-        raise ValueError(f"unknown phase {phase!r}")
-    selected = list(items)
-    if selected and isinstance(selected[0], RunRecord):
-        if phase == PHASE_DECODE:
-            raise EmptySelection("decode statistics require decompositions, not raw records")
-        want = RunKind.PREFILL_ONLY if phase == PHASE_PREFILL else RunKind.FULL
-        selected = [r for r in selected if r.run_kind is want]
-    if not selected:
-        raise EmptySelection(f"no items match phase {phase!r}")
-
-    energies = [_phase_energies(item, phase) for item in selected]
-    components = {}
-    for comp in COMPONENTS:
-        values = np.array([e.get(comp) for e in energies], dtype=float)
-        components[comp] = ComponentStats(
+    components = {
+        comp: ComponentStats(
             mean=float(np.mean(values)),
             std=float(np.std(values)),  # population std
             count=len(values),
             min=float(np.min(values)),
             max=float(np.max(values)),
         )
+        for comp, values in zip(COMPONENTS, phase_energies(items, phase))
+    }
     total_mean = sum(components[c].mean for c in COMPONENTS)
     return EnergyStats(phase=phase, components=components, total_mean=total_mean)
 
@@ -586,48 +582,26 @@ def synthesize_trace(
     return records
 
 
-def to_fit_samples(items: Sequence, component: str = "total") -> list[LatencySample]:
-    """Bridge records or decompositions to fit samples.
-
-    Records map one-to-one: prefill-only runs become g = 0 samples, full
-    runs keep their output count and full-run latency. Decompositions yield
-    one prefill sample (g = 0) and one decode-phase sample each, carrying
-    the subtracted decode latency/energy; decompositions whose decode
-    latency came out nonpositive are skipped as out of model range.
-    `component` picks which energy the samples carry ('gpu', 'cpu', 'ram',
-    or 'total').
+def to_fit_samples(records: Sequence[RunRecord], decompositions: Sequence[PromptDecomposition],
+                   component: str = "total") -> FitSamples:
+    """The samples `fit` fits: the prefill-only records, in order, as g = 0
+    rows, then the decompositions' decode estimates (decode latency and
+    energy at their output length). Decompositions whose decode latency came
+    out nonpositive are skipped as out of model range. `component` picks
+    which energy the samples carry ('gpu', 'cpu', 'ram', or 'total', the sum
+    gpu + cpu + ram).
     """
     if component not in COMPONENTS + ("total",):
         raise ValueError(f"unknown component {component!r}")
-    field = f"{component}_wh"
-    samples = []
-    for item in items:
-        if isinstance(item, RunRecord):
-            samples.append(
-                LatencySample(
-                    s=item.input_tokens,
-                    g=0 if item.run_kind is _PREFILL_ONLY else item.output_tokens,
-                    t=item.latency_s,
-                    energy_wh=(item.gpu_wh + item.cpu_wh + item.ram_wh if component == "total"
-                               else getattr(item, field)),
-                )
-            )
-        else:
-            samples.append(
-                LatencySample(
-                    s=item.input_tokens,
-                    g=0,
-                    t=item.prefill_mean_latency_s,
-                    energy_wh=item.prefill_mean_wh.get(component),
-                )
-            )
-            if item.decode_latency_s > 0:
-                samples.append(
-                    LatencySample(
-                        s=item.input_tokens,
-                        g=item.output_tokens,
-                        t=item.decode_latency_s,
-                        energy_wh=item.decode_wh.get(component),
-                    )
-                )
-    return samples
+    prefill = [r for r in records if r.run_kind is _PREFILL_ONLY]
+    decode = [d for d in decompositions if d.decode_latency_s > 0]
+    if component == "total":
+        energy = [r.gpu_wh + r.cpu_wh + r.ram_wh for r in prefill]
+    else:
+        energy = list(map(operator.attrgetter(f"{component}_wh"), prefill))
+    return FitSamples(
+        s=[r.input_tokens for r in prefill] + [d.input_tokens for d in decode],
+        g=[0] * len(prefill) + [d.output_tokens for d in decode],
+        t=[r.latency_s for r in prefill] + [d.decode_latency_s for d in decode],
+        energy_wh=energy + [getattr(d.decode_wh, component) for d in decode],
+    )

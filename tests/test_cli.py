@@ -2,14 +2,21 @@ import contextlib
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+from inferwatt import cli
 from inferwatt.bundled import data_path, REFERENCE_TRACE
 from inferwatt.cli import cli_dispatch
-from inferwatt.traces import RunKind, RunRecord, write_records
+from inferwatt.errors import EmptySelection, InferwattError
+from inferwatt.traces import (COMPONENTS, ComponentEnergy, ComponentStats, EnergyStats, RunKind, RunRecord,
+                              aggregate, decompose, histogram, write_records)
 
 
 def run_cli(*argv):
@@ -83,6 +90,7 @@ class TestExitCodes:
         ["predict", "-s", "900", "-g", "82", "--coeffs", "{huge_coeffs}"],
         ["synth", "--s-values", "900", "--g-values", "0", "--coeffs", "{huge_coeffs}"],
         ["synth", "--s-values", "200,500,900,1500", "--g-values", "0,82", "--noise", "5"],
+        ["extrapolate", "--wh", "1e308", "--per-day", "0"],
     ])
     def test_nonfinite_configuration_or_estimate_is_data_error(self, argv, bad_files, capsys):
         code, out = run_cli(*(a.format(**bad_files) for a in argv))
@@ -107,6 +115,10 @@ class TestArgumentValidation:
         ["extrapolate", "--wh", "-1", "--per-day", "5"],
         ["predict", "-s", "5", "-g", "5", "--led-watts", "nan"],
         ["synth", "--s-values", "900", "--g-values", "50", "--seed", "-1"],
+        ["predict", "-s", "5", "-g", "5", "--led-watts", "inf"],
+        ["synth", "--s-values", "900", "--g-values", "50", "--noise", "inf"],
+        ["extrapolate", "--wh", "inf", "--per-day", "5"],
+        ["extrapolate", "--wh", "1", "--per-day", "inf"],
     ])
     def test_bad_argument_is_a_one_line_usage_error(self, argv, trace_file, capsys):
         code, out = run_cli(*(a.replace("{trace}", trace_file) for a in argv))
@@ -421,3 +433,74 @@ def test_any_argv_exits_0_1_or_2(cli_flags, data):
         code = cli_dispatch(argv, out=io.StringIO())
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# --- the per-item phase selection before `phase_energies`, kept as the reference ---
+
+_PHASE_FIELD = {"prefill": "prefill_mean_wh", "full": "full_mean_wh", "decode": "decode_wh"}
+
+
+def _old_phase_energies(items, phase):
+    """One ComponentEnergy per selected record or decomposition, as
+    `aggregate` and `hist` each selected them."""
+    if items and isinstance(items[0], RunRecord):
+        if phase == "decode":
+            raise EmptySelection("decode statistics require decompositions, not raw records")
+        want = RunKind.PREFILL_ONLY if phase == "prefill" else RunKind.FULL
+        return [ComponentEnergy(r.gpu_wh, r.cpu_wh, r.ram_wh) for r in items if r.run_kind is want]
+    return [getattr(d, _PHASE_FIELD[phase]) for d in items]
+
+
+def _aggregate_oracle(items, phase):
+    energies = _old_phase_energies(items, phase)
+    if not energies:
+        raise EmptySelection(f"no items match phase {phase!r}")
+    components = {}
+    for comp in COMPONENTS:
+        values = np.array([getattr(e, comp) for e in energies], dtype=float)
+        components[comp] = ComponentStats(float(np.mean(values)), float(np.std(values)), len(values),
+                                          float(np.min(values)), float(np.max(values)))
+    return EnergyStats(phase, components, sum(components[c].mean for c in COMPONENTS))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))  # repr shows every bit
+    except InferwattError as exc:
+        return type(exc), str(exc)
+
+
+_stat_run = st.tuples(
+    st.sampled_from(["p0", "p1", "p2", "p3"]),
+    st.sampled_from(["m0", "m1"]),
+    st.sampled_from([RunKind.PREFILL_ONLY, RunKind.FULL]),
+    st.integers(1, 50),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_stat_run, max_size=30))
+def test_stats_and_hist_match_the_per_item_selection(runs):
+    records = [RunRecord(prompt, kind, 10, 1 if kind is RunKind.PREFILL_ONLY else g, t, *energy, model)
+               for prompt, model, kind, g, t, energy in runs]
+    decomps = decompose(records)[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_text(write_records(records), encoding="utf-8")
+        for phase, items in (("prefill", records), ("full", records), ("decode", decomps)):
+            assert _outcome(aggregate, items, phase) == _outcome(_aggregate_oracle, items, phase)
+            if phase != "decode":
+                assert _outcome(aggregate, decomps, phase) == _outcome(_aggregate_oracle, decomps, phase)
+            for component in COMPONENTS + ("total",):
+                want = [getattr(e, component) for e in _old_phase_energies(items, phase)]
+                with mock.patch.object(cli, "histogram", wraps=histogram) as spy, \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = cli_dispatch(["hist", "--trace", str(path), "--phase", phase,
+                                         "--component", component, "--bins", "3"], out=io.StringIO())
+                if want:
+                    assert code == 0
+                    assert repr(np.asarray(spy.call_args.args[0]).tolist()) == repr(want)
+                else:  # nothing selected
+                    assert code == 2 and not spy.called

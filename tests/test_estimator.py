@@ -109,6 +109,11 @@ class TestLedEquivalent:
     def test_linear(self):
         assert led_equivalent_minutes(0.490) == pytest.approx(2 * led_equivalent_minutes(0.245))
 
+    @pytest.mark.parametrize("wh", [1e308, float("inf")])
+    def test_overflow_is_loud(self, wh):
+        with pytest.raises(OverflowError):
+            led_equivalent_minutes(wh)
+
 
 class TestFleetExtrapolate:
     def test_reference_scale(self):

@@ -1,4 +1,6 @@
 import warnings
+from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from inferwatt.errors import (
     ConfigError,
+    InferwattError,
     InsufficientSamples,
     ModelOutOfRangeWarning,
     RankDeficient,
@@ -16,7 +19,7 @@ from inferwatt.phase_model import (
     CoefficientSet,
     DecodeEnergyCoeffs,
     DecodeLatencyCoeffs,
-    LatencySample,
+    FitSamples,
     PrefillEnergyCoeffs,
     PrefillLatencyCoeffs,
     consistency_report,
@@ -32,7 +35,7 @@ from inferwatt.phase_model import (
     parse_coefficients,
 )
 from inferwatt.roofline import Phase, energy_from_power
-from inferwatt.traces import RunKind, decompose, synthesize_trace, to_fit_samples
+from inferwatt.traces import RunKind, RunRecord, decompose, synthesize_trace, to_fit_samples
 
 
 class TestPrefillLatencyEval:
@@ -168,9 +171,12 @@ def synth_samples(plan, coeffs, noise=0.0, seed=0):
     them: prefill-only runs give the g = 0 samples, and the decompositions'
     subtracted decode costs give the g >= 1 ones."""
     records = synthesize_trace(plan, coeffs, noise=noise, seed=seed)
-    prefill = [r for r in records if r.run_kind is RunKind.PREFILL_ONLY]
-    decode = [smp for smp in to_fit_samples(decompose(records)[0]) if smp.g >= 1]
-    return to_fit_samples(prefill) + decode
+    return to_fit_samples(records, decompose(records)[0])
+
+
+def rows(samples):
+    """The samples as (s, g, t, energy_wh) tuples of Python floats."""
+    return list(zip(samples.s.tolist(), samples.g.tolist(), samples.t.tolist(), samples.energy_wh.tolist()))
 
 
 def prefill_plan(rng, n):
@@ -227,12 +233,12 @@ class TestFits:
         assert abs(c / coeffs.decode_energy.c - 1) < 0.05
 
     def test_two_samples_insufficient(self):
-        samples = [LatencySample(100, 0, 0.05), LatencySample(200, 0, 0.08)]
+        samples = FitSamples(s=[100, 200], g=[0, 0], t=[0.05, 0.08])
         with pytest.raises(InsufficientSamples):
             fit_prefill_latency(samples)
 
     def test_constant_prompt_length_is_rank_deficient(self):
-        samples = [LatencySample(500, 0, 0.1 + 0.01 * i) for i in range(10)]
+        samples = FitSamples(s=[500] * 10, g=[0] * 10, t=[0.1 + 0.01 * i for i in range(10)])
         with pytest.raises(RankDeficient):
             fit_prefill_latency(samples)
 
@@ -243,7 +249,7 @@ class TestFits:
             fit_decode_latency(samples)
 
     def test_constant_energy_gives_zero_slope(self):
-        samples = [LatencySample(100 * i, 0, 0.1, energy_wh=0.5) for i in range(1, 6)]
+        samples = FitSamples(s=[100 * i for i in range(1, 6)], g=[0] * 5, t=[0.1] * 5, energy_wh=[0.5] * 5)
         fitted, _ = fit_prefill_energy(samples)
         assert fitted.a == pytest.approx(0.0, abs=1e-12)
         assert fitted.b == pytest.approx(0.5)
@@ -251,8 +257,7 @@ class TestFits:
     def test_raw_fit_keeps_unphysical_signs_but_flags_them(self):
         # decreasing latencies force a negative slope; the fit must return
         # it raw rather than clamping
-        samples = [LatencySample(s, 0, t) for s, t in
-                   [(100, 1.0), (200, 0.8), (300, 0.6), (400, 0.45)]]
+        samples = FitSamples(s=[100, 200, 300, 400], g=[0] * 4, t=[1.0, 0.8, 0.6, 0.45])
         fitted, _ = fit_prefill_latency(samples)
         assert fitted.alpha < 0
         assert not fitted.is_physical
@@ -263,26 +268,24 @@ class TestSynthGenerate:
         plan = [(100, 0), (200, 0), (400, 16), (800, 64)]
         samples = synth_samples(plan, coeffs)
         # every point has prefill-only runs; g >= 1 points add a decode sample
-        assert [(smp.s, smp.g) for smp in samples] == [(s, 0) for s, _ in plan] + plan[2:]
-        for smp in samples:
-            s, g = smp.s, smp.g
+        assert [(s, g) for s, g, _, _ in rows(samples)] == [(s, 0) for s, _ in plan] + plan[2:]
+        for s, g, t, energy_wh in rows(samples):
             if g == 0:
-                assert smp.t == eval_prefill_latency(coeffs.prefill_latency, s)
-                assert smp.energy_wh == eval_prefill_energy(coeffs.prefill_energy, s)
+                assert t == eval_prefill_latency(coeffs.prefill_latency, s)
+                assert energy_wh == eval_prefill_energy(coeffs.prefill_energy, s)
             else:  # decode values are full minus prefill-only: not bitwise
-                assert smp.t == pytest.approx(eval_decode_latency(coeffs.decode_latency, s, g), rel=1e-12)
-                assert smp.energy_wh == pytest.approx(eval_decode_energy(coeffs.decode_energy, s, g),
-                                                      rel=1e-12)
+                assert t == pytest.approx(eval_decode_latency(coeffs.decode_latency, s, g), rel=1e-12)
+                assert energy_wh == pytest.approx(eval_decode_energy(coeffs.decode_energy, s, g), rel=1e-12)
 
     def test_same_seed_identical(self, coeffs):
         plan = decode_plan(np.random.default_rng(5), 50)
-        assert synth_samples(plan, coeffs, 0.02, seed=9) == synth_samples(plan, coeffs, 0.02, seed=9)
+        assert rows(synth_samples(plan, coeffs, 0.02, seed=9)) == rows(synth_samples(plan, coeffs, 0.02, seed=9))
 
     def test_noise_level_matches_request(self, coeffs):
         plan = [(1000, 0)] * 10000
         samples = synth_samples(plan, coeffs, noise=0.01, seed=123)
         truth = eval_prefill_latency(coeffs.prefill_latency, 1000)
-        ratios = np.array([smp.t / truth - 1.0 for smp in samples])
+        ratios = samples.t / truth - 1.0
         assert abs(float(np.std(ratios)) - 0.01) < 0.001
 
 
@@ -349,18 +352,40 @@ class TestCoefficientFiles:
 
 class TestSampleValidation:
     def test_sample_invariants(self):
-        with pytest.raises(ValueError):
-            LatencySample(0, 0, 1.0)
-        with pytest.raises(ValueError):
-            LatencySample(1, -1, 1.0)
-        with pytest.raises(ValueError):
-            LatencySample(1, 0, 0.0)
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            FitSamples([0], [0], [1.0])
+        with pytest.raises(ValueError, match="g must be >= 0"):
+            FitSamples([1], [-1], [1.0])
+        with pytest.raises(ValueError, match="t must be positive"):
+            FitSamples([1], [0], [0.0])
 
-    def test_replace_validates(self):
-        sample = LatencySample(100, 0, 0.5)
-        assert sample._replace(g=3) == LatencySample(100, 3, 0.5, None)
+    @pytest.mark.parametrize("column", ["s", "g", "t"])
+    def test_nan_rejected(self, column):
+        values = {"s": [5.0, 6.0], "g": [0.0, 3.0], "t": [0.5, 0.7]}
+        values[column][1] = float("nan")
+        with pytest.raises(ValueError, match=f"{column} must be"):
+            FitSamples(**values)
+
+    @pytest.mark.parametrize("lengths", [(2, 2, 3, None), (2, 1, 2, None), (2, 2, 2, 1), (2, 2, 2, 3)])
+    def test_unequal_lengths_rejected(self, lengths):
+        s, g, t, e = ([1.0] * n if n is not None else None for n in lengths)
+        with pytest.raises(ValueError, match="equal length"):
+            FitSamples(s, g, t, e)
+
+    def test_columns_are_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            FitSamples([[1.0, 2.0]], [[0.0, 0.0]], [[1.0, 1.0]])
+        with pytest.raises(ValueError, match="1-D"):
+            FitSamples(1.0, 0.0, 1.0)
+
+    def test_columns_are_read_only_float_copies(self):
+        s = np.array([100, 200])
+        samples = FitSamples(s, [0, 4], [0.5, 1.5], energy_wh=None)
+        s[0] = 7
+        assert samples.s.tolist() == [100.0, 200.0] and samples.s.dtype == np.float64
+        assert samples.energy_wh is None
         with pytest.raises(ValueError):
-            sample._replace(t=-1.0)
+            samples.t[0] = 1.0
 
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(ValueError):
@@ -440,11 +465,10 @@ class TestFamiliesMatchTheOldFormulas:
         plan = [(s, g) for s in range(200, 4001, 400) for g in (0, 8, 40, 130, 256)]
         samples = synth_samples(plan, coeffs, noise=0.02, seed=5)
         decode = family in (DecodeLatencyCoeffs, DecodeEnergyCoeffs)
-        sel = [smp for smp in samples if (smp.g >= 1) == decode]
-        s = np.array([smp.s for smp in sel], dtype=float)
-        g = np.array([smp.g for smp in sel], dtype=float)
-        y = [smp.energy_wh if family in (PrefillEnergyCoeffs, DecodeEnergyCoeffs) else smp.t
-             for smp in sel]
+        sel = [row for row in rows(samples) if (row[1] >= 1) == decode]
+        s = np.array([row[0] for row in sel], dtype=float)
+        g = np.array([row[1] for row in sel], dtype=float)
+        y = [row[3] if family in (PrefillEnergyCoeffs, DecodeEnergyCoeffs) else row[2] for row in sel]
         want = ols_fit(DesignMatrix.from_columns(_ORACLE_COLUMNS[family](s, g)), y)
         got_coeffs, got = _FIT[family](samples)
         assert got == want
@@ -497,3 +521,101 @@ class TestOutOfRangeWarnings:
             eval_prefill_energy(coeffs.prefill_energy, 900)
             eval_decode_latency(coeffs.decode_latency, 900, 82)
             eval_decode_energy(coeffs.decode_energy, 900, 82)
+
+
+# --- the fit sample selection before columnar samples, kept as the reference ---
+
+
+class _OldSample(NamedTuple):
+    s: int
+    g: int
+    t: float
+    energy_wh: float | None = None
+
+
+def _old_energy(energy, component):
+    return energy.total if component == "total" else getattr(energy, component)
+
+
+def _to_fit_samples_oracle(items, component):
+    """The former `to_fit_samples`: records one to one; each decomposition a
+    prefill sample and, for positive decode latency, a decode sample."""
+    samples = []
+    for item in items:
+        if isinstance(item, RunRecord):
+            samples.append(_OldSample(
+                item.input_tokens, 0 if item.run_kind is RunKind.PREFILL_ONLY else item.output_tokens,
+                item.latency_s,
+                item.gpu_wh + item.cpu_wh + item.ram_wh if component == "total" else getattr(item, f"{component}_wh"),
+            ))
+        else:
+            samples.append(_OldSample(item.input_tokens, 0, item.prefill_mean_latency_s,
+                                      _old_energy(item.prefill_mean_wh, component)))
+            if item.decode_latency_s > 0:
+                samples.append(_OldSample(item.input_tokens, item.output_tokens, item.decode_latency_s,
+                                          _old_energy(item.decode_wh, component)))
+    return samples
+
+
+def _fit_selection_oracle(records, component):
+    """The former selection of `inferwatt fit`: the prefill-only records, then
+    the decode samples of the decompositions."""
+    prefill = [r for r in records if r.run_kind is RunKind.PREFILL_ONLY]
+    decode = [smp for smp in _to_fit_samples_oracle(decompose(records)[0], component) if smp.g >= 1]
+    return _to_fit_samples_oracle(prefill, component) + decode
+
+
+def _fit_oracle(family, samples):
+    """The former `_fit`: the rows of the family's phase picked sample by sample."""
+    energy = family.what == "energy"
+    sel = [smp for smp in samples if (smp.g >= 1 if family.decode else smp.g == 0)
+           and not (energy and smp.energy_wh is None)]
+    n = len(fields(family))
+    if len(sel) < n:
+        phase = "decode" if family.decode else "prefill"
+        raise InsufficientSamples(f"need >= {n} {phase} {family.what} samples, got {len(sel)}")
+    s = np.array([smp.s for smp in sel], dtype=float)
+    g = np.array([smp.g for smp in sel], dtype=float)
+    y = np.array([smp.energy_wh if energy else smp.t for smp in sel], dtype=float)
+    columns = [family(*unit)(s, g) for unit in np.eye(n).tolist()]
+    fit = ols_fit(DesignMatrix.from_columns(columns), y)
+    return family(*fit.coefficients), fit
+
+
+def _outcome(fit, samples):
+    """repr of the fitted coefficients and FitResult (every bit), or the error."""
+    try:
+        return repr(fit(samples))
+    except InferwattError as exc:
+        return type(exc), str(exc)
+
+
+def _runs(max_latency):
+    # repeated latencies give exactly zero decode estimates
+    latency = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(min_value=1e-3, max_value=max_latency))
+    energies = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=3)
+    return st.lists(st.tuples(latency, energies), max_size=3)
+
+
+# One prompt per group: (s, g, prefill-only runs, full runs); a list can be
+# empty (a missing kind), and full runs are drawn longer, so that most but
+# not all decode estimates are positive.
+_fit_group = st.tuples(st.integers(1, 4000), st.integers(1, 300), _runs(5.0), _runs(20.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_fit_group, max_size=16))
+def test_fit_matches_the_per_sample_selection(groups):
+    records = []
+    for i, (s, g, prefill, full) in enumerate(groups):
+        prompt, model = f"p{i // 2}", f"m{i % 2}"
+        records += [RunRecord(prompt, RunKind.PREFILL_ONLY, s, 1, t, *e, model) for t, e in prefill]
+        records += [RunRecord(prompt, RunKind.FULL, s, g, t, *e, model) for t, e in full]
+    records = records[1::2] + records[::2]  # interleave the groups
+    decomps = decompose(records)[0]
+    for component in ("gpu", "cpu", "ram", "total"):
+        samples = to_fit_samples(records, decomps, component)
+        old = _fit_selection_oracle(records, component)
+        assert repr(rows(samples)) == repr([(float(x.s), float(x.g), x.t, x.energy_wh) for x in old])
+        for family in FAMILIES:
+            assert _outcome(_FIT[family], samples) == _outcome(lambda o: _fit_oracle(family, o), old)

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from inferwatt.traces import (
     drop_warmup,
     histogram,
     parse_records,
+    phase_energies,
     synthesize_trace,
     to_fit_samples,
     write_records,
@@ -309,6 +312,31 @@ class TestAggregate:
         assert stats.components["gpu"].mean == pytest.approx(0.4)
 
 
+class TestPhaseEnergies:
+    def test_one_contiguous_row_per_component(self):
+        records = [record(gpu=0.4, cpu=0.03, ram=0.02), record(kind=RunKind.PREFILL_ONLY, gpu=0.1),
+                   record(gpu=0.2, cpu=0.01, ram=0.04)]
+        energies = phase_energies(records, "full")
+        assert energies.shape == (3, 2)
+        assert all(row.flags.c_contiguous for row in energies)
+        assert energies.tolist() == [[0.4, 0.2], [0.03, 0.01], [0.02, 0.04]]
+
+    def test_decompositions_give_the_phase_asked_for(self):
+        records = [record(kind=RunKind.PREFILL_ONLY, gpu=0.1, cpu=0.0, ram=0.0),
+                   record(gpu=0.5, cpu=0.0, ram=0.0)]
+        decomps, _ = decompose(records)
+        gpu = {phase: phase_energies(decomps, phase)[0].tolist() for phase in ("prefill", "full", "decode")}
+        assert gpu == {"prefill": [0.1], "full": [0.5], "decode": [0.5 - 0.1]}
+
+    def test_bad_selections(self):
+        with pytest.raises(ValueError, match="unknown phase"):
+            phase_energies([record()], "both")
+        with pytest.raises(EmptySelection, match="require decompositions"):
+            phase_energies([record()], "decode")
+        with pytest.raises(EmptySelection, match="no items match phase 'prefill'"):
+            phase_energies([record()], "prefill")
+
+
 class TestHistogram:
     def test_single_value_single_bin(self):
         result = histogram([0.25], bins=1)
@@ -343,51 +371,46 @@ class TestHistogram:
 
 
 class TestToFitSamples:
-    def test_record_mapping(self):
+    def test_prefill_records_then_positive_decode_estimates(self):
         records = [
-            record(kind=RunKind.PREFILL_ONLY, s=200, t=0.4),
-            record(kind=RunKind.FULL, s=200, g=50, t=2.0),
+            record(prompt="a", kind=RunKind.FULL, s=300, g=64, t=2.5, gpu=0.6, cpu=0.0, ram=0.0),
+            record(prompt="b", kind=RunKind.PREFILL_ONLY, s=200, t=0.4),
+            record(prompt="a", kind=RunKind.PREFILL_ONLY, s=300, t=0.5, gpu=0.1, cpu=0.0, ram=0.0),
+            record(prompt="b", kind=RunKind.FULL, s=200, g=50, t=0.3),  # decode latency -0.1: skipped
         ]
-        samples = to_fit_samples(records)
-        assert len(samples) == 2
-        assert (samples[0].s, samples[0].g, samples[0].t) == (200, 0, 0.4)
-        assert (samples[1].s, samples[1].g, samples[1].t) == (200, 50, 2.0)
-        assert samples[1].energy_wh == pytest.approx(0.3 + 0.02 + 0.01)
+        decomps, _ = decompose(records)
+        samples = to_fit_samples(records, decomps, component="gpu")
+        # full runs are no rows; prefill-only runs come in file order
+        assert samples.s.tolist() == [200, 300, 300]
+        assert samples.g.tolist() == [0, 0, 64]
+        assert samples.t.tolist() == [0.4, 0.5, pytest.approx(2.0)]
+        assert samples.energy_wh.tolist() == [0.3, 0.1, pytest.approx(0.5)]
 
     def test_component_selector(self):
-        samples = to_fit_samples([record(gpu=0.5, cpu=0.04, ram=0.01)], component="gpu")
-        assert samples[0].energy_wh == 0.5
+        records = [record(kind=RunKind.PREFILL_ONLY, gpu=0.5, cpu=0.04, ram=0.01)]
+        assert to_fit_samples(records, [], component="gpu").energy_wh.tolist() == [0.5]
 
     def test_empty_input_empty_output(self):
-        assert to_fit_samples([]) == []
+        samples = to_fit_samples([], [])
+        assert [len(c) for c in (samples.s, samples.g, samples.t, samples.energy_wh)] == [0, 0, 0, 0]
+
+    def test_unknown_component_rejected(self):
+        with pytest.raises(ValueError, match="unknown component"):
+            to_fit_samples([], [], component="disk")
 
     def test_records_read_the_component_fields(self, monkeypatch):
         records = [record(kind=RunKind.PREFILL_ONLY, gpu=0.1, cpu=0.2, ram=0.7),
-                   record(gpu=1 / 3, cpu=0.1, ram=1e-17)]
+                   record(kind=RunKind.PREFILL_ONLY, gpu=1 / 3, cpu=0.1, ram=1e-17)]
 
         def no_per_record_energy(*args):
             raise AssertionError("to_fit_samples built a ComponentEnergy per record")
 
         monkeypatch.setattr(traces, "ComponentEnergy", no_per_record_energy)
         for component in ("gpu", "cpu", "ram"):
-            got = [smp.energy_wh for smp in to_fit_samples(records, component=component)]
+            got = to_fit_samples(records, [], component=component).energy_wh.tolist()
             assert got == [getattr(r, f"{component}_wh") for r in records]
-        totals = [smp.energy_wh for smp in to_fit_samples(records)]
+        totals = to_fit_samples(records, []).energy_wh.tolist()
         assert totals == [r.gpu_wh + r.cpu_wh + r.ram_wh for r in records]  # bitwise, in that order
-
-    def test_decompositions_yield_prefill_and_decode_samples(self):
-        records = [
-            record(kind=RunKind.PREFILL_ONLY, s=300, t=0.5, gpu=0.1, cpu=0.0, ram=0.0),
-            record(kind=RunKind.FULL, s=300, g=64, t=2.5, gpu=0.6, cpu=0.0, ram=0.0),
-        ]
-        decomps, _ = decompose(records)
-        samples = to_fit_samples(decomps, component="gpu")
-        prefill = [s for s in samples if s.g == 0]
-        decode = [s for s in samples if s.g > 0]
-        assert prefill[0].t == pytest.approx(0.5) and prefill[0].energy_wh == pytest.approx(0.1)
-        assert decode[0].g == 64
-        assert decode[0].t == pytest.approx(2.0)
-        assert decode[0].energy_wh == pytest.approx(0.5)
 
 
 class TestSynthesizeTrace:
@@ -470,7 +493,7 @@ class TestRecordTuple:
     def test_immutable_hashable_with_defaults(self):
         rec = RunRecord("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)
         assert (rec.model_id, rec.precision, rec.batch) == ("", "", 1)
-        assert rec.energy == ComponentEnergy(0.1, 0.0, 0.0)
+        assert (rec.gpu_wh, rec.cpu_wh, rec.ram_wh) == (0.1, 0.0, 0.0)
         assert len({rec, RunRecord("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)}) == 1
         with pytest.raises(AttributeError):
             rec.latency_s = 2.0
@@ -669,7 +692,8 @@ def _decompose_oracle(records):
             continue
         prefill_wh = mean_energy(prefill)
         full_wh = mean_energy(full)
-        decode_wh = full_wh.minus(prefill_wh)
+        decode_wh = ComponentEnergy(full_wh.gpu - prefill_wh.gpu, full_wh.cpu - prefill_wh.cpu,
+                                    full_wh.ram - prefill_wh.ram)
         prefill_lat = float(np.mean([r.latency_s for r in prefill]))
         full_lat = float(np.mean([r.latency_s for r in full]))
         flags = (NEGATIVE_DECODE,) if min(decode_wh) < 0 else ()
@@ -786,3 +810,13 @@ class TestDecomposeGrouping:
         decomps, missing = decompose(records)
         assert not decomps
         assert missing == [MissingKind("p", RunKind.PREFILL_ONLY, "a"), MissingKind("p", RunKind.FULL, "b")]
+
+
+def test_reference_fixture_matches_its_generator():
+    # the generator script, loaded without running it: its records must
+    # serialize to the bundled fixture byte for byte
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_reference_fixture.py"
+    spec = importlib.util.spec_from_file_location("make_reference_fixture", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert write_records(module.build_records()) == reference_trace_text()
