@@ -40,8 +40,10 @@ from .roofline import load_profile
 from .traces import (
     FORMAT_DELIMITED,
     FORMAT_LINE_JSON,
+    MIXED_INPUT_TOKENS,
     PHASE_DECODE,
     aggregate,
+    decode_fit_rows,
     decompose,
     drop_warmup,
     histogram,
@@ -125,12 +127,18 @@ def _read_trace(args):
     return records
 
 
+def _group(item) -> str:
+    """How a warning names the (prompt, model, precision, batch) group of a
+    decomposition or a missing kind."""
+    return (f"prompt {item.prompt_id!r} (model {item.model_id!r}, precision {item.precision!r}, "
+            f"batch {item.batch})")
+
+
 def _decompose(records):
     """decompose, with a warning per group that misses a run kind."""
     decomps, missing = decompose(records)
     for m in missing:
-        print(f"warning: prompt {m.prompt_id!r} (model {m.model_id!r}, precision {m.precision!r}, "
-              f"batch {m.batch}) has no {m.missing.value} runs", file=sys.stderr)
+        print(f"warning: {_group(m)} has no {m.missing.value} runs", file=sys.stderr)
     return decomps
 
 
@@ -207,7 +215,12 @@ def _cmd_predict(args, out) -> int:
 
 def _cmd_fit(args, out) -> int:
     records = _read_trace(args)
-    samples = to_fit_samples(records, _decompose(records), args.component)
+    decomps = _decompose(records)
+    for d in decode_fit_rows(decomps):
+        if MIXED_INPUT_TOKENS in d.flags:
+            print(f"warning: {_group(d)} mixes input lengths; its decode row is fitted at their "
+                  f"rounded mean s={d.input_tokens}", file=sys.stderr)
+    samples = to_fit_samples(records, decomps, args.component)
 
     families = (
         ("prefill_latency", fit_prefill_latency),

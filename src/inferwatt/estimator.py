@@ -1,28 +1,44 @@
 """Interaction- and fleet-level energy estimation.
 
-Two prediction sources are supported behind one interface: a fitted
-coefficient set (the polynomials evaluated directly) and an analytic
-roofline source (operation counting on a model spec plus hardware profile,
-converted to energy via per-phase mean power). Every estimate is an
-EnergyBreakdown whose total is exactly prefill + decode and which records
-where its numbers came from.
+Two prediction sources share one interface, `phase_energies(s, g)`: it
+takes columns of prompt and reply lengths and returns prefill and decode Wh
+columns plus the rows it flags. A fitted coefficient set evaluates its
+energy polynomials on the columns and flags each phase where the value is
+<= 0; an analytic roofline source evaluates the per-class closed forms of
+`transformer_costs` and converts them to energy via per-phase mean power,
+and flags nothing. Every estimate is an EnergyBreakdown whose total is
+exactly prefill + decode and which records where its numbers came from.
+
+Contract of `estimate_workload`:
+
+* a WorkloadSpec's columns (s, g, weight) are built and checked once, when
+  the spec is made;
+* the source is evaluated once per workload, on those columns, never once
+  per entry;
+* flagged rows are never clamped: the value is reported, and the warning
+  text goes on the entry's breakdown and on the mean;
+* one finiteness check covers every entry, and a non-finite entry or mean
+  raises OverflowError: nothing is reported as inf or NaN;
+* the weighted means are builtin sums in entry order, the same numbers a
+  per-entry loop gives;
+* the per-entry list of (entry, breakdown) pairs is materialized, in entry
+  order. `estimate_interaction` is the one-entry case.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InferwattError, ModelOutOfRangeWarning
-from .phase_model import CoefficientSet, eval_decode_energy, eval_prefill_energy
+from .errors import InferwattError
+from .phase_model import CoefficientSet, out_of_range_message
 from .roofline import HardwareProfile, Phase, energy_from_power
 from .transformer_costs import (
     ModelSpec,
-    predict_decode_latency,
-    predict_prefill_latency,
+    class_latencies,
+    step_overflow,
 )
 
 DAYS_PER_YEAR = 365.25
@@ -40,11 +56,13 @@ class FittedSource:
         if self.coeffs.prefill_energy is None or self.coeffs.decode_energy is None:
             raise InferwattError("fitted source needs prefill and decode energy coefficients")
 
-    def phase_energies(self, s: int, g: int) -> tuple[float, float]:
-        return (
-            eval_prefill_energy(self.coeffs.prefill_energy, s),
-            eval_decode_energy(self.coeffs.decode_energy, s, g),
-        )
+    @np.errstate(all="ignore")  # an overflow fails the caller's finiteness check
+    def phase_energies(self, s: np.ndarray, g: np.ndarray):
+        """Prefill and decode Wh at each (s, g), and per phase a (polynomial,
+        mask) pair whose mask marks the rows where its value is <= 0."""
+        prefill_poly, decode_poly = self.coeffs.prefill_energy, self.coeffs.decode_energy
+        prefill, decode = prefill_poly(s), decode_poly(s, g)
+        return prefill, decode, ((prefill_poly, prefill <= 0), (decode_poly, decode <= 0))
 
     @property
     def provenance(self) -> str:
@@ -58,17 +76,28 @@ class AnalyticSource:
     model: ModelSpec
     hw: HardwareProfile
 
-    def phase_energies(self, s: int, g: int) -> tuple[float, float]:
-        t_prefill = predict_prefill_latency(self.model, self.hw, s).total_seconds
-        t_decode = predict_decode_latency(self.model, self.hw, s, g).total_seconds
-        return (
-            energy_from_power(Phase.PREFILL, t_prefill, self.hw),
-            energy_from_power(Phase.DECODE, t_decode, self.hw),
-        )
+    @np.errstate(all="ignore")  # an overflow fails the caller's finiteness check
+    def phase_energies(self, s: np.ndarray, g: np.ndarray):
+        """Prefill and decode Wh at each (s, g); no row is flagged. A decode
+        step cost that is not finite raises OverflowError, unless an earlier
+        row's total is not finite: the caller reports that row first."""
+        prefill_latency, decode_latency = class_latencies(self.model, self.hw, s, g)
+        prefill = energy_from_power(Phase.PREFILL, prefill_latency.seconds.sum(axis=0), self.hw)
+        decode = energy_from_power(Phase.DECODE, decode_latency.seconds.sum(axis=0), self.hw)
+        overflowed = decode_latency.nonfinite.any(axis=0)
+        if overflowed.any():
+            row = int(overflowed.argmax())
+            if np.isfinite(prefill[:row] + decode[:row]).all():
+                raise step_overflow(decode_latency.nonfinite[:, row])
+        return prefill, decode, ()
 
     @property
     def provenance(self) -> str:
         return f"analytic-roofline ({self.model.name or 'model'} @ {self.hw.name or 'hw'})"
+
+
+def _not_finite(total: float) -> OverflowError:
+    return OverflowError(f"energy estimate {total!r} Wh is not finite; inputs are implausibly large")
 
 
 @dataclass(frozen=True)
@@ -86,7 +115,7 @@ class EnergyBreakdown:
     def __post_init__(self):
         total = self.prefill_wh + self.decode_wh
         if not math.isfinite(total):
-            raise OverflowError(f"energy estimate {total!r} Wh is not finite; inputs are implausibly large")
+            raise _not_finite(total)
         object.__setattr__(self, "total_wh", total)
 
 
@@ -103,15 +132,58 @@ class WorkloadEntry:
             raise ValueError("weight must be positive and finite")
 
 
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
+def _token_counts(values: list) -> np.ndarray:
+    """Whole token counts >= 1 as an int64 column."""
+    column = np.array(values)
+    if column.dtype.kind != "i":
+        # Python ints of 2**63 and more make uint64 or object columns
+        if column.dtype.kind in "uO" and not column.max() < 2**63:
+            raise OverflowError("token counts of 2**63 or more are implausibly large")
+        with np.errstate(invalid="ignore"):
+            counts = column.astype(np.int64)
+        if not np.array_equal(counts, column):
+            raise ValueError("token counts must be whole numbers")
+        column = counts
+    if column.min() < 1:
+        raise ValueError("need s >= 1 and g >= 1")
+    return _read_only(column)
+
+
+def _weighted_mean(x: np.ndarray, weight: np.ndarray) -> float:
+    """sum(w * x) / sum(w), summed as Python floats in entry order."""
+    with np.errstate(over="ignore"):  # an overflowed sum is the caller's to report
+        return sum((weight * x).tolist()) / sum(weight.tolist())
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """A population of interactions as weighted (s, g) pairs."""
+    """A population of interactions as weighted (s, g) pairs.
+
+    `entries` holds them as objects. `s` and `g` (int64) and `weight`
+    (float64) hold the same values as read-only columns, built and checked
+    once here; they take no part in equality or hashing. Token counts must
+    be whole numbers below 2**63 (ValueError, OverflowError otherwise).
+    """
 
     entries: tuple[WorkloadEntry, ...]
+    s: np.ndarray = field(init=False, repr=False, compare=False)
+    g: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("workload must have at least one entry")
+        object.__setattr__(self, "s", _token_counts([e.s for e in self.entries]))
+        object.__setattr__(self, "g", _token_counts([e.g for e in self.entries]))
+        weight = np.array([e.weight for e in self.entries], dtype=float)
+        if not (weight.min() > 0 and weight.max() < math.inf):  # NaN fails too
+            raise ValueError("weight must be positive and finite")
+        object.__setattr__(self, "weight", _read_only(weight))
 
     @classmethod
     def single(cls, s: int, g: int) -> "WorkloadSpec":
@@ -138,53 +210,74 @@ class WorkloadSpec:
 
     @property
     def mean_s(self) -> float:
-        w = sum(e.weight for e in self.entries)
-        return sum(e.s * e.weight for e in self.entries) / w
+        return _weighted_mean(self.s, self.weight)
 
     @property
     def mean_g(self) -> float:
-        w = sum(e.weight for e in self.entries)
-        return sum(e.g * e.weight for e in self.entries) / w
+        return _weighted_mean(self.g, self.weight)
 
 
-def estimate_interaction(source, s: int, g: int) -> EnergyBreakdown:
-    """Energy breakdown of one interaction from either prediction source.
+def _check_finite(prefill: np.ndarray, decode: np.ndarray) -> None:
+    """Raise for the first row, in entry order, whose total is not finite."""
+    with np.errstate(invalid="ignore"):
+        total = prefill + decode
+    finite = np.isfinite(total)
+    if not finite.all():
+        raise _not_finite(total[finite.argmin()].item())
 
-    Out-of-range polynomial evaluations surface as warning strings on the
-    breakdown; the totals are still reported.
-    """
-    if s < 1 or g < 1:
-        raise ValueError("need s >= 1 and g >= 1")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ModelOutOfRangeWarning)
-        prefill_wh, decode_wh = source.phase_energies(s, g)
-    notes = tuple(
-        str(w.message) for w in caught if issubclass(w.category, ModelOutOfRangeWarning)
-    )
+
+def _mean_breakdown(source, workload: WorkloadSpec, prefill, decode, notes=()) -> EnergyBreakdown:
     return EnergyBreakdown(
-        prefill_wh=prefill_wh,
-        decode_wh=decode_wh,
+        prefill_wh=_weighted_mean(prefill, workload.weight),
+        decode_wh=_weighted_mean(decode, workload.weight),
         provenance=source.provenance,
         warnings=notes,
     )
+
+
+def _flagged_notes(flagged, prefill, decode, workload: WorkloadSpec) -> dict[int, tuple[str, ...]]:
+    """The warning texts of each flagged row, by row in entry order."""
+    if not flagged:
+        return {}
+    rows = np.flatnonzero(np.logical_or.reduce([mask for _, mask in flagged]))
+    s, g = workload.s, workload.g
+    return {
+        row: tuple(
+            out_of_range_message(poly, (decode if poly.decode else prefill)[row].item(),
+                                 s[row].item(), g[row].item())
+            for poly, mask in flagged if mask[row]
+        )
+        for row in rows.tolist()
+    }
 
 
 def estimate_workload(
     source, workload: WorkloadSpec
 ) -> tuple[EnergyBreakdown, list[tuple[WorkloadEntry, EnergyBreakdown]]]:
-    """Weighted mean breakdown over a workload, plus the per-entry table."""
-    per_entry = [(e, estimate_interaction(source, e.s, e.g)) for e in workload.entries]
-    total_weight = sum(e.weight for e in workload.entries)
-    prefill = sum(e.weight * b.prefill_wh for e, b in per_entry) / total_weight
-    decode = sum(e.weight * b.decode_wh for e, b in per_entry) / total_weight
-    notes = tuple(dict.fromkeys(note for _, b in per_entry for note in b.warnings))
-    mean = EnergyBreakdown(
-        prefill_wh=prefill,
-        decode_wh=decode,
-        provenance=source.provenance,
-        warnings=notes,
-    )
+    """Weighted mean breakdown over a workload, plus the per-entry table,
+    from one evaluation of the source on the workload's columns."""
+    prefill, decode, flagged = source.phase_energies(workload.s, workload.g)
+    _check_finite(prefill, decode)
+    notes = _flagged_notes(flagged, prefill, decode, workload)
+    mean = _mean_breakdown(source, workload, prefill, decode,
+                           tuple(dict.fromkeys(note for texts in notes.values() for note in texts)))
+    provenance = source.provenance
+    per_entry = [
+        (entry, EnergyBreakdown(p, d, provenance, notes.get(row, ())))
+        for row, (entry, p, d) in enumerate(zip(workload.entries, prefill.tolist(), decode.tolist()))
+    ]
     return mean, per_entry
+
+
+def estimate_interaction(source, s: int, g: int) -> EnergyBreakdown:
+    """Energy breakdown of one interaction from either prediction source:
+    the one-entry case of `estimate_workload`.
+
+    Out-of-range polynomial evaluations surface as warning strings on the
+    breakdown; the totals are still reported.
+    """
+    _, [(_, breakdown)] = estimate_workload(source, WorkloadSpec.single(s, g))
+    return breakdown
 
 
 def led_equivalent_minutes(wh: float, led_watts: float = DEFAULT_LED_WATTS) -> float:
@@ -251,33 +344,38 @@ def compare_models(
     wh_per_token is the mean total energy divided by the workload's mean
     token count (s + g). The contour grid evaluates decode energy at the
     workload's mean prompt length for each model and each g in contour_g.
+    Each model's workload entries and contour points are one evaluation of
+    its source: the contour points are appended to the workload's columns.
     """
     if not specs:
         raise ValueError("need at least one model spec")
+    if any(c < 1 for c in contour_g):
+        raise ValueError("need s >= 1 and g >= 1")
     mean_tokens = workload.mean_s + workload.mean_g
     grid_s = max(1, int(round(workload.mean_s)))
+    n = len(workload.entries)
+    contour = np.array(contour_g, dtype=np.int64)
+    s = np.concatenate([workload.s, np.full(len(contour), grid_s)])
+    g = np.concatenate([workload.g, contour])
 
     rows = []
     grid = []
     for spec in sorted(specs, key=lambda m: m.n_params):
         source = AnalyticSource(spec, hw)
-        mean, _ = estimate_workload(source, workload)
+        prefill, decode, _ = source.phase_energies(s, g)
+        _check_finite(prefill[:n], decode[:n])
+        mean = _mean_breakdown(source, workload, prefill[:n], decode[:n])
+        name = spec.name or "model"
         rows.append(
             ModelComparisonRow(
-                name=spec.name or "model",
+                name=name,
                 n_params=spec.n_params,
                 mean_total_wh=mean.total_wh,
                 wh_per_token=mean.total_wh / mean_tokens,
             )
         )
-        for g in contour_g:
-            t_decode = predict_decode_latency(spec, hw, grid_s, g).total_seconds
-            grid.append(
-                ContourPoint(
-                    name=spec.name or "model",
-                    n_params=spec.n_params,
-                    g=g,
-                    decode_wh=energy_from_power(Phase.DECODE, t_decode, hw),
-                )
-            )
+        grid.extend(
+            ContourPoint(name=name, n_params=spec.n_params, g=c, decode_wh=wh)
+            for c, wh in zip(contour_g, decode[n:].tolist())
+        )
     return ModelComparison(rows=tuple(rows), grid=tuple(grid))

@@ -161,10 +161,15 @@ class FitSamples:
 # the type's call slot, about 200 ns slower.
 
 
-def _out_of_range(coeffs: _Polynomial, value: float, s, g) -> None:
+def out_of_range_message(coeffs: _Polynomial, value: float, s, g) -> str:
+    """The text flagging a nonpositive `value` of `coeffs` at (s, g)."""
     phase, at = ("decode", f"s={s}, g={g}") if coeffs.decode else ("prefill", f"s={s}")
-    warnings.warn(f"{phase} {coeffs.what} model returned {value:.4g} {coeffs.unit} at {at}; "
-                  "inputs are outside the fit's validity range", ModelOutOfRangeWarning, stacklevel=3)
+    return (f"{phase} {coeffs.what} model returned {value:.4g} {coeffs.unit} at {at}; "
+            "inputs are outside the fit's validity range")
+
+
+def _out_of_range(coeffs: _Polynomial, value: float, s, g) -> None:
+    warnings.warn(out_of_range_message(coeffs, value, s, g), ModelOutOfRangeWarning, stacklevel=3)
 
 
 def eval_prefill_latency(coeffs: PrefillLatencyCoeffs, s: float) -> float:

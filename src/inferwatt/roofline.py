@@ -20,6 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 from . import kvconfig
 
@@ -74,9 +76,10 @@ class HardwareProfile:
         return self.p_prefill if phase is Phase.PREFILL else self.p_decode
 
 
-def energy_from_power(phase: Phase, t: float, hw: HardwareProfile) -> float:
-    """Convert a phase latency to Wh using the phase's mean power draw."""
-    if t < 0:
+def energy_from_power(phase: Phase, t, hw: HardwareProfile):
+    """Convert a phase latency (seconds, a number or an array) to Wh using
+    the phase's mean power draw."""
+    if np.any(t < 0):
         raise ValueError("t must be >= 0")
     return t * hw.power(phase) / SECONDS_PER_HOUR
 
@@ -102,10 +105,16 @@ def effective_ceilings(hw: HardwareProfile) -> tuple[float, float]:
     return hw.mu_comp * hw.f_max, hw.mu_mem * hw.b_max
 
 
-def op_latency(cost: OpCost, hw: HardwareProfile) -> float:
-    """Roofline latency of one operation: max of compute and memory time."""
+def roofline_seconds(flops, nbytes, hw: HardwareProfile):
+    """Roofline latency, max of compute and memory time, of work given as
+    numbers or as arrays of FLOPs and bytes (elementwise)."""
     f_eff, b_eff = effective_ceilings(hw)
-    return max(cost.flops / f_eff, cost.bytes / b_eff)
+    return np.maximum(np.divide(flops, f_eff), np.divide(nbytes, b_eff))
+
+
+def op_latency(cost: OpCost, hw: HardwareProfile) -> float:
+    """Roofline latency of one operation."""
+    return float(roofline_seconds(cost.flops, cost.bytes, hw))
 
 
 def boundedness(cost: OpCost, hw: HardwareProfile) -> Boundedness:

@@ -39,7 +39,6 @@ import io
 import json
 import operator
 import re
-import statistics
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -504,7 +503,7 @@ def histogram(values: Sequence[float], bins) -> HistogramResult:
     Counts always sum to len(values): with explicit edges, out-of-range
     values are clipped into the end bins.
     """
-    data = np.asarray(list(values), dtype=float)
+    data = np.asarray(values, dtype=float)
     if data.size == 0:
         raise EmptyInput("no values to bin")
     if isinstance(bins, int):
@@ -517,11 +516,16 @@ def histogram(values: Sequence[float], bins) -> HistogramResult:
             raise BadEdges("edges must be strictly increasing with at least two entries")
         clipped = np.clip(data, edges[0], edges[-1])
         counts, edges = np.histogram(clipped, bins=edges)
+    # the middle value, or the mean of the middle two, as statistics.median
+    # takes them; np.median would import numpy.ma (~2 MB) on its first call
+    mid = data.size // 2
+    middle = np.partition(data, [mid] if data.size % 2 else [mid - 1, mid])
+    median = middle[mid] if data.size % 2 else (middle[mid - 1] + middle[mid]) / 2
     return HistogramResult(
         edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
         mean=float(np.mean(data)),
-        median=float(statistics.median(data.tolist())),
+        median=float(median),
     )
 
 
@@ -582,19 +586,24 @@ def synthesize_trace(
     return records
 
 
+def decode_fit_rows(decompositions: Sequence[PromptDecomposition]) -> list[PromptDecomposition]:
+    """The decompositions `to_fit_samples` fits as decode rows, in order:
+    those whose decode latency came out positive (the others are out of
+    model range)."""
+    return [d for d in decompositions if d.decode_latency_s > 0]
+
+
 def to_fit_samples(records: Sequence[RunRecord], decompositions: Sequence[PromptDecomposition],
                    component: str = "total") -> FitSamples:
     """The samples `fit` fits: the prefill-only records, in order, as g = 0
-    rows, then the decompositions' decode estimates (decode latency and
-    energy at their output length). Decompositions whose decode latency came
-    out nonpositive are skipped as out of model range. `component` picks
-    which energy the samples carry ('gpu', 'cpu', 'ram', or 'total', the sum
-    gpu + cpu + ram).
+    rows, then the `decode_fit_rows` decode estimates (decode latency and
+    energy at their output length). `component` picks which energy the
+    samples carry ('gpu', 'cpu', 'ram', or 'total', the sum gpu + cpu + ram).
     """
     if component not in COMPONENTS + ("total",):
         raise ValueError(f"unknown component {component!r}")
     prefill = [r for r in records if r.run_kind is _PREFILL_ONLY]
-    decode = [d for d in decompositions if d.decode_latency_s > 0]
+    decode = decode_fit_rows(decompositions)
     if component == "total":
         energy = [r.gpu_wh + r.cpu_wh + r.ram_wh for r in prefill]
     else:

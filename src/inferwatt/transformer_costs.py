@@ -25,16 +25,28 @@ phase is summed in closed form: per class, compute and memory time cross at
 most once, and the g per-step roofline maxima are arithmetic series on either
 side of that step. Its cost is independent of g; the per-token loop it
 replaces is kept in the tests as the oracle the closed form is checked against.
+
+Class costs are array-valued. `_class_costs` is the one definition of the six
+classes' FLOPs and bytes, for a number or an array of token counts, as
+stacks with one row per class (LABELS order) and one column per count.
+`class_latencies` evaluates it once for many (s, g) and returns both phases'
+per-class FLOPs, bytes and seconds as (6, n) stacks; prefill is each class's
+roofline maximum and decode is the closed form above, applied elementwise.
+`predict_prefill_latency` and `predict_decode_latency` are its n = 1 case,
+wrapped in ClassCost/PhaseCostBreakdown; `prefill_costs` and
+`decode_step_costs` wrap single columns of `_class_costs` as OpCosts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConfigError
 from . import kvconfig
-from .roofline import HardwareProfile, OpCost, effective_ceilings, op_latency
+from .roofline import HardwareProfile, OpCost, effective_ceilings, roofline_seconds
 
 SOFTMAX_FLOPS_PER_SCORE = 4
 NORM_FLOPS_PER_ELEMENT = 8
@@ -115,11 +127,17 @@ def kv_cache_bytes(model: ModelSpec, tokens: int) -> float:
     return 2.0 * tokens * model.n_layers * model.kv_dim * model.bytes_per_param
 
 
-def _class_costs(model: ModelSpec, tokens: int, ctx: int | None) -> list[OpCost]:
-    """Per-class costs for one pass over `tokens` positions.
+LABELS = ("embed", "qkv_proj", "attn", "attn_out_proj", "ffn", "lm_head")
 
-    ctx = None means prefill (attention spans the tokens themselves);
-    otherwise a decode step attending over a cached context of ctx tokens.
+
+@np.errstate(all="ignore")  # overflow gives inf, as Python floats do
+def _class_costs(model: ModelSpec, tokens, span) -> tuple[np.ndarray, np.ndarray]:
+    """FLOPs and bytes of the classes in LABELS for one pass over `tokens`
+    positions whose queries attend over `span` positions, as two stacks with
+    one row per class: a prefill has span = tokens, a decode step tokens = 1
+    and span = the cached context. `tokens` and `span` are numbers or arrays
+    of one shape, which the stacks take after their first axis. Counts are
+    formed in float64, so they are exact integers below 2**53.
     """
     n = model.n_layers
     h = model.hidden
@@ -127,62 +145,45 @@ def _class_costs(model: ModelSpec, tokens: int, ctx: int | None) -> list[OpCost]
     ffn = model.ffn_dim
     bpp = model.bytes_per_param
     mats = model.ffn_matrices
-    t = tokens
+    t = np.asarray(tokens, dtype=float)
+    span = np.asarray(span, dtype=float)
+    th = t * h
 
     embed_table = 0.0 if model.tied_embeddings else model.vocab * h * bpp
-    span = t if ctx is None else ctx  # positions each query attends over
+    flops = (
+        0.0 * t,  # embed
+        n * (2.0 * t * h * (h + 2 * kv) + NORM_FLOPS_PER_ELEMENT * th),  # qkv_proj
+        n * (4.0 * t * span * h + SOFTMAX_FLOPS_PER_SCORE * t * span * model.n_heads),  # attn
+        n * 2.0 * t * h * h,  # attn_out_proj
+        n * (mats * 2.0 * t * h * ffn + NORM_FLOPS_PER_ELEMENT * th),  # ffn
+        2.0 * t * h * model.vocab,  # lm_head
+    )
+    nbytes = (
+        embed_table + th * bpp,
+        n * ((h * h + 2 * h * kv) * bpp + th * bpp + t * (h + 2 * kv) * bpp),
+        # fused attention: reads q and the k, v of the span, writes the output
+        n * (th + 2 * span * kv) * bpp + n * t * h * bpp,
+        n * (h * h * bpp + 2 * th * bpp),
+        n
+        * (
+            mats * h * ffn * bpp
+            + ((mats - 1) * th + t * ffn) * bpp  # matmul input reads
+            + ((mats - 1) * t * ffn + th) * bpp  # matmul output writes
+        ),
+        model.vocab * h * bpp + th * bpp + t * model.vocab * bpp,
+    )
+    return np.stack(flops), np.stack(nbytes)
 
-    if ctx is None:
-        attn_flops = n * (4.0 * t * span * h + SOFTMAX_FLOPS_PER_SCORE * t * span * model.n_heads)
-        attn_read = n * t * (h + 2 * kv) * bpp  # fused attention: q, k, v only
-    else:
-        attn_flops = n * (4.0 * span * h + SOFTMAX_FLOPS_PER_SCORE * span * model.n_heads)
-        attn_read = n * (t * h + 2 * span * kv) * bpp  # q plus the KV cache
 
-    return [
-        OpCost(
-            flops=0.0,
-            bytes=embed_table + t * h * bpp,
-            label="embed",
-        ),
-        OpCost(
-            flops=n * (2.0 * t * h * (h + 2 * kv) + NORM_FLOPS_PER_ELEMENT * t * h),
-            bytes=n * ((h * h + 2 * h * kv) * bpp + t * h * bpp + t * (h + 2 * kv) * bpp),
-            label="qkv_proj",
-        ),
-        OpCost(
-            flops=attn_flops,
-            bytes=attn_read + n * t * h * bpp,
-            label="attn",
-        ),
-        OpCost(
-            flops=n * 2.0 * t * h * h,
-            bytes=n * (h * h * bpp + 2 * t * h * bpp),
-            label="attn_out_proj",
-        ),
-        OpCost(
-            flops=n * (mats * 2.0 * t * h * ffn + NORM_FLOPS_PER_ELEMENT * t * h),
-            bytes=n
-            * (
-                mats * h * ffn * bpp
-                + ((mats - 1) * t * h + t * ffn) * bpp  # matmul input reads
-                + ((mats - 1) * t * ffn + t * h) * bpp  # matmul output writes
-            ),
-            label="ffn",
-        ),
-        OpCost(
-            flops=2.0 * t * h * model.vocab,
-            bytes=model.vocab * h * bpp + t * h * bpp + t * model.vocab * bpp,
-            label="lm_head",
-        ),
-    ]
+def _op_costs(flops: np.ndarray, nbytes: np.ndarray) -> list[OpCost]:
+    return [OpCost(f, b, label) for label, f, b in zip(LABELS, flops.tolist(), nbytes.tolist())]
 
 
 def prefill_costs(model: ModelSpec, s: int) -> list[OpCost]:
     """Per-class costs of encoding an s-token prompt, aggregated over layers."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return _class_costs(model, s, ctx=None)
+    return _op_costs(*_class_costs(model, s, s))
 
 
 def decode_step_costs(model: ModelSpec, context_len: int) -> list[OpCost]:
@@ -190,7 +191,79 @@ def decode_step_costs(model: ModelSpec, context_len: int) -> list[OpCost]:
     positions. Weight traffic sums to exactly n_params * bytes_per_param."""
     if context_len < 1:
         raise ValueError("context_len must be >= 1")
-    return _class_costs(model, 1, ctx=context_len)
+    return _op_costs(*_class_costs(model, 1, context_len))
+
+
+class ClassLatency(NamedTuple):
+    """Roofline latency of one phase by class. Each field is a stack with one
+    row per class of LABELS and one column per (s, g): FLOPs, bytes and
+    seconds summed over the phase; for decode also `nonfinite`, which marks
+    the classes whose per-step cost is not finite."""
+
+    flops: np.ndarray
+    bytes: np.ndarray
+    seconds: np.ndarray
+    nonfinite: np.ndarray | None = None
+
+
+@np.errstate(all="ignore")  # `nonfinite` marks an overflowed step cost
+def class_latencies(model: ModelSpec, hw: HardwareProfile, s, g) -> tuple[ClassLatency, ClassLatency]:
+    """Per-class roofline latency of prefilling an s-token prompt and of
+    generating g tokens after it, at each (s, g): numbers or arrays of
+    lengths >= 1 (not checked here). One evaluation of the class costs
+    covers both phases.
+
+    Prefill is each class's roofline maximum. Decode step j = 0..g-1 runs at
+    context s + j; each class's step FLOPs and bytes are affine in j (steps
+    at s and s + 1 give base and slope), so the sum of step maxima is three
+    arithmetic series split at the crossover step. Token counts of 2**53
+    or more raise OverflowError: below that they are exact in float64.
+    """
+    s, g = np.asarray(s), np.asarray(g)
+    if not (s.max() < 2**53 and g.max() < 2**53):
+        raise OverflowError("token counts of 2**53 or more are implausibly large")
+    one = np.ones_like(s)
+    flops, nbytes = _class_costs(model, np.stack([s, one, one]), np.stack([s, s, s + 1]))
+    prefill = ClassLatency(flops[:, 0], nbytes[:, 0], roofline_seconds(flops[:, 0], nbytes[:, 0], hw))
+    f_eff, b_eff = effective_ceilings(hw)
+
+    f0, b0 = flops[:, 1], nbytes[:, 1]
+    df, db = flops[:, 2] - f0, nbytes[:, 2] - b0
+    c0, c1 = f0 / f_eff, df / f_eff
+    m0, m1 = b0 / b_eff, db / b_eff
+    lo, hi = _compute_bound_steps(c0 - m0, c1 - m1, g)
+    seconds = _series(m0, m1, 0, lo) + _series(c0, c1, lo, hi) + _series(m0, m1, hi, g)
+    decode = ClassLatency(_series(f0, df, 0, g), _series(b0, db, 0, g), seconds,
+                          ~np.isfinite(c0 + c1 + m0 + m1))
+    return prefill, decode
+
+
+def step_overflow(nonfinite: np.ndarray) -> OverflowError:
+    """The error for one (s, g) whose decode step cost is not finite, given
+    its column of `ClassLatency.nonfinite`; it names the first such class."""
+    label = LABELS[int(np.argmax(nonfinite))]
+    return OverflowError(f"{label} step cost is not finite; the model is implausibly large")
+
+
+def _series(v0, v1, lo, hi):
+    """Sum of v0 + v1*j over the integers j in [lo, hi), elementwise. The
+    index sum is formed in float64: exact below 2**53, and above it rounded
+    once, as converting the exact integer would round it."""
+    n = hi - lo
+    return n * v0 + v1 * (np.multiply(lo + hi - 1, n, dtype=float) / 2)
+
+
+def _compute_bound_steps(d0, d1, g):
+    """Elementwise, the steps j in [lo, hi) of 0..g-1 where d0 + d1*j > 0:
+    a prefix or a suffix."""
+    flat = d1 == 0
+    # clamping to [-1, g] keeps the same integers on each side of the crossover
+    cross = np.minimum(np.maximum(-d0 / np.where(flat, 1.0, d1), -1.0), g)
+    rising = d1 > 0
+    first = np.minimum(g, np.floor(cross).astype(np.int64) + 1)
+    lo = np.where(flat, np.where(d0 > 0, 0, g), np.where(rising, first, 0))
+    hi = np.where(flat | rising, g, np.maximum(0, np.ceil(cross).astype(np.int64)))
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -215,55 +288,32 @@ class PhaseCostBreakdown:
         object.__setattr__(self, "dominant_class", dominant)
 
 
+def _breakdown(latency: ClassLatency) -> PhaseCostBreakdown:
+    costs = _op_costs(latency.flops, latency.bytes)
+    return PhaseCostBreakdown(tuple(
+        ClassCost(c.label, c, t) for c, t in zip(costs, latency.seconds.tolist())))
+
+
 def predict_prefill_latency(model: ModelSpec, hw: HardwareProfile, s: int) -> PhaseCostBreakdown:
-    """Roofline prefill latency for an s-token prompt."""
-    classes = tuple(
-        ClassCost(c.label, c, op_latency(c, hw)) for c in prefill_costs(model, s)
-    )
-    return PhaseCostBreakdown(classes)
+    """Roofline prefill latency for an s-token prompt, by class: the
+    one-prompt case of `class_latencies`."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    prefill, _ = class_latencies(model, hw, s, 1)
+    return _breakdown(prefill)
 
 
 def predict_decode_latency(
     model: ModelSpec, hw: HardwareProfile, s: int, g: int
 ) -> PhaseCostBreakdown:
-    """Roofline latency of generating g tokens after an s-token prompt.
-
-    Step j = 0..g-1 runs at context s + j; each class's step FLOPs and bytes
-    are affine in j (two step evaluations give base and slope), so the sum of
-    step maxima is three arithmetic series split at the crossover step.
-    """
+    """Roofline latency of generating g tokens after an s-token prompt, by
+    class: the one-interaction case of `class_latencies`."""
     if s < 1 or g < 1:
         raise ValueError("need s >= 1 and g >= 1")
-    f_eff, b_eff = effective_ceilings(hw)
-    classes = []
-    for first, second in zip(decode_step_costs(model, s), decode_step_costs(model, s + 1)):
-        df, db = second.flops - first.flops, second.bytes - first.bytes
-        c0, c1 = first.flops / f_eff, df / f_eff
-        m0, m1 = first.bytes / b_eff, db / b_eff
-        if not math.isfinite(c0 + c1 + m0 + m1):
-            raise OverflowError(f"{first.label} step cost is not finite; the model is implausibly large")
-        lo, hi = _compute_bound_steps(c0 - m0, c1 - m1, g)
-        seconds = _series(m0, m1, 0, lo) + _series(c0, c1, lo, hi) + _series(m0, m1, hi, g)
-        total = OpCost(_series(first.flops, df, 0, g), _series(first.bytes, db, 0, g), first.label)
-        classes.append(ClassCost(first.label, total, seconds))
-    return PhaseCostBreakdown(tuple(classes))
-
-
-def _series(v0: float, v1: float, lo: int, hi: int) -> float:
-    """Sum of v0 + v1*j over the integers j in [lo, hi)."""
-    n = hi - lo
-    return n * v0 + v1 * ((lo + hi - 1) * n // 2)
-
-
-def _compute_bound_steps(d0: float, d1: float, g: int) -> tuple[int, int]:
-    """Steps j in [lo, hi) of 0..g-1 where d0 + d1*j > 0: a prefix or a suffix."""
-    if d1 == 0:
-        return (0, g) if d0 > 0 else (g, g)
-    # clamping to [-1, g] keeps the same integers on each side of the crossover
-    cross = min(max(-d0 / d1, -1.0), float(g))
-    if d1 > 0:
-        return min(g, math.floor(cross) + 1), g
-    return 0, max(0, math.ceil(cross))
+    _, decode = class_latencies(model, hw, s, g)
+    if decode.nonfinite.any():
+        raise step_overflow(decode.nonfinite)
+    return _breakdown(decode)
 
 
 # Model spec files use the field names verbatim; kv_heads defaults to

@@ -98,6 +98,30 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    # Workload columns are int64, and the analytic class costs are formed in
+    # float64, exact below 2**53: counts past those limits are rejected,
+    # although the fitted polynomials would give a finite estimate.
+    @pytest.mark.parametrize("argv,limit", [
+        (["predict", "-s", str(2**63), "-g", "1"], "2**63"),
+        (["compare", "--family", "qwen25", "-s", "900", "-g", str(10**30)], "2**63"),
+        (["predict", "-s", str(2**53), "-g", "1", "--model", "{llama}"], "2**53"),
+        (["compare", "--family", "qwen25", "-s", str(2**53), "-g", "1"], "2**53"),
+    ])
+    def test_token_counts_past_the_int64_or_exact_float64_limit_are_data_error(self, argv, limit,
+                                                                                bad_files, capsys):
+        code, out = run_cli(*(a.format(**bad_files) for a in argv))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: token counts of {limit} or more are implausibly large\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "-s", str(2**63 - 1), "-g", "1"],
+        ["predict", "-s", str(2**53 - 1), "-g", "1", "--model", "{llama}"],
+    ])
+    def test_token_counts_just_below_the_limits_are_estimated(self, argv, bad_files, capsys):
+        code, out = run_cli(*(a.format(**bad_files) for a in argv))
+        assert code == 0 and out
+        assert capsys.readouterr().err == ""
+
 
 class TestArgumentValidation:
     @pytest.mark.parametrize("argv", [
@@ -337,6 +361,29 @@ class TestSynthFitPredictPipeline:
         assert code == 0
         # every grid point gets a prefill-only run, g>=1 points add full runs
         assert json.loads(out)[0]["count"] == 4
+
+    def test_fit_warns_about_each_mixed_length_decode_row(self, tmp_path, capsys):
+        # prompt p's runs disagree on input_tokens (10 and 500), so its
+        # decode row sits at their rounded mean; q, r and t are consistent
+        def run(pid, kind, s, g):
+            full = kind is RunKind.FULL
+            return RunRecord(pid, kind, s, g if full else 1, 1e-3 * s + 0.02 * g * full,
+                             1e-5 * s + 1e-4 * g * full, 0.0, 0.0, "m", "fp32", 1)
+
+        runs = [("p", RunKind.PREFILL_ONLY, 10, 20), ("p", RunKind.FULL, 10, 20), ("p", RunKind.FULL, 500, 20)]
+        runs += [(pid, kind, s, g) for pid, s, g in (("q", 300, 40), ("r", 700, 80), ("t", 900, 160))
+                 for kind in (RunKind.PREFILL_ONLY, RunKind.FULL)]
+        path = tmp_path / "mixed.csv"
+        path.write_text(write_records([run(*r) for r in runs]))
+        code, out = run_cli("fit", "--trace", str(path))
+        warnings = [ln for ln in capsys.readouterr().err.splitlines() if "input lengths" in ln]
+        assert code == 0 and "decode_energy.c" in out
+        assert warnings == ["warning: prompt 'p' (model 'm', precision 'fp32', batch 1) mixes input "
+                            "lengths; its decode row is fitted at their rounded mean s=255"]
+
+        path.write_text(write_records([run(*r) for r in runs if r[0] != "p"]))
+        run_cli("fit", "--trace", str(path))
+        assert "input lengths" not in capsys.readouterr().err
 
     def test_out_of_range_synth_grid_is_data_error(self):
         code, _ = run_cli("synth", "--s-values", "1", "--g-values", "1")

@@ -1,10 +1,17 @@
 import itertools
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from inferwatt import estimator, phase_model, transformer_costs
 from inferwatt.bundled import qwen_family, reference_trace_text
+from inferwatt.errors import ModelOutOfRangeWarning
 from inferwatt.estimator import (
     AnalyticSource,
+    EnergyBreakdown,
     FittedSource,
     WorkloadEntry,
     WorkloadSpec,
@@ -14,7 +21,64 @@ from inferwatt.estimator import (
     fleet_extrapolate,
     led_equivalent_minutes,
 )
+from inferwatt.phase_model import (
+    CoefficientSet,
+    DecodeEnergyCoeffs,
+    PrefillEnergyCoeffs,
+    eval_decode_energy,
+    eval_prefill_energy,
+)
+from inferwatt.roofline import HardwareProfile, Phase, energy_from_power
 from inferwatt.traces import aggregate, parse_records
+from inferwatt.transformer_costs import (
+    ModelSpec,
+    decode_step_costs,
+    predict_decode_latency,
+    predict_prefill_latency,
+)
+
+
+# --- the per-entry scalar path, kept as the reference -----------------------
+
+
+def _scalar_phase_energies(source, s, g):
+    """One interaction's phase energies from the scalar evaluators."""
+    if isinstance(source, FittedSource):
+        return (eval_prefill_energy(source.coeffs.prefill_energy, s),
+                eval_decode_energy(source.coeffs.decode_energy, s, g))
+    t_prefill = predict_prefill_latency(source.model, source.hw, s).total_seconds
+    t_decode = predict_decode_latency(source.model, source.hw, s, g).total_seconds
+    return (energy_from_power(Phase.PREFILL, t_prefill, source.hw),
+            energy_from_power(Phase.DECODE, t_decode, source.hw))
+
+
+def _interaction_oracle(source, s, g):
+    if s < 1 or g < 1:
+        raise ValueError("need s >= 1 and g >= 1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ModelOutOfRangeWarning)
+        prefill_wh, decode_wh = _scalar_phase_energies(source, s, g)
+    notes = tuple(str(w.message) for w in caught if issubclass(w.category, ModelOutOfRangeWarning))
+    return EnergyBreakdown(prefill_wh, decode_wh, source.provenance, notes)
+
+
+def _estimate_workload_oracle(source, workload):
+    """estimate_workload as a per-entry loop: one scalar evaluation and one
+    warnings block per entry, weighted means as Python sums."""
+    per_entry = [(e, _interaction_oracle(source, e.s, e.g)) for e in workload.entries]
+    total_weight = sum(e.weight for e in workload.entries)
+    prefill = sum(e.weight * b.prefill_wh for e, b in per_entry) / total_weight
+    decode = sum(e.weight * b.decode_wh for e, b in per_entry) / total_weight
+    notes = tuple(dict.fromkeys(note for _, b in per_entry for note in b.warnings))
+    return EnergyBreakdown(prefill, decode, source.provenance, notes), per_entry
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
 
 
 class TestEstimateInteraction:
@@ -190,3 +254,257 @@ class TestWorkloadValidation:
         from inferwatt.phase_model import CoefficientSet
         with pytest.raises(InferwattError):
             FittedSource(CoefficientSet(prefill_latency=coeffs.prefill_latency))
+
+
+# --- one array evaluation against the per-entry loop ------------------------
+
+
+def _bits(breakdown):
+    """Everything a breakdown reports, floats as their exact bit patterns."""
+    return (breakdown.prefill_wh.hex(), breakdown.decode_wh.hex(), breakdown.total_wh.hex(),
+            breakdown.provenance, breakdown.warnings)
+
+
+def _assert_matches_oracle(source, workload, rel=None):
+    """estimate_workload equals the per-entry loop: bitwise when rel is None,
+    else within rel; entries, order and warning texts always exactly."""
+    mean, per_entry = estimate_workload(source, workload)
+    want_mean, want_entries = _estimate_workload_oracle(source, workload)
+    assert [e for e, _ in per_entry] == [e for e, _ in want_entries]
+    pairs = [(mean, want_mean)] + [(b, w) for (_, b), (_, w) in zip(per_entry, want_entries)]
+    for got, want in pairs:
+        if rel is None:
+            assert _bits(got) == _bits(want)
+        else:
+            assert (got.provenance, got.warnings) == (want.provenance, want.warnings)
+            for name in ("prefill_wh", "decode_wh", "total_wh"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=rel, abs=0), name
+    return mean
+
+
+workloads = st.lists(
+    st.builds(WorkloadEntry, st.integers(1, 30_000), st.integers(1, 5000), st.floats(0.01, 100.0)),
+    min_size=1, max_size=30,
+).map(lambda entries: WorkloadSpec(tuple(entries)))
+
+
+@st.composite
+def fitted_sources(draw):
+    # slopes and intercepts of either sign, so that both phases have rows <= 0
+    prefill = PrefillEnergyCoeffs(a=draw(st.floats(-1e-5, 1e-4)), b=draw(st.floats(-0.05, 0.05)))
+    decode = DecodeEnergyCoeffs(c=draw(st.floats(-1e-3, 3e-3)), d=draw(st.floats(-1e-7, 3e-7)),
+                                g_intercept=draw(st.floats(-0.05, 0.05)))
+    return FittedSource(CoefficientSet(prefill_energy=prefill, decode_energy=decode))
+
+
+@st.composite
+def small_models(draw):
+    head_dim = draw(st.sampled_from([8, 16, 32, 64]))
+    n_heads = draw(st.integers(1, 8))
+    return ModelSpec(
+        n_layers=draw(st.integers(1, 4)),
+        hidden=n_heads * head_dim,
+        n_heads=n_heads,
+        head_dim=head_dim,
+        ffn_dim=draw(st.integers(1, 1024)),
+        vocab=draw(st.integers(1, 4000)),
+        bytes_per_param=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
+        kv_heads=draw(st.sampled_from([d for d in range(1, n_heads + 1) if n_heads % d == 0])),
+        gated_ffn=draw(st.booleans()),
+        tied_embeddings=draw(st.booleans()),
+    )
+
+
+def _attn_intensity(model, ctx):
+    attn = next(c for c in decode_step_costs(model, ctx) if c.label == "attn")
+    return attn.flops / attn.bytes
+
+
+class TestArrayEstimatorMatchesPerEntryLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(source=fitted_sources(), workload=workloads)
+    def test_fitted_source_bitwise(self, source, workload):
+        _assert_matches_oracle(source, workload)
+
+    def test_bundled_coefficients_on_a_politeness_mix_bitwise(self, coeffs):
+        rng = np.random.default_rng(3)
+        s = np.concatenate([rng.integers(300, 1500, 300), rng.integers(1500, 9001, 100)])
+        g = np.concatenate([rng.integers(20, 150, 300), rng.integers(1, 9, 100)])
+        w = rng.uniform(0.5, 2.0, 400)
+        workload = WorkloadSpec(tuple(WorkloadEntry(int(a), int(b), float(c)) for a, b, c in zip(s, g, w)))
+        mean = _assert_matches_oracle(FittedSource(coeffs), workload)
+        assert mean.warnings  # the short replies after long contexts are flagged
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=small_models(), first=st.tuples(st.integers(1, 2000), st.integers(2, 5000)),
+           where=st.floats(0.0, 1.0), mu=st.sampled_from([(1.0, 1.0), (0.675, 0.443)]),
+           power=st.tuples(st.floats(50.0, 700.0), st.floats(50.0, 700.0)), workload=workloads)
+    def test_analytic_source_across_a_crossover(self, model, first, where, mu, power, workload):
+        # a device balance between the attention class's first- and last-step
+        # intensity of the first entry makes that class change regime inside
+        # its generation; the other entries fall on either side
+        s, g = first
+        lo, hi = _attn_intensity(model, s), _attn_intensity(model, s + g - 1)
+        balance = lo + where * (hi - lo)
+        b_max = 1e12
+        hw = HardwareProfile(f_max=balance * b_max * mu[1] / mu[0], b_max=b_max, mu_comp=mu[0],
+                             mu_mem=mu[1], p_prefill=power[0], p_decode=power[1])
+        workload = WorkloadSpec((WorkloadEntry(s, g, 1.0),) + workload.entries)
+        _assert_matches_oracle(AnalyticSource(model, hw), workload, rel=1e-12)
+
+    def test_bundled_model_on_a_chat_mix(self, llama8b, hw):
+        workload = WorkloadSpec.parametric(900, 200, 82, 30, count=200, seed=4)
+        _assert_matches_oracle(AnalyticSource(llama8b, hw), workload, rel=1e-12)
+
+    # The errors are pinned as the previous per-entry code raised them.
+    @pytest.mark.parametrize("analytic,entries,error", [
+        (True, [(900, 82)], "embed step cost is not finite; the model is implausibly large"),
+        (True, [(1, 1), (900, 82), (5, 5)], "embed step cost is not finite; the model is implausibly large"),
+        (False, [(900, 82)], "energy estimate inf Wh is not finite; inputs are implausibly large"),
+        (False, [(1, 1), (900, 82), (5, 5)], "energy estimate inf Wh is not finite; inputs are implausibly large"),
+    ])
+    def test_overflowing_inputs_raise_the_previous_errors(self, coeffs, llama8b, hw, analytic, entries, error):
+        if analytic:
+            source = AnalyticSource(ModelSpec(**{**vars(llama8b), "bytes_per_param": 1e308}), hw)
+        else:
+            source = FittedSource(CoefficientSet(prefill_energy=PrefillEnergyCoeffs(a=1e308, b=0.0),
+                                                 decode_energy=coeffs.decode_energy))
+        workload = WorkloadSpec(tuple(WorkloadEntry(s, g) for s, g in entries))
+        assert _outcome(estimate_workload, source, workload) == (OverflowError, error)
+
+    # 10**300 layers of width 1: the prefill of a 10**4-token prompt
+    # overflows while its decode steps do not; decode steps at a 10**8
+    # context overflow too. Whichever entry comes first is reported.
+    @pytest.mark.parametrize("entries,error", [
+        ([(10**4, 1), (10**8, 1)], "energy estimate inf Wh is not finite; inputs are implausibly large"),
+        # the previous code formed these counts as Python ints and raised
+        # "int too large to convert to float" here
+        ([(10**8, 1), (10**4, 1)], "attn step cost is not finite; the model is implausibly large"),
+    ])
+    def test_an_earlier_entry_that_overflows_is_reported_first(self, hw, entries, error):
+        model = ModelSpec(n_layers=10**300, hidden=1, n_heads=1, head_dim=1, ffn_dim=1, vocab=1)
+        workload = WorkloadSpec(tuple(WorkloadEntry(s, g) for s, g in entries))
+        assert _outcome(estimate_workload, AnalyticSource(model, hw), workload) == (OverflowError, error)
+
+    @pytest.mark.parametrize("s,g", [(0, 5), (5, 0)])
+    def test_bad_lengths_raise_the_previous_error(self, coeffs, llama8b, hw, s, g):
+        for source in (FittedSource(coeffs), AnalyticSource(llama8b, hw)):
+            got = _outcome(estimate_interaction, source, s, g)
+            assert got == (ValueError, "need s >= 1 and g >= 1")
+
+
+class TestPinnedAnalyticEnergies:
+    # Figures of the per-token and per-entry scalar code this closed form
+    # and array path replaced; any change to the counting rules moves them.
+    @pytest.mark.parametrize("s,g,prefill_wh,decode_wh", [
+        (900, 82, 0.05882857733028402, 0.1456044100214533),
+        (9000, 1, 0.7476919501379602, 0.0018915318295864541),
+        (1, 1, 0.004113703721788349, 0.0017621567112338983),
+        (30000, 5000, 3.8901876564442075, 11.146874946202022),
+    ])
+    def test_llama_on_the_reference_profile(self, llama8b, hw, s, g, prefill_wh, decode_wh):
+        b = estimate_interaction(AnalyticSource(llama8b, hw), s, g)
+        assert (b.prefill_wh, b.decode_wh) == (prefill_wh, decode_wh)
+
+    def test_qwen_family_at_the_reference_point(self, hw):
+        want = [(0.004034426782939478, 0.009002129952842261),
+                (0.012266069443503926, 0.028032293555751715),
+                (0.024351450158701746, 0.05585477603644681),
+                (0.05513031794598116, 0.13751942038279932),
+                (0.10958710036518986, 0.26741625380200273)]
+        got = [estimate_interaction(AnalyticSource(spec, hw), 900, 82) for spec in qwen_family()]
+        assert [(b.prefill_wh, b.decode_wh) for b in got] == want
+
+
+class TestOneEvaluationPerWorkload:
+    @pytest.mark.parametrize("n", [1, 10, 2000])
+    def test_phase_energies_called_once_and_no_scalar_evaluator(self, coeffs, llama8b, hw,
+                                                                 monkeypatch, n):
+        calls = []
+        for cls in (FittedSource, AnalyticSource):
+            real = cls.phase_energies
+
+            def counting(self, s, g, real=real):
+                calls.append(len(s))
+                return real(self, s, g)
+
+            monkeypatch.setattr(cls, "phase_energies", counting)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-entry evaluator was called")
+
+        for module in (phase_model, transformer_costs, estimator):
+            for name in ("eval_prefill_latency", "eval_decode_latency", "eval_prefill_energy",
+                         "eval_decode_energy", "predict_prefill_latency", "predict_decode_latency"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        # one-token replies: the fitted source flags their decode energy
+        workload = WorkloadSpec.parametric(900, 300, 1, 0, count=n, seed=n)
+        for source in (FittedSource(coeffs), AnalyticSource(llama8b, hw)):
+            calls.clear()
+            _, per_entry = estimate_workload(source, workload)
+            assert calls == [n]
+            assert len(per_entry) == n
+        assert all(b.warnings for _, b in estimate_workload(FittedSource(coeffs), workload)[1])
+
+
+class TestWorkloadColumns:
+    def test_columns_hold_the_entries(self):
+        workload = WorkloadSpec((WorkloadEntry(500, 20, 3.0), WorkloadEntry(1500, 60)))
+        assert workload.s.dtype == np.int64 and workload.s.tolist() == [500, 1500]
+        assert workload.g.dtype == np.int64 and workload.g.tolist() == [20, 60]
+        assert workload.weight.dtype == np.float64 and workload.weight.tolist() == [3.0, 1.0]
+
+    def test_columns_are_read_only(self):
+        workload = WorkloadSpec.single(10, 5)
+        for column in (workload.s, workload.g, workload.weight):
+            with pytest.raises(ValueError):
+                column[0] = 2
+
+    def test_equality_and_hash_follow_the_entries(self):
+        a = WorkloadSpec.parametric(900, 50, 82, 6, count=20, seed=1)
+        b = WorkloadSpec(a.entries)
+        assert a == b and hash(a) == hash(b)
+        assert "array" not in repr(a)
+
+    def test_means_are_the_entry_loop_sums(self):
+        workload = WorkloadSpec.parametric(900, 200, 82, 30, count=300, seed=2)
+        entries = workload.entries
+        total = sum(e.weight for e in entries)
+        assert workload.mean_s == sum(e.s * e.weight for e in entries) / total
+        assert workload.mean_g == sum(e.g * e.weight for e in entries) / total
+
+    @pytest.mark.parametrize("entry", [WorkloadEntry(2.5, 3), WorkloadEntry(3, 1.5)])
+    def test_fractional_token_counts_rejected(self, entry):
+        with pytest.raises(ValueError, match="whole numbers"):
+            WorkloadSpec((entry,))
+
+    @pytest.mark.parametrize("s", [2**63, 2**64, 10**30])
+    def test_counts_beyond_int64_overflow(self, s):
+        with pytest.raises(OverflowError, match="implausibly large"):
+            WorkloadSpec.single(s, 1)
+
+    def test_whole_float_counts_become_integers(self):
+        workload = WorkloadSpec((WorkloadEntry(3.0, 4.0),))
+        assert workload.s.dtype == np.int64 and workload.s.tolist() == [3]
+
+
+class TestCompareModelsGrid:
+    def test_grid_and_rows_match_the_scalar_path(self, hw):
+        family = qwen_family()
+        workload = WorkloadSpec((WorkloadEntry(900, 82, 2.0), WorkloadEntry(3000, 7, 0.5)))
+        comparison = compare_models(family, hw, workload, contour_g=(1, 16, 4096))
+        specs = {spec.name: spec for spec in family}
+        grid_s = round(workload.mean_s)
+        assert len(comparison.grid) == 3 * len(family)
+        for point in comparison.grid:
+            t = predict_decode_latency(specs[point.name], hw, grid_s, point.g).total_seconds
+            want = energy_from_power(Phase.DECODE, t, hw)
+            assert point.decode_wh == pytest.approx(want, rel=1e-12, abs=0)
+        for row in comparison.rows:
+            want, _ = _estimate_workload_oracle(AnalyticSource(specs[row.name], hw), workload)
+            assert row.mean_total_wh == pytest.approx(want.total_wh, rel=1e-12, abs=0)
+
+    def test_contour_lengths_must_be_positive(self, llama8b, hw):
+        with pytest.raises(ValueError, match="need s >= 1 and g >= 1"):
+            compare_models([llama8b], hw, WorkloadSpec.single(900, 82), contour_g=(16, 0))

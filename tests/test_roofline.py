@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from inferwatt.roofline import (
     op_latency,
     profile_from_kv,
     profile_to_kv,
+    roofline_seconds,
 )
 from inferwatt.transformer_costs import ClassCost, PhaseCostBreakdown
 
@@ -101,6 +103,13 @@ def test_latency_is_the_larger_single_resource_time(flops, nbytes):
     t = op_latency(OpCost(flops, nbytes), hw)
     assert t == max(flops / f_eff, nbytes / b_eff)
     assert t >= max(flops, nbytes) / max(f_eff, b_eff)
+
+
+@given(st.lists(st.tuples(positive, positive), min_size=1, max_size=8))
+def test_array_latency_is_op_latency_elementwise(pairs):
+    hw = make_hw()
+    flops, nbytes = np.array(pairs).T
+    assert roofline_seconds(flops, nbytes, hw).tolist() == [op_latency(OpCost(f, b), hw) for f, b in pairs]
 
 
 @given(flops=positive, nbytes=positive, extra=positive)

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import random
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,23 @@ class TestHistogram:
     def test_empty_values(self):
         with pytest.raises(EmptyInput):
             histogram([], bins=3)
+
+    @pytest.mark.parametrize("values,median", [([3.0, 1.0, 2.0], 2.0), ([4.0, 1.0, 2.5, 3.0], 2.75)])
+    def test_pinned_result_on_odd_and_even_lengths(self, values, median):
+        result = histogram(values, bins=[1.0, 2.0, 4.0])
+        assert result == traces.HistogramResult(
+            edges=(1.0, 2.0, 4.0), counts=(1, len(values) - 1),
+            mean=sum(values) / len(values), median=median)
+
+    def test_median_is_the_statistics_median_on_every_length(self):
+        # the median of the middle one or two sorted values, as
+        # statistics.median gives it, for inputs as lists or arrays
+        rng = np.random.default_rng(13)
+        for n in range(1, 200):
+            values = rng.lognormal(-3.0, 1.0, n)
+            want = statistics.median(values.tolist())
+            assert histogram(values, bins=5).median == want
+            assert histogram(values.tolist(), bins=5).median == want
 
 
 class TestToFitSamples:

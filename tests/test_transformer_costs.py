@@ -336,32 +336,44 @@ class TestClosedFormDecode:
         _assert_matches_oracle(llama8b, hw, s, g)
 
     def test_step_evaluations_independent_of_g(self, llama8b, hw, monkeypatch):
+        # one evaluation of the class costs covers the prefill and the decode
+        # steps at contexts s and s + 1, whatever g is
         calls = []
-        real = transformer_costs.decode_step_costs
+        real = transformer_costs._class_costs
 
-        def counting(model, context_len):
-            calls.append(context_len)
-            return real(model, context_len)
+        def counting(model, tokens, span):
+            calls.append(np.shape(span))
+            return real(model, tokens, span)
 
-        monkeypatch.setattr(transformer_costs, "decode_step_costs", counting)
-        counts = []
+        monkeypatch.setattr(transformer_costs, "_class_costs", counting)
         for g in (1, 100, 10000):
             calls.clear()
             predict_decode_latency(llama8b, hw, 500, g)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == counts[2] <= 2
+            assert calls == [(3,)]
 
     @pytest.mark.parametrize("s,g", [(0, 5), (5, 0)])
     def test_rejects_empty_prompt_or_generation(self, llama8b, hw, s, g):
         with pytest.raises(ValueError):
             predict_decode_latency(llama8b, hw, s, g)
 
+    @pytest.mark.parametrize("s,g", [(2**53, 5), (5, 2**53), (2**70, 5)])
+    def test_token_counts_beyond_float_exactness_overflow(self, llama8b, hw, s, g):
+        with pytest.raises(OverflowError, match="implausibly large"):
+            predict_decode_latency(llama8b, hw, s, g)
+        if s > 5:
+            with pytest.raises(OverflowError, match="implausibly large"):
+                predict_prefill_latency(llama8b, hw, s)
+
     @settings(max_examples=200, deadline=None)
-    @given(d0=st.integers(-1000, 1000), d1=st.integers(-20, 20), g=st.integers(1, 300))
-    def test_compute_bound_steps_are_where_the_difference_is_positive(self, d0, d1, g):
-        # integer-valued differences keep the reference comparison exact
-        lo, hi = _compute_bound_steps(float(d0), float(d1), g)
-        assert [j for j in range(g) if d0 + d1 * j > 0] == list(range(lo, hi))
+    @given(rows=st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-20, 20), st.integers(1, 300)),
+                         min_size=1, max_size=8))
+    def test_compute_bound_steps_are_where_the_difference_is_positive(self, rows):
+        # integer-valued differences keep the reference comparison exact;
+        # each row of the arrays is split on its own
+        d0, d1, g = (np.array(column) for column in zip(*rows))
+        lo, hi = _compute_bound_steps(d0.astype(float), d1.astype(float), g)
+        for (a, b, n), first, last in zip(rows, lo.tolist(), hi.tolist()):
+            assert [j for j in range(n) if a + b * j > 0] == list(range(first, last))
 
 
 def decode_grid(specs, hw, s, g):
