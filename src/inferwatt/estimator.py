@@ -282,10 +282,11 @@ def estimate_interaction(source, s: int, g: int) -> EnergyBreakdown:
 
 def led_equivalent_minutes(wh: float, led_watts: float = DEFAULT_LED_WATTS) -> float:
     """Minutes a LED bulb of the given wattage runs on this much energy."""
-    if wh < 0:
-        raise ValueError("wh must be >= 0")
-    if not led_watts > 0:
-        raise ValueError("led_watts must be positive")
+    # chained comparisons against inf: NaN fails each of them
+    if not 0 <= wh < math.inf:
+        raise ValueError("wh must be finite and >= 0")
+    if not 0 < led_watts < math.inf:
+        raise ValueError("led_watts must be positive and finite")
     minutes = wh / led_watts * 60.0
     if not math.isfinite(minutes):
         raise OverflowError("LED equivalent overflowed; inputs are implausibly large")
@@ -296,11 +297,11 @@ def fleet_extrapolate(
     per_interaction_wh: float, interactions_per_day: float
 ) -> tuple[float, float]:
     """Scale one interaction to fleet level: (kWh per day, MWh per year)."""
-    if per_interaction_wh < 0 or interactions_per_day < 0:
-        raise ValueError("inputs must be >= 0")
+    if not (0 <= per_interaction_wh < math.inf and 0 <= interactions_per_day < math.inf):
+        raise ValueError("inputs must be finite and >= 0")
     kwh_per_day = per_interaction_wh * interactions_per_day / 1000.0
     mwh_per_year = kwh_per_day * DAYS_PER_YEAR / 1000.0
-    if math.isinf(kwh_per_day) or math.isinf(mwh_per_year):
+    if not (math.isfinite(kwh_per_day) and math.isfinite(mwh_per_year)):
         raise OverflowError("fleet extrapolation overflowed; inputs are implausibly large")
     return kwh_per_day, mwh_per_year
 

@@ -5,12 +5,19 @@ One `key = value` pair per line. A line whose first non-blank character is
 of the value (`name = H100 #2` reads as `H100 #2`).
 Used for hardware profiles, model specs, and coefficient files so that every
 configurable input is a plain, diffable text file.
+
+Each file's schema is the frozen dataclass it is read into (`read_fields`):
+its keys are the field names, each field's annotation (`float`, `int`,
+`int | None`, `bool` or `str`) gives the conversion of its value, and a field
+with a default may be omitted unless the field says a file must state it
+(`field(default=..., metadata={"required": True})`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable
+from dataclasses import MISSING, fields
+from typing import Iterable, Mapping
 
 from .errors import ConfigError
 
@@ -51,34 +58,48 @@ def format_kv(pairs: Iterable[tuple[str, str]], header: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def get_float(kv: dict, key: str, default: float | None = None) -> float:
-    if key not in kv:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: {kv[key]!r} is not a number") from None
-
-
-def get_int(kv: dict, key: str, default: int | None = None) -> int:
-    if key not in kv:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: {kv[key]!r} is not an integer") from None
-
-
-def get_bool(kv: dict, key: str, default: bool) -> bool:
-    if key not in kv:
-        return default
-    value = kv[key].lower()
+def _bool(text: str) -> bool:
+    value = text.lower()
     if value in ("true", "yes", "1"):
         return True
     if value in ("false", "no", "0"):
         return False
-    raise ConfigError(f"key {key!r}: {kv[key]!r} is not a boolean")
+    raise ValueError(text)
+
+
+# annotation text (as `from __future__ import annotations` leaves `Field.type`)
+# -> (conversion, what a value must be)
+_CONVERSIONS = {
+    "float": (float, "a number"),
+    "int": (int, "an integer"),
+    "int | None": (int, "an integer"),
+    "bool": (_bool, "a boolean"),
+    "str": (str, "text"),
+}
+
+
+def read_fields(cls, kv: Mapping[str, str], what: str, prefix: str = ""):
+    """Build the dataclass `cls` from raw pairs keyed by its field names.
+    `prefix` is what the file writes before each name (a coefficient group),
+    so that every message names the key as the file has it. An unknown or
+    missing key, an unreadable value or a ValueError of the constructor
+    raises one ConfigError; the constructor's message is kept after the
+    prefix, so one that begins with a field name names its key."""
+    schema = fields(cls)
+    unknown = kv.keys() - {f.name for f in schema}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(prefix + key for key in unknown)}")
+    values = {}
+    for f in schema:
+        if f.name in kv:
+            convert, expected = _CONVERSIONS[f.type]
+            try:
+                values[f.name] = convert(kv[f.name])
+            except ValueError:
+                raise ConfigError(f"key {prefix + f.name!r}: {kv[f.name]!r} is not {expected}") from None
+        elif (f.default is MISSING and f.default_factory is MISSING) or f.metadata.get("required"):
+            raise ConfigError(f"missing required key {prefix + f.name!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from None

@@ -354,22 +354,18 @@ def format_coefficients(cs: CoefficientSet, header: str = "") -> str:
 
 
 def coefficients_from_kv(kv: dict) -> CoefficientSet:
-    groups: dict[str, dict[str, float]] = {}
+    groups: dict[str, dict[str, str]] = {}
+    unknown = []
     for key, raw in kv.items():
-        group, _, field = key.partition(".")
-        if group not in _FAMILIES or field not in {f.name for f in fields(_FAMILIES[group])}:
-            raise ConfigError(f"unknown coefficient key {key!r}")
-        try:
-            groups.setdefault(group, {})[field] = float(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: {raw!r} is not a number") from None
-    built = {}
-    for group, values in groups.items():
-        missing = {f.name for f in fields(_FAMILIES[group])} - set(values)
-        if missing:
-            raise ConfigError(f"coefficient group {group!r} missing {sorted(missing)}")
-        built[group] = _FAMILIES[group](**values)
-    return CoefficientSet(**built)
+        group, dot, name = key.partition(".")
+        if dot and group in _FAMILIES:
+            groups.setdefault(group, {})[name] = raw
+        else:
+            unknown.append(key)
+    if unknown:
+        raise ConfigError(f"unknown coefficient keys: {sorted(unknown)}")
+    return CoefficientSet(**{group: kvconfig.read_fields(_FAMILIES[group], values, "coefficient", f"{group}.")
+                             for group, values in groups.items()})
 
 
 def parse_coefficients(text: str) -> CoefficientSet:

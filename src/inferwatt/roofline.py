@@ -18,11 +18,10 @@ overlapped schedule of the same work. Kernel launch overhead is not modeled.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError
 from . import kvconfig
 
 # Calibrated efficiency factors for FP32 transformer inference on an
@@ -59,8 +58,8 @@ class HardwareProfile:
     b_max: float
     mu_comp: float = DEFAULT_MU_COMP
     mu_mem: float = DEFAULT_MU_MEM
-    p_prefill: float = 1.0
-    p_decode: float = 1.0
+    p_prefill: float = field(default=1.0, metadata={"required": True})
+    p_decode: float = field(default=1.0, metadata={"required": True})
     name: str = ""
 
     def __post_init__(self):
@@ -132,26 +131,10 @@ def boundedness(cost: OpCost, hw: HardwareProfile) -> Boundedness:
     return Boundedness.BALANCED
 
 
-# Profile file keys match the HardwareProfile field names; mu_comp / mu_mem
-# fall back to the calibrated defaults when omitted.
+# A profile file must state the phase powers, which the class defaults.
 
 def profile_from_kv(kv: dict) -> HardwareProfile:
-    known = {"name", "f_max", "b_max", "mu_comp", "mu_mem", "p_prefill", "p_decode"}
-    unknown = set(kv) - known
-    if unknown:
-        raise ConfigError(f"unknown hardware profile keys: {sorted(unknown)}")
-    try:
-        return HardwareProfile(
-            f_max=kvconfig.get_float(kv, "f_max"),
-            b_max=kvconfig.get_float(kv, "b_max"),
-            mu_comp=kvconfig.get_float(kv, "mu_comp", DEFAULT_MU_COMP),
-            mu_mem=kvconfig.get_float(kv, "mu_mem", DEFAULT_MU_MEM),
-            p_prefill=kvconfig.get_float(kv, "p_prefill"),
-            p_decode=kvconfig.get_float(kv, "p_decode"),
-            name=kv.get("name", ""),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return kvconfig.read_fields(HardwareProfile, kv, "hardware profile")
 
 
 def load_profile(path) -> HardwareProfile:
@@ -159,12 +142,4 @@ def load_profile(path) -> HardwareProfile:
 
 
 def profile_to_kv(hw: HardwareProfile) -> list[tuple[str, str]]:
-    return [
-        ("name", hw.name),
-        ("f_max", repr(hw.f_max)),
-        ("b_max", repr(hw.b_max)),
-        ("mu_comp", repr(hw.mu_comp)),
-        ("mu_mem", repr(hw.mu_mem)),
-        ("p_prefill", repr(hw.p_prefill)),
-        ("p_decode", repr(hw.p_decode)),
-    ]
+    return [(f.name, str(getattr(hw, f.name))) for f in fields(hw)]

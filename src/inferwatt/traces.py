@@ -548,12 +548,19 @@ def synthesize_trace(
     are zero. Deterministic for a fixed seed. A grid point where a polynomial
     is nonpositive, or a drawn value no RunRecord can hold (nonpositive or
     non-finite, as large noise or overflowing coefficients give), raises
-    InferwattError.
+    InferwattError; a plan point that is not a pair of whole numbers with
+    s >= 1 and g >= 0 raises ValueError before anything is drawn.
     """
     if noise < 0:
         raise ValueError("noise must be >= 0")
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    points = []
+    for s, g in plan:
+        # NaN and inf fail the range checks before int() sees them
+        if not (1 <= s < _INF and 0 <= g < _INF and s == int(s) and g == int(g)):
+            raise ValueError(f"plan point (s={s!r}, g={g!r}) needs whole numbers s >= 1 and g >= 0")
+        points.append((int(s), int(g)))
     if coeffs.prefill_latency is None or coeffs.prefill_energy is None:
         raise InferwattError("trace synthesis needs prefill latency and energy coefficients")
     rng = np.random.default_rng(seed)
@@ -562,7 +569,7 @@ def synthesize_trace(
         return value if noise == 0.0 else value * (1.0 + noise * rng.standard_normal())
 
     records = []
-    for idx, (s, g) in enumerate(plan):
+    for idx, (s, g) in enumerate(points):
         if g >= 1 and (coeffs.decode_latency is None or coeffs.decode_energy is None):
             raise InferwattError("plan has g>=1 points but no decode coefficients")
         with warnings.catch_warnings():

@@ -44,7 +44,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
 from . import kvconfig
 from .roofline import HardwareProfile, OpCost, effective_ceilings, roofline_seconds
 
@@ -316,44 +315,10 @@ def predict_decode_latency(
     return _breakdown(decode)
 
 
-# Model spec files use the field names verbatim; kv_heads defaults to
-# n_heads when omitted.
-
-_MODEL_KEYS = {
-    "name",
-    "n_layers",
-    "hidden",
-    "n_heads",
-    "head_dim",
-    "ffn_dim",
-    "vocab",
-    "bytes_per_param",
-    "kv_heads",
-    "gated_ffn",
-    "tied_embeddings",
-}
-
+# kv_heads defaults to n_heads when a model spec file omits it.
 
 def model_from_kv(kv: dict) -> ModelSpec:
-    unknown = set(kv) - _MODEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown model spec keys: {sorted(unknown)}")
-    try:
-        return ModelSpec(
-            n_layers=kvconfig.get_int(kv, "n_layers"),
-            hidden=kvconfig.get_int(kv, "hidden"),
-            n_heads=kvconfig.get_int(kv, "n_heads"),
-            head_dim=kvconfig.get_int(kv, "head_dim"),
-            ffn_dim=kvconfig.get_int(kv, "ffn_dim"),
-            vocab=kvconfig.get_int(kv, "vocab"),
-            bytes_per_param=kvconfig.get_float(kv, "bytes_per_param", 4.0),
-            kv_heads=kvconfig.get_int(kv, "kv_heads") if "kv_heads" in kv else None,
-            gated_ffn=kvconfig.get_bool(kv, "gated_ffn", False),
-            tied_embeddings=kvconfig.get_bool(kv, "tied_embeddings", False),
-            name=kv.get("name", ""),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return kvconfig.read_fields(ModelSpec, kv, "model spec")
 
 
 def load_model(path) -> ModelSpec:

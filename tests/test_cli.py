@@ -44,6 +44,8 @@ def bad_files(tmp_path_factory):
         "huge_model": llama.replace("bytes_per_param = 4", "bytes_per_param = 1e308"),
         "inf_hw": hw.replace("p_prefill = 684", "p_prefill = inf"),
         "huge_coeffs": coeffs.replace("prefill_energy.a = 6.05e-05", "prefill_energy.a = 1e308"),
+        "inf_coeffs": coeffs.replace("prefill_energy.a = 6.05e-05", "prefill_energy.a = inf"),
+        "nan_coeffs": coeffs.replace("prefill_energy.a = 6.05e-05", "prefill_energy.a = nan"),
         "negative_coeffs": coeffs.replace("decode_energy.g_intercept = -4.71e-03", "decode_energy.g_intercept = -1"),
     }
     paths = {"llama": str(data_path("llama31_8b_fp32.model"))}
@@ -89,6 +91,10 @@ class TestExitCodes:
         ["predict", "-s", "900", "-g", "82", "--model", "{llama}", "--hw", "{inf_hw}"],
         ["predict", "-s", "900", "-g", "82", "--coeffs", "{huge_coeffs}"],
         ["synth", "--s-values", "900", "--g-values", "0", "--coeffs", "{huge_coeffs}"],
+        ["predict", "-s", "10", "-g", "5", "--coeffs", "{inf_coeffs}"],
+        ["predict", "-s", "10", "-g", "5", "--coeffs", "{nan_coeffs}"],
+        ["synth", "--s-values", "10", "--g-values", "0", "--coeffs", "{inf_coeffs}"],
+        ["synth", "--s-values", "10", "--g-values", "0", "--coeffs", "{nan_coeffs}"],
         ["synth", "--s-values", "200,500,900,1500", "--g-values", "0,82", "--noise", "5"],
         ["extrapolate", "--wh", "1e308", "--per-day", "0"],
     ])
@@ -426,7 +432,8 @@ def cli_flags(tmp_path_factory, bad_files):
     missing = str(root / "missing")
     trace = ([str(data_path(REFERENCE_TRACE)), str(two_models)], [missing, str(root)])
     coeffs = ([str(data_path("llama31_8b_h100_fp32.coeffs"))],
-              [bad_files["huge_coeffs"], bad_files["negative_coeffs"], missing])
+              [bad_files["huge_coeffs"], bad_files["inf_coeffs"], bad_files["nan_coeffs"],
+               bad_files["negative_coeffs"], missing])
     models = ([bad_files["llama"]], [bad_files["inf_model"], bad_files["huge_model"], missing])
     hws = ([str(data_path("h100_sxm_80gb_fp32.hw"))], [bad_files["inf_hw"], missing])
     out = ([str(root / "out.txt")], [str(root)])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -173,10 +174,16 @@ class TestLedEquivalent:
     def test_linear(self):
         assert led_equivalent_minutes(0.490) == pytest.approx(2 * led_equivalent_minutes(0.245))
 
-    @pytest.mark.parametrize("wh", [1e308, float("inf")])
-    def test_overflow_is_loud(self, wh):
+    def test_overflow_is_loud(self):
         with pytest.raises(OverflowError):
-            led_equivalent_minutes(wh)
+            led_equivalent_minutes(1e308)
+
+    @pytest.mark.parametrize("wh,led_watts", [(math.inf, 5.0), (math.nan, 5.0), (-1.0, 5.0),
+                                              (1.0, math.inf), (1.0, math.nan), (1.0, 0.0)])
+    def test_nonfinite_or_out_of_range_input_is_rejected(self, wh, led_watts):
+        # unchecked, inf W reads as 0.0 minutes and NaN Wh as an overflow
+        with pytest.raises(ValueError):
+            led_equivalent_minutes(wh, led_watts)
 
 
 class TestFleetExtrapolate:
@@ -194,6 +201,13 @@ class TestFleetExtrapolate:
     def test_absurd_inputs_overflow_loudly(self):
         with pytest.raises(OverflowError):
             fleet_extrapolate(1e308, 1e9)
+
+    @pytest.mark.parametrize("wh,per_day", [(math.inf, 0.0), (math.nan, 5.0), (0.245, math.inf),
+                                            (0.245, math.nan), (-1.0, 5.0)])
+    def test_nonfinite_or_negative_input_is_rejected(self, wh, per_day):
+        # unchecked, (inf, 0) and (nan, 5) give (nan, nan)
+        with pytest.raises(ValueError):
+            fleet_extrapolate(wh, per_day)
 
     def test_linear_in_energy(self):
         one = fleet_extrapolate(0.1, 1e6)

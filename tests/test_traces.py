@@ -466,6 +466,20 @@ class TestSynthesizeTrace:
         with pytest.raises(InferwattError, match="drew a value no run can hold"):
             synthesize_trace([(900, 0)], huge)
 
+    @pytest.mark.parametrize("point", [(100, -3), (100.5, 3), (100, 2.5), (0, 0), (0, 5),
+                                       (float("nan"), 3), (100, float("inf"))])
+    def test_plan_points_must_be_whole_with_s_at_least_1_and_g_at_least_0(self, coeffs, point):
+        # unchecked, (100, -3) gives a prefill-only prompt and (100.5, 3)
+        # records that `parse_records` rejects once written
+        with pytest.raises(ValueError, match="plan point"):
+            synthesize_trace([(500, 32), point], coeffs)
+
+    def test_whole_float_plan_points_give_int_token_counts(self, coeffs):
+        records = synthesize_trace([(500.0, 32.0)], coeffs)
+        assert records == synthesize_trace([(500, 32)], coeffs)
+        assert all(type(r.input_tokens) is int and type(r.output_tokens) is int for r in records)
+        assert parse_records(write_records(records)) == (records, [])
+
 
 class TestRecordValidation:
     def test_prefill_only_single_output_token(self):
