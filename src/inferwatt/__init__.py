@@ -24,8 +24,8 @@ from .roofline import (
     op_latency,
 )
 from .transformer_costs import (
+    ClassLatency,
     ModelSpec,
-    PhaseCostBreakdown,
     decode_step_costs,
     kv_cache_bytes,
     predict_decode_latency,

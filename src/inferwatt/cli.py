@@ -89,10 +89,14 @@ def _json_cell(value):
 
 
 def _emit_rows(rows, fmt: str, out) -> None:
-    """Render a list of uniform mappings as table, json, or delimited text."""
+    """Render a list of uniform mappings as table, json, or delimited text.
+    One mapping in place of the list is one row, which json writes as an
+    object: the shape of json output depends on the command, not the rows."""
+    one = isinstance(rows, dict)
+    rows = [rows] if one else rows
     if fmt == "json":
         rows = [{k: _json_cell(v) for k, v in row.items()} for row in rows]
-        print(json.dumps(rows if len(rows) != 1 else rows[0], indent=2, allow_nan=False), file=out)
+        print(json.dumps(rows[0] if one else rows, indent=2, allow_nan=False), file=out)
         return
     if not rows:
         return
@@ -196,17 +200,15 @@ def _cmd_predict(args, out) -> int:
     for note in breakdown.warnings:
         print(f"warning: {note}", file=sys.stderr)
     _emit_rows(
-        [
-            {
-                "source": breakdown.provenance,
-                "prefill_wh": breakdown.prefill_wh,
-                "decode_wh": breakdown.decode_wh,
-                "total_wh": breakdown.total_wh,
-                # a negative total is out of range (and flagged): it has no LED equivalent
-                "led_minutes": (led_equivalent_minutes(breakdown.total_wh, args.led_watts)
-                                if breakdown.total_wh >= 0 else float("nan")),
-            }
-        ],
+        {
+            "source": breakdown.provenance,
+            "prefill_wh": breakdown.prefill_wh,
+            "decode_wh": breakdown.decode_wh,
+            "total_wh": breakdown.total_wh,
+            # a negative total is out of range (and flagged): it has no LED equivalent
+            "led_minutes": (led_equivalent_minutes(breakdown.total_wh, args.led_watts)
+                            if breakdown.total_wh >= 0 else float("nan")),
+        },
         args.format,
         out,
     )
@@ -356,15 +358,13 @@ def _cmd_compare(args, out) -> int:
 def _cmd_extrapolate(args, out) -> int:
     kwh_day, mwh_year = fleet_extrapolate(args.wh, args.per_day)
     _emit_rows(
-        [
-            {
-                "wh_per_interaction": args.wh,
-                "interactions_per_day": args.per_day,
-                "kwh_per_day": kwh_day,
-                "mwh_per_year": mwh_year,
-                "led_minutes_per_interaction": led_equivalent_minutes(args.wh, args.led_watts),
-            }
-        ],
+        {
+            "wh_per_interaction": args.wh,
+            "interactions_per_day": args.per_day,
+            "kwh_per_day": kwh_day,
+            "mwh_per_year": mwh_year,
+            "led_minutes_per_interaction": led_equivalent_minutes(args.wh, args.led_watts),
+        },
         args.format,
         out,
     )

@@ -26,7 +26,7 @@ class InsufficientSamples(InferwattError):
 
 
 class UnknownFormat(InferwattError):
-    """Trace format name is not recognized."""
+    """Trace format name is not recognized, or a trace is not in that format."""
 
 
 class EmptyInput(InferwattError):

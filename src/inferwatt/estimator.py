@@ -82,8 +82,8 @@ class AnalyticSource:
         step cost that is not finite raises OverflowError, unless an earlier
         row's total is not finite: the caller reports that row first."""
         prefill_latency, decode_latency = class_latencies(self.model, self.hw, s, g)
-        prefill = energy_from_power(Phase.PREFILL, prefill_latency.seconds.sum(axis=0), self.hw)
-        decode = energy_from_power(Phase.DECODE, decode_latency.seconds.sum(axis=0), self.hw)
+        prefill = energy_from_power(Phase.PREFILL, prefill_latency.total_seconds, self.hw)
+        decode = energy_from_power(Phase.DECODE, decode_latency.total_seconds, self.hw)
         overflowed = decode_latency.nonfinite.any(axis=0)
         if overflowed.any():
             row = int(overflowed.argmax())

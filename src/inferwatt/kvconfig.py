@@ -43,10 +43,13 @@ def parse_kv(text: str) -> "OrderedDict[str, str]":
 
 
 def read_kv_file(path) -> "OrderedDict[str, str]":
-    if hasattr(path, "read_text"):
-        return parse_kv(path.read_text(encoding="utf-8"))
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kv(fh.read())
+    try:
+        if hasattr(path, "read_text"):
+            return parse_kv(path.read_text(encoding="utf-8"))
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_kv(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def format_kv(pairs: Iterable[tuple[str, str]], header: str = "") -> str:

@@ -19,9 +19,9 @@ selected by mask: g = 0 for prefill, g >= 1 for decode.
 `traces.to_fit_samples` builds the table a trace gives.
 
 The polynomials are fitted approximations: intercepts can be negative, so
-evaluation at very small arguments can dip below zero. Such results are
-flagged with a ModelOutOfRangeWarning, in both phases, instead of being
-clamped, and fits return the raw least-squares coefficients; `is_physical`
+evaluation at very small arguments can dip below zero. `eval_*` flags such
+results with a ModelOutOfRangeWarning, in both phases, instead of clamping
+them, and fits return the raw least-squares coefficients; `is_physical`
 on each coefficient set tells you whether the sign pattern matches the
 underlying cost structure.
 
@@ -155,10 +155,6 @@ class FitSamples:
 
 
 # --- evaluation ---------------------------------------------------------
-# Each eval_* checks its domain and evaluates in two Python frames; only a
-# nonpositive value takes the warning helper. `coeffs.__call__(...)` is spelled
-# out: CPython specializes that method call, while `coeffs(...)` goes through
-# the type's call slot, about 200 ns slower.
 
 
 def out_of_range_message(coeffs: _Polynomial, value: float, s, g) -> str:
@@ -168,44 +164,32 @@ def out_of_range_message(coeffs: _Polynomial, value: float, s, g) -> str:
             "inputs are outside the fit's validity range")
 
 
-def _out_of_range(coeffs: _Polynomial, value: float, s, g) -> None:
-    warnings.warn(out_of_range_message(coeffs, value, s, g), ModelOutOfRangeWarning, stacklevel=3)
+def _checked(coeffs: _Polynomial, s: float, g: float = 0) -> float:
+    """The one body of the `eval_*`: check the domain, evaluate, warn on <= 0."""
+    if coeffs.decode and (s < 1 or g < 1):
+        raise ValueError("need s >= 1 and g >= 1")
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    value = coeffs(s, g)
+    if value <= 0:
+        warnings.warn(out_of_range_message(coeffs, value, s, g), ModelOutOfRangeWarning, stacklevel=3)
+    return value
 
 
 def eval_prefill_latency(coeffs: PrefillLatencyCoeffs, s: float) -> float:
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    value = coeffs.__call__(s)
-    if value <= 0:
-        _out_of_range(coeffs, value, s, 0)
-    return value
+    return _checked(coeffs, s)
 
 
 def eval_decode_latency(coeffs: DecodeLatencyCoeffs, s: float, g: float) -> float:
-    if s < 1 or g < 1:
-        raise ValueError("need s >= 1 and g >= 1")
-    value = coeffs.__call__(s, g)
-    if value <= 0:
-        _out_of_range(coeffs, value, s, g)
-    return value
+    return _checked(coeffs, s, g)
 
 
 def eval_prefill_energy(coeffs: PrefillEnergyCoeffs, s: float) -> float:
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    value = coeffs.__call__(s)
-    if value <= 0:
-        _out_of_range(coeffs, value, s, 0)
-    return value
+    return _checked(coeffs, s)
 
 
 def eval_decode_energy(coeffs: DecodeEnergyCoeffs, s: float, g: float) -> float:
-    if s < 1 or g < 1:
-        raise ValueError("need s >= 1 and g >= 1")
-    value = coeffs.__call__(s, g)
-    if value <= 0:
-        _out_of_range(coeffs, value, s, g)
-    return value
+    return _checked(coeffs, s, g)
 
 
 # --- fitting ------------------------------------------------------------

@@ -63,13 +63,14 @@ class HardwareProfile:
     name: str = ""
 
     def __post_init__(self):
-        # chained comparisons against inf: NaN fails every one of them
-        if not (0 < self.f_max < _INF and 0 < self.b_max < _INF):
-            raise ValueError("f_max and b_max must be positive and finite")
-        if not (0 < self.mu_comp <= 1 and 0 < self.mu_mem <= 1):
-            raise ValueError("efficiency factors must lie in (0, 1]")
-        if not (0 < self.p_prefill < _INF and 0 < self.p_decode < _INF):
-            raise ValueError("phase powers must be positive and finite")
+        # each field on its own, in field order; NaN fails every chained comparison
+        for name in ("f_max", "b_max", "mu_comp", "mu_mem", "p_prefill", "p_decode"):
+            value = getattr(self, name)
+            if name.startswith("mu_"):
+                if not 0 < value <= 1:
+                    raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
+            elif not 0 < value < _INF:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     def power(self, phase: Phase) -> float:
         return self.p_prefill if phase is Phase.PREFILL else self.p_decode

@@ -17,11 +17,15 @@ it. `to_fit_samples` picks what `fit` fits: the prefill-only runs as g = 0
 rows, then the positive decode estimates, as one `FitSamples` table.
 
 Records are immutable tuples, validated when built: `RunRecord(...)`,
-`_make` and `_replace` all reject the same bad values.
+`_make` and `_replace` all reject the same bad values. `synthesize_trace`
+builds them from a plan's columns: the coefficient classes evaluate the
+whole plan at once, and the noise is one vector of draws in record order;
+of the plan points that fail a check, the first raises its error.
 
-Two serializations are supported, both UTF-8 with field names exactly as the
-RunRecord fields: `delimited` (CSV with a header row) and `line-json` (one
-object per line). Floats are written with shortest round-trip precision, so
+Two serializations are supported, both UTF-8 (other bytes raise
+UnknownFormat) with field names exactly as the RunRecord fields:
+`delimited` (CSV with a header row) and `line-json` (one object per line).
+Floats are written with shortest round-trip precision, so
 parse -> write -> parse is identity. Delimited cells are quoted as the csv
 module does (a cell holding a comma, a double quote or a newline is wrapped
 in double quotes, inner quotes doubled) and read back with their surrounding
@@ -39,15 +43,13 @@ import io
 import json
 import operator
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadEdges, EmptyInput, EmptySelection, InferwattError, ModelOutOfRangeWarning, UnknownFormat
-from .phase_model import (FitSamples, eval_decode_energy, eval_decode_latency, eval_prefill_energy,
-                          eval_prefill_latency)
+from .errors import BadEdges, EmptyInput, EmptySelection, InferwattError, UnknownFormat
+from .phase_model import FitSamples
 
 COMPONENTS = ("gpu", "cpu", "ram")
 _INF = float("inf")
@@ -216,14 +218,18 @@ def parse_records(
     never silently dropped; well-formed records are returned in file order.
     A delimited record that spans lines (a quoted newline) is reported at the
     line where it starts. `rename` maps external column/key names onto the
-    canonical field names.
+    canonical field names. A file or stream that is not UTF-8 text raises
+    UnknownFormat.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif hasattr(source, "read_text"):
-        text = source.read_text(encoding="utf-8")
-    else:
-        text = source
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        elif hasattr(source, "read_text"):
+            text = source.read_text(encoding="utf-8")
+        else:
+            text = source
+    except UnicodeDecodeError as exc:
+        raise UnknownFormat(f"trace is not UTF-8 text: {exc}") from None
     if fmt not in (FORMAT_DELIMITED, FORMAT_LINE_JSON):
         raise UnknownFormat(f"unknown trace format {fmt!r}")
     if not text.strip():
@@ -529,6 +535,14 @@ def histogram(values: Sequence[float], bins) -> HistogramResult:
     )
 
 
+def _float_or_nan(n: int) -> float:
+    try:
+        return float(n)
+    except OverflowError:  # a count too large for a float: its plan point raises this again
+        return float("nan")
+
+
+@np.errstate(all="ignore")  # an overflowed value is a draw no run can hold
 def synthesize_trace(
     plan: Sequence[tuple[int, int]],
     coeffs,
@@ -563,31 +577,32 @@ def synthesize_trace(
         points.append((int(s), int(g)))
     if coeffs.prefill_latency is None or coeffs.prefill_energy is None:
         raise InferwattError("trace synthesis needs prefill latency and energy coefficients")
+    s_col, g_col = (np.array([_float_or_nan(point[i]) for point in points]) for i in (0, 1))
+    decode = g_col != 0
+    no_decode = coeffs.decode_latency is None or coeffs.decode_energy is None
+    t_pre, e_pre = coeffs.prefill_latency(s_col), coeffs.prefill_energy(s_col)
+    t_dec, e_dec = (0 * s_col, 0 * s_col) if no_decode else (
+        coeffs.decode_latency(s_col, g_col), coeffs.decode_energy(s_col, g_col))
+    out_of_range = ((t_pre <= 0) | (e_pre <= 0) | decode & ((t_dec <= 0) | (e_dec <= 0))).tolist()
+    # each point's draws in order: (t_pre, e_pre) per prefill-only run, (t_pre, t_dec, e_pre, e_dec) per full run
+    drawn = np.arange(6 * runs) < np.where(decode, 6 * runs, 2 * runs)[:, None]
+    values = np.stack([t_pre, t_dec, e_pre, e_dec], axis=1)[:, [0, 2] * runs + [0, 1, 2, 3] * runs][drawn]
     rng = np.random.default_rng(seed)
-
-    def draw(value: float) -> float:
-        return value if noise == 0.0 else value * (1.0 + noise * rng.standard_normal())
+    draw = iter((values * (1.0 + noise * rng.standard_normal(values.size))).tolist()).__next__
 
     records = []
     for idx, (s, g) in enumerate(points):
-        if g >= 1 and (coeffs.decode_latency is None or coeffs.decode_energy is None):
+        if g and no_decode:
             raise InferwattError("plan has g>=1 points but no decode coefficients")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ModelOutOfRangeWarning)
-            try:
-                t_pre = eval_prefill_latency(coeffs.prefill_latency, s)
-                e_pre = eval_prefill_energy(coeffs.prefill_energy, s)
-                if g >= 1:
-                    t_dec = eval_decode_latency(coeffs.decode_latency, s, g)
-                    e_dec = eval_decode_energy(coeffs.decode_energy, s, g)
-            except ModelOutOfRangeWarning:
-                raise InferwattError(f"grid point (s={s}, g={g}) is outside the coefficient validity range") from None
+        if out_of_range[idx]:
+            raise InferwattError(f"grid point (s={s}, g={g}) is outside the coefficient validity range")
+        float(s), float(g)  # a count too large for a float (NaN above) raises OverflowError here
         prompt = f"p{idx:04d}"
         try:
-            records += [RunRecord(prompt, RunKind.PREFILL_ONLY, s, 1, draw(t_pre), draw(e_pre),
-                                  0.0, 0.0, model_id, precision, 1) for _ in range(runs)]
-            records += [RunRecord(prompt, RunKind.FULL, s, g, draw(t_pre) + draw(t_dec), draw(e_pre) + draw(e_dec),
-                                  0.0, 0.0, model_id, precision, 1) for _ in range(runs if g >= 1 else 0)]
+            records += [RunRecord(prompt, _PREFILL_ONLY, s, 1, draw(), draw(), 0.0, 0.0, model_id, precision, 1)
+                        for _ in range(runs)]
+            records += [RunRecord(prompt, _FULL, s, g, draw() + draw(), draw() + draw(), 0.0, 0.0, model_id,
+                                  precision, 1) for _ in range(runs if g else 0)]
         except ValueError as exc:
             raise InferwattError(f"grid point (s={s}, g={g}) drew a value no run can hold: {exc}") from None
     return records

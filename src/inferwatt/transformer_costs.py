@@ -33,13 +33,13 @@ stacks with one row per class (LABELS order) and one column per count.
 per-class FLOPs, bytes and seconds as (6, n) stacks; prefill is each class's
 roofline maximum and decode is the closed form above, applied elementwise.
 `predict_prefill_latency` and `predict_decode_latency` are its n = 1 case,
-wrapped in ClassCost/PhaseCostBreakdown; `prefill_costs` and
-`decode_step_costs` wrap single columns of `_class_costs` as OpCosts.
+the `ClassLatency` of one (s, g); `prefill_costs` and `decode_step_costs`
+wrap single columns of `_class_costs` as OpCosts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -195,14 +195,24 @@ def decode_step_costs(model: ModelSpec, context_len: int) -> list[OpCost]:
 
 class ClassLatency(NamedTuple):
     """Roofline latency of one phase by class. Each field is a stack with one
-    row per class of LABELS and one column per (s, g): FLOPs, bytes and
-    seconds summed over the phase; for decode also `nonfinite`, which marks
-    the classes whose per-step cost is not finite."""
+    row per class of LABELS and one column per (s, g), a vector for one
+    (s, g): FLOPs, bytes and seconds summed over the phase; for decode also
+    `nonfinite`, which marks the classes whose per-step cost is not finite.
+    `total_seconds` and `dominant_class` (the first class with the most
+    seconds) are per column."""
 
     flops: np.ndarray
     bytes: np.ndarray
     seconds: np.ndarray
     nonfinite: np.ndarray | None = None
+
+    @property
+    def total_seconds(self):
+        return self.seconds.sum(axis=0)
+
+    @property
+    def dominant_class(self):
+        return np.asarray(LABELS)[self.seconds.argmax(axis=0)]
 
 
 @np.errstate(all="ignore")  # `nonfinite` marks an overflowed step cost
@@ -265,46 +275,15 @@ def _compute_bound_steps(d0, d1, g):
     return lo, hi
 
 
-@dataclass(frozen=True)
-class ClassCost:
-    label: str
-    cost: OpCost
-    seconds: float
-
-
-@dataclass(frozen=True)
-class PhaseCostBreakdown:
-    """Roofline latency of one phase, split by operation class."""
-
-    classes: tuple[ClassCost, ...]
-    total_seconds: float = field(init=False, default=0.0)
-    dominant_class: str = field(init=False, default="")
-
-    def __post_init__(self):
-        total = sum(c.seconds for c in self.classes)
-        dominant = max(self.classes, key=lambda c: c.seconds).label
-        object.__setattr__(self, "total_seconds", total)
-        object.__setattr__(self, "dominant_class", dominant)
-
-
-def _breakdown(latency: ClassLatency) -> PhaseCostBreakdown:
-    costs = _op_costs(latency.flops, latency.bytes)
-    return PhaseCostBreakdown(tuple(
-        ClassCost(c.label, c, t) for c, t in zip(costs, latency.seconds.tolist())))
-
-
-def predict_prefill_latency(model: ModelSpec, hw: HardwareProfile, s: int) -> PhaseCostBreakdown:
+def predict_prefill_latency(model: ModelSpec, hw: HardwareProfile, s: int) -> ClassLatency:
     """Roofline prefill latency for an s-token prompt, by class: the
     one-prompt case of `class_latencies`."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    prefill, _ = class_latencies(model, hw, s, 1)
-    return _breakdown(prefill)
+    return class_latencies(model, hw, s, 1)[0]
 
 
-def predict_decode_latency(
-    model: ModelSpec, hw: HardwareProfile, s: int, g: int
-) -> PhaseCostBreakdown:
+def predict_decode_latency(model: ModelSpec, hw: HardwareProfile, s: int, g: int) -> ClassLatency:
     """Roofline latency of generating g tokens after an s-token prompt, by
     class: the one-interaction case of `class_latencies`."""
     if s < 1 or g < 1:
@@ -312,7 +291,7 @@ def predict_decode_latency(
     _, decode = class_latencies(model, hw, s, g)
     if decode.nonfinite.any():
         raise step_overflow(decode.nonfinite)
-    return _breakdown(decode)
+    return decode
 
 
 # kv_heads defaults to n_heads when a model spec file omits it.

@@ -16,7 +16,7 @@ from inferwatt.bundled import data_path, REFERENCE_TRACE
 from inferwatt.cli import cli_dispatch
 from inferwatt.errors import EmptySelection, InferwattError
 from inferwatt.traces import (COMPONENTS, ComponentEnergy, ComponentStats, EnergyStats, RunKind, RunRecord,
-                              aggregate, decompose, histogram, write_records)
+                              aggregate, decompose, histogram, parse_records, write_records)
 
 
 def run_cli(*argv):
@@ -34,11 +34,21 @@ def trace_file(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bad_files(tmp_path_factory):
-    """Configuration files holding non-finite or overflowing values."""
+    """Configuration files holding non-finite or overflowing values, and
+    configuration and trace files that are not UTF-8 text."""
     root = tmp_path_factory.mktemp("bad")
     llama = data_path("llama31_8b_fp32.model").read_text(encoding="utf-8")
     hw = data_path("h100_sxm_80gb_fp32.hw").read_text(encoding="utf-8")
     coeffs = data_path("llama31_8b_h100_fp32.coeffs").read_text(encoding="utf-8")
+    trace = data_path(REFERENCE_TRACE).read_text(encoding="utf-8")
+    latin1 = {  # name: (file name, text written as latin-1)
+        "latin1_hw": ("latin1.hw", hw.replace("name = H100-SXM-80GB-fp32", "name = caf\xe9")),
+        "latin1_model": ("latin1.model", llama.replace("name = llama31-8b-fp32", "name = caf\xe9")),
+        "latin1_coeffs": ("latin1.coeffs", "# caf\xe9\n" + coeffs),
+        "latin1_csv": ("latin1.csv", trace + "\xff\n"),
+        "latin1_jsonl": ("latin1.jsonl",
+                         write_records(parse_records(trace)[0], "line-json") + '{"prompt_id": "\xff"}\n'),
+    }
     files = {
         "inf_model": llama.replace("bytes_per_param = 4", "bytes_per_param = inf"),
         "huge_model": llama.replace("bytes_per_param = 4", "bytes_per_param = 1e308"),
@@ -53,6 +63,11 @@ def bad_files(tmp_path_factory):
         assert text not in (llama, hw, coeffs), name  # the replacement took
         path = root / name
         path.write_text(text, encoding="utf-8")
+        paths[name] = str(path)
+    for name, (filename, text) in latin1.items():
+        assert not text.isascii(), name  # the replacement took
+        path = root / filename
+        path.write_text(text, encoding="latin-1")
         paths[name] = str(path)
     return paths
 
@@ -103,6 +118,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,path", [
+        (["predict", "-s", "9", "-g", "9", "--model", "{llama}", "--hw", "{latin1_hw}"], "latin1_hw"),
+        (["predict", "-s", "9", "-g", "9", "--model", "{latin1_model}"], "latin1_model"),
+        (["compare", "{latin1_model}", "-s", "9", "-g", "9"], "latin1_model"),
+        (["predict", "-s", "9", "-g", "9", "--coeffs", "{latin1_coeffs}"], "latin1_coeffs"),
+        (["synth", "--s-values", "900", "--g-values", "0", "--coeffs", "{latin1_coeffs}"], "latin1_coeffs"),
+        (["stats", "--trace", "{latin1_csv}"], None),
+        (["fit", "--trace", "{latin1_csv}"], None),
+        (["decompose", "--trace", "{latin1_jsonl}"], None),
+        (["hist", "--trace", "{latin1_jsonl}"], None),
+    ])
+    def test_file_that_is_not_utf8_is_data_error(self, argv, path, bad_files, capsys):
+        code, out = run_cli(*(a.format(**bad_files) for a in argv))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        want = f"error: {bad_files[path]} is not UTF-8 text: " if path else "error: trace is not UTF-8 text: "
+        assert err.startswith(want + "'utf-8' codec can't decode byte 0x") and err.count("\n") == 1
 
     # Workload columns are int64, and the analytic class costs are formed in
     # float64, exact below 2**53: counts past those limits are rejected,
@@ -332,6 +365,40 @@ class TestCompare:
     def test_needs_at_least_one_model(self):
         code, _ = run_cli("compare", "-s", "900", "-g", "82")
         assert code == 1
+
+
+class TestJsonShape:
+    """predict and extrapolate print one object; every other command prints
+    a list, whatever its number of rows."""
+
+    @pytest.fixture(scope="class")
+    def two_prompts(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("shape") / "two.csv"
+        path.write_text(write_records([
+            RunRecord(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else 20, 1e-3 * s + 0.1, 1e-4 * s + 0.01,
+                      0.0, 0.0, "m", "fp32", 1)
+            for pid, s in (("a", 100), ("b", 300)) for kind in RunKind
+        ]))
+        return str(path)
+
+    def test_decompose_of_one_prompt_is_a_list(self, two_prompts, tmp_path):
+        one = tmp_path / "one.csv"
+        one.write_text("\n".join(Path(two_prompts).read_text().splitlines()[:3]) + "\n")  # prompt a only
+        code, out = run_cli("decompose", "--trace", str(one), "--format", "json")
+        assert code == 0 and [row["prompt_id"] for row in json.loads(out)] == ["a"]
+
+    def test_compare_of_one_model_is_a_list(self, bad_files):
+        code, out = run_cli("compare", bad_files["llama"], "-s", "900", "-g", "82", "--format", "json")
+        assert code == 0 and [row["name"] for row in json.loads(out)] == ["llama31-8b-fp32"]
+
+    def test_hist_of_one_bin_is_a_list(self, trace_file):
+        code, out = run_cli("hist", "--trace", trace_file, "--bins", "1", "--format", "json")
+        assert code == 0 and [row["count"] for row in json.loads(out)] == [8]
+
+    def test_fit_of_one_family_is_a_list(self, two_prompts, tmp_path, capsys):
+        # two prefill-only runs fit only the two-coefficient prefill energy
+        code, out = run_cli("fit", "--trace", two_prompts, "--out", str(tmp_path / "c"), "--format", "json")
+        assert code == 0 and [row["family"] for row in json.loads(out)] == ["prefill_energy"]
 
 
 class TestSynthFitPredictPipeline:

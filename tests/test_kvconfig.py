@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from inferwatt.bundled import data_path
 from inferwatt.errors import ConfigError
-from inferwatt.kvconfig import format_kv, parse_kv
+from inferwatt.kvconfig import format_kv, parse_kv, read_kv_file
 from inferwatt.phase_model import (DecodeEnergyCoeffs, DecodeLatencyCoeffs, PrefillEnergyCoeffs,
                                    PrefillLatencyCoeffs, coefficients_from_kv)
 from inferwatt.roofline import HardwareProfile, load_profile, profile_from_kv, profile_to_kv
@@ -103,6 +103,16 @@ _PROFILE = "f_max = 1e12\nb_max = 1e12\np_prefill = 100\np_decode = 50\n"
 _MODEL = "n_layers = 4\nhidden = 256\nn_heads = 4\nhead_dim = 64\nffn_dim = 1024\nvocab = 1000\n"
 
 
+class TestReadKvFile:
+    @pytest.mark.parametrize("as_path", [True, False])
+    def test_text_that_is_not_utf8_is_a_config_error(self, tmp_path, as_path):
+        path = tmp_path / "bad.hw"
+        path.write_bytes(_PROFILE.encode("utf-8") + b"name = caf\xe9\n")
+        with pytest.raises(ConfigError) as exc:
+            read_kv_file(path if as_path else str(path))
+        assert str(exc.value).startswith(f"{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
+
+
 class TestSchemaErrors:
     @pytest.mark.parametrize("read,text,message", [
         (profile_from_kv, _PROFILE + "bogus = 3\nzz = 1\n", "unknown hardware profile keys: ['bogus', 'zz']"),
@@ -145,6 +155,14 @@ class TestSchemaErrors:
         (coefficients_from_kv, "prefill_energy.a = inf\nprefill_energy.b = 2\n", "prefill_energy.a must be finite, got inf"),
         (coefficients_from_kv, "decode_energy.c = 1\ndecode_energy.d = 2\ndecode_energy.g_intercept = nan\n",
          "decode_energy.g_intercept must be finite, got nan"),
+        (profile_from_kv, _PROFILE + "mu_comp = 2\n", "mu_comp must lie in (0, 1], got 2.0"),
+        (profile_from_kv, _PROFILE + "mu_mem = 0\n", "mu_mem must lie in (0, 1], got 0.0"),
+        (profile_from_kv, _PROFILE + "mu_mem = nan\n", "mu_mem must lie in (0, 1], got nan"),
+        (profile_from_kv, _PROFILE.replace("p_prefill = 100", "p_prefill = -5"),
+         "p_prefill must be positive and finite, got -5.0"),
+        (profile_from_kv, _PROFILE.replace("p_decode = 50", "p_decode = nan"),
+         "p_decode must be positive and finite, got nan"),
+        (profile_from_kv, _PROFILE.replace("b_max = 1e12", "b_max = inf"), "b_max must be positive and finite, got inf"),
     ])
     def test_value_the_constructor_rejects_names_its_key(self, read, text, message):
         with pytest.raises(ConfigError) as exc:

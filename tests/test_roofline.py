@@ -18,7 +18,7 @@ from inferwatt.roofline import (
     profile_to_kv,
     roofline_seconds,
 )
-from inferwatt.transformer_costs import ClassCost, PhaseCostBreakdown
+from inferwatt.transformer_costs import ClassLatency
 
 
 def make_hw(f_max=1.0e12, b_max=1.0e12, mu_comp=0.675, mu_mem=0.443):
@@ -76,8 +76,8 @@ class TestBoundedness:
 def phase_total(ops, hw):
     """A phase's latency as the model sums it: per-class roofline latencies
     added with no compute/memory overlap."""
-    classes = tuple(ClassCost(f"op{i}", op, op_latency(op, hw)) for i, op in enumerate(ops))
-    return PhaseCostBreakdown(classes).total_seconds
+    flops, nbytes = (np.array([getattr(op, field) for op in ops]) for field in ("flops", "bytes"))
+    return ClassLatency(flops, nbytes, np.array([op_latency(op, hw) for op in ops])).total_seconds
 
 
 class TestTotalLatency:

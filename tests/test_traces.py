@@ -2,6 +2,8 @@ import importlib.util
 import json
 import random
 import statistics
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +18,20 @@ from inferwatt.errors import (
     EmptyInput,
     EmptySelection,
     InferwattError,
+    ModelOutOfRangeWarning,
     UnknownFormat,
 )
-from inferwatt.phase_model import CoefficientSet, PrefillEnergyCoeffs
+from inferwatt.phase_model import (
+    CoefficientSet,
+    DecodeEnergyCoeffs,
+    DecodeLatencyCoeffs,
+    PrefillEnergyCoeffs,
+    PrefillLatencyCoeffs,
+    eval_decode_energy,
+    eval_decode_latency,
+    eval_prefill_energy,
+    eval_prefill_latency,
+)
 from inferwatt.traces import (
     MIXED_INPUT_TOKENS,
     NEGATIVE_DECODE,
@@ -433,10 +446,6 @@ class TestToFitSamples:
 
 class TestSynthesizeTrace:
     def test_noiseless_decompose_recovers_polynomials(self, coeffs):
-        from inferwatt.phase_model import (
-            eval_decode_energy,
-            eval_decode_latency,
-        )
         plan = [(500, 32), (1000, 64), (2000, 128)]
         records = synthesize_trace(plan, coeffs, runs=3)
         decomps, missing = decompose(records)
@@ -479,6 +488,127 @@ class TestSynthesizeTrace:
         assert records == synthesize_trace([(500, 32)], coeffs)
         assert all(type(r.input_tokens) is int and type(r.output_tokens) is int for r in records)
         assert parse_records(write_records(records)) == (records, [])
+
+
+# --- the per-point loop before the columnar synthesis, kept as the reference ---
+
+
+def _synthesize_oracle(plan, coeffs, noise=0.0, seed=0, runs=1, model_id="synthetic", precision="fp32"):
+    if noise < 0:
+        raise ValueError("noise must be >= 0")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    points = []
+    for s, g in plan:
+        if not (1 <= s < float("inf") and 0 <= g < float("inf") and s == int(s) and g == int(g)):
+            raise ValueError(f"plan point (s={s!r}, g={g!r}) needs whole numbers s >= 1 and g >= 0")
+        points.append((int(s), int(g)))
+    if coeffs.prefill_latency is None or coeffs.prefill_energy is None:
+        raise InferwattError("trace synthesis needs prefill latency and energy coefficients")
+    rng = np.random.default_rng(seed)
+
+    def draw(value: float) -> float:
+        return value if noise == 0.0 else value * (1.0 + noise * rng.standard_normal())
+
+    records = []
+    for idx, (s, g) in enumerate(points):
+        if g >= 1 and (coeffs.decode_latency is None or coeffs.decode_energy is None):
+            raise InferwattError("plan has g>=1 points but no decode coefficients")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ModelOutOfRangeWarning)
+            try:
+                t_pre = eval_prefill_latency(coeffs.prefill_latency, s)
+                e_pre = eval_prefill_energy(coeffs.prefill_energy, s)
+                if g >= 1:
+                    t_dec = eval_decode_latency(coeffs.decode_latency, s, g)
+                    e_dec = eval_decode_energy(coeffs.decode_energy, s, g)
+            except ModelOutOfRangeWarning:
+                raise InferwattError(f"grid point (s={s}, g={g}) is outside the coefficient validity range") from None
+        prompt = f"p{idx:04d}"
+        try:
+            records += [RunRecord(prompt, RunKind.PREFILL_ONLY, s, 1, draw(t_pre), draw(e_pre),
+                                  0.0, 0.0, model_id, precision, 1) for _ in range(runs)]
+            records += [RunRecord(prompt, RunKind.FULL, s, g, draw(t_pre) + draw(t_dec), draw(e_pre) + draw(e_dec),
+                                  0.0, 0.0, model_id, precision, 1) for _ in range(runs if g >= 1 else 0)]
+        except ValueError as exc:
+            raise InferwattError(f"grid point (s={s}, g={g}) drew a value no run can hold: {exc}") from None
+    return records
+
+
+def _synthesis(fn, *args, **kwargs):
+    try:
+        return repr(fn(*args, **kwargs))  # repr shows every bit
+    except (InferwattError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# Mostly coefficient sets and plans that give a trace; some have one value
+# that fails a check: a negative slope or intercept, an overflowing
+# coefficient, a missing decode group, a count too large for a float.
+_FLOAT_LIMIT = 2**1024 - 2**970  # the least int that float() rejects: it rounds to 2**1024
+
+
+@st.composite
+def _coefficient_sets(draw):
+    families = (PrefillLatencyCoeffs, DecodeLatencyCoeffs, PrefillEnergyCoeffs, DecodeEnergyCoeffs)
+    values = [[draw(st.floats(1e-7, 1e-2)) for _ in fields(cls)[:-1]] + [draw(st.floats(1e-4, 0.05))]
+              for cls in families]
+    if draw(st.booleans()):
+        group = draw(st.integers(0, 3))
+        values[group][draw(st.integers(0, len(values[group]) - 1))] = draw(
+            st.one_of(st.floats(-0.05, 0.0), st.sampled_from([-1e-9, 1e300, -1e300, 1e308])))
+    sets = [cls(*v) for cls, v in zip(families, values)]
+    for group in draw(st.sampled_from([()] * 12 + [(1,), (3,), (1, 3)])):
+        sets[group] = None
+    return CoefficientSet(*sets)
+
+
+@st.composite
+def _plans(draw):
+    plan = draw(st.lists(st.tuples(st.integers(1, 5000), st.one_of(st.just(0), st.integers(1, 2000))),
+                         min_size=1, max_size=6))
+    if draw(st.integers(0, 4)) == 0:
+        index, position = draw(st.integers(0, len(plan) - 1)), draw(st.integers(0, 1))
+        point = list(plan[index])
+        point[position] = draw(st.sampled_from([2**53 + 1, 10**300, _FLOAT_LIMIT - 1, _FLOAT_LIMIT, 10**400]))
+        plan[index] = tuple(point)
+    return plan
+
+
+class TestSynthesizeOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(plan=_plans(), coeffs=_coefficient_sets(),
+           noise=st.one_of(st.sampled_from([0.0, 0.05, 5.0]), st.floats(0.0, 3.0)),
+           seed=st.integers(0, 2**32), runs=st.integers(1, 4))
+    def test_matches_the_per_point_loop(self, plan, coeffs, noise, seed, runs):
+        # equal records, or the same exception type and text: the first
+        # failing point (missing decode group, nonpositive polynomial, a count
+        # too large for a float, a bad draw) fails first in both
+        kwargs = dict(noise=noise, seed=seed, runs=runs)
+        assert _synthesis(synthesize_trace, plan, coeffs, **kwargs) == \
+            _synthesis(_synthesize_oracle, plan, coeffs, **kwargs)
+
+    @pytest.mark.parametrize("plan,prefill", [
+        ([(500, 0), (900, 82), (1, 1)], None),  # the last point is out of range
+        ([(900, 82), (_FLOAT_LIMIT, 0)], None),  # a count too large for a float
+        ([(1, 1), (10**400, 5)], None),  # the earlier point fails first
+        ([(1, 10**400)], PrefillLatencyCoeffs(1e-4, 1e-8, -0.01)),  # its prefill is checked before its g
+        ([(10**400, 5)], PrefillLatencyCoeffs(1e-4, 1e-8, -0.01)),  # its s is checked before its prefill
+        ([(900, 0)] * 30, None),  # noise 5 draws a negative value
+    ])
+    def test_each_error_at_its_point(self, coeffs, plan, prefill):
+        coeffs = replace(coeffs, prefill_latency=prefill or coeffs.prefill_latency)
+        kwargs = dict(noise=5.0, seed=11, runs=2)
+        want = _synthesis(_synthesize_oracle, plan, coeffs, **kwargs)
+        assert isinstance(want, tuple)
+        assert _synthesis(synthesize_trace, plan, coeffs, **kwargs) == want
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_reference_grid(self, coeffs, noise):
+        plan = [(s, g) for s in (500, 900, 3000) for g in (0, 32, 82, 1024)]
+        records = synthesize_trace(plan, coeffs, noise=noise, seed=5, runs=3)
+        assert repr(records) == repr(_synthesize_oracle(plan, coeffs, noise=noise, seed=5, runs=3))
+        assert len(records) == 3 * 12 + 3 * 9
 
 
 class TestRecordValidation:
@@ -689,6 +819,16 @@ class TestParseFuzz:
                '"latency_s": 1.0, "gpu_wh": 0.1, "cpu_wh": 0.0, "ram_wh": 0.0}' % value)
         records, issues = parse_records(obj + "\n", "line-json")
         assert not records and [i.line for i in issues] == [1]
+
+    @pytest.mark.parametrize("fmt,suffix", [("delimited", ".csv"), ("line-json", ".jsonl")])
+    def test_text_that_is_not_utf8_is_unknown_format(self, tmp_path, fmt, suffix):
+        good = write_records([record()], fmt).encode("utf-8")
+        path = tmp_path / f"trace{suffix}"
+        path.write_bytes(good + b"\xff\n")
+        with pytest.raises(UnknownFormat, match="trace is not UTF-8 text"):
+            parse_records(path, fmt)
+        with open(path, encoding="utf-8") as stream, pytest.raises(UnknownFormat, match="not UTF-8"):
+            parse_records(stream, fmt)
 
     def test_oversized_cell_is_an_issue_and_reading_goes_on(self):
         good = "p1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1"

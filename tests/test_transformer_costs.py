@@ -11,15 +11,15 @@ from inferwatt.estimator import WorkloadSpec, compare_models
 from inferwatt.roofline import (
     Boundedness,
     HardwareProfile,
-    OpCost,
     boundedness,
     op_latency,
 )
 from inferwatt.transformer_costs import (
-    ClassCost,
+    LABELS,
+    ClassLatency,
     ModelSpec,
-    PhaseCostBreakdown,
     _compute_bound_steps,
+    class_latencies,
     decode_step_costs,
     kv_cache_bytes,
     model_from_kv,
@@ -43,23 +43,15 @@ def by_label(costs):
 def _decode_latency_oracle(model, hw, s, g):
     """The per-token loop: sums per-step rooflines over steps t = 1..g at
     context s + t - 1. The closed form in predict_decode_latency must agree."""
-    flops: dict[str, float] = {}
-    traffic: dict[str, float] = {}
-    seconds: dict[str, float] = {}
-    order: list[str] = []
+    flops, traffic, seconds = (np.zeros(len(LABELS)) for _ in range(3))
     for step in range(1, g + 1):
-        for cost in decode_step_costs(model, s + step - 1):
-            if cost.label not in seconds:
-                order.append(cost.label)
-                flops[cost.label] = traffic[cost.label] = seconds[cost.label] = 0.0
-            flops[cost.label] += cost.flops
-            traffic[cost.label] += cost.bytes
-            seconds[cost.label] += op_latency(cost, hw)
-    classes = tuple(
-        ClassCost(label, OpCost(flops[label], traffic[label], label), seconds[label])
-        for label in order
-    )
-    return PhaseCostBreakdown(classes)
+        costs = decode_step_costs(model, s + step - 1)
+        assert [cost.label for cost in costs] == list(LABELS)
+        for i, cost in enumerate(costs):
+            flops[i] += cost.flops
+            traffic[i] += cost.bytes
+            seconds[i] += op_latency(cost, hw)
+    return ClassLatency(flops, traffic, seconds)
 
 
 class TestModelSpec:
@@ -226,9 +218,7 @@ class TestPredictPrefill:
         assert breakdown.total_seconds == pytest.approx(
             sum(op_latency(c, hw) for c in prefill_costs(llama8b, s)), rel=1e-12
         )
-        assert breakdown.total_seconds == pytest.approx(
-            sum(c.seconds for c in breakdown.classes), rel=1e-12
-        )
+        assert breakdown.total_seconds == pytest.approx(sum(breakdown.seconds.tolist()), rel=1e-12)
 
     def test_per_token_slope_near_reference_alpha(self, llama8b, hw, coeffs):
         t_lo = predict_prefill_latency(llama8b, hw, 900).total_seconds
@@ -284,11 +274,9 @@ class TestPredictDecode:
 def _assert_matches_oracle(model, hw, s, g):
     closed = predict_decode_latency(model, hw, s, g)
     oracle = _decode_latency_oracle(model, hw, s, g)
-    assert [c.label for c in closed.classes] == [c.label for c in oracle.classes]
-    for got, want in zip(closed.classes, oracle.classes):
-        assert got.seconds == pytest.approx(want.seconds, rel=1e-12, abs=0), got.label
-        assert got.cost.flops == pytest.approx(want.cost.flops, rel=1e-12, abs=0), got.label
-        assert got.cost.bytes == pytest.approx(want.cost.bytes, rel=1e-12, abs=0), got.label
+    for field in ("seconds", "flops", "bytes"):
+        for label, got, want in zip(LABELS, getattr(closed, field).tolist(), getattr(oracle, field).tolist()):
+            assert got == pytest.approx(want, rel=1e-12, abs=0), (field, label)
     assert closed.dominant_class == oracle.dominant_class
 
 
@@ -374,6 +362,30 @@ class TestClosedFormDecode:
         lo, hi = _compute_bound_steps(d0.astype(float), d1.astype(float), g)
         for (a, b, n), first, last in zip(rows, lo.tolist(), hi.tolist()):
             assert [j for j in range(n) if a + b * j > 0] == list(range(first, last))
+
+
+class TestOnePointIsAColumn:
+    @settings(max_examples=60, deadline=None)
+    @given(model=small_models(), points=st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
+                                                 min_size=1, max_size=6),
+           f_max=st.floats(1e9, 1e16), data=st.data())
+    def test_predict_is_column_j_of_class_latencies(self, model, points, f_max, data):
+        hw = HardwareProfile(f_max=f_max, b_max=1e12)
+        s, g = (np.array(column) for column in zip(*points))
+        columns = class_latencies(model, hw, s, g)
+        j = data.draw(st.integers(0, len(points) - 1), label="j")
+        one = (predict_prefill_latency(model, hw, int(s[j])),
+               predict_decode_latency(model, hw, int(s[j]), int(g[j])))
+        for got, want in zip(one, columns):
+            for field in ("flops", "bytes", "seconds"):
+                assert getattr(got, field).tolist() == getattr(want, field)[:, j].tolist(), field
+            assert got.total_seconds == want.total_seconds[j]
+            assert got.dominant_class == want.dominant_class[j]
+            # as the per-class tuple defined them: the classes' seconds added in
+            # order, and the first class with the most seconds
+            seconds = got.seconds.tolist()
+            assert got.total_seconds == sum(seconds)
+            assert got.dominant_class == max(zip(LABELS, seconds), key=lambda pair: pair[1])[0]
 
 
 def decode_grid(specs, hw, s, g):
