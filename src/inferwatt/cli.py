@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import bundled
-from .errors import InferwattError
+from .errors import EmptyInput, InferwattError
 from .estimator import (
     DEFAULT_CONTOUR_G,
     AnalyticSource,
@@ -47,8 +47,8 @@ from .traces import (
     decompose,
     drop_warmup,
     histogram,
-    parse_records,
     phase_energies,
+    read_runs,
     synthesize_trace,
     to_fit_samples,
     write_records,
@@ -119,16 +119,21 @@ def _emit_rows(rows, fmt: str, out) -> None:
 
 
 def _read_trace(args):
+    """The trace's runs, as a RunTable, with a warning per parse issue. A
+    trace left with no run is a data error for every trace command."""
     path = Path(args.trace)
     fmt = args.trace_format
     if fmt is None:
         fmt = FORMAT_LINE_JSON if path.suffix in (".jsonl", ".ndjson") else FORMAT_DELIMITED
-    records, issues = parse_records(path, fmt, rename=getattr(args, "rename", None))
+    runs, issues = read_runs(path, fmt, rename=getattr(args, "rename", None))
     for issue in issues:
         print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
-    if getattr(args, "drop_first", 0):
-        records = drop_warmup(records, args.drop_first)
-    return records
+    if args.drop_first:
+        runs = drop_warmup(runs, args.drop_first)
+    if not len(runs):
+        dropped = f" after --drop-first {args.drop_first}" if args.drop_first else ""
+        raise EmptyInput(f"trace has no valid runs{dropped}")
+    return runs
 
 
 def _group(item) -> str:
@@ -138,9 +143,9 @@ def _group(item) -> str:
             f"batch {item.batch})")
 
 
-def _decompose(records):
+def _decompose(runs):
     """decompose, with a warning per group that misses a run kind."""
-    decomps, missing = decompose(records)
+    decomps, missing = decompose(runs)
     for m in missing:
         print(f"warning: {_group(m)} has no {m.missing.value} runs", file=sys.stderr)
     return decomps
@@ -216,13 +221,13 @@ def _cmd_predict(args, out) -> int:
 
 
 def _cmd_fit(args, out) -> int:
-    records = _read_trace(args)
-    decomps = _decompose(records)
+    runs = _read_trace(args)
+    decomps = _decompose(runs)
     for d in decode_fit_rows(decomps):
         if MIXED_INPUT_TOKENS in d.flags:
             print(f"warning: {_group(d)} mixes input lengths; its decode row is fitted at their "
                   f"rounded mean s={d.input_tokens}", file=sys.stderr)
-    samples = to_fit_samples(records, decomps, args.component)
+    samples = to_fit_samples(runs, decomps, args.component)
 
     families = (
         ("prefill_latency", fit_prefill_latency),
@@ -284,9 +289,9 @@ def _cmd_decompose(args, out) -> int:
 
 
 def _phase_items(args):
-    """The trace's records, or their decompositions for the decode phase."""
-    records = _read_trace(args)
-    return _decompose(records) if args.phase == PHASE_DECODE else records
+    """The trace's runs, or their decompositions for the decode phase."""
+    runs = _read_trace(args)
+    return _decompose(runs) if args.phase == PHASE_DECODE else runs
 
 
 def _cmd_stats(args, out) -> int:
@@ -374,9 +379,10 @@ def _cmd_extrapolate(args, out) -> int:
 def _cmd_synth(args, out) -> int:
     coeffs = _load_coeffs(args)
     plan = [(s, g) for s in args.s_values for g in args.g_values]
-    records = synthesize_trace(
-        plan, coeffs, noise=args.noise, seed=args.seed, runs=args.runs
-    )
+    try:
+        records = synthesize_trace(plan, coeffs, noise=args.noise, seed=args.seed, runs=args.runs)
+    except ValueError as exc:  # a length of 2**63 or more; argparse has checked the other arguments
+        raise InferwattError(str(exc)) from None
     fmt = args.trace_format or FORMAT_DELIMITED
     text = write_records(records, fmt)
     if args.out:
@@ -503,3 +509,7 @@ def cli_dispatch(argv, out=None) -> int:
 
 def main() -> None:
     sys.exit(cli_dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

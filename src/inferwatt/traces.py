@@ -17,10 +17,23 @@ it. `to_fit_samples` picks what `fit` fits: the prefill-only runs as g = 0
 rows, then the positive decode estimates, as one `FitSamples` table.
 
 Records are immutable tuples, validated when built: `RunRecord(...)`,
-`_make` and `_replace` all reject the same bad values. `synthesize_trace`
-builds them from a plan's columns: the coefficient classes evaluate the
-whole plan at once, and the noise is one vector of draws in record order;
-of the plan points that fail a check, the first raises its error.
+`_make` and `_replace` all reject the same bad values. Token counts and
+batch are whole numbers from 1 to below 2**63. RunRecord is the row type
+for building and writing: `synthesize_trace` builds records from a plan's
+columns (the coefficient classes evaluate the whole plan at once, and the
+noise is one vector of draws in record order; of the plan points that fail
+a check, the first raises its error), and `write_records` writes them.
+
+Reading fills columns. One reader, `read_runs`, returns a `RunTable`: ids
+as lists of str, a `full` mask, token counts and batch as int64, latency and
+energies as float64. It converts the rows in blocks of at most `_BLOCK_ROWS`,
+each column at once, and checks the RunRecord rules as masks. A block whose
+conversion fails, and each row a mask rejects, is read again row by row by
+`_record_from_cells`, which alone defines what a row means and the text of
+every ParseIssue (a JSON boolean is no number, and a fraction no count).
+`parse_records` is `read_runs` with the runs as records. `decompose`,
+`to_fit_samples`, `phase_energies` and `drop_warmup` read a RunTable's
+columns, or build them from records.
 
 Two serializations are supported, both UTF-8 (other bytes raise
 UnknownFormat) with field names exactly as the RunRecord fields:
@@ -44,6 +57,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -81,6 +95,17 @@ class ComponentEnergy(NamedTuple):
         return self.gpu + self.cpu + self.ram
 
 
+_COUNT_LIMIT = 2**63  # token counts and batch are int64 columns
+
+
+def _count_error(name: str, value) -> ValueError:
+    if value < 1:
+        return ValueError(f"{name} must be >= 1")
+    if value >= _COUNT_LIMIT:
+        return ValueError(f"{name} must be below 2**63")
+    return ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 class _RunFields(NamedTuple):
     prompt_id: str
     run_kind: RunKind
@@ -102,10 +127,10 @@ class RunRecord(_RunFields):
 
     def __new__(cls, prompt_id, run_kind, input_tokens, output_tokens, latency_s,
                 gpu_wh, cpu_wh, ram_wh, model_id="", precision="", batch=1):
-        if input_tokens < 1:
-            raise ValueError("input_tokens must be >= 1")
-        if output_tokens < 1:
-            raise ValueError("output_tokens must be >= 1")
+        if not 1 <= input_tokens < _COUNT_LIMIT or input_tokens % 1:
+            raise _count_error("input_tokens", input_tokens)
+        if not 1 <= output_tokens < _COUNT_LIMIT or output_tokens % 1:
+            raise _count_error("output_tokens", output_tokens)
         if run_kind is _PREFILL_ONLY and output_tokens != 1:
             raise ValueError("prefill-only runs have exactly one output token")
         # chained comparisons against inf: NaN fails every one of them
@@ -113,8 +138,8 @@ class RunRecord(_RunFields):
             raise ValueError("latency_s must be positive and finite")
         if not (0 <= gpu_wh < _INF and 0 <= cpu_wh < _INF and 0 <= ram_wh < _INF):
             raise ValueError("component energies must be nonnegative and finite")
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
+        if not 1 <= batch < _COUNT_LIMIT or batch % 1:
+            raise _count_error("batch", batch)
         return tuple.__new__(cls, (prompt_id, run_kind, input_tokens, output_tokens, latency_s,
                                    gpu_wh, cpu_wh, ram_wh, model_id, precision, batch))
 
@@ -129,30 +154,185 @@ _REQUIRED = _FIELDS[:8]
 _DEFAULT_CELLS = {"model_id": "", "precision": "", "batch": "1"}
 
 
+@dataclass(frozen=True, eq=False)
+class RunTable:
+    """Runs as columns, in trace order: what `read_runs` fills and what
+    `decompose`, `to_fit_samples`, `phase_energies` and `drop_warmup` read.
+    `full` marks full runs (the others are prefill-only runs). The columns
+    hold values that pass every RunRecord check."""
+
+    prompt_id: list
+    model_id: list
+    precision: list
+    full: np.ndarray  # bool
+    input_tokens: np.ndarray  # int64, as are output_tokens and batch
+    output_tokens: np.ndarray
+    batch: np.ndarray
+    latency_s: np.ndarray  # float64, as are the energies
+    gpu_wh: np.ndarray
+    cpu_wh: np.ndarray
+    ram_wh: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.prompt_id)
+
+    @classmethod
+    def from_records(cls, records: Sequence[RunRecord]) -> "RunTable":
+        prompt_id, kind, s, g, t, gpu, cpu, ram, model_id, precision, batch = \
+            zip(*records) if records else ((),) * len(_FIELDS)
+        return cls(list(prompt_id), list(model_id), list(precision),
+                   np.array([k is _FULL for k in kind], dtype=bool),
+                   *(np.array(c, dtype=np.int64) for c in (s, g, batch)),
+                   *(np.array(c, dtype=np.float64) for c in (t, gpu, cpu, ram)))
+
+    @classmethod
+    def concat(cls, tables: Sequence["RunTable"]) -> "RunTable":
+        if not tables:
+            return cls.from_records(())
+        return cls(*([value for table in tables for value in getattr(table, name)]
+                     if name in ("prompt_id", "model_id", "precision") else
+                     np.concatenate([getattr(table, name) for table in tables])
+                     for name in cls.__dataclass_fields__))
+
+    def take(self, index) -> "RunTable":
+        """The runs at `index` (an int array), in its order."""
+        rows = index.tolist()
+        return RunTable(*([column[i] for i in rows] if isinstance(column, list) else column[index]
+                          for column in vars(self).values()))
+
+    def records(self) -> list[RunRecord]:
+        """The runs as records (built without checking them again)."""
+        kinds = map((_PREFILL_ONLY, _FULL).__getitem__, self.full.tolist())
+        return list(map(partial(tuple.__new__, RunRecord), zip(
+            self.prompt_id, kinds, self.input_tokens.tolist(), self.output_tokens.tolist(),
+            self.latency_s.tolist(), self.gpu_wh.tolist(), self.cpu_wh.tolist(), self.ram_wh.tolist(),
+            self.model_id, self.precision, self.batch.tolist())))
+
+
+def _as_table(runs) -> RunTable:
+    return runs if isinstance(runs, RunTable) else RunTable.from_records(list(runs))
+
+
 @dataclass(frozen=True)
 class ParseIssue:
     line: int
     message: str
 
 
+def _number(name: str, value, convert):
+    if value is True or value is False:  # JSON true and false
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return convert(value)
+
+
+def _count(name: str, value) -> int:
+    """A token count or batch: an integer, a whole float, or text int() reads."""
+    number = _number(name, value, int)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return number
+
+
 def _record_from_cells(cells: Iterable) -> RunRecord:
-    """Convert the eleven field values, in field order, into a record."""
+    """Convert the eleven field values, in field order, into a record: the
+    one definition of what a trace row means, and of every issue message."""
     prompt_id, kind, input_tokens, output_tokens, latency_s, gpu_wh, cpu_wh, ram_wh, \
         model_id, precision, batch = cells
     run_kind = _RUN_KINDS.get(str(kind))
     if run_kind is None:
         raise ValueError(f"unknown run_kind {str(kind)!r}")
-    return RunRecord(str(prompt_id), run_kind, int(input_tokens), int(output_tokens),
-                     float(latency_s), float(gpu_wh), float(cpu_wh), float(ram_wh),
-                     str(model_id), str(precision), int(batch))
+    return RunRecord(str(prompt_id), run_kind, _count("input_tokens", input_tokens),
+                     _count("output_tokens", output_tokens), _number("latency_s", latency_s, float),
+                     _number("gpu_wh", gpu_wh, float), _number("cpu_wh", cpu_wh, float),
+                     _number("ram_wh", ram_wh, float), str(model_id), str(precision), _count("batch", batch))
 
 
 # What a bad cell or value can raise on its way into a record: int(None)
 # (TypeError) and int(inf) (OverflowError) are reachable from line-json.
 _BAD_VALUE = (ValueError, TypeError, OverflowError)
 
+_BLOCK_ROWS = 1024  # rows converted at once: it bounds the cell values alive at a time
+# field positions: prompt_id, run_kind, model_id, precision; input_tokens,
+# output_tokens, batch; latency_s and the energies
+_TEXTS, _COUNTS, _REALS = (0, 1, 8, 9), (2, 3, 10), (4, 5, 6, 7)
+# The Python types of the line-json values each column converts at once
+_JSON_TYPES = {**dict.fromkeys(_TEXTS, {str}), **dict.fromkeys(_COUNTS, {int}), **dict.fromkeys(_REALS, {int, float})}
 
-def _parse_delimited(text: str, rename: dict, records: list, issues: list) -> None:
+
+def _row_by_row(columns: Sequence, lines: list[int], delimited: bool, issues: list) -> list:
+    """Each row's record, or None where the row is an issue (appended to `issues`)."""
+    records = []
+    for lineno, cells in zip(lines, zip(*columns)):
+        try:
+            records.append(_record_from_cells(map(str.strip, cells) if delimited else cells))
+        except _BAD_VALUE as exc:
+            issues.append(ParseIssue(lineno, str(exc)))
+            records.append(None)
+    return records
+
+
+def _convert_block(columns: Sequence, lines: list[int], delimited: bool, issues: list) -> RunTable:
+    """The runs of one block of rows, given as its eleven field columns:
+    delimited cell text (stripped here), or line-json values. Each column is
+    converted at once; a block that fails that, and each row that breaks a
+    RunRecord check, is read again row by row by `_record_from_cells`."""
+    n = len(lines)
+    try:
+        if delimited:
+            texts = [list(map(str.strip, columns[i])) for i in _TEXTS]
+            counts = [np.fromiter(map(int, columns[i]), np.int64, n) for i in _COUNTS]
+            reals = [np.fromiter(map(float, columns[i]), np.float64, n) for i in _REALS]
+        elif all(set(map(type, columns[i])) <= types for i, types in _JSON_TYPES.items()):
+            texts = [list(columns[i]) for i in _TEXTS]
+            counts = [np.array(columns[i], dtype=np.int64) for i in _COUNTS]
+            reals = [np.array(columns[i], dtype=np.float64) for i in _REALS]
+        else:  # int() takes booleans and fractions, float() booleans, str() numbers
+            raise ValueError("a JSON value not of its column's type")
+    except _BAD_VALUE:
+        records = _row_by_row(columns, lines, delimited, issues)
+        return RunTable.from_records([r for r in records if r is not None])
+    prompt_id, kind, model_id, precision = texts
+    table = RunTable(prompt_id, model_id, precision, np.fromiter(map("full".__eq__, kind), bool, n),
+                     *counts, *reals)
+    # the RunRecord checks as masks; NaN fails each comparison
+    bad = ~table.full & (np.fromiter(map("prefill_only".__ne__, kind), bool, n) | (table.output_tokens != 1))
+    bad |= (table.input_tokens < 1) | (table.output_tokens < 1) | (table.batch < 1)
+    bad |= ~((0 < table.latency_s) & (table.latency_s < _INF))
+    for energy in (table.gpu_wh, table.cpu_wh, table.ram_wh):
+        bad |= ~((0 <= energy) & (energy < _INF))
+    if not bad.any():
+        return table
+    rows = np.flatnonzero(bad).tolist()
+    records = _row_by_row([[column[i] for i in rows] for column in columns], [lines[i] for i in rows],
+                          delimited, issues)
+    # a row `_record_from_cells` takes is kept: none is, while the masks are the RunRecord checks
+    bad[[i for i, record in zip(rows, records) if record is not None]] = False
+    return table.take(np.flatnonzero(~bad))
+
+
+class _Blocks:
+    """A reader's rows, converted at most `_BLOCK_ROWS` at a time, and its
+    issues in line order: an issue first converts the rows before it. The
+    reader appends each row, its line number last, to `rows`, and flushes
+    when `_BLOCK_ROWS` are waiting."""
+
+    def __init__(self, columns, delimited: bool):
+        self.columns = columns  # a block's rows -> its eleven field columns
+        self.delimited = delimited
+        self.rows, self.tables, self.issues = [], [], []
+
+    def issue(self, lineno: int, message: str) -> None:
+        self.flush()
+        self.issues.append(ParseIssue(lineno, message))
+
+    def flush(self) -> None:
+        if self.rows:
+            cells = list(zip(*self.rows))
+            self.tables.append(_convert_block(self.columns(cells), cells[-1], self.delimited, self.issues))
+            self.rows.clear()
+
+
+def _read_delimited(text: str, rename: dict) -> _Blocks:
     reader = csv.reader(text.splitlines(keepends=True))
     try:
         header = [rename.get(h.strip(), h.strip()) for h in next(reader)]
@@ -163,63 +343,81 @@ def _parse_delimited(text: str, rename: dict, records: list, issues: list) -> No
     if missing:
         raise UnknownFormat(f"header is missing required columns {missing}")
     width = len(header)
-    defaults = []  # absent optional columns read these cells, appended to every row
-    for name, cell in _DEFAULT_CELLS.items():
-        if name not in position:
-            position[name] = width + len(defaults)
-            defaults.append(cell)
-    cells = operator.itemgetter(*(position[f] for f in _FIELDS))
 
+    def columns(cells):  # an absent optional column reads its default cell
+        return [cells[position[f]] if f in position else (_DEFAULT_CELLS[f],) * len(cells[0]) for f in _FIELDS]
+
+    blocks = _Blocks(columns, delimited=True)
+    rows = blocks.rows
     start = 2  # the line on which the next csv record starts
     while True:
         try:
             for row in reader:
                 lineno, start = start, reader.line_num + 1
-                if len(row) != width:
-                    if len(row) > 1 or (row and row[0].strip()):  # blank lines are skipped
-                        issues.append(ParseIssue(lineno, f"expected {width} cells, got {len(row)}"))
-                    continue
-                try:
-                    records.append(_record_from_cells(map(str.strip, cells(row + defaults))))
-                except _BAD_VALUE as exc:
-                    issues.append(ParseIssue(lineno, str(exc)))
-            return
+                if len(row) == width:
+                    row.append(lineno)
+                    rows.append(row)
+                    if len(rows) == _BLOCK_ROWS:
+                        blocks.flush()
+                elif len(row) > 1 or (row and row[0].strip()):  # blank lines are skipped
+                    blocks.issue(lineno, f"expected {width} cells, got {len(row)}")
+            return blocks
         except csv.Error as exc:  # a cell longer than csv.field_size_limit(); reading goes on
-            issues.append(ParseIssue(start, str(exc)))
+            blocks.issue(start, str(exc))
             start = reader.line_num + 1
 
 
-def _parse_line_json(text: str, rename: dict, records: list, issues: list) -> None:
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_value(line: str):
+    """json.loads(line). The C scanner reads a line that is one value and
+    nothing more; any other line goes to json.loads, for its value or error."""
+    try:
+        value, end = _scan_json(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(line)
+
+
+def _read_line_json(text: str, rename: dict) -> _Blocks:
     required = operator.itemgetter(*_REQUIRED)
+    blocks = _Blocks(lambda cells: cells[:-1], delimited=False)
+    rows = blocks.rows
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _json_value(line)
             if not isinstance(obj, dict):
                 raise ValueError("line is not a JSON object")
             if rename:
                 obj = {rename.get(k, k): v for k, v in obj.items()}
-            records.append(_record_from_cells(
-                (*required(obj), obj.get("model_id", ""), obj.get("precision", ""), obj.get("batch", 1))
-            ))
+            rows.append((*required(obj), obj.get("model_id", ""), obj.get("precision", ""), obj.get("batch", 1),
+                         lineno))
         except (*_BAD_VALUE, KeyError, RecursionError) as exc:
-            issues.append(ParseIssue(lineno, str(exc)))
+            blocks.issue(lineno, str(exc))
+            continue
+        if len(rows) == _BLOCK_ROWS:
+            blocks.flush()
+    return blocks
 
 
-def parse_records(
+def read_runs(
     source,
     fmt: str = FORMAT_DELIMITED,
     rename: dict[str, str] | None = None,
-) -> tuple[list[RunRecord], list[ParseIssue]]:
-    """Parse a trace from text, a text stream, or a pathlib.Path.
+) -> tuple[RunTable, list[ParseIssue]]:
+    """Read a trace from text, a text stream, or a pathlib.Path into a
+    RunTable of its well-formed runs, in file order, and a ParseIssue per
+    malformed line.
 
-    Malformed lines are collected as ParseIssues with their line numbers and
-    never silently dropped; well-formed records are returned in file order.
-    A delimited record that spans lines (a quoted newline) is reported at the
-    line where it starts. `rename` maps external column/key names onto the
-    canonical field names. A file or stream that is not UTF-8 text raises
-    UnknownFormat.
+    Malformed lines are never silently dropped. A delimited record that
+    spans lines (a quoted newline) is reported at the line where it starts.
+    `rename` maps external column/key names onto the canonical field names.
+    A file or stream that is not UTF-8 text raises UnknownFormat.
     """
     try:
         if hasattr(source, "read"):
@@ -234,11 +432,19 @@ def parse_records(
         raise UnknownFormat(f"unknown trace format {fmt!r}")
     if not text.strip():
         raise EmptyInput("trace contains no data")
-    records: list[RunRecord] = []
-    issues: list[ParseIssue] = []
-    parse = _parse_delimited if fmt == FORMAT_DELIMITED else _parse_line_json
-    parse(text, rename or {}, records, issues)
-    return records, issues
+    blocks = (_read_delimited if fmt == FORMAT_DELIMITED else _read_line_json)(text, rename or {})
+    blocks.flush()
+    return RunTable.concat(blocks.tables), blocks.issues
+
+
+def parse_records(
+    source,
+    fmt: str = FORMAT_DELIMITED,
+    rename: dict[str, str] | None = None,
+) -> tuple[list[RunRecord], list[ParseIssue]]:
+    """`read_runs`, with the runs as records."""
+    table, issues = read_runs(source, fmt, rename)
+    return table.records(), issues
 
 
 # Line breaks that str.splitlines (and so the reader) splits on but that csv
@@ -272,23 +478,26 @@ def write_records(records: Iterable[RunRecord], fmt: str = FORMAT_DELIMITED) -> 
     raise UnknownFormat(f"unknown trace format {fmt!r}")
 
 
-def drop_warmup(records: Sequence[RunRecord], k: int) -> list[RunRecord]:
+def drop_warmup(runs, k: int):
     """Drop the first k runs of each kind in each group `decompose` forms
-    (prompt_id, model_id, precision, batch), preserving order.
+    (prompt_id, model_id, precision, batch), preserving order. Returns a
+    RunTable for a RunTable, and the kept records for records.
 
     Traces are normally expected to have warmup runs already excluded; this
     is the escape hatch for ones that do not.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    records = None if isinstance(runs, RunTable) else list(runs)
+    table = runs if records is None else RunTable.from_records(records)
     seen: dict[tuple, int] = {}
     kept = []
-    for rec in records:
-        key = (rec.prompt_id, rec.model_id, rec.precision, rec.batch, rec.run_kind)
-        seen[key] = seen.get(key, 0) + 1
-        if seen[key] > k:
-            kept.append(rec)
-    return kept
+    for i, key in enumerate(zip(table.prompt_id, table.model_id, table.precision, table.batch.tolist(),
+                                table.full.tolist())):
+        seen[key] = count = seen.get(key, 0) + 1
+        if count > k:
+            kept.append(i)
+    return table.take(np.array(kept, dtype=np.intp)) if records is None else [records[i] for i in kept]
 
 
 NEGATIVE_DECODE = "negative_decode"
@@ -329,10 +538,10 @@ class MissingKind:
 _TOKENS_IN, _TOKENS_OUT, _LATENCY, _GPU, _CPU, _RAM = range(6)  # rows of decompose's values
 
 
-def _group_means(values: np.ndarray, group: np.ndarray, picked: np.ndarray, n_groups: int,
+def _group_means(values: Sequence[np.ndarray], group: np.ndarray, picked: np.ndarray, n_groups: int,
                  rows: Sequence[int]):
     """Per-group counts of the runs `picked`, and the means of `values[rows]`
-    over them (runs are columns of `values`; `group` numbers their groups).
+    over them (each of `values` is a column of runs; `group` numbers their groups).
 
     Groups of equal size are gathered into one C-contiguous (groups, size)
     block per value row and reduced along it, which sums each group in the
@@ -352,9 +561,7 @@ def _group_means(values: np.ndarray, group: np.ndarray, picked: np.ndarray, n_gr
     return counts, means
 
 
-def decompose(
-    records: Iterable[RunRecord],
-) -> tuple[list[PromptDecomposition], list[MissingKind]]:
+def decompose(runs) -> tuple[list[PromptDecomposition], list[MissingKind]]:
     """Split the cost of each (prompt_id, model_id, precision, batch) group
     into prefill and decode phases, in the order the groups first appear.
 
@@ -362,20 +569,23 @@ def decompose(
     no decomposition; nothing is fabricated. A negative decode estimate in
     any component sets the negative_decode flag on the decomposition; runs
     that disagree on input_tokens set mixed_input_tokens (input_tokens is
-    then the rounded mean over the full runs).
+    then the rounded mean over the full runs). `runs` is a RunTable or
+    records.
     """
-    records = list(records)
-    if not records:
+    table = _as_table(runs)
+    if not len(table):
         return [], []
-    prompt_ids, kinds, *numbers, model_ids, precisions, batches = zip(*records)
     groups: dict[tuple, int] = {}
-    keys = [groups.setdefault(key, len(groups)) for key in zip(prompt_ids, model_ids, precisions, batches)]
-    group = np.array(keys, dtype=np.intp)
-    full = np.array([kind is _FULL for kind in kinds], dtype=bool)
-    values = np.array(numbers, dtype=float)  # one row per field, input_tokens .. ram_wh
+    group = np.array([groups.setdefault(key, len(groups)) for key in
+                      zip(table.prompt_id, table.model_id, table.precision, table.batch.tolist())], dtype=np.intp)
+    full = table.full
+    values = (table.input_tokens.astype(np.float64), table.output_tokens.astype(np.float64), table.latency_s,
+              table.gpu_wh, table.cpu_wh, table.ram_wh)
     n_groups = len(groups)
-    distinct_inputs = set(zip(keys, numbers[_TOKENS_IN]))
-    mixed = np.bincount([key for key, _ in distinct_inputs], minlength=n_groups) > 1
+    low, high = np.full(n_groups, _COUNT_LIMIT - 1), np.zeros(n_groups, dtype=np.int64)
+    np.minimum.at(low, group, table.input_tokens)
+    np.maximum.at(high, group, table.input_tokens)
+    mixed = low != high
 
     rows = (_LATENCY, _GPU, _CPU, _RAM)
     pre_counts, pre_means = _group_means(values, group, np.flatnonzero(~full), n_groups, rows)
@@ -445,32 +655,34 @@ PHASE_DECODE = "decode"
 _PHASE_ENERGY = {PHASE_PREFILL: "prefill_mean_wh", PHASE_FULL: "full_mean_wh", PHASE_DECODE: "decode_wh"}
 
 
-def phase_energies(items: Sequence, phase: str = PHASE_FULL) -> np.ndarray:
+def phase_energies(items, phase: str = PHASE_FULL) -> np.ndarray:
     """The gpu, cpu and ram energy (Wh) of one phase, as a (3, n) array with
     one C-contiguous row per component, items in order.
 
-    For records the phase selects the run kind (prefill <-> prefill-only
-    runs, full <-> full runs; decode requires decompositions); for
-    decompositions it selects their prefill mean, full mean or decode
-    estimate.
+    For runs (a RunTable or records) the phase selects the run kind
+    (prefill <-> prefill-only runs, full <-> full runs; decode requires
+    decompositions); for decompositions it selects their prefill mean, full
+    mean or decode estimate.
     """
     if phase not in _PHASE_ENERGY:
         raise ValueError(f"unknown phase {phase!r}")
-    items = list(items)
-    if items and isinstance(items[0], RunRecord):
+    if not isinstance(items, RunTable):
+        items = list(items)
+    if isinstance(items, RunTable) or items and isinstance(items[0], RunRecord):
         if phase == PHASE_DECODE:
             raise EmptySelection("decode statistics require decompositions, not raw records")
-        want = _PREFILL_ONLY if phase == PHASE_PREFILL else _FULL
-        energies = [(r.gpu_wh, r.cpu_wh, r.ram_wh) for r in items if r.run_kind is want]
+        table = _as_table(items)
+        pick = table.full if phase == PHASE_FULL else ~table.full
+        energies = np.stack([table.gpu_wh[pick], table.cpu_wh[pick], table.ram_wh[pick]])
     else:
-        energies = list(map(operator.attrgetter(_PHASE_ENERGY[phase]), items))
-    if not energies:
+        energies = np.array(list(map(operator.attrgetter(_PHASE_ENERGY[phase]), items)), dtype=float).T
+    if not energies.size:
         raise EmptySelection(f"no items match phase {phase!r}")
-    return np.ascontiguousarray(np.array(energies, dtype=float).T)
+    return np.ascontiguousarray(energies)
 
 
-def aggregate(items: Sequence, phase: str = PHASE_FULL) -> EnergyStats:
-    """Aggregate per-component energy statistics over the records or
+def aggregate(items, phase: str = PHASE_FULL) -> EnergyStats:
+    """Aggregate per-component energy statistics over the runs or
     decompositions `phase_energies` selects, with the arithmetic mean and the
     population standard deviation.
     """
@@ -507,7 +719,8 @@ def histogram(values: Sequence[float], bins) -> HistogramResult:
     """Bin values into `bins` (a count or explicit edges).
 
     Counts always sum to len(values): with explicit edges, out-of-range
-    values are clipped into the end bins.
+    values are clipped into the end bins. A count of bins that the values'
+    range cannot split into finite-sized bins raises BadEdges.
     """
     data = np.asarray(values, dtype=float)
     if data.size == 0:
@@ -515,7 +728,10 @@ def histogram(values: Sequence[float], bins) -> HistogramResult:
     if isinstance(bins, int):
         if bins < 1:
             raise ValueError("bins must be >= 1")
-        counts, edges = np.histogram(data, bins=bins)
+        try:
+            counts, edges = np.histogram(data, bins=bins)
+        except ValueError as exc:  # values too close together for `bins` finite-sized bins
+            raise BadEdges(str(exc)) from None
     else:
         edges = np.asarray(list(bins), dtype=float)
         if edges.size < 2 or not np.all(np.diff(edges) > 0):  # NaN edges fail too
@@ -533,13 +749,6 @@ def histogram(values: Sequence[float], bins) -> HistogramResult:
         mean=float(np.mean(data)),
         median=float(median),
     )
-
-
-def _float_or_nan(n: int) -> float:
-    try:
-        return float(n)
-    except OverflowError:  # a count too large for a float: its plan point raises this again
-        return float("nan")
 
 
 @np.errstate(all="ignore")  # an overflowed value is a draw no run can hold
@@ -563,7 +772,8 @@ def synthesize_trace(
     is nonpositive, or a drawn value no RunRecord can hold (nonpositive or
     non-finite, as large noise or overflowing coefficients give), raises
     InferwattError; a plan point that is not a pair of whole numbers with
-    s >= 1 and g >= 0 raises ValueError before anything is drawn.
+    1 <= s < 2**63 and 0 <= g < 2**63 raises ValueError before anything is
+    drawn.
     """
     if noise < 0:
         raise ValueError("noise must be >= 0")
@@ -572,12 +782,13 @@ def synthesize_trace(
     points = []
     for s, g in plan:
         # NaN and inf fail the range checks before int() sees them
-        if not (1 <= s < _INF and 0 <= g < _INF and s == int(s) and g == int(g)):
-            raise ValueError(f"plan point (s={s!r}, g={g!r}) needs whole numbers s >= 1 and g >= 0")
+        if not (1 <= s < _COUNT_LIMIT and 0 <= g < _COUNT_LIMIT and s == int(s) and g == int(g)):
+            raise ValueError(f"plan point (s={s!r}, g={g!r}) needs whole numbers 1 <= s < 2**63 "
+                             "and 0 <= g < 2**63")
         points.append((int(s), int(g)))
     if coeffs.prefill_latency is None or coeffs.prefill_energy is None:
         raise InferwattError("trace synthesis needs prefill latency and energy coefficients")
-    s_col, g_col = (np.array([_float_or_nan(point[i]) for point in points]) for i in (0, 1))
+    s_col, g_col = (np.array([point[i] for point in points], dtype=np.float64) for i in (0, 1))
     decode = g_col != 0
     no_decode = coeffs.decode_latency is None or coeffs.decode_energy is None
     t_pre, e_pre = coeffs.prefill_latency(s_col), coeffs.prefill_energy(s_col)
@@ -596,7 +807,6 @@ def synthesize_trace(
             raise InferwattError("plan has g>=1 points but no decode coefficients")
         if out_of_range[idx]:
             raise InferwattError(f"grid point (s={s}, g={g}) is outside the coefficient validity range")
-        float(s), float(g)  # a count too large for a float (NaN above) raises OverflowError here
         prompt = f"p{idx:04d}"
         try:
             records += [RunRecord(prompt, _PREFILL_ONLY, s, 1, draw(), draw(), 0.0, 0.0, model_id, precision, 1)
@@ -615,24 +825,26 @@ def decode_fit_rows(decompositions: Sequence[PromptDecomposition]) -> list[Promp
     return [d for d in decompositions if d.decode_latency_s > 0]
 
 
-def to_fit_samples(records: Sequence[RunRecord], decompositions: Sequence[PromptDecomposition],
+def to_fit_samples(runs, decompositions: Sequence[PromptDecomposition],
                    component: str = "total") -> FitSamples:
-    """The samples `fit` fits: the prefill-only records, in order, as g = 0
-    rows, then the `decode_fit_rows` decode estimates (decode latency and
-    energy at their output length). `component` picks which energy the
-    samples carry ('gpu', 'cpu', 'ram', or 'total', the sum gpu + cpu + ram).
+    """The samples `fit` fits: the prefill-only runs (of a RunTable or
+    records), in order, as g = 0 rows, then the `decode_fit_rows` decode
+    estimates (decode latency and energy at their output length).
+    `component` picks which energy the samples carry ('gpu', 'cpu', 'ram',
+    or 'total', the sum gpu + cpu + ram).
     """
     if component not in COMPONENTS + ("total",):
         raise ValueError(f"unknown component {component!r}")
-    prefill = [r for r in records if r.run_kind is _PREFILL_ONLY]
+    table = _as_table(runs)
+    prefill = ~table.full
     decode = decode_fit_rows(decompositions)
     if component == "total":
-        energy = [r.gpu_wh + r.cpu_wh + r.ram_wh for r in prefill]
+        energy = table.gpu_wh[prefill] + table.cpu_wh[prefill] + table.ram_wh[prefill]
     else:
-        energy = list(map(operator.attrgetter(f"{component}_wh"), prefill))
+        energy = getattr(table, f"{component}_wh")[prefill]
     return FitSamples(
-        s=[r.input_tokens for r in prefill] + [d.input_tokens for d in decode],
-        g=[0] * len(prefill) + [d.output_tokens for d in decode],
-        t=[r.latency_s for r in prefill] + [d.decode_latency_s for d in decode],
-        energy_wh=energy + [getattr(d.decode_wh, component) for d in decode],
+        s=table.input_tokens[prefill].tolist() + [d.input_tokens for d in decode],
+        g=[0] * len(energy) + [d.output_tokens for d in decode],
+        t=table.latency_s[prefill].tolist() + [d.decode_latency_s for d in decode],
+        energy_wh=energy.tolist() + [getattr(d.decode_wh, component) for d in decode],
     )

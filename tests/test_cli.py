@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -17,6 +20,9 @@ from inferwatt.cli import cli_dispatch
 from inferwatt.errors import EmptySelection, InferwattError
 from inferwatt.traces import (COMPONENTS, ComponentEnergy, ComponentStats, EnergyStats, RunKind, RunRecord,
                               aggregate, decompose, histogram, parse_records, write_records)
+
+
+HEADER = "prompt_id,run_kind,input_tokens,output_tokens,latency_s,gpu_wh,cpu_wh,ram_wh,model_id,precision,batch"
 
 
 def run_cli(*argv):
@@ -160,6 +166,38 @@ class TestExitCodes:
         code, out = run_cli(*(a.format(**bad_files) for a in argv))
         assert code == 0 and out
         assert capsys.readouterr().err == ""
+
+
+    @pytest.mark.parametrize("command", ["fit", "decompose", "stats", "hist"])
+    @pytest.mark.parametrize("body,drop,warnings", [
+        ("", "0", 0),  # a header and nothing else
+        ("p,full,x,5,1.0,0.1,0,0,m,fp32,1\np,prefill_only,10,5,1.0,0.1,0,0,m,fp32,1\np,full\n", "0", 3),
+        ("p,full,10,5,1.0,0.1,0,0,m,fp32,1\np,prefill_only,10,1,1.0,0.1,0,0,m,fp32,1\n", "1", 0),
+    ])
+    def test_trace_with_no_valid_run_is_data_error(self, command, body, drop, warnings, tmp_path, capsys):
+        path = tmp_path / "runs.csv"
+        path.write_text(HEADER + "\n" + body, encoding="utf-8")
+        code, out = run_cli(command, "--trace", str(path), "--drop-first", drop)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and out == ""
+        after = f" after --drop-first {drop}" if drop != "0" else ""
+        assert len(err) == warnings + 1 and all(ln.startswith("warning: line ") for ln in err[:-1])
+        assert err[-1] == f"error: trace has no valid runs{after}"
+
+    @pytest.mark.parametrize("lengths", [("--s-values", str(2**63)), ("--g-values", f"0,{2**63}")])
+    def test_synth_lengths_of_2_63_or_more_are_data_error(self, lengths, capsys):
+        code, out = run_cli("synth", "--s-values", "900", "--g-values", "0", *lengths)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: plan point") and "2**63" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("module", ["inferwatt", "inferwatt.cli"])
+    def test_python_m_runs_the_cli(self, module):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", module, "predict", "-s", "900", "-g", "82"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, run_cli("predict", "-s", "900", "-g", "82")[1], "")
 
 
 class TestArgumentValidation:

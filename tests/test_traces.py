@@ -5,6 +5,7 @@ import statistics
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -378,6 +379,8 @@ class TestHistogram:
             histogram([1.0, 2.0], bins=[0.0, 1.0, 0.5])
         with pytest.raises(BadEdges):
             histogram([1.0, 2.0], bins=[0.0, 1.0, float("nan")])
+        with pytest.raises(BadEdges, match="Cannot create 10 finite-sized bins"):
+            histogram([0.1, 0.10000000000000003], bins=10)  # a range of two ulps
 
     def test_empty_values(self):
         with pytest.raises(EmptyInput):
@@ -476,7 +479,8 @@ class TestSynthesizeTrace:
             synthesize_trace([(900, 0)], huge)
 
     @pytest.mark.parametrize("point", [(100, -3), (100.5, 3), (100, 2.5), (0, 0), (0, 5),
-                                       (float("nan"), 3), (100, float("inf"))])
+                                       (float("nan"), 3), (100, float("inf")), (2**63, 3), (100, 2**63),
+                                       (float(2**63), 3)])
     def test_plan_points_must_be_whole_with_s_at_least_1_and_g_at_least_0(self, coeffs, point):
         # unchecked, (100, -3) gives a prefill-only prompt and (100.5, 3)
         # records that `parse_records` rejects once written
@@ -500,8 +504,9 @@ def _synthesize_oracle(plan, coeffs, noise=0.0, seed=0, runs=1, model_id="synthe
         raise ValueError("runs must be >= 1")
     points = []
     for s, g in plan:
-        if not (1 <= s < float("inf") and 0 <= g < float("inf") and s == int(s) and g == int(g)):
-            raise ValueError(f"plan point (s={s!r}, g={g!r}) needs whole numbers s >= 1 and g >= 0")
+        if not (1 <= s < 2**63 and 0 <= g < 2**63 and s == int(s) and g == int(g)):
+            raise ValueError(f"plan point (s={s!r}, g={g!r}) needs whole numbers 1 <= s < 2**63 "
+                             "and 0 <= g < 2**63")
         points.append((int(s), int(g)))
     if coeffs.prefill_latency is None or coeffs.prefill_energy is None:
         raise InferwattError("trace synthesis needs prefill latency and energy coefficients")
@@ -544,7 +549,7 @@ def _synthesis(fn, *args, **kwargs):
 
 # Mostly coefficient sets and plans that give a trace; some have one value
 # that fails a check: a negative slope or intercept, an overflowing
-# coefficient, a missing decode group, a count too large for a float.
+# coefficient, a missing decode group, a count of 2**63 or more.
 _FLOAT_LIMIT = 2**1024 - 2**970  # the least int that float() rejects: it rounds to 2**1024
 
 
@@ -570,7 +575,7 @@ def _plans(draw):
     if draw(st.integers(0, 4)) == 0:
         index, position = draw(st.integers(0, len(plan) - 1)), draw(st.integers(0, 1))
         point = list(plan[index])
-        point[position] = draw(st.sampled_from([2**53 + 1, 10**300, _FLOAT_LIMIT - 1, _FLOAT_LIMIT, 10**400]))
+        point[position] = draw(st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, 10**300, _FLOAT_LIMIT, 10**400]))
         plan[index] = tuple(point)
     return plan
 
@@ -581,19 +586,20 @@ class TestSynthesizeOracle:
            noise=st.one_of(st.sampled_from([0.0, 0.05, 5.0]), st.floats(0.0, 3.0)),
            seed=st.integers(0, 2**32), runs=st.integers(1, 4))
     def test_matches_the_per_point_loop(self, plan, coeffs, noise, seed, runs):
-        # equal records, or the same exception type and text: the first
-        # failing point (missing decode group, nonpositive polynomial, a count
-        # too large for a float, a bad draw) fails first in both
+        # equal records, or the same exception type and text: a count of
+        # 2**63 or more fails the plan check first in both, then the first
+        # failing point (missing decode group, nonpositive polynomial, a bad
+        # draw) fails first in both
         kwargs = dict(noise=noise, seed=seed, runs=runs)
         assert _synthesis(synthesize_trace, plan, coeffs, **kwargs) == \
             _synthesis(_synthesize_oracle, plan, coeffs, **kwargs)
 
     @pytest.mark.parametrize("plan,prefill", [
         ([(500, 0), (900, 82), (1, 1)], None),  # the last point is out of range
-        ([(900, 82), (_FLOAT_LIMIT, 0)], None),  # a count too large for a float
-        ([(1, 1), (10**400, 5)], None),  # the earlier point fails first
-        ([(1, 10**400)], PrefillLatencyCoeffs(1e-4, 1e-8, -0.01)),  # its prefill is checked before its g
-        ([(10**400, 5)], PrefillLatencyCoeffs(1e-4, 1e-8, -0.01)),  # its s is checked before its prefill
+        ([(900, 82), (2**63, 0)], None),  # a count of 2**63 fails the plan check
+        ([(1, 1), (2**63, 5)], None),  # which comes before the earlier point's range
+        ([(1, 10**400)], PrefillLatencyCoeffs(1e-4, 1e-8, -0.01)),  # and before its own prefill
+        ([(1, 5), (10, 0)], PrefillLatencyCoeffs(1e-4, 1e-8, -0.01)),  # a negative prefill fails its point
         ([(900, 0)] * 30, None),  # noise 5 draws a negative value
     ])
     def test_each_error_at_its_point(self, coeffs, plan, prefill):
@@ -666,6 +672,16 @@ class TestRecordTuple:
 _ORACLE_FIELDS = RunRecord._fields
 
 
+def _number_oracle(fields: dict, name: str, convert, default=None):
+    # a JSON boolean is no number, and a count no fraction: each is an issue
+    value = fields[name] if default is None else fields.get(name, default)
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if convert is int and isinstance(value, float) and value != int(value):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return convert(value)
+
+
 def _record_from_fields_oracle(fields: dict) -> RunRecord:
     kind_raw = str(fields["run_kind"])
     try:
@@ -675,15 +691,15 @@ def _record_from_fields_oracle(fields: dict) -> RunRecord:
     return RunRecord(
         prompt_id=str(fields["prompt_id"]),
         run_kind=kind,
-        input_tokens=int(fields["input_tokens"]),
-        output_tokens=int(fields["output_tokens"]),
-        latency_s=float(fields["latency_s"]),
-        gpu_wh=float(fields["gpu_wh"]),
-        cpu_wh=float(fields["cpu_wh"]),
-        ram_wh=float(fields["ram_wh"]),
+        input_tokens=_number_oracle(fields, "input_tokens", int),
+        output_tokens=_number_oracle(fields, "output_tokens", int),
+        latency_s=_number_oracle(fields, "latency_s", float),
+        gpu_wh=_number_oracle(fields, "gpu_wh", float),
+        cpu_wh=_number_oracle(fields, "cpu_wh", float),
+        ram_wh=_number_oracle(fields, "ram_wh", float),
         model_id=str(fields.get("model_id", "")),
         precision=str(fields.get("precision", "")),
-        batch=int(fields.get("batch", 1)),
+        batch=_number_oracle(fields, "batch", int, 1),
     )
 
 
@@ -768,31 +784,95 @@ def _quote_free_trace(draw):
     return "".join(line + br for line, br in zip(lines, breaks))
 
 
-class TestParseOracle:
-    @settings(max_examples=150, deadline=None)
-    @given(_quote_free_trace())
-    def test_delimited_matches_the_split_parser(self, text):
-        assert parse_records(text) == _parse_records_oracle(text)
+# Rows per converted block: small ones make traces cross block boundaries.
+_BLOCK_SIZES = [2, 3, traces._BLOCK_ROWS]
 
-    @settings(max_examples=100, deadline=None)
+
+class TestParseOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_quote_free_trace(), st.sampled_from(_BLOCK_SIZES))
+    def test_delimited_matches_the_split_parser(self, text, block_rows):
+        with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+            assert parse_records(text) == _parse_records_oracle(text)
+
+    @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(
         st.fixed_dictionaries(
             {name: st.sampled_from(cells) for name, cells in _CELLS.items()},
         ).map(json.dumps),
         st.fixed_dictionaries(
             {"prompt_id": st.sampled_from(["p", 5]), "run_kind": st.sampled_from(["full", 1]),
-             "input_tokens": st.sampled_from([10, 2.5, "10"]), "output_tokens": st.sampled_from([1, 3]),
-             "latency_s": st.sampled_from([1.0, -1.0, "nan"]), "gpu_wh": st.sampled_from([0.1, 0]),
+             "input_tokens": st.sampled_from([10, 2.5, "10", 10.0, True, 1e20, 2**63 - 1]),
+             "output_tokens": st.sampled_from([1, 3, 3.9, 3.0, False]),
+             "latency_s": st.sampled_from([1.0, -1.0, "nan", 2, True]), "gpu_wh": st.sampled_from([0.1, 0, False]),
              "cpu_wh": st.just(0.0), "ram_wh": st.just(0.0)},
-            optional={"batch": st.sampled_from([1, 2, 0]), "model_id": st.sampled_from(["m", 3])},
+            optional={"batch": st.sampled_from([1, 2, 0, 1.7, 2.0, True, 2**63]),
+                      "model_id": st.sampled_from(["m", 3])},
         ).map(json.dumps),
         st.sampled_from(["", "  ", "[1, 2]", "17", "{", "not json", '{"prompt_id": "p"}']),
-    ), max_size=12))
-    def test_line_json_matches_the_split_parser(self, lines):
+    ), max_size=12), st.sampled_from(_BLOCK_SIZES))
+    def test_line_json_matches_the_split_parser(self, lines, block_rows):
         text = "\n".join(lines) + "\n"
         if not text.strip():
             return
-        assert parse_records(text, "line-json") == _parse_records_oracle(text, "line-json")
+        with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+            assert parse_records(text, "line-json") == _parse_records_oracle(text, "line-json")
+
+    @pytest.mark.parametrize("block_rows", _BLOCK_SIZES)
+    def test_each_bad_value_alone_matches_the_split_parser(self, block_rows):
+        # one bad cell or value per row, each after a good row: with blocks
+        # of two rows, every check runs on a block of its own
+        json_values = {"input_tokens": [2.5, 3.0, True, 0, -2, 1e20, 2**63],
+                       "output_tokens": [3.9, 2.0, False, 0, 2**63 - 1],
+                       "latency_s": [-1.0, 0, float("nan"), float("inf"), True, "1.5"],
+                       "gpu_wh": [-0.1, float("nan"), float("-inf"), False],
+                       "batch": [1.7, 0, True, 2**63, 2**64, "2"], "prompt_id": [5, None], "model_id": [3]}
+        delimited, line_json = [",".join(_ORACLE_FIELDS)], []
+        for kind in ("full", "prefill_only"):
+            good = {name: cells[0] for name, cells in _GOOD_CELLS.items()}
+            good.update(run_kind=kind, output_tokens="1")
+            good_json = dict(good, input_tokens=100, output_tokens=1, latency_s=1.5, gpu_wh=0.3, cpu_wh=0.02,
+                             ram_wh=0.01, batch=1)
+            for name, cells in _CELLS.items():
+                for cell in cells:
+                    delimited += [",".join(good.values()), ",".join({**good, name: cell}.values())]
+                    line_json += [json.dumps(good_json), json.dumps({**good_json, name: cell})]
+            for name, values in json_values.items():
+                for value in values:
+                    line_json += [json.dumps(good_json), json.dumps({**good_json, name: value})]
+        with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+            for fmt, lines in (("delimited", delimited), ("line-json", line_json)):
+                text = "\n".join(lines) + "\n"
+                assert parse_records(text, fmt) == _parse_records_oracle(text, fmt)
+
+    @pytest.mark.parametrize("block_rows", _BLOCK_SIZES)
+    def test_issues_stay_in_line_order_across_blocks(self, block_rows):
+        good = "p{},full,100,20,1.5,0.3,0.02,0.01,m,fp32,1"
+        lines = [HEADER] + [good.format(i) for i in range(5)]
+        lines[3] = "p2,full,100,x,1.5,0.3,0.02,0.01,m,fp32,1"  # a bad cell in a middle block
+        lines[5] = "p4,full,100,20,-1.5,0.3,0.02,0.01,m,fp32,1"  # a run no record can hold
+        lines += ["x" * 200_000 + good.format(5), good.format(6), "p7,full", "", good.format(8)]
+        with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+            records, issues = parse_records("\n".join(lines) + "\n")
+        assert [r.prompt_id for r in records] == ["p0", "p1", "p3", "p6", "p8"]
+        assert [(i.line, i.message) for i in issues] == [
+            (4, "invalid literal for int() with base 10: 'x'"),
+            (6, "latency_s must be positive and finite"),
+            (7, "field larger than field limit (131072)"),
+            (9, "expected 11 cells, got 2"),
+        ]
+
+    @pytest.mark.parametrize("fmt", ["delimited", "line-json"])
+    def test_columns_match_the_split_parser_on_whole_traces(self, coeffs, fmt):
+        plan = [(s, g) for s in range(200, 3200, 300) for g in (0, 16, 82, 300)]
+        synthesized = synthesize_trace(plan, coeffs, noise=0.05, seed=3, runs=60)
+        assert len(synthesized) > traces._BLOCK_ROWS
+        for records in (parse_records(reference_trace_text())[0], synthesized):
+            text = write_records(records, fmt)
+            table, issues = traces.read_runs(text, fmt)
+            want, want_issues = _parse_records_oracle(text, fmt)
+            assert not issues and not want_issues
+            assert repr(table.records()) == repr(want)  # repr shows every bit
 
     def test_rename_matches_the_split_parser(self):
         text = "prompt,kind,input_tokens,output_tokens,latency_s,gpu_wh,cpu_wh,ram_wh\n" \
@@ -835,6 +915,86 @@ class TestParseFuzz:
         text = "\n".join([HEADER, "x" * 200_000 + good, good]) + "\n"
         records, issues = parse_records(text)
         assert len(records) == 1 and [i.line for i in issues] == [2]
+
+
+def _json_run(**values):
+    run = {"prompt_id": "p", "run_kind": "full", "input_tokens": 10, "output_tokens": 2, "latency_s": 1.0,
+           "gpu_wh": 0.1, "cpu_wh": 0.0, "ram_wh": 0.0}
+    return json.dumps({**run, **values}) + "\n"
+
+
+class TestNumbers:
+    @pytest.mark.parametrize("field,value,message", [
+        ("input_tokens", 2.5, "input_tokens must be a whole number, got 2.5"),
+        ("output_tokens", 3.9, "output_tokens must be a whole number, got 3.9"),
+        ("batch", 1.7, "batch must be a whole number, got 1.7"),
+        ("input_tokens", True, "input_tokens must be a number, got True"),
+        ("batch", False, "batch must be a number, got False"),
+        ("latency_s", True, "latency_s must be a number, got True"),
+        ("ram_wh", False, "ram_wh must be a number, got False"),
+        ("input_tokens", 1e20, "input_tokens must be below 2**63"),
+        ("output_tokens", 2**63, "output_tokens must be below 2**63"),
+        ("batch", 2**64, "batch must be below 2**63"),
+    ])
+    def test_line_json_truncates_no_number(self, field, value, message):
+        # a value read as another number is a parse issue, never a truncated count
+        assert parse_records(_json_run(**{field: value}), "line-json") == ([], [ParseIssue(1, message)])
+
+    @pytest.mark.parametrize("value", [7, 7.0, "7", " 7 "])
+    def test_a_count_is_an_integer_a_whole_float_or_text_int_reads(self, value):
+        records, issues = parse_records(_json_run(input_tokens=value, batch=value), "line-json")
+        assert not issues and (records[0].input_tokens, records[0].batch) == (7, 7)
+        assert type(records[0].input_tokens) is int
+
+    @pytest.mark.parametrize("cell,message", [
+        ("2.5", "invalid literal for int() with base 10: '2.5'"),
+        (str(2**63), "input_tokens must be below 2**63"),
+    ])
+    def test_delimited_counts_are_integers_below_2_63(self, cell, message):
+        text = HEADER + f"\np,full,{cell},2,1.0,0.1,0,0,m,fp32,1\np,full,{2**63 - 1},2,1.0,0.1,0,0,m,fp32,1\n"
+        records, issues = parse_records(text)
+        assert [r.input_tokens for r in records] == [2**63 - 1]
+        assert issues == [ParseIssue(2, message)]
+
+    @pytest.mark.parametrize("position", [2, 3, 10])
+    def test_record_counts_are_whole_and_below_2_63(self, position):
+        fields = ["p", RunKind.FULL, 10, 2, 1.0, 0.1, 0.0, 0.0, "m", "fp32", 1]
+        name = RunRecord._fields[position]
+        for good in (2**63 - 1, 5.0):
+            fields[position] = good
+            assert RunRecord(*fields)[position] == good
+        for bad, message in ((2**63, f"{name} must be below 2\\*\\*63"),
+                             (5.5, f"{name} must be a whole number, got 5.5")):
+            fields[position] = bad
+            with pytest.raises(ValueError, match=message):
+                RunRecord(*fields)
+
+    def test_plan_of_the_largest_count_round_trips(self, coeffs):
+        records = synthesize_trace([(2**63 - 1, 1)], coeffs)
+        for fmt in ("delimited", "line-json"):
+            assert parse_records(write_records(records, fmt), fmt) == (records, [])
+
+
+def _loaded(read, line):
+    try:
+        return repr(read(line))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+_JSON_TEXT = st.one_of(
+    st.recursive(st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+                 lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                 max_leaves=8).map(json.dumps),
+    st.text(alphabet='{}[]":,. \t\ufeff0123456789eEtruflsanNI-+\\', max_size=20),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_TEXT, st.sampled_from(["", " ", "x", "}", "\t"]), st.sampled_from(["", " ", "\ufeff"]))
+def test_json_value_is_json_loads(text, tail, head):
+    line = head + text + tail
+    assert _loaded(traces._json_value, line) == _loaded(json.loads, line)
 
 
 # --- the per-group loop before the numpy group-by, kept as the reference ----
@@ -942,6 +1102,47 @@ class TestDecomposeOracle:
 
     def test_empty(self):
         assert decompose([]) == ([], [])
+
+
+class TestRunTable:
+    """Every reader of runs gives, on a RunTable, what it gives on the
+    table's records, and `decompose` what the per-group loop gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_run, max_size=60), st.integers(0, 3))
+    def test_columns_and_records_read_alike(self, runs, k):
+        records = [
+            RunRecord(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else g, t, *energy,
+                      model, precision, batch)
+            for pid, model, precision, batch, kind, s, g, t, energy in runs
+        ]
+        table = traces.RunTable.from_records(records)
+        assert repr(table.records()) == repr(records)
+        decomps = decompose(records)
+        assert repr(decompose(table)) == repr(decomps) == repr(_decompose_oracle(records))
+        for component in ("gpu", "cpu", "ram", "total"):
+            want = to_fit_samples(records, decomps[0], component)
+            got = to_fit_samples(table, decomps[0], component)
+            assert [repr(c.tolist()) for c in (got.s, got.g, got.t, got.energy_wh)] == \
+                [repr(c.tolist()) for c in (want.s, want.g, want.t, want.energy_wh)]
+        for phase in ("prefill", "full", "decode"):
+            want = _outcome(phase_energies, records, phase) if records else None
+            got = _outcome(phase_energies, table, phase) if records else None
+            assert got == want
+        assert repr(drop_warmup(table, k).records()) == repr(drop_warmup(records, k))
+
+    def test_empty(self):
+        table = traces.RunTable.from_records([])
+        assert len(table) == 0 and table.records() == []
+        assert decompose(table) == ([], []) and len(drop_warmup(table, 1)) == 0
+        assert to_fit_samples(table, []).s.size == 0
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args).tolist())  # repr shows every bit
+    except InferwattError as exc:
+        return type(exc), str(exc)
 
 
 class TestDecomposeGrouping:
