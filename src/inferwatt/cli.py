@@ -380,11 +380,11 @@ def _cmd_synth(args, out) -> int:
     coeffs = _load_coeffs(args)
     plan = [(s, g) for s in args.s_values for g in args.g_values]
     try:
-        records = synthesize_trace(plan, coeffs, noise=args.noise, seed=args.seed, runs=args.runs)
+        runs = synthesize_trace(plan, coeffs, noise=args.noise, seed=args.seed, runs=args.runs)
     except ValueError as exc:  # a length of 2**63 or more; argparse has checked the other arguments
         raise InferwattError(str(exc)) from None
     fmt = args.trace_format or FORMAT_DELIMITED
-    text = write_records(records, fmt)
+    text = write_records(runs, fmt)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

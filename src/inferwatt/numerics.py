@@ -96,7 +96,8 @@ def ols_fit(
     """Minimize ||x @ beta - y||_2 and report goodness of fit.
 
     Raises DimensionMismatch on shape errors and RankDeficient when the
-    condition estimate of the column-scaled system exceeds condition_limit.
+    condition estimate of the column-scaled system exceeds condition_limit
+    or a coefficient overflows the float range.
     """
     yv = np.asarray(y, dtype=float)
     if yv.ndim != 1 or yv.shape[0] != x.rows:
@@ -115,7 +116,12 @@ def ols_fit(
         raise RankDeficient(f"condition estimate {condition:.3e} exceeds {condition_limit:.1e}")
 
     beta_scaled = np.linalg.solve(r, q.T @ yv)
-    beta = beta_scaled / np.asarray(scales)
+    with np.errstate(over="ignore"):
+        beta = beta_scaled / np.asarray(scales)
+    if not np.all(np.isfinite(beta)):
+        # a column scale near the underflow limit puts its coefficient past
+        # the float range: the design is degenerate at double precision
+        raise RankDeficient(f"coefficients overflow for column scales {scales}")
 
     residual = yv - x.as_array() @ beta
     residual_norm = float(np.linalg.norm(residual))

@@ -18,11 +18,14 @@ rows, then the positive decode estimates, as one `FitSamples` table.
 
 Records are immutable tuples, validated when built: `RunRecord(...)`,
 `_make` and `_replace` all reject the same bad values. Token counts and
-batch are whole numbers from 1 to below 2**63. RunRecord is the row type
-for building and writing: `synthesize_trace` builds records from a plan's
-columns (the coefficient classes evaluate the whole plan at once, and the
-noise is one vector of draws in record order; of the plan points that fail
-a check, the first raises its error), and `write_records` writes them.
+batch are whole numbers from 1 to below 2**63. RunRecord stays the row type
+for runs built by hand; synthesis and writing work on columns.
+`synthesize_trace` returns a RunTable: the coefficient classes evaluate the
+whole plan at once, the noise is one vector of draws in record order, and
+the RunRecord rules run as masks (of the plan points that fail a check, the
+first raises its error). `write_records` takes a RunTable or records and
+formats columns: each distinct text value is encoded once, numbers take
+their repr, and rows are joined a block of `_BLOCK_ROWS` at a time.
 
 Reading fills columns. One reader, `read_runs`, returns a `RunTable`: ids
 as lists of str, a `full` mask, token counts and batch as int64, latency and
@@ -52,12 +55,12 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import json
 import operator
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -156,8 +159,9 @@ _DEFAULT_CELLS = {"model_id": "", "precision": "", "batch": "1"}
 
 @dataclass(frozen=True, eq=False)
 class RunTable:
-    """Runs as columns, in trace order: what `read_runs` fills and what
-    `decompose`, `to_fit_samples`, `phase_energies` and `drop_warmup` read.
+    """Runs as columns, in trace order: what `read_runs` and
+    `synthesize_trace` fill, and what `write_records`, `decompose`,
+    `to_fit_samples`, `phase_energies` and `drop_warmup` read.
     `full` marks full runs (the others are prefill-only runs). The columns
     hold values that pass every RunRecord check."""
 
@@ -251,7 +255,7 @@ def _record_from_cells(cells: Iterable) -> RunRecord:
 # (TypeError) and int(inf) (OverflowError) are reachable from line-json.
 _BAD_VALUE = (ValueError, TypeError, OverflowError)
 
-_BLOCK_ROWS = 1024  # rows converted at once: it bounds the cell values alive at a time
+_BLOCK_ROWS = 1024  # rows read or written at once: it bounds the cell values alive at a time
 # field positions: prompt_id, run_kind, model_id, precision; input_tokens,
 # output_tokens, batch; latency_s and the energies
 _TEXTS, _COUNTS, _REALS = (0, 1, 8, 9), (2, 3, 10), (4, 5, 6, 7)
@@ -452,30 +456,71 @@ def parse_records(
 _UNQUOTED_BREAK = re.compile(r"\r(?!\n)|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
-def _row(rec: RunRecord) -> tuple:
-    return (rec[0], rec[1].value, *rec[2:])
+class _Echo:
+    """A file whose `write` returns its text: a csv writer's `writerow` then
+    returns the row as text."""
 
-
-def write_records(records: Iterable[RunRecord], fmt: str = FORMAT_DELIMITED) -> str:
-    """Serialize records; inverse of parse_records for both formats.
-
-    Raises ValueError when a delimited text field holds a line break the
-    format cannot carry (see the module docstring).
-    """
-    if fmt == FORMAT_DELIMITED:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_FIELDS)
-        writer.writerows(map(_row, records))
-        text = out.getvalue()
-        bad = _UNQUOTED_BREAK.search(text)
-        if bad:
-            raise ValueError(f"a text field holds the line break {bad.group()!r}, which "
-                             "the delimited format cannot carry; use line-json")
+    @staticmethod
+    def write(text: str) -> str:
         return text
-    if fmt == FORMAT_LINE_JSON:
-        return "\n".join(json.dumps(dict(zip(_FIELDS, _row(rec)))) for rec in records) + "\n"
-    raise UnknownFormat(f"unknown trace format {fmt!r}")
+
+
+_csv_row = csv.writer(_Echo(), lineterminator="\n").writerow
+
+
+def _csv_cell(value: str) -> str:
+    return _csv_row(("", value))[1:-1]  # one cell of a two-cell row: csv writes a lone "" as '""'
+
+
+# A row's text: text cells as encoded, numbers as their repr (as csv and json write them)
+_DELIMITED_ROW = ",".join("%s" if i in _TEXTS else "%r" for i in range(len(_FIELDS))) + "\n"
+_JSON_ROW = "{" + ", ".join(f"{json.dumps(name)}: " + ("%s" if i in _TEXTS else "%r")
+                            for i, name in enumerate(_FIELDS)) + "}\n"
+
+
+def _refuse_unquoted_breaks(columns: Sequence[list], distinct: Sequence[dict]) -> None:
+    """Raise ValueError for the first text value in the written text that
+    holds a line break csv leaves unquoted. `distinct[k]` holds the distinct
+    values of `columns[k]`; only they are searched."""
+    bad = {value for values in distinct for value in values if _UNQUOTED_BREAK.search(value)}
+    if bad:  # the first in the text: the earliest row, then the leftmost column
+        row, k = min((next(i for i, value in enumerate(column) if value in bad), k)
+                     for k, column in enumerate(columns) if not bad.isdisjoint(distinct[k]))
+        raise ValueError(f"a text field holds the line break {_UNQUOTED_BREAK.search(columns[k][row]).group()!r}, "
+                         "which the delimited format cannot carry; use line-json")
+
+
+def write_records(runs, fmt: str = FORMAT_DELIMITED) -> str:
+    """Serialize runs, a RunTable or records; inverse of `read_runs` and
+    `parse_records` for both formats. Counts are written as integers, and
+    latency and energies as floats, as a RunTable holds them.
+
+    Columns are formatted at once: each distinct text value is encoded once,
+    by the csv module or `json.dumps`, and numbers are written as their repr,
+    as csv and json write them. Raises ValueError when a delimited text field
+    holds a line break the format cannot carry (see the module docstring).
+    """
+    if fmt not in (FORMAT_DELIMITED, FORMAT_LINE_JSON):
+        raise UnknownFormat(f"unknown trace format {fmt!r}")
+    delimited = fmt == FORMAT_DELIMITED
+    encode = _csv_cell if delimited else json.dumps
+    table = _as_table(runs)
+    texts = (table.prompt_id, table.model_id, table.precision)
+    distinct = [dict.fromkeys(column) for column in texts]
+    if delimited:
+        _refuse_unquoted_breaks(texts, distinct)
+    prompt_id, model_id, precision = (list(map({value: encode(value) for value in values}.__getitem__, column))
+                                      for values, column in zip(distinct, texts))
+    kind = list(map((encode(RunKind.PREFILL_ONLY.value), encode(RunKind.FULL.value)).__getitem__,
+                    table.full.tolist()))
+    columns = (prompt_id, kind, table.input_tokens, table.output_tokens, table.latency_s, table.gpu_wh,
+               table.cpu_wh, table.ram_wh, model_id, precision, table.batch)
+    row = _DELIMITED_ROW if delimited else _JSON_ROW
+    blocks = [_csv_row(_FIELDS)] if delimited else []
+    for start in range(0, len(table), _BLOCK_ROWS):
+        cells = (column[start:start + _BLOCK_ROWS] for column in columns)
+        blocks.append("".join(map(row.__mod__, zip(*(c if isinstance(c, list) else c.tolist() for c in cells)))))
+    return "".join(blocks) or "\n"  # line-json without runs: one empty line
 
 
 def drop_warmup(runs, k: int):
@@ -760,20 +805,21 @@ def synthesize_trace(
     runs: int = 1,
     model_id: str = "synthetic",
     precision: str = "fp32",
-) -> list[RunRecord]:
-    """Emit a trace drawn from a CoefficientSet over a grid of (s, g) points.
+) -> RunTable:
+    """A RunTable of a trace drawn from a CoefficientSet over a grid of (s, g) points.
 
-    Each point becomes one prompt with `runs` prefill-only records and, for
-    g >= 1, `runs` full records whose latency/energy are the prefill plus
+    Each point becomes one prompt with `runs` prefill-only runs and, for
+    g >= 1, `runs` full runs whose latency/energy are the prefill plus
     decode polynomial values, each independently perturbed by multiplicative
     Gaussian noise of relative std `noise`. Polynomial energy goes to the
     gpu_wh component (the families model device-side energy); cpu and ram
     are zero. Deterministic for a fixed seed. A grid point where a polynomial
     is nonpositive, or a drawn value no RunRecord can hold (nonpositive or
     non-finite, as large noise or overflowing coefficients give), raises
-    InferwattError; a plan point that is not a pair of whole numbers with
-    1 <= s < 2**63 and 0 <= g < 2**63 raises ValueError before anything is
-    drawn.
+    InferwattError, with the RunRecord message of its first such run; of the
+    points that fail, the first raises. A plan point that is not a pair of
+    whole numbers with 1 <= s < 2**63 and 0 <= g < 2**63 raises ValueError
+    before anything is drawn.
     """
     if noise < 0:
         raise ValueError("noise must be >= 0")
@@ -788,34 +834,47 @@ def synthesize_trace(
         points.append((int(s), int(g)))
     if coeffs.prefill_latency is None or coeffs.prefill_energy is None:
         raise InferwattError("trace synthesis needs prefill latency and energy coefficients")
-    s_col, g_col = (np.array([point[i] for point in points], dtype=np.float64) for i in (0, 1))
-    decode = g_col != 0
+    s_int, g_int = (np.array([point[i] for point in points], dtype=np.int64) for i in (0, 1))
+    s_col, g_col = s_int.astype(np.float64), g_int.astype(np.float64)
+    decode = g_int != 0
     no_decode = coeffs.decode_latency is None or coeffs.decode_energy is None
     t_pre, e_pre = coeffs.prefill_latency(s_col), coeffs.prefill_energy(s_col)
     t_dec, e_dec = (0 * s_col, 0 * s_col) if no_decode else (
         coeffs.decode_latency(s_col, g_col), coeffs.decode_energy(s_col, g_col))
-    out_of_range = ((t_pre <= 0) | (e_pre <= 0) | decode & ((t_dec <= 0) | (e_dec <= 0))).tolist()
     # each point's draws in order: (t_pre, e_pre) per prefill-only run, (t_pre, t_dec, e_pre, e_dec) per full run
+    values = np.stack([t_pre, t_dec, e_pre, e_dec], axis=1)[:, [0, 2] * runs + [0, 1, 2, 3] * runs]
     drawn = np.arange(6 * runs) < np.where(decode, 6 * runs, 2 * runs)[:, None]
-    values = np.stack([t_pre, t_dec, e_pre, e_dec], axis=1)[:, [0, 2] * runs + [0, 1, 2, 3] * runs][drawn]
-    rng = np.random.default_rng(seed)
-    draw = iter((values * (1.0 + noise * rng.standard_normal(values.size))).tolist()).__next__
-
-    records = []
-    for idx, (s, g) in enumerate(points):
+    values[drawn] *= 1.0 + noise * np.random.default_rng(seed).standard_normal(np.count_nonzero(drawn))
+    prefill, full = values[:, :2 * runs].reshape(-1, runs, 2), values[:, 2 * runs:].reshape(-1, runs, 4)
+    # a point's runs in record order: its prefill-only runs, then its full runs where it has any
+    latency = np.concatenate([prefill[..., 0], full[..., 0] + full[..., 1]], axis=1)
+    energy = np.concatenate([prefill[..., 1], full[..., 2] + full[..., 3]], axis=1)
+    is_full = np.arange(2 * runs) >= runs
+    kept = ~is_full | decode[:, None]
+    # the RunRecord checks of latency_s and gpu_wh as masks; NaN fails each comparison
+    bad = kept & ~((0 < latency) & (latency < _INF) & (0 <= energy) & (energy < _INF))
+    out_of_range = (t_pre <= 0) | (e_pre <= 0) | decode & ((t_dec <= 0) | (e_dec <= 0))
+    failed = decode & no_decode | out_of_range | bad.any(axis=1)
+    if failed.any():
+        idx = int(np.argmax(failed))
+        s, g = points[idx]
         if g and no_decode:
             raise InferwattError("plan has g>=1 points but no decode coefficients")
         if out_of_range[idx]:
             raise InferwattError(f"grid point (s={s}, g={g}) is outside the coefficient validity range")
-        prompt = f"p{idx:04d}"
-        try:
-            records += [RunRecord(prompt, _PREFILL_ONLY, s, 1, draw(), draw(), 0.0, 0.0, model_id, precision, 1)
-                        for _ in range(runs)]
-            records += [RunRecord(prompt, _FULL, s, g, draw() + draw(), draw() + draw(), 0.0, 0.0, model_id,
-                                  precision, 1) for _ in range(runs if g else 0)]
+        run = int(np.argmax(bad[idx]))
+        try:  # the run's record raises the message of its first failing field
+            RunRecord(f"p{idx:04d}", RunKind.FULL if is_full[run] else RunKind.PREFILL_ONLY, s,
+                      g if is_full[run] else 1, float(latency[idx, run]), float(energy[idx, run]), 0.0, 0.0)
         except ValueError as exc:
             raise InferwattError(f"grid point (s={s}, g={g}) drew a value no run can hold: {exc}") from None
-    return records
+    full_runs = np.broadcast_to(is_full, kept.shape)[kept]
+    per_point, n = kept.sum(axis=1), len(full_runs)
+    return RunTable(
+        list(chain.from_iterable(map(repeat, (f"p{idx:04d}" for idx in range(len(points))), per_point.tolist()))),
+        [model_id] * n, [precision] * n, full_runs, np.repeat(s_int, per_point),
+        np.where(full_runs, np.repeat(g_int, per_point), 1), np.ones(n, dtype=np.int64),
+        latency[kept], energy[kept], np.zeros(n), np.zeros(n))
 
 
 def decode_fit_rows(decompositions: Sequence[PromptDecomposition]) -> list[PromptDecomposition]:

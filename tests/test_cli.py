@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -461,6 +462,21 @@ class TestSynthFitPredictPipeline:
         args = ("synth", "--s-values", "200,500", "--g-values", "0,16",
                 "--noise", "0.02", "--seed", "7")
         assert run_cli(*args) == run_cli(*args)
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("delimited", "56d5732fd5484ea9df6cb9127042129c4e18bab9cac9e53cc2f92f3104c12d17"),
+        ("line-json", "15b157534f692a52574daba1461e096a44624be2df4447d3cee67579ef56a9fb"),
+    ])
+    def test_synth_bytes_are_pinned(self, tmp_path, fmt, digest):
+        # a g = 0 point gives a prompt of prefill-only runs; the digests are
+        # those of the per-record synthesis and writer
+        args = ("synth", "--s-values", "200,900,3000", "--g-values", "0,82,1024", "--noise", "0.05",
+                "--runs", "3", "--trace-format", fmt)
+        code, out = run_cli(*args)
+        assert code == 0 and hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        path = tmp_path / "trace"
+        assert run_cli(*args, "--out", str(path)) == (0, "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_synth_line_json_round_trip(self, tmp_path):
         trace = tmp_path / "synth.jsonl"

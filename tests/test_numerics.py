@@ -56,6 +56,16 @@ class TestOlsFit:
         with pytest.raises(RankDeficient):
             ols_fit(dm, s)
 
+    def test_rank_deficient_when_a_coefficient_overflows(self):
+        # s * s is subnormal here: its coefficient leaves the float range,
+        # which raises instead of leaking an overflow RuntimeWarning
+        s = np.array([0.0, 9.404803506569431e-156, 1.405887128983655e-160,
+                      4.7055541223807295e-195, 2.002056214721409e-199,
+                      7.176313623735461e-229, 4.0456443599639045e-229,
+                      2.3447228984319303e-268])
+        with pytest.raises(RankDeficient, match="overflow"):
+            ols_fit(poly_design(s), np.arange(8.0))
+
     def test_condition_limit_configurable(self):
         s = np.arange(1.0, 9.0)
         dm = DesignMatrix.from_columns([s, np.ones_like(s)])
@@ -105,8 +115,11 @@ class TestDesignMatrix:
             dm.as_array()[0, 0] = 1.0
 
 
+# Points on a 0.1 grid in [-50, 50]: any 8 distinct ones give [s, s^2, 1] a
+# column-scaled condition below 1e6. Arbitrary floats are not well
+# conditioned: [0, 1, 1e-156, 1e-160, ...] makes s and s^2 collinear.
 well_conditioned = st.lists(
-    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+    st.integers(min_value=-500, max_value=500).map(lambda i: i / 10),
     min_size=8, max_size=20, unique=True,
 )
 coefficients = st.tuples(

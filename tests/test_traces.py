@@ -1,6 +1,9 @@
+import csv
 import importlib.util
+import io
 import json
 import random
+import re
 import statistics
 import warnings
 from dataclasses import fields, replace
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from inferwatt import traces
 from inferwatt.bundled import reference_trace_text
+from inferwatt.cli import cli_dispatch
 from inferwatt.errors import (
     BadEdges,
     EmptyInput,
@@ -180,6 +184,91 @@ class TestRoundTrip:
         records, issues = parse_records(text)
         assert [r.prompt_id for r in records] == ["a\nb"]
         assert [i.line for i in issues] == [4]
+
+
+# --- the per-record writer before the columnar writer, kept as the reference ---
+
+
+def _write_records_oracle(records, fmt="delimited"):
+    def row(rec):
+        return (rec[0], rec[1].value, *rec[2:])
+
+    if fmt == "delimited":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(RunRecord._fields)
+        writer.writerows(map(row, records))
+        text = out.getvalue()
+        bad = re.search(r"\r(?!\n)|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]", text)
+        if bad:
+            raise ValueError(f"a text field holds the line break {bad.group()!r}, which "
+                             "the delimited format cannot carry; use line-json")
+        return text
+    if fmt == "line-json":
+        return "\n".join(json.dumps(dict(zip(RunRecord._fields, row(rec)))) for rec in records) + "\n"
+    raise UnknownFormat(f"unknown trace format {fmt!r}")
+
+
+# Text that csv quotes or escapes, line breaks it leaves unquoted, text json
+# escapes, and the empty string; drawn from a few values so that ids repeat.
+_HOSTILE_TEXT = st.lists(st.sampled_from(["a", ",", '"', "\r", "\n", "\r\n", "\x0b", "\u2028", "\x85", "é",
+                                          "\U0001f600", " ", "\\", "\x00"]), max_size=4).map("".join)
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e16, 0.1, 1 / 3, 1.7976931348623157e308]
+_LATENCY = st.one_of(st.sampled_from([f for f in _EDGE_FLOATS if f > 0]),
+                     st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False))
+_ENERGY = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(min_value=0, allow_nan=False, allow_infinity=False))
+_COUNT = st.one_of(st.integers(1, 2**63 - 1), st.sampled_from([1, 2**53 + 1, 2**63 - 1]))
+
+
+@st.composite
+def _hostile_records(draw):
+    ids = draw(st.lists(_HOSTILE_TEXT, min_size=1, max_size=4))
+    text = st.sampled_from(ids)
+    return [RunRecord(draw(text), kind, draw(_COUNT), 1 if kind is RunKind.PREFILL_ONLY else draw(_COUNT),
+                      draw(_LATENCY), draw(_ENERGY), draw(_ENERGY), draw(_ENERGY), draw(text), draw(text),
+                      draw(_COUNT))
+            for kind in draw(st.lists(st.sampled_from(list(RunKind)), max_size=8))]
+
+
+class TestWriteOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_hostile_records(), st.sampled_from(["delimited", "line-json"]), st.sampled_from([1, 3, 1024]))
+    def test_matches_the_per_record_writer(self, records, fmt, block_rows):
+        # the same text, or ValueError with the same message
+        want = _result(_write_records_oracle, records, fmt)
+        with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+            assert _result(write_records, traces.RunTable.from_records(records), fmt) == want
+            assert _result(write_records, records, fmt) == want
+
+    def test_first_unquoted_break_in_the_text_is_named(self):
+        # the earliest row wins, then the leftmost column, then the first break in the value
+        rows = [("ok", "ok", "ok"), ("ok", "b\u2028\x0b", "c\x85"), ("\x0b", "ok", "ok")]
+        records = [RunRecord(pid, RunKind.FULL, 10, 2, 1.0, 0.5, 0.0, 0.0, model, precision)
+                   for pid, model, precision in rows]
+        want = _result(_write_records_oracle, records)
+        assert want[0] is ValueError and "'\\u2028'" in want[1]
+        assert _result(write_records, records) == want
+
+    def test_reference_and_synthesized_traces(self, coeffs):
+        plan = [(s, g) for s in (200, 900, 3000) for g in (0, 3, 82)]
+        for table in (traces.read_runs(reference_trace_text())[0],
+                      synthesize_trace(plan, coeffs, noise=0.05, seed=2, runs=4),
+                      traces.RunTable.from_records([])):
+            for fmt in ("delimited", "line-json"):
+                assert write_records(table, fmt) == _write_records_oracle(table.records(), fmt)
+
+    def test_each_distinct_text_is_encoded_once(self, coeffs, monkeypatch):
+        table = synthesize_trace([(s, g) for s in (200, 900) for g in (0, 82)], coeffs, noise=0.05, runs=30)
+        want = {fmt: _write_records_oracle(table.records(), fmt) for fmt in ("delimited", "line-json")}
+        encoded = []
+        monkeypatch.setattr(traces, "json", mock.Mock(dumps=lambda value: encoded.append(value) or json.dumps(value)))
+        row = traces._csv_row
+        monkeypatch.setattr(traces, "_csv_row", lambda cells: encoded.append(cells) or row(cells))
+        for fmt in want:
+            encoded.clear()
+            assert write_records(table, fmt) == want[fmt]
+            # four prompt ids, one model, one precision, two run kinds; and the delimited header
+            assert len(encoded) == 8 + (fmt == "delimited")
 
 
 class TestDropWarmup:
@@ -459,10 +548,10 @@ class TestSynthesizeTrace:
 
     def test_deterministic_per_seed(self, coeffs):
         plan = [(500, 32), (1000, 64)]
-        a = synthesize_trace(plan, coeffs, noise=0.05, seed=3)
-        b = synthesize_trace(plan, coeffs, noise=0.05, seed=3)
+        a = _synthesize_records(plan, coeffs, noise=0.05, seed=3)
+        b = _synthesize_records(plan, coeffs, noise=0.05, seed=3)
         assert a == b
-        c = synthesize_trace(plan, coeffs, noise=0.05, seed=4)
+        c = _synthesize_records(plan, coeffs, noise=0.05, seed=4)
         assert a != c
 
     def test_out_of_range_grid_point_rejected(self, coeffs):
@@ -488,10 +577,45 @@ class TestSynthesizeTrace:
             synthesize_trace([(500, 32), point], coeffs)
 
     def test_whole_float_plan_points_give_int_token_counts(self, coeffs):
-        records = synthesize_trace([(500.0, 32.0)], coeffs)
-        assert records == synthesize_trace([(500, 32)], coeffs)
+        table = synthesize_trace([(500.0, 32.0)], coeffs)
+        records = table.records()
+        assert records == _synthesize_records([(500, 32)], coeffs)
         assert all(type(r.input_tokens) is int and type(r.output_tokens) is int for r in records)
-        assert parse_records(write_records(records)) == (records, [])
+        assert parse_records(write_records(table)) == (records, [])
+
+    def test_prefill_only_points_check_no_full_run(self, coeffs):
+        # at g = 0 the decode latency is its intercept rho < 0, and at s = 1
+        # t_pre + rho < 0: a prompt without full runs must not fail on one
+        assert coeffs.prefill_latency(1.0) + coeffs.decode_latency(1.0, 0.0) < 0
+        plan = [(1, 0), (10, 0), (900, 82)]
+        assert repr(_synthesize_records(plan, coeffs, noise=0.05, runs=2)) == \
+            repr(_synthesize_oracle(plan, coeffs, noise=0.05, runs=2))
+
+    def test_columns_have_the_run_table_types(self, coeffs):
+        table = synthesize_trace([(500, 0), (900, 82)], coeffs, noise=0.05, runs=2)
+        assert [type(value) for value in table.prompt_id + table.model_id + table.precision] == [str] * 18
+        assert table.full.dtype == bool
+        assert {c.dtype for c in (table.input_tokens, table.output_tokens, table.batch)} == {np.dtype(np.int64)}
+        assert {c.dtype for c in (table.latency_s, table.gpu_wh, table.cpu_wh, table.ram_wh)} == \
+            {np.dtype(np.float64)}
+        assert repr(traces.RunTable.from_records(table.records())) == repr(table)
+
+    def test_synth_builds_no_record(self, coeffs, monkeypatch):
+        plan = [(500, 0), (500, 82), (900, 0), (900, 82)]
+        records = _synthesize_oracle(plan, coeffs, noise=0.05, seed=4, runs=3)
+        want = {fmt: _write_records_oracle(records, fmt) for fmt in ("delimited", "line-json")}
+
+        def no_per_run_record(*args):
+            raise AssertionError("a RunRecord was built")
+
+        monkeypatch.setattr(traces, "RunRecord", no_per_run_record)
+        table = synthesize_trace(plan, coeffs, noise=0.05, seed=4, runs=3)
+        for fmt in want:
+            assert write_records(table, fmt) == want[fmt]
+            out = io.StringIO()
+            assert cli_dispatch(["synth", "--s-values", "500,900", "--g-values", "0,82", "--noise", "0.05",
+                                 "--seed", "4", "--runs", "3", "--trace-format", fmt], out=out) == 0
+            assert out.getvalue() == want[fmt]
 
 
 # --- the per-point loop before the columnar synthesis, kept as the reference ---
@@ -540,7 +664,11 @@ def _synthesize_oracle(plan, coeffs, noise=0.0, seed=0, runs=1, model_id="synthe
     return records
 
 
-def _synthesis(fn, *args, **kwargs):
+def _synthesize_records(*args, **kwargs):
+    return synthesize_trace(*args, **kwargs).records()
+
+
+def _result(fn, *args, **kwargs):
     try:
         return repr(fn(*args, **kwargs))  # repr shows every bit
     except (InferwattError, ValueError, OverflowError) as exc:
@@ -591,8 +719,8 @@ class TestSynthesizeOracle:
         # failing point (missing decode group, nonpositive polynomial, a bad
         # draw) fails first in both
         kwargs = dict(noise=noise, seed=seed, runs=runs)
-        assert _synthesis(synthesize_trace, plan, coeffs, **kwargs) == \
-            _synthesis(_synthesize_oracle, plan, coeffs, **kwargs)
+        assert _result(_synthesize_records, plan, coeffs, **kwargs) == \
+            _result(_synthesize_oracle, plan, coeffs, **kwargs)
 
     @pytest.mark.parametrize("plan,prefill", [
         ([(500, 0), (900, 82), (1, 1)], None),  # the last point is out of range
@@ -605,14 +733,14 @@ class TestSynthesizeOracle:
     def test_each_error_at_its_point(self, coeffs, plan, prefill):
         coeffs = replace(coeffs, prefill_latency=prefill or coeffs.prefill_latency)
         kwargs = dict(noise=5.0, seed=11, runs=2)
-        want = _synthesis(_synthesize_oracle, plan, coeffs, **kwargs)
+        want = _result(_synthesize_oracle, plan, coeffs, **kwargs)
         assert isinstance(want, tuple)
-        assert _synthesis(synthesize_trace, plan, coeffs, **kwargs) == want
+        assert _result(_synthesize_records, plan, coeffs, **kwargs) == want
 
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     def test_reference_grid(self, coeffs, noise):
         plan = [(s, g) for s in (500, 900, 3000) for g in (0, 32, 82, 1024)]
-        records = synthesize_trace(plan, coeffs, noise=noise, seed=5, runs=3)
+        records = _synthesize_records(plan, coeffs, noise=noise, seed=5, runs=3)
         assert repr(records) == repr(_synthesize_oracle(plan, coeffs, noise=noise, seed=5, runs=3))
         assert len(records) == 3 * 12 + 3 * 9
 
@@ -970,9 +1098,9 @@ class TestNumbers:
                 RunRecord(*fields)
 
     def test_plan_of_the_largest_count_round_trips(self, coeffs):
-        records = synthesize_trace([(2**63 - 1, 1)], coeffs)
+        table = synthesize_trace([(2**63 - 1, 1)], coeffs)
         for fmt in ("delimited", "line-json"):
-            assert parse_records(write_records(records, fmt), fmt) == (records, [])
+            assert parse_records(write_records(table, fmt), fmt) == (table.records(), [])
 
 
 def _loaded(read, line):
@@ -1098,7 +1226,7 @@ class TestDecomposeOracle:
 
     def test_synthetic_trace(self, coeffs):
         plan = [(s, g) for s in (300, 900, 2500) for g in (0, 16, 200)]
-        _assert_same_decomposition(synthesize_trace(plan, coeffs, noise=0.05, seed=1, runs=9))
+        _assert_same_decomposition(_synthesize_records(plan, coeffs, noise=0.05, seed=1, runs=9))
 
     def test_empty(self):
         assert decompose([]) == ([], [])
