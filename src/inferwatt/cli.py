@@ -42,6 +42,7 @@ from .traces import (
     FORMAT_LINE_JSON,
     MIXED_INPUT_TOKENS,
     PHASE_DECODE,
+    RunKind,
     aggregate,
     decode_fit_rows,
     decompose,
@@ -143,24 +144,22 @@ def _group(item) -> str:
             f"batch {item.batch})")
 
 
-def _decompose(runs):
-    """decompose, with a warning per group that misses a run kind."""
+def _decompose(runs, fitting=False):
+    """decompose, with a warning per group that misses a run kind and so drops
+    out; `fit` keeps a group without full runs, as g = 0 rows of its prefill-only runs."""
     decomps, missing = decompose(runs)
     for m in missing:
-        print(f"warning: {_group(m)} has no {m.missing.value} runs", file=sys.stderr)
+        if not (fitting and m.missing is RunKind.FULL):
+            print(f"warning: {_group(m)} has no {m.missing.value} runs", file=sys.stderr)
     return decomps
 
 
 def _load_coeffs(args) -> CoefficientSet:
-    if getattr(args, "coeffs", None):
-        return load_coefficients(args.coeffs)
-    return bundled.reference_coefficients()
+    return load_coefficients(args.coeffs) if args.coeffs else bundled.reference_coefficients()
 
 
 def _load_hw(args):
-    if getattr(args, "hw", None):
-        return load_profile(args.hw)
-    return bundled.reference_profile()
+    return load_profile(args.hw) if args.hw else bundled.reference_profile()
 
 
 def _arg_type(convert, expected: str, ok=lambda value: True):
@@ -197,6 +196,8 @@ _RENAME = _arg_type(lambda text: dict(p.split("=", 1) for p in text.split(",")),
 
 
 def _cmd_predict(args, out) -> int:
+    if args.hw and not args.model:  # --model and --coeffs exclude each other in the parser
+        raise _UsageError("--hw sets the hardware of the analytic source: give it with --model")
     if args.model:
         source = AnalyticSource(load_model(args.model), _load_hw(args))
     else:
@@ -222,7 +223,7 @@ def _cmd_predict(args, out) -> int:
 
 def _cmd_fit(args, out) -> int:
     runs = _read_trace(args)
-    decomps = _decompose(runs)
+    decomps = _decompose(runs, fitting=True)
     for d in decode_fit_rows(decomps):
         if MIXED_INPUT_TOKENS in d.flags:
             print(f"warning: {_group(d)} mixes input lengths; its decode row is fitted at their "
@@ -418,9 +419,10 @@ def build_parser() -> _Parser:
     p = subs.add_parser("predict", help="energy breakdown of one interaction")
     p.add_argument("-s", type=_POSITIVE_INT, required=True, help="input (prompt) tokens")
     p.add_argument("-g", type=_POSITIVE_INT, required=True, help="generated tokens")
-    p.add_argument("--coeffs", help="coefficient file (default: bundled reference set)")
-    p.add_argument("--model", help="model spec file: use the analytic roofline source")
-    p.add_argument("--hw", help="hardware profile file (default: bundled H100 profile)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--coeffs", help="coefficient file (default: bundled reference set)")
+    source.add_argument("--model", help="model spec file: use the analytic roofline source")
+    p.add_argument("--hw", help="hardware profile file for --model (default: bundled H100 profile)")
     p.add_argument("--led-watts", type=_POSITIVE, default=5.0)
     _add_common(p)
     p.set_defaults(func=_cmd_predict)

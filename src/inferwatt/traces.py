@@ -18,25 +18,27 @@ rows, then the positive decode estimates, as one `FitSamples` table.
 
 Records are immutable tuples, validated when built: `RunRecord(...)`,
 `_make` and `_replace` all reject the same bad values. Token counts and
-batch are whole numbers from 1 to below 2**63. RunRecord stays the row type
-for runs built by hand; synthesis and writing work on columns.
-`synthesize_trace` returns a RunTable: the coefficient classes evaluate the
-whole plan at once, the noise is one vector of draws in record order, and
-the RunRecord rules run as masks (of the plan points that fail a check, the
-first raises its error). `write_records` takes a RunTable or records and
-formats columns: each distinct text value is encoded once, numbers take
-their repr, and rows are joined a block of `_BLOCK_ROWS` at a time.
+batch are whole numbers from 1 to below 2**63; no number is a bool.
+RunRecord stays the row type for runs built by hand.
 
-Reading fills columns. One reader, `read_runs`, returns a `RunTable`: ids
-as lists of str, a `full` mask, token counts and batch as int64, latency and
-energies as float64. It converts the rows in blocks of at most `_BLOCK_ROWS`,
-each column at once, and checks the RunRecord rules as masks. A block whose
-conversion fails, and each row a mask rejects, is read again row by row by
-`_record_from_cells`, which alone defines what a row means and the text of
-every ParseIssue (a JSON boolean is no number, and a fraction no count).
-`parse_records` is `read_runs` with the runs as records. `decompose`,
-`to_fit_samples`, `phase_energies` and `drop_warmup` read a RunTable's
-columns, or build them from records.
+A run has one layout. `_FIELD_KINDS` gives each RunRecord field, in order,
+its kind (text, run kind, count or real); a RunTable holds one column per
+field in that order, with the mask `full` for the run kind, and building,
+joining, reading and writing tables go by that tuple. `RunTable.invalid` is
+the RunRecord checks as masks. `synthesize_trace` evaluates the whole plan
+at once and draws the noise as one vector in record order; of the plan
+points that fail, the first raises. `write_records` formats columns: each
+distinct text value is encoded once, numbers take their repr, and rows are
+joined a block of `_BLOCK_ROWS` at a time.
+
+One reader, `read_runs`, returns a RunTable. It converts the rows in blocks
+of at most `_BLOCK_ROWS`, each column at once, and drops the rows `invalid`
+marks. A block whose conversion fails, and each row dropped, is read again
+row by row by `_record_from_cells`, which alone defines what a row means and
+the text of every ParseIssue (a JSON boolean is no number, and a fraction no
+count). `parse_records` is `read_runs` with the runs as records.
+`decompose`, `to_fit_samples`, `phase_energies` and `drop_warmup` read a
+RunTable's columns, or build them from records.
 
 Two serializations are supported, both UTF-8 (other bytes raise
 UnknownFormat) with field names exactly as the RunRecord fields:
@@ -101,6 +103,12 @@ class ComponentEnergy(NamedTuple):
 _COUNT_LIMIT = 2**63  # token counts and batch are int64 columns
 
 
+def _number(name: str, value, convert):
+    if value is True or value is False:  # JSON true and false
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return convert(value)
+
+
 def _count_error(name: str, value) -> ValueError:
     if value < 1:
         return ValueError(f"{name} must be >= 1")
@@ -123,6 +131,17 @@ class _RunFields(NamedTuple):
     batch: int = 1
 
 
+_FIELDS = _RunFields._fields
+# Each field's kind, in field order: a RunTable column, a column read and a
+# written cell take their form from it
+_FIELD_KINDS = ("text", "kind", "count", "count", "real", "real", "real", "real", "text", "text", "count")
+_DEFAULTS = _RunFields._field_defaults  # the optional fields', in field order
+_RUN_KIND = _FIELDS.index("run_kind")  # RunTable's `full`
+_REQUIRED = _FIELDS[:-len(_DEFAULTS)]
+_NUMBER_FIELDS = tuple(name for name, kind in zip(_FIELDS, _FIELD_KINDS) if kind in ("count", "real"))
+_DTYPES = {"count": np.int64, "real": np.float64}
+
+
 class RunRecord(_RunFields):
     """One measured generation run."""
 
@@ -130,6 +149,10 @@ class RunRecord(_RunFields):
 
     def __new__(cls, prompt_id, run_kind, input_tokens, output_tokens, latency_s,
                 gpu_wh, cpu_wh, ram_wh, model_id="", precision="", batch=1):
+        numbers = (input_tokens, output_tokens, latency_s, gpu_wh, cpu_wh, ram_wh, batch)
+        if bool in map(type, numbers):  # a bool is an int, but no count or measurement
+            for name, value in zip(_NUMBER_FIELDS, numbers):
+                _number(name, value, float)
         if not 1 <= input_tokens < _COUNT_LIMIT or input_tokens % 1:
             raise _count_error("input_tokens", input_tokens)
         if not 1 <= output_tokens < _COUNT_LIMIT or output_tokens % 1:
@@ -151,52 +174,42 @@ class RunRecord(_RunFields):
         return cls(*iterable)  # `_replace` builds through here, so it validates too
 
 
-_FIELDS = RunRecord._fields
-_REQUIRED = _FIELDS[:8]
-# Cell text of the optional fields when a delimited header lacks them.
-_DEFAULT_CELLS = {"model_id": "", "precision": "", "batch": "1"}
-
-
 @dataclass(frozen=True, eq=False)
 class RunTable:
-    """Runs as columns, in trace order: what `read_runs` and
-    `synthesize_trace` fill, and what `write_records`, `decompose`,
-    `to_fit_samples`, `phase_energies` and `drop_warmup` read.
-    `full` marks full runs (the others are prefill-only runs). The columns
-    hold values that pass every RunRecord check."""
+    """Runs as columns, in trace order, as `read_runs` and `synthesize_trace`
+    fill them: RunRecord's fields in its order, of the kinds `_FIELD_KINDS`
+    gives (texts as lists of str, counts as int64 and reals as float64
+    arrays), with the bool mask `full` in place of `run_kind`. They hold
+    values that pass every RunRecord check (`invalid` marks the runs that do not)."""
 
     prompt_id: list
-    model_id: list
-    precision: list
-    full: np.ndarray  # bool
-    input_tokens: np.ndarray  # int64, as are output_tokens and batch
+    full: np.ndarray
+    input_tokens: np.ndarray
     output_tokens: np.ndarray
-    batch: np.ndarray
-    latency_s: np.ndarray  # float64, as are the energies
+    latency_s: np.ndarray
     gpu_wh: np.ndarray
     cpu_wh: np.ndarray
     ram_wh: np.ndarray
+    model_id: list
+    precision: list
+    batch: np.ndarray
 
     def __len__(self) -> int:
         return len(self.prompt_id)
 
     @classmethod
     def from_records(cls, records: Sequence[RunRecord]) -> "RunTable":
-        prompt_id, kind, s, g, t, gpu, cpu, ram, model_id, precision, batch = \
-            zip(*records) if records else ((),) * len(_FIELDS)
-        return cls(list(prompt_id), list(model_id), list(precision),
-                   np.array([k is _FULL for k in kind], dtype=bool),
-                   *(np.array(c, dtype=np.int64) for c in (s, g, batch)),
-                   *(np.array(c, dtype=np.float64) for c in (t, gpu, cpu, ram)))
+        columns = zip(*records) if records else ((),) * len(_FIELDS)
+        return cls(*(list(values) if kind == "text" else np.fromiter(values, _DTYPES[kind]) if kind in _DTYPES
+                     else np.fromiter((value is _FULL for value in values), bool)
+                     for kind, values in zip(_FIELD_KINDS, columns)))
 
     @classmethod
     def concat(cls, tables: Sequence["RunTable"]) -> "RunTable":
         if not tables:
             return cls.from_records(())
-        return cls(*([value for table in tables for value in getattr(table, name)]
-                     if name in ("prompt_id", "model_id", "precision") else
-                     np.concatenate([getattr(table, name) for table in tables])
-                     for name in cls.__dataclass_fields__))
+        return cls(*(list(chain.from_iterable(columns)) if kind == "text" else np.concatenate(columns)
+                     for kind, columns in zip(_FIELD_KINDS, zip(*(vars(table).values() for table in tables)))))
 
     def take(self, index) -> "RunTable":
         """The runs at `index` (an int array), in its order."""
@@ -206,11 +219,20 @@ class RunTable:
 
     def records(self) -> list[RunRecord]:
         """The runs as records (built without checking them again)."""
-        kinds = map((_PREFILL_ONLY, _FULL).__getitem__, self.full.tolist())
-        return list(map(partial(tuple.__new__, RunRecord), zip(
-            self.prompt_id, kinds, self.input_tokens.tolist(), self.output_tokens.tolist(),
-            self.latency_s.tolist(), self.gpu_wh.tolist(), self.cpu_wh.tolist(), self.ram_wh.tolist(),
-            self.model_id, self.precision, self.batch.tolist())))
+        run_kinds = map((_PREFILL_ONLY, _FULL).__getitem__, self.full.tolist())
+        columns = (run_kinds if kind == "kind" else column if kind == "text" else column.tolist()
+                   for kind, column in zip(_FIELD_KINDS, vars(self).values()))
+        return list(map(partial(tuple.__new__, RunRecord), zip(*columns)))
+
+    def invalid(self) -> np.ndarray:
+        """The mask of the runs that break a RunRecord check (an int64 count
+        is below 2**63 and a whole number already); NaN fails each comparison."""
+        bad = ~self.full & (self.output_tokens != 1)
+        bad |= (self.input_tokens < 1) | (self.output_tokens < 1) | (self.batch < 1)
+        bad |= ~((0 < self.latency_s) & (self.latency_s < _INF))
+        for energy in (self.gpu_wh, self.cpu_wh, self.ram_wh):
+            bad |= ~((0 <= energy) & (energy < _INF))
+        return bad
 
 
 def _as_table(runs) -> RunTable:
@@ -221,12 +243,6 @@ def _as_table(runs) -> RunTable:
 class ParseIssue:
     line: int
     message: str
-
-
-def _number(name: str, value, convert):
-    if value is True or value is False:  # JSON true and false
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return convert(value)
 
 
 def _count(name: str, value) -> int:
@@ -256,11 +272,8 @@ def _record_from_cells(cells: Iterable) -> RunRecord:
 _BAD_VALUE = (ValueError, TypeError, OverflowError)
 
 _BLOCK_ROWS = 1024  # rows read or written at once: it bounds the cell values alive at a time
-# field positions: prompt_id, run_kind, model_id, precision; input_tokens,
-# output_tokens, batch; latency_s and the energies
-_TEXTS, _COUNTS, _REALS = (0, 1, 8, 9), (2, 3, 10), (4, 5, 6, 7)
-# The Python types of the line-json values each column converts at once
-_JSON_TYPES = {**dict.fromkeys(_TEXTS, {str}), **dict.fromkeys(_COUNTS, {int}), **dict.fromkeys(_REALS, {int, float})}
+# The Python types of the line-json values a column of each field kind converts at once
+_JSON_TYPES = {"text": {str}, "kind": {str}, "count": {int}, "real": {int, float}}
 
 
 def _row_by_row(columns: Sequence, lines: list[int], delimited: bool, issues: list) -> list:
@@ -275,35 +288,32 @@ def _row_by_row(columns: Sequence, lines: list[int], delimited: bool, issues: li
     return records
 
 
+def _convert_column(kind: str, values: Sequence, delimited: bool):
+    """One field's column of a block, converted at once: delimited cell
+    text, stripped, or line-json values, each of a type its kind takes (the
+    run kind stays text)."""
+    if delimited:  # int() and float() take surrounding whitespace
+        return list(map(str.strip, values)) if kind in ("text", "kind") else \
+            np.fromiter(map(int if kind == "count" else float, values), _DTYPES[kind], len(values))
+    if not set(map(type, values)) <= _JSON_TYPES[kind]:  # int() takes booleans and fractions, float() booleans
+        raise ValueError("a JSON value not of its column's type")
+    return list(values) if kind in ("text", "kind") else np.array(values, dtype=_DTYPES[kind])
+
+
 def _convert_block(columns: Sequence, lines: list[int], delimited: bool, issues: list) -> RunTable:
     """The runs of one block of rows, given as its eleven field columns:
-    delimited cell text (stripped here), or line-json values. Each column is
-    converted at once; a block that fails that, and each row that breaks a
-    RunRecord check, is read again row by row by `_record_from_cells`."""
-    n = len(lines)
+    delimited cell text, or line-json values. Each column is converted at
+    once; a block that fails that, and each row that breaks a RunRecord
+    check, is read again row by row by `_record_from_cells`."""
     try:
-        if delimited:
-            texts = [list(map(str.strip, columns[i])) for i in _TEXTS]
-            counts = [np.fromiter(map(int, columns[i]), np.int64, n) for i in _COUNTS]
-            reals = [np.fromiter(map(float, columns[i]), np.float64, n) for i in _REALS]
-        elif all(set(map(type, columns[i])) <= types for i, types in _JSON_TYPES.items()):
-            texts = [list(columns[i]) for i in _TEXTS]
-            counts = [np.array(columns[i], dtype=np.int64) for i in _COUNTS]
-            reals = [np.array(columns[i], dtype=np.float64) for i in _REALS]
-        else:  # int() takes booleans and fractions, float() booleans, str() numbers
-            raise ValueError("a JSON value not of its column's type")
+        converted = list(map(_convert_column, _FIELD_KINDS, columns, repeat(delimited)))
     except _BAD_VALUE:
         records = _row_by_row(columns, lines, delimited, issues)
         return RunTable.from_records([r for r in records if r is not None])
-    prompt_id, kind, model_id, precision = texts
-    table = RunTable(prompt_id, model_id, precision, np.fromiter(map("full".__eq__, kind), bool, n),
-                     *counts, *reals)
-    # the RunRecord checks as masks; NaN fails each comparison
-    bad = ~table.full & (np.fromiter(map("prefill_only".__ne__, kind), bool, n) | (table.output_tokens != 1))
-    bad |= (table.input_tokens < 1) | (table.output_tokens < 1) | (table.batch < 1)
-    bad |= ~((0 < table.latency_s) & (table.latency_s < _INF))
-    for energy in (table.gpu_wh, table.cpu_wh, table.ram_wh):
-        bad |= ~((0 <= energy) & (energy < _INF))
+    n, kind = len(lines), converted[_RUN_KIND]
+    converted[_RUN_KIND] = np.fromiter(map(RunKind.FULL.value.__eq__, kind), bool, n)
+    table = RunTable(*converted)
+    bad = table.invalid() | ~table.full & np.fromiter(map(RunKind.PREFILL_ONLY.value.__ne__, kind), bool, n)
     if not bad.any():
         return table
     rows = np.flatnonzero(bad).tolist()
@@ -349,7 +359,7 @@ def _read_delimited(text: str, rename: dict) -> _Blocks:
     width = len(header)
 
     def columns(cells):  # an absent optional column reads its default cell
-        return [cells[position[f]] if f in position else (_DEFAULT_CELLS[f],) * len(cells[0]) for f in _FIELDS]
+        return [cells[position[f]] if f in position else (str(_DEFAULTS[f]),) * len(cells[0]) for f in _FIELDS]
 
     blocks = _Blocks(columns, delimited=True)
     rows = blocks.rows
@@ -387,7 +397,7 @@ def _json_value(line: str):
 
 
 def _read_line_json(text: str, rename: dict) -> _Blocks:
-    required = operator.itemgetter(*_REQUIRED)
+    every, required = operator.itemgetter(*_FIELDS), operator.itemgetter(*_REQUIRED)
     blocks = _Blocks(lambda cells: cells[:-1], delimited=False)
     rows = blocks.rows
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -399,8 +409,10 @@ def _read_line_json(text: str, rename: dict) -> _Blocks:
                 raise ValueError("line is not a JSON object")
             if rename:
                 obj = {rename.get(k, k): v for k, v in obj.items()}
-            rows.append((*required(obj), obj.get("model_id", ""), obj.get("precision", ""), obj.get("batch", 1),
-                         lineno))
+            try:
+                rows.append((*every(obj), lineno))
+            except KeyError:  # a required field left out raises again; an optional one takes its default
+                rows.append((*required(obj), *map(obj.get, _DEFAULTS, _DEFAULTS.values()), lineno))
         except (*_BAD_VALUE, KeyError, RecursionError) as exc:
             blocks.issue(lineno, str(exc))
             continue
@@ -472,10 +484,10 @@ def _csv_cell(value: str) -> str:
     return _csv_row(("", value))[1:-1]  # one cell of a two-cell row: csv writes a lone "" as '""'
 
 
-# A row's text: text cells as encoded, numbers as their repr (as csv and json write them)
-_DELIMITED_ROW = ",".join("%s" if i in _TEXTS else "%r" for i in range(len(_FIELDS))) + "\n"
-_JSON_ROW = "{" + ", ".join(f"{json.dumps(name)}: " + ("%s" if i in _TEXTS else "%r")
-                            for i, name in enumerate(_FIELDS)) + "}\n"
+# A row's text: text cells and the run kind as encoded, numbers as their repr (as csv and json write them)
+_CELLS = tuple("%r" if kind in _DTYPES else "%s" for kind in _FIELD_KINDS)
+_DELIMITED_ROW = ",".join(_CELLS) + "\n"
+_JSON_ROW = "{" + ", ".join(f"{json.dumps(name)}: {cell}" for name, cell in zip(_FIELDS, _CELLS)) + "}\n"
 
 
 def _refuse_unquoted_breaks(columns: Sequence[list], distinct: Sequence[dict]) -> None:
@@ -505,16 +517,15 @@ def write_records(runs, fmt: str = FORMAT_DELIMITED) -> str:
     delimited = fmt == FORMAT_DELIMITED
     encode = _csv_cell if delimited else json.dumps
     table = _as_table(runs)
-    texts = (table.prompt_id, table.model_id, table.precision)
-    distinct = [dict.fromkeys(column) for column in texts]
+    columns = list(vars(table).values())
+    texts = [k for k, kind in enumerate(_FIELD_KINDS) if kind == "text"]
+    distinct = [dict.fromkeys(columns[k]) for k in texts]
     if delimited:
-        _refuse_unquoted_breaks(texts, distinct)
-    prompt_id, model_id, precision = (list(map({value: encode(value) for value in values}.__getitem__, column))
-                                      for values, column in zip(distinct, texts))
-    kind = list(map((encode(RunKind.PREFILL_ONLY.value), encode(RunKind.FULL.value)).__getitem__,
-                    table.full.tolist()))
-    columns = (prompt_id, kind, table.input_tokens, table.output_tokens, table.latency_s, table.gpu_wh,
-               table.cpu_wh, table.ram_wh, model_id, precision, table.batch)
+        _refuse_unquoted_breaks([columns[k] for k in texts], distinct)
+    for k, values in zip(texts, distinct):
+        columns[k] = list(map({value: encode(value) for value in values}.__getitem__, columns[k]))
+    columns[_RUN_KIND] = list(map(
+        (encode(RunKind.PREFILL_ONLY.value), encode(RunKind.FULL.value)).__getitem__, table.full.tolist()))
     row = _DELIMITED_ROW if delimited else _JSON_ROW
     blocks = [_csv_row(_FIELDS)] if delimited else []
     for start in range(0, len(table), _BLOCK_ROWS):
@@ -639,37 +650,20 @@ def decompose(runs) -> tuple[list[PromptDecomposition], list[MissingKind]]:
     decode = full_means[:4] - pre_means
     negative = (decode[1:] < 0).any(axis=0)
 
-    decompositions = []
-    missing = []
+    decompositions, missing = [], []
     for (prompt_id, model_id, precision, batch), n_pre, n_full, p, f, d, neg, mix in zip(
-        groups, pre_counts.tolist(), full_counts.tolist(), pre_means.T.tolist(), full_means.T.tolist(),
-        decode.T.tolist(), negative.tolist(), mixed.tolist(),
-    ):
+            groups, pre_counts.tolist(), full_counts.tolist(), pre_means.T.tolist(), full_means.T.tolist(),
+            decode.T.tolist(), negative.tolist(), mixed.tolist()):
         if not n_pre:
             missing.append(MissingKind(prompt_id, RunKind.PREFILL_ONLY, model_id, precision, batch))
         if not n_full:
             missing.append(MissingKind(prompt_id, RunKind.FULL, model_id, precision, batch))
         if not n_pre or not n_full:
             continue
-        decompositions.append(
-            PromptDecomposition(
-                prompt_id=prompt_id,
-                prefill_mean_wh=ComponentEnergy(*p[1:]),
-                full_mean_wh=ComponentEnergy(*f[1:4]),
-                decode_wh=ComponentEnergy(*d[1:]),
-                prefill_mean_latency_s=p[0],
-                full_mean_latency_s=f[0],
-                decode_latency_s=d[0],
-                input_tokens=int(round(f[4])),
-                output_tokens=int(round(f[5])),
-                n_prefill_runs=n_pre,
-                n_full_runs=n_full,
-                flags=(NEGATIVE_DECODE,) * neg + (MIXED_INPUT_TOKENS,) * mix,
-                model_id=model_id,
-                precision=precision,
-                batch=batch,
-            )
-        )
+        decompositions.append(PromptDecomposition(
+            prompt_id, ComponentEnergy(*p[1:]), ComponentEnergy(*f[1:4]), ComponentEnergy(*d[1:]), p[0], f[0], d[0],
+            int(round(f[4])), int(round(f[5])), n_pre, n_full, (NEGATIVE_DECODE,) * neg + (MIXED_INPUT_TOKENS,) * mix,
+            model_id, precision, batch))
     return decompositions, missing
 
 
@@ -803,8 +797,6 @@ def synthesize_trace(
     noise: float = 0.0,
     seed: int = 0,
     runs: int = 1,
-    model_id: str = "synthetic",
-    precision: str = "fp32",
 ) -> RunTable:
     """A RunTable of a trace drawn from a CoefficientSet over a grid of (s, g) points.
 
@@ -813,7 +805,8 @@ def synthesize_trace(
     decode polynomial values, each independently perturbed by multiplicative
     Gaussian noise of relative std `noise`. Polynomial energy goes to the
     gpu_wh component (the families model device-side energy); cpu and ram
-    are zero. Deterministic for a fixed seed. A grid point where a polynomial
+    are zero, and every run has model_id 'synthetic', precision 'fp32' and
+    batch 1. Deterministic for a fixed seed. A grid point where a polynomial
     is nonpositive, or a drawn value no RunRecord can hold (nonpositive or
     non-finite, as large noise or overflowing coefficients give), raises
     InferwattError, with the RunRecord message of its first such run; of the
@@ -851,10 +844,18 @@ def synthesize_trace(
     energy = np.concatenate([prefill[..., 1], full[..., 2] + full[..., 3]], axis=1)
     is_full = np.arange(2 * runs) >= runs
     kept = ~is_full | decode[:, None]
-    # the RunRecord checks of latency_s and gpu_wh as masks; NaN fails each comparison
-    bad = kept & ~((0 < latency) & (latency < _INF) & (0 <= energy) & (energy < _INF))
+    full_runs = np.broadcast_to(is_full, kept.shape)[kept]
+    per_point, n = kept.sum(axis=1), len(full_runs)
+    table = RunTable(
+        list(chain.from_iterable(map(repeat, (f"p{idx:04d}" for idx in range(len(points))), per_point.tolist()))),
+        full_runs, np.repeat(s_int, per_point), np.where(full_runs, np.repeat(g_int, per_point), 1),
+        latency[kept], energy[kept],  # then cpu_wh, ram_wh, model_id, precision and batch, the same in every run
+        *(np.full(n, value, _DTYPES[kind]) if kind in _DTYPES else [value] * n
+          for kind, value in zip(_FIELD_KINDS[6:], (0.0, 0.0, "synthetic", "fp32", 1))))
+    invalid = table.invalid()
     out_of_range = (t_pre <= 0) | (e_pre <= 0) | decode & ((t_dec <= 0) | (e_dec <= 0))
-    failed = decode & no_decode | out_of_range | bad.any(axis=1)
+    failed = decode & no_decode | out_of_range
+    failed[np.repeat(np.arange(len(points)), per_point)[invalid]] = True
     if failed.any():
         idx = int(np.argmax(failed))
         s, g = points[idx]
@@ -862,19 +863,13 @@ def synthesize_trace(
             raise InferwattError("plan has g>=1 points but no decode coefficients")
         if out_of_range[idx]:
             raise InferwattError(f"grid point (s={s}, g={g}) is outside the coefficient validity range")
-        run = int(np.argmax(bad[idx]))
+        # the first invalid run is this point's: an earlier point would fail first
+        row = table.take(np.argmax(invalid)[None]).records()[0]
         try:  # the run's record raises the message of its first failing field
-            RunRecord(f"p{idx:04d}", RunKind.FULL if is_full[run] else RunKind.PREFILL_ONLY, s,
-                      g if is_full[run] else 1, float(latency[idx, run]), float(energy[idx, run]), 0.0, 0.0)
+            RunRecord._make(row)
         except ValueError as exc:
             raise InferwattError(f"grid point (s={s}, g={g}) drew a value no run can hold: {exc}") from None
-    full_runs = np.broadcast_to(is_full, kept.shape)[kept]
-    per_point, n = kept.sum(axis=1), len(full_runs)
-    return RunTable(
-        list(chain.from_iterable(map(repeat, (f"p{idx:04d}" for idx in range(len(points))), per_point.tolist()))),
-        [model_id] * n, [precision] * n, full_runs, np.repeat(s_int, per_point),
-        np.where(full_runs, np.repeat(g_int, per_point), 1), np.ones(n, dtype=np.int64),
-        latency[kept], energy[kept], np.zeros(n), np.zeros(n))
+    return table
 
 
 def decode_fit_rows(decompositions: Sequence[PromptDecomposition]) -> list[PromptDecomposition]:

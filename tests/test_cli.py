@@ -275,6 +275,21 @@ class TestPredict:
         payload = json.loads(out)
         assert payload["total_wh"] < 0 and payload["led_minutes"] is None
 
+    @pytest.mark.parametrize("options,message", [
+        ((("--model", "llama31_8b_fp32.model"), ("--coeffs", "llama31_8b_h100_fp32.coeffs")),
+         "argument --coeffs: not allowed with argument --model"),
+        ((("--coeffs", "llama31_8b_h100_fp32.coeffs"), ("--model", "llama31_8b_fp32.model")),
+         "argument --model: not allowed with argument --coeffs"),
+        ((("--hw", "h100_sxm_80gb_fp32.hw"),), "--hw sets the hardware of the analytic source: give it with --model"),
+        ((("--coeffs", "llama31_8b_h100_fp32.coeffs"), ("--hw", "h100_sxm_80gb_fp32.hw")),
+         "--hw sets the hardware of the analytic source"),
+    ])
+    def test_an_option_the_source_ignores_is_a_usage_error(self, options, message, capsys):
+        # each was taken and ignored: the analytic row or the bundled fit was printed
+        argv = [arg for flag, name in options for arg in (flag, str(data_path(name)))]
+        assert run_cli("predict", "-s", "900", "-g", "82", *argv) == (1, "")
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_out_of_range_warning_on_stderr(self, capsys):
         code, out = run_cli("predict", "-s", "1", "-g", "1", "--format", "json")
         assert code == 0
@@ -512,6 +527,22 @@ class TestSynthFitPredictPipeline:
         run_cli("fit", "--trace", str(path))
         assert "input lengths" not in capsys.readouterr().err
 
+    def test_fit_warns_only_about_groups_whose_runs_it_drops(self, tmp_path, capsys):
+        # a g = 0 prompt has prefill-only runs alone: fit takes them as g = 0
+        # rows, while decompose has no decode to give for it
+        path = tmp_path / "g0.csv"
+        assert run_cli("synth", "--s-values", "100,300,900", "--g-values", "0,4,16", "--out", str(path)) == (0, "")
+        assert run_cli("fit", "--trace", str(path))[0] == 0
+        assert "has no" not in capsys.readouterr().err
+        assert run_cli("decompose", "--trace", str(path))[0] == 0
+        assert capsys.readouterr().err.count("has no full runs") == 3
+
+        # a prompt of full runs alone has no prefill to subtract: its runs are dropped
+        path.write_text(path.read_text(encoding="utf-8") + "lonely,full,10,5,1.0,0.1,0,0,m,fp32,1\n")
+        assert run_cli("fit", "--trace", str(path))[0] == 0
+        warnings = [ln for ln in capsys.readouterr().err.splitlines() if "has no" in ln]
+        assert warnings == ["warning: prompt 'lonely' (model 'm', precision 'fp32', batch 1) has no prefill_only runs"]
+
     def test_out_of_range_synth_grid_is_data_error(self):
         code, _ = run_cli("synth", "--s-values", "1", "--g-values", "1")
         assert code == 2
@@ -675,7 +706,8 @@ def test_stats_and_hist_match_the_per_item_selection(runs):
                     code = cli_dispatch(["hist", "--trace", str(path), "--phase", phase,
                                          "--component", component, "--bins", "3"], out=io.StringIO())
                 if want:
-                    assert code == 0
+                    # values too close together for three finite-sized bins are a data error
+                    assert code == (2 if isinstance(_outcome(histogram, want, 3), tuple) else 0)
                     assert repr(np.asarray(spy.call_args.args[0]).tolist()) == repr(want)
                 else:  # nothing selected
                     assert code == 2 and not spy.called

@@ -771,6 +771,24 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             RunRecord("p", RunKind.FULL, 10, 5, 1.0, *energies)
 
+    @pytest.mark.parametrize("position", [2, 3, 4, 5, 6, 7, 10])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_boolean_is_no_number(self, position, value):
+        # True passed every count check and `decompose` counted it as 1
+        cells = ["p", RunKind.FULL, 10, 2, 1.0, 0.1, 0.0, 0.0, "m", "fp32", 1]
+        cells[position] = value
+        message = f"^{RunRecord._fields[position]} must be a number, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            RunRecord(*cells)
+        with pytest.raises(ValueError, match=message):
+            record()._replace(**{RunRecord._fields[position]: value})
+
+    def test_the_first_boolean_is_named_with_the_readers_text(self):
+        with pytest.raises(ValueError, match="^input_tokens must be a number, got True$"):
+            RunRecord("p", RunKind.FULL, True, 5, True, 0.1, 0.0, 0.0)
+        assert parse_records(_json_run(input_tokens=True, latency_s=True), "line-json") == \
+            ([], [ParseIssue(1, "input_tokens must be a number, got True")])
+
     def test_non_finite_cell_is_a_parse_issue(self):
         text = HEADER + "\np,full,10,5,1.0,nan,0.0,0.0,m,fp32,1\np,full,10,5,1.0,0.1,0.0,0.0,m,fp32,1\n"
         records, issues = parse_records(text)
@@ -1232,6 +1250,11 @@ class TestDecomposeOracle:
         assert decompose([]) == ([], [])
 
 
+# Values at each edge of the RunRecord checks, as int64 and float64 columns hold them
+_EDGE_COUNTS = st.sampled_from([0, 1, 2, 2**63 - 1, -1, -(2**63)])
+_EDGE_REALS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.0, float("inf"), -float("inf"), float("nan")])
+
+
 class TestRunTable:
     """Every reader of runs gives, on a RunTable, what it gives on the
     table's records, and `decompose` what the per-group loop gives."""
@@ -1258,6 +1281,23 @@ class TestRunTable:
             got = _outcome(phase_energies, table, phase) if records else None
             assert got == want
         assert repr(drop_warmup(table, k).records()) == repr(drop_warmup(records, k))
+
+    def test_columns_are_the_record_fields_in_order(self):
+        assert [f.name for f in fields(traces.RunTable)] == \
+            ["full" if name == "run_kind" else name for name in RunRecord._fields]
+
+    @settings(max_examples=400, deadline=None)
+    @given(full=st.booleans(), s=_EDGE_COUNTS, g=st.one_of(st.sampled_from([1, 2]), _EDGE_COUNTS),
+           t=_EDGE_REALS, gpu=_EDGE_REALS, cpu=_EDGE_REALS, ram=_EDGE_REALS, batch=_EDGE_COUNTS)
+    def test_invalid_marks_a_run_exactly_when_its_record_is_refused(self, full, s, g, t, gpu, cpu, ram, batch):
+        cells = ("p", RunKind.FULL if full else RunKind.PREFILL_ONLY, s, g, t, gpu, cpu, ram, "m", "fp32", batch)
+        try:
+            RunRecord(*cells)
+            refused = False
+        except ValueError:
+            refused = True
+        table = traces.RunTable.from_records([tuple.__new__(RunRecord, cells)])  # built unchecked
+        assert table.invalid().tolist() == [refused]
 
     def test_empty(self):
         table = traces.RunTable.from_records([])
