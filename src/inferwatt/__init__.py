@@ -33,7 +33,7 @@ from .transformer_costs import (
     prefill_costs,
     weight_bytes,
 )
-from .numerics import DesignMatrix, FitResult, column_scale, ols_fit
+from .numerics import DesignMatrix, FitResult, ols_fit
 from .phase_model import (
     CoefficientSet,
     DecodeEnergyCoeffs,

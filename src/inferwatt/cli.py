@@ -52,6 +52,7 @@ from .traces import (
     read_runs,
     synthesize_trace,
     to_fit_samples,
+    trace_format,
     write_records,
 )
 from .transformer_costs import load_model
@@ -59,15 +60,13 @@ from .transformer_costs import load_model
 FORMATS = ("table", "json", "delimited")
 
 
-class _UsageError(Exception):
-    def __init__(self, message, parser=None):
-        super().__init__(message)
-        self.parser = parser  # the (sub)parser whose arguments were wrong
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message, self)
+        """A usage error, found by this parser or by its command's handler:
+        the message, this (sub)parser's usage and exit code 1."""
+        print(f"error: {message}", file=sys.stderr)
+        self.print_usage(sys.stderr)
+        self.exit(1)
 
     def parse_known_args(self, args=None, namespace=None):
         # A subcommand's parser runs this on its own arguments, so leftovers
@@ -123,10 +122,7 @@ def _read_trace(args):
     """The trace's runs, as a RunTable, with a warning per parse issue. A
     trace left with no run is a data error for every trace command."""
     path = Path(args.trace)
-    fmt = args.trace_format
-    if fmt is None:
-        fmt = FORMAT_LINE_JSON if path.suffix in (".jsonl", ".ndjson") else FORMAT_DELIMITED
-    runs, issues = read_runs(path, fmt, rename=getattr(args, "rename", None))
+    runs, issues = read_runs(path, trace_format(path, args.trace_format), args.rename)
     for issue in issues:
         print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
     if args.drop_first:
@@ -197,7 +193,7 @@ _RENAME = _arg_type(lambda text: dict(p.split("=", 1) for p in text.split(",")),
 
 def _cmd_predict(args, out) -> int:
     if args.hw and not args.model:  # --model and --coeffs exclude each other in the parser
-        raise _UsageError("--hw sets the hardware of the analytic source: give it with --model")
+        args.parser.error("--hw sets the hardware of the analytic source: give it with --model")
     if args.model:
         source = AnalyticSource(load_model(args.model), _load_hw(args))
     else:
@@ -337,27 +333,14 @@ def _cmd_compare(args, out) -> int:
     if args.family:
         specs.extend(bundled.qwen_family())
     if not specs:
-        raise _UsageError("give model spec files and/or --family")
+        args.parser.error("give model spec files and/or --family")
     hw = _load_hw(args)
     workload = WorkloadSpec.single(args.s, args.g)
     comparison = compare_models(specs, hw, workload, tuple(args.contour_g))
-    rows = [
-        {
-            "name": r.name,
-            "n_params": r.n_params,
-            "mean_total_wh": r.mean_total_wh,
-            "wh_per_token": r.wh_per_token,
-        }
-        for r in comparison.rows
-    ]
-    _emit_rows(rows, args.format, out)
+    _emit_rows([vars(row) for row in comparison.rows], args.format, out)
     if args.grid_out:
-        grid_rows = [
-            {"name": p.name, "n_params": p.n_params, "g": p.g, "decode_wh": p.decode_wh}
-            for p in comparison.grid
-        ]
         with open(args.grid_out, "w", encoding="utf-8") as fh:
-            _emit_rows(grid_rows, "delimited", fh)
+            _emit_rows([vars(point) for point in comparison.grid], "delimited", fh)
     return 0
 
 
@@ -384,8 +367,7 @@ def _cmd_synth(args, out) -> int:
         runs = synthesize_trace(plan, coeffs, noise=args.noise, seed=args.seed, runs=args.runs)
     except ValueError as exc:  # a length of 2**63 or more; argparse has checked the other arguments
         raise InferwattError(str(exc)) from None
-    fmt = args.trace_format or FORMAT_DELIMITED
-    text = write_records(runs, fmt)
+    text = write_records(runs, trace_format(args.out, args.trace_format))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -477,10 +459,13 @@ def build_parser() -> _Parser:
     p.add_argument("--runs", type=_POSITIVE_INT, default=1, help="runs per kind per grid point")
     p.add_argument("--out", help="write trace here instead of stdout")
     p.add_argument(
-        "--trace-format", choices=(FORMAT_DELIMITED, FORMAT_LINE_JSON), default=None
+        "--trace-format", choices=(FORMAT_DELIMITED, FORMAT_LINE_JSON), default=None,
+        help="default: by --out extension (.jsonl/.ndjson is line-json); standard output is delimited",
     )
     p.set_defaults(func=_cmd_synth)
 
+    for sub in subs.choices.values():  # a handler's usage error names its subcommand's parser
+        sub.set_defaults(parser=sub)
     return parser
 
 
@@ -490,20 +475,12 @@ def cli_dispatch(argv, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        exc.parser.print_usage(sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
+        if not getattr(args, "command", None):
+            parser.print_usage(sys.stderr)
+            return 1
         return args.func(args, out)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except SystemExit as exc:  # --help, or a usage error (`_Parser.error`)
+        return int(exc.code or 0)
     except (InferwattError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,9 @@ number is not acceptable. Columns are rescaled to unit max-magnitude before
 factorization and the solution is mapped back, which keeps the condition
 estimate meaningful for those bases.
 
+A DesignMatrix is one read-only 2-D float64 array, checked once. R^2 and the
+residual norm are finite wherever representable, also when squares overflow.
+
 Problem sizes are tiny (<= 1e5 rows x <= 4 columns); everything is a single
 deterministic dense factorization.
 """
@@ -26,33 +29,28 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """Row-major dense design matrix: one row per observation, one column
-    per basis function. `values` is a read-only 1-D float64 array holding
-    the matrix row by row (a copy of what the constructor was given)."""
+    """Dense design matrix: `array` holds one row per observation and one
+    column per basis function, as a read-only float64 copy of what the
+    constructor was given, with rows >= cols >= 1 and every value finite."""
 
-    rows: int
-    cols: int
-    values: np.ndarray
+    array: np.ndarray
 
     def __post_init__(self):
-        if not (self.rows >= self.cols >= 1):
-            raise ValueError("need rows >= cols >= 1")
-        values = np.array(self.values, dtype=float)
-        if values.shape != (self.rows * self.cols,):
-            raise ValueError("values length does not match rows*cols")
-        if not np.all(np.isfinite(values)):
+        array = np.array(self.array, dtype=float)
+        if array.ndim != 2 or not array.shape[0] >= array.shape[1] >= 1:
+            raise ValueError(f"need a 2-D matrix with rows >= cols >= 1, got shape {array.shape}")
+        if not np.all(np.isfinite(array)):
             raise ValueError("design matrix values must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[float]]) -> "DesignMatrix":
-        arr = np.column_stack([np.asarray(c, dtype=float) for c in cols])
-        return cls(arr.shape[0], arr.shape[1], arr.ravel())
-
-    def as_array(self) -> np.ndarray:
-        """A read-only (rows, cols) view of `values`."""
-        return self.values.reshape(self.rows, self.cols)
+        return cls(np.column_stack([np.asarray(c, dtype=float) for c in cols]))
 
 
 @dataclass(frozen=True)
@@ -73,31 +71,13 @@ class FitResult:
             raise ValueError("residual_norm must be nonnegative")
 
 
-def column_scale(x: DesignMatrix) -> tuple[DesignMatrix, tuple[float, ...]]:
-    """Divide each column by its max absolute value; returns (scaled, scales).
-
-    Refitting the scaled system and dividing the coefficients by the scales
-    reproduces the unscaled solution.
-    """
-    arr = x.as_array()
-    scales = np.max(np.abs(arr), axis=0)
-    if np.any(scales == 0):
-        dead = [i for i, s in enumerate(scales) if s == 0]
-        raise ZeroColumn(f"columns {dead} are identically zero")
-    scaled = arr / scales
-    return DesignMatrix(x.rows, x.cols, scaled.ravel()), tuple(float(s) for s in scales)
-
-
-def ols_fit(
-    x: DesignMatrix,
-    y: Sequence[float],
-    condition_limit: float = CONDITION_LIMIT,
-) -> FitResult:
+def ols_fit(x: DesignMatrix, y: Sequence[float]) -> FitResult:
     """Minimize ||x @ beta - y||_2 and report goodness of fit.
 
-    Raises DimensionMismatch on shape errors and RankDeficient when the
-    condition estimate of the column-scaled system exceeds condition_limit
-    or a coefficient overflows the float range.
+    Raises DimensionMismatch on shape errors, ZeroColumn when a column is
+    identically zero, and RankDeficient when the condition estimate of the
+    column-scaled system exceeds CONDITION_LIMIT or a coefficient overflows
+    the float range.
     """
     yv = np.asarray(y, dtype=float)
     if yv.ndim != 1 or yv.shape[0] != x.rows:
@@ -105,37 +85,47 @@ def ols_fit(
     if not np.all(np.isfinite(yv)):
         raise DimensionMismatch("observations must be finite")
 
-    scaled, scales = column_scale(x)
-    a = scaled.as_array()
-    q, r = np.linalg.qr(a, mode="reduced")
+    scales = np.max(np.abs(x.array), axis=0)
+    if np.any(scales == 0):
+        raise ZeroColumn(f"columns {np.flatnonzero(scales == 0).tolist()} are identically zero")
+    q, r = np.linalg.qr(x.array / scales, mode="reduced")
     diag = np.abs(np.diag(r))
     if np.any(diag == 0):
         raise RankDeficient("zero pivot in triangular factor")
     condition = float(np.linalg.cond(r))
-    if not np.isfinite(condition) or condition > condition_limit:
-        raise RankDeficient(f"condition estimate {condition:.3e} exceeds {condition_limit:.1e}")
+    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+        raise RankDeficient(f"condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.1e}")
 
     beta_scaled = np.linalg.solve(r, q.T @ yv)
     with np.errstate(over="ignore"):
-        beta = beta_scaled / np.asarray(scales)
+        beta = beta_scaled / scales
     if not np.all(np.isfinite(beta)):
         # a column scale near the underflow limit puts its coefficient past
         # the float range: the design is degenerate at double precision
-        raise RankDeficient(f"coefficients overflow for column scales {scales}")
+        raise RankDeficient(f"coefficients overflow for column scales {tuple(scales.tolist())}")
 
-    residual = yv - x.as_array() @ beta
-    residual_norm = float(np.linalg.norm(residual))
+    residual = yv - x.array @ beta
+    # Squares of observations near the float range overflow: the sums are then taken of y and
+    # the residual divided by a power of two (exactly), and the norm is multiplied back. Both
+    # ||residual||^2 and the squares about the mean are at most y @ y.
+    for scale in (1.0, 2.0 ** (int(np.frexp(np.max(np.abs(yv)))[1]) - 1)):
+        ys = yv / scale
+        with np.errstate(over="ignore"):
+            y_squared = float(ys @ ys)
+        if y_squared < np.inf:
+            break
+    residual_norm = float(np.linalg.norm(residual / scale))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     ss_res = residual_norm ** 2
-    ss_tot = float(np.sum((yv - yv.mean()) ** 2))
     if ss_tot > 0:
         r_squared = 1.0 - ss_res / ss_tot
     else:
         # Constant observations: perfect if we matched them, else no skill.
-        r_squared = 1.0 if ss_res <= 1e-28 * max(1.0, float(yv @ yv)) else 0.0
+        r_squared = 1.0 if ss_res <= 1e-28 * max(1.0, y_squared) else 0.0
 
     return FitResult(
         coefficients=tuple(float(b) for b in beta),
         r_squared=r_squared,
-        residual_norm=residual_norm,
+        residual_norm=residual_norm * scale,
         condition_estimate=condition,
     )

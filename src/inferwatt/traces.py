@@ -31,12 +31,13 @@ points that fail, the first raises. `write_records` formats columns: each
 distinct text value is encoded once, numbers take their repr, and rows are
 joined a block of `_BLOCK_ROWS` at a time.
 
-One reader, `read_runs`, returns a RunTable. It converts the rows in blocks
-of at most `_BLOCK_ROWS`, each column at once, and drops the rows `invalid`
-marks. A block whose conversion fails, and each row dropped, is read again
-row by row by `_record_from_cells`, which alone defines what a row means and
-the text of every ParseIssue (a JSON boolean is no number, and a fraction no
-count). `parse_records` is `read_runs` with the runs as records.
+One reader, `read_runs`, returns a RunTable. It converts the rows of a
+format's row generator in blocks of at most `_BLOCK_ROWS`, each column at
+once, drops the rows `invalid` marks, and sorts the issues by line once, at
+the end. A block whose conversion fails, and each row dropped, is read
+again row by row by `_record_from_cells`, which alone defines what a row
+means and the text of every ParseIssue (a JSON boolean is no number, and a
+fraction no count). `parse_records` is `read_runs` with the runs as records.
 `decompose`, `to_fit_samples`, `phase_energies` and `drop_warmup` read a
 RunTable's columns, or build them from records.
 
@@ -62,7 +63,8 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
+from pathlib import PurePath
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -324,29 +326,9 @@ def _convert_block(columns: Sequence, lines: list[int], delimited: bool, issues:
     return table.take(np.flatnonzero(~bad))
 
 
-class _Blocks:
-    """A reader's rows, converted at most `_BLOCK_ROWS` at a time, and its
-    issues in line order: an issue first converts the rows before it. The
-    reader appends each row, its line number last, to `rows`, and flushes
-    when `_BLOCK_ROWS` are waiting."""
-
-    def __init__(self, columns, delimited: bool):
-        self.columns = columns  # a block's rows -> its eleven field columns
-        self.delimited = delimited
-        self.rows, self.tables, self.issues = [], [], []
-
-    def issue(self, lineno: int, message: str) -> None:
-        self.flush()
-        self.issues.append(ParseIssue(lineno, message))
-
-    def flush(self) -> None:
-        if self.rows:
-            cells = list(zip(*self.rows))
-            self.tables.append(_convert_block(self.columns(cells), cells[-1], self.delimited, self.issues))
-            self.rows.clear()
-
-
-def _read_delimited(text: str, rename: dict) -> _Blocks:
+def _read_delimited(text: str, rename: dict, issues: list):
+    """The header's `columns` (a block's rows -> its eleven field columns) and
+    a generator of the rows, their line number last; issues go to `issues`."""
     reader = csv.reader(text.splitlines(keepends=True))
     try:
         header = [rename.get(h.strip(), h.strip()) for h in next(reader)]
@@ -361,24 +343,23 @@ def _read_delimited(text: str, rename: dict) -> _Blocks:
     def columns(cells):  # an absent optional column reads its default cell
         return [cells[position[f]] if f in position else (str(_DEFAULTS[f]),) * len(cells[0]) for f in _FIELDS]
 
-    blocks = _Blocks(columns, delimited=True)
-    rows = blocks.rows
-    start = 2  # the line on which the next csv record starts
-    while True:
-        try:
-            for row in reader:
-                lineno, start = start, reader.line_num + 1
-                if len(row) == width:
-                    row.append(lineno)
-                    rows.append(row)
-                    if len(rows) == _BLOCK_ROWS:
-                        blocks.flush()
-                elif len(row) > 1 or (row and row[0].strip()):  # blank lines are skipped
-                    blocks.issue(lineno, f"expected {width} cells, got {len(row)}")
-            return blocks
-        except csv.Error as exc:  # a cell longer than csv.field_size_limit(); reading goes on
-            blocks.issue(start, str(exc))
-            start = reader.line_num + 1
+    def rows():
+        start = 2  # the line on which the next csv record starts
+        while True:
+            try:
+                for row in reader:
+                    lineno, start = start, reader.line_num + 1
+                    if len(row) == width:
+                        row.append(lineno)
+                        yield row
+                    elif len(row) > 1 or (row and row[0].strip()):  # blank lines are skipped
+                        issues.append(ParseIssue(lineno, f"expected {width} cells, got {len(row)}"))
+                return
+            except csv.Error as exc:  # a cell longer than csv.field_size_limit(); reading goes on
+                issues.append(ParseIssue(start, str(exc)))
+                start = reader.line_num + 1
+
+    return columns, rows()
 
 
 _scan_json = json.JSONDecoder().scan_once
@@ -396,10 +377,9 @@ def _json_value(line: str):
     return json.loads(line)
 
 
-def _read_line_json(text: str, rename: dict) -> _Blocks:
+def _read_line_json(text: str, rename: dict, issues: list):
+    """A generator of the rows, their line number last; issues go to `issues`."""
     every, required = operator.itemgetter(*_FIELDS), operator.itemgetter(*_REQUIRED)
-    blocks = _Blocks(lambda cells: cells[:-1], delimited=False)
-    rows = blocks.rows
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -410,15 +390,21 @@ def _read_line_json(text: str, rename: dict) -> _Blocks:
             if rename:
                 obj = {rename.get(k, k): v for k, v in obj.items()}
             try:
-                rows.append((*every(obj), lineno))
+                row = (*every(obj), lineno)
             except KeyError:  # a required field left out raises again; an optional one takes its default
-                rows.append((*required(obj), *map(obj.get, _DEFAULTS, _DEFAULTS.values()), lineno))
+                row = (*required(obj), *map(obj.get, _DEFAULTS, _DEFAULTS.values()), lineno)
         except (*_BAD_VALUE, KeyError, RecursionError) as exc:
-            blocks.issue(lineno, str(exc))
+            issues.append(ParseIssue(lineno, str(exc)))
             continue
-        if len(rows) == _BLOCK_ROWS:
-            blocks.flush()
-    return blocks
+        yield row
+
+
+def trace_format(path, fmt: str | None) -> str:
+    """`fmt` when given, else the format of the trace at `path`: line-json for a
+    .jsonl or .ndjson name, delimited for any other and for None (standard output)."""
+    if fmt is not None:
+        return fmt
+    return FORMAT_LINE_JSON if path is not None and PurePath(path).suffix in (".jsonl", ".ndjson") else FORMAT_DELIMITED
 
 
 def read_runs(
@@ -448,9 +434,19 @@ def read_runs(
         raise UnknownFormat(f"unknown trace format {fmt!r}")
     if not text.strip():
         raise EmptyInput("trace contains no data")
-    blocks = (_read_delimited if fmt == FORMAT_DELIMITED else _read_line_json)(text, rename or {})
-    blocks.flush()
-    return RunTable.concat(blocks.tables), blocks.issues
+    issues: list[ParseIssue] = []
+    delimited = fmt == FORMAT_DELIMITED
+    if delimited:
+        columns, rows = _read_delimited(text, rename or {}, issues)
+    else:  # a line-json row is its field values, then its line number
+        columns, rows = (lambda cells: cells[:-1]), _read_line_json(text, rename or {}, issues)
+    tables = []
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        cells = list(zip(*block))
+        tables.append(_convert_block(columns(cells), cells[-1], delimited, issues))
+        del block, cells  # before the next block is read: with both alive, reading took ~4 % longer
+    issues.sort(key=operator.attrgetter("line"))  # a line has at most one issue
+    return RunTable.concat(tables), issues
 
 
 def parse_records(

@@ -229,11 +229,18 @@ class TestArgumentValidation:
         assert len([ln for ln in err.splitlines() if ln.startswith("error:")]) == 1, err
         assert "Traceback" not in err
 
-    def test_usage_is_the_failing_subcommands(self, capsys):
-        code, _ = run_cli("predict", "-s", "0", "-g", "5")
+    @pytest.mark.parametrize("argv, message", [
+        (("predict", "-s", "0", "-g", "5"), "argument -s: expected an integer >= 1"),
+        (("predict", "-s", "5", "-g", "5", "--coeffs", "A", "--model", "B"), "argument --model: not allowed"),
+        # raised by the handlers, after parsing
+        (("predict", "-s", "5", "-g", "5", "--hw", "H"), "--hw sets the hardware"),
+        (("compare", "-s", "5", "-g", "5"), "give model spec files"),
+    ])
+    def test_usage_is_the_failing_subcommands(self, argv, message, capsys):
+        assert run_cli(*argv) == (1, "")
         err = capsys.readouterr().err
-        assert code == 1
-        assert "usage: inferwatt predict" in err
+        assert err.startswith(f"error: {message}")
+        assert f"\nusage: inferwatt {argv[0]} [-h]" in err
 
     def test_unrecognized_argument_usage_is_the_subcommands(self, capsys):
         code, _ = run_cli("predict", "-s", "5", "-g", "5", "--bogus")
@@ -492,6 +499,20 @@ class TestSynthFitPredictPipeline:
         path = tmp_path / "trace"
         assert run_cli(*args, "--out", str(path)) == (0, "")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_synth_and_fit_agree_on_a_jsonl_path(self, tmp_path, capsys):
+        # synth writes a .jsonl --out as line-json, the format fit reads it in
+        args = ("synth", "--s-values", "200,500,1000,2000", "--g-values", "0,8,32,128", "--noise", "0.05")
+        fits = []
+        for name in ("t.jsonl", "t.csv"):
+            path = tmp_path / name
+            assert run_cli(*args, "--out", str(path)) == (0, "")
+            code, out = run_cli("fit", "--trace", str(path))
+            assert code == 0
+            fits.append((out.splitlines()[1:], capsys.readouterr().err))  # after the header naming the file
+        assert fits[0] == fits[1] and len(fits[0][0]) == 12  # the four families' coefficients
+        assert (tmp_path / "t.jsonl").read_text() == run_cli(*args, "--trace-format", "line-json")[1]
+        assert run_cli(*args)[1] == (tmp_path / "t.csv").read_text()  # standard output stays delimited
 
     def test_synth_line_json_round_trip(self, tmp_path):
         trace = tmp_path / "synth.jsonl"

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inferwatt import numerics
 from inferwatt.errors import DimensionMismatch, RankDeficient, ZeroColumn
-from inferwatt.numerics import DesignMatrix, column_scale, ols_fit
+from inferwatt.numerics import DesignMatrix, ols_fit
 
 
 def poly_design(s_values):
@@ -66,53 +69,80 @@ class TestOlsFit:
         with pytest.raises(RankDeficient, match="overflow"):
             ols_fit(poly_design(s), np.arange(8.0))
 
-    def test_condition_limit_configurable(self):
+    def test_condition_limit(self):
         s = np.arange(1.0, 9.0)
         dm = DesignMatrix.from_columns([s, np.ones_like(s)])
-        with pytest.raises(RankDeficient):
-            ols_fit(dm, s, condition_limit=1.0)
-
-
-class TestColumnScale:
-    def test_unit_columns_get_unit_scales(self):
-        dm = DesignMatrix.from_columns([[1.0, -1.0], [0.5, 1.0]])
-        _, scales = column_scale(dm)
-        assert scales == (1.0, 1.0)
-
-    def test_constant_column_normalized(self):
-        dm = DesignMatrix.from_columns([[1000.0, 1000.0, 1000.0]])
-        scaled, scales = column_scale(dm)
-        assert scales == (1000.0,)
-        assert all(v == 1.0 for v in scaled.values)
+        ols_fit(dm, s)
+        with mock.patch.object(numerics, "CONDITION_LIMIT", 1.0), pytest.raises(RankDeficient, match="exceeds 1.0e"):
+            ols_fit(dm, s)
 
     def test_zero_column_rejected(self):
         dm = DesignMatrix.from_columns([[1.0, 2.0], [0.0, 0.0]])
-        with pytest.raises(ZeroColumn):
-            column_scale(dm)
+        with pytest.raises(ZeroColumn, match=r"columns \[1\]"):
+            ols_fit(dm, [1.0, 2.0])
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("factor", [2.0**-40, 0.5, 1.0, 2.0**30])
+    def test_a_power_of_two_column_factor_divides_its_coefficient_exactly(self, column, factor):
+        # columns are scaled to unit max magnitude before the solve, so a
+        # column's scale shows only in its own coefficient
+        rng = np.random.default_rng(11)
+        s = np.arange(1.0, 13.0)
+        y = np.sin(s) + rng.normal(0, 0.1, s.size)
+        base = ols_fit(poly_design(s), y)
+        columns = [s, s * s, np.ones_like(s)]
+        columns[column] = columns[column] * factor
+        scaled = ols_fit(DesignMatrix.from_columns(columns), y)
+        want = list(base.coefficients)
+        want[column] /= factor
+        assert scaled.coefficients == tuple(want)
+        assert (scaled.r_squared, scaled.residual_norm, scaled.condition_estimate) == \
+            (base.r_squared, base.residual_norm, base.condition_estimate)
+
+    def test_observations_near_the_float_range(self):
+        # their squares overflow the float range; R^2 and the residual norm
+        # are still reported, with no numpy warning (an error in this suite)
+        rng = np.random.default_rng(5)
+        s = np.arange(1.0, 21.0)
+        y = 3.0 * s + 5.0 + rng.normal(0, 1, s.size)
+        small, big = ols_fit(poly_design(s), y), ols_fit(poly_design(s), y * 2.0**531)  # 2**531 ~ 1.4e160
+        assert big.coefficients == tuple(c * 2.0**531 for c in small.coefficients)
+        assert big.residual_norm == small.residual_norm * 2.0**531
+        assert big.r_squared == pytest.approx(small.r_squared, rel=1e-14)
+        constant = ols_fit(poly_design(s), np.full(s.size, 2.0**531))
+        assert constant.r_squared == 1.0 and np.isfinite(constant.residual_norm)
+        # constant observations that c * s does not match: no skill, at any scale
+        for c in (0.75, 0.75 * 2.0**512):
+            assert ols_fit(DesignMatrix([[1.0], [2.0]]), [c, c]).r_squared == 0.0
+        # observations that square within the float range are not rescaled:
+        # these are within the absolute tolerance of a match
+        assert ols_fit(DesignMatrix([[1.0], [2.0]]), [1e-20, 1e-20]).r_squared == 1.0
+        fit = ols_fit(DesignMatrix([[1.0], [0.0]]), [1.7e308, 0.0])  # near the largest float
+        assert (fit.coefficients, fit.r_squared, fit.residual_norm) == ((1.7e308,), 1.0, 0.0)
 
 
 class TestDesignMatrix:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            DesignMatrix(rows=1, cols=2, values=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            DesignMatrix(rows=2, cols=1, values=(1.0,))
+    @pytest.mark.parametrize("values", [np.ones((1, 2)), np.ones((2, 0)), np.ones(3), np.ones((3, 2, 1)), 1.0])
+    def test_shape_validation(self, values):
+        with pytest.raises(ValueError, match="rows >= cols >= 1"):
+            DesignMatrix(values)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            DesignMatrix(rows=2, cols=1, values=(1.0, float("nan")))
+        with pytest.raises(ValueError, match="finite"):
+            DesignMatrix([[1.0], [float("nan")]])
 
-    def test_values_are_a_read_only_copy_and_as_array_a_view(self):
-        source = np.arange(6.0)
-        dm = DesignMatrix(rows=3, cols=2, values=source)
-        source[0] = 99.0
-        assert dm.values.dtype == np.float64 and dm.values.shape == (6,)
-        assert dm.values[0] == 0.0
-        assert np.shares_memory(dm.as_array(), dm.values)
+    def test_array_is_a_read_only_copy(self):
+        source = np.arange(6.0).reshape(3, 2)
+        dm = DesignMatrix(source)
+        source[0, 0] = 99.0
+        assert dm.array.dtype == np.float64 and dm.array.shape == (3, 2) and dm.rows == 3
+        assert dm.array[0, 0] == 0.0
         with pytest.raises(ValueError):
-            dm.values[0] = 1.0
-        with pytest.raises(ValueError):
-            dm.as_array()[0, 0] = 1.0
+            dm.array[0, 0] = 1.0
+
+    def test_from_columns_stacks_the_columns(self):
+        dm = DesignMatrix.from_columns([[1, 2, 3], [4.0, 5.0, 6.0]])
+        assert dm.array.tolist() == [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
 
 
 # Points on a 0.1 grid in [-50, 50]: any 8 distinct ones give [s, s^2, 1] a
@@ -136,8 +166,8 @@ def test_scaling_round_trip_reproduces_unscaled_fit(xs, beta):
     dm = poly_design(s)
     y = beta[0] * s + beta[1] * s * s + beta[2]
     direct = ols_fit(dm, y).coefficients
-    scaled, scales = column_scale(dm)
-    unscaled = tuple(c / sc for c, sc in zip(ols_fit(scaled, y).coefficients, scales))
+    scales = np.max(np.abs(dm.array), axis=0)
+    unscaled = ols_fit(DesignMatrix(dm.array / scales), y).coefficients / scales
     for a, b in zip(direct, unscaled):
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
@@ -150,8 +180,8 @@ def test_residual_orthogonal_to_design_columns(xs):
     dm = poly_design(s)
     y = np.sin(s) + rng.normal(0, 0.1, s.size)
     fit = ols_fit(dm, y)
-    residual = y - dm.as_array() @ np.asarray(fit.coefficients)
-    for col in dm.as_array().T:
+    residual = y - dm.array @ np.asarray(fit.coefficients)
+    for col in dm.array.T:
         bound = 1e-6 * (np.linalg.norm(col) * np.linalg.norm(residual) + 1e-30)
         assert abs(col @ residual) <= bound
 
