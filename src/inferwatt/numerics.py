@@ -7,8 +7,10 @@ number is not acceptable. Columns are rescaled to unit max-magnitude before
 factorization and the solution is mapped back, which keeps the condition
 estimate meaningful for those bases.
 
-A DesignMatrix is one read-only 2-D float64 array, checked once. R^2 and the
-residual norm are finite wherever representable, also when squares overflow.
+A DesignMatrix is one read-only 2-D float64 array, checked once. y with
+max|y| outside [2**-256, 2**256) is fitted divided by a power of two, which
+is exact, and the coefficients and residual norm are multiplied back, so no
+square overflows or underflows. FitResult states the R^2 of constant y.
 
 Problem sizes are tiny (<= 1e5 rows x <= 4 columns); everything is a single
 deterministic dense factorization.
@@ -59,6 +61,8 @@ class FitResult:
 
     r_squared is measured against the mean-model baseline and can go negative
     for fits worse than predicting the mean; it is reported as computed.
+    Observations whose spread about their mean is within the rounding of the
+    mean are constant: r_squared is 1.0 when the fit matches them, else 0.0.
     """
 
     coefficients: tuple[float, ...]
@@ -96,32 +100,30 @@ def ols_fit(x: DesignMatrix, y: Sequence[float]) -> FitResult:
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise RankDeficient(f"condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.1e}")
 
-    beta_scaled = np.linalg.solve(r, q.T @ yv)
+    # y is fitted as given while max|y| is 0 or in [2**-256, 2**256); else its squares could
+    # overflow or underflow, and it is divided by a power of two into [1, 2)
+    y_max = float(np.max(np.abs(yv)))
+    exponent = int(np.frexp(y_max)[1])
+    scale = 1.0 if -256 < exponent <= 256 else 2.0 ** (exponent - 1)
+    ys = yv / scale
     with np.errstate(over="ignore"):
-        beta = beta_scaled / scales
+        beta_ys = np.linalg.solve(r, q.T @ ys) / scales
+        beta = beta_ys * scale
     if not np.all(np.isfinite(beta)):
         # a column scale near the underflow limit puts its coefficient past
         # the float range: the design is degenerate at double precision
         raise RankDeficient(f"coefficients overflow for column scales {tuple(scales.tolist())}")
 
-    residual = yv - x.array @ beta
-    # Squares of observations near the float range overflow: the sums are then taken of y and
-    # the residual divided by a power of two (exactly), and the norm is multiplied back. Both
-    # ||residual||^2 and the squares about the mean are at most y @ y.
-    for scale in (1.0, 2.0 ** (int(np.frexp(np.max(np.abs(yv)))[1]) - 1)):
-        ys = yv / scale
-        with np.errstate(over="ignore"):
-            y_squared = float(ys @ ys)
-        if y_squared < np.inf:
-            break
-    residual_norm = float(np.linalg.norm(residual / scale))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    residual_norm = float(np.linalg.norm(ys - x.array @ beta_ys))
     ss_res = residual_norm ** 2
-    if ss_tot > 0:
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    # the floor of ss_tot for constant y: each of the n deviations is the mean's
+    # rounding error, at most about (log2 n + 1) units in the last place of max|y|
+    if ss_tot > x.rows * (x.rows.bit_length() * np.finfo(float).eps * y_max / scale) ** 2:
         r_squared = 1.0 - ss_res / ss_tot
     else:
         # Constant observations: perfect if we matched them, else no skill.
-        r_squared = 1.0 if ss_res <= 1e-28 * max(1.0, y_squared) else 0.0
+        r_squared = 1.0 if ss_res <= 1e-28 * max(1.0, float(ys @ ys)) else 0.0
 
     return FitResult(
         coefficients=tuple(float(b) for b in beta),

@@ -16,28 +16,24 @@ estimates of decompositions); `aggregate` and the CLI's `hist` both read
 it. `to_fit_samples` picks what `fit` fits: the prefill-only runs as g = 0
 rows, then the positive decode estimates, as one `FitSamples` table.
 
-Records are immutable tuples, validated when built: `RunRecord(...)`,
-`_make` and `_replace` all reject the same bad values. Token counts and
-batch are whole numbers from 1 to below 2**63; no number is a bool.
-RunRecord stays the row type for runs built by hand.
+A run has one layout and one list of checks. `_FIELD_KINDS` gives each
+RunRecord field, in order, its kind (text, run kind, count or real); a
+RunTable holds one column per field in that order, with the mask `full` for
+the run kind. `_CHECKS` states each check once, in the order that names a bad
+run by its first fault, on a record's numbers or a table's columns alike. A
+RunRecord (the row type for runs built by hand) refuses a bool for a number,
+then the first check it fails; `RunTable.invalid` ORs the checks.
 
-A run has one layout. `_FIELD_KINDS` gives each RunRecord field, in order,
-its kind (text, run kind, count or real); a RunTable holds one column per
-field in that order, with the mask `full` for the run kind, and building,
-joining, reading and writing tables go by that tuple. `RunTable.invalid` is
-the RunRecord checks as masks. `synthesize_trace` evaluates the whole plan
+Conversion comes before checking. `read_runs` converts a format's rows in
+blocks of at most `_BLOCK_ROWS`, each column at once, into one RunTable and
+names each bad run by an unknown run kind, else by its first failing check.
+Only a block with a value that does not convert is read again row by row by
+`_record_from_cells`, the one definition of a row's conversion (a JSON
+boolean is no number, and a fraction no count). `parse_records` is
+`read_runs` with the runs as records. `synthesize_trace` evaluates the plan
 at once and draws the noise as one vector in record order; of the plan
-points that fail, the first raises. `write_records` formats columns: each
-distinct text value is encoded once, numbers take their repr, and rows are
-joined a block of `_BLOCK_ROWS` at a time.
-
-One reader, `read_runs`, returns a RunTable. It converts the rows of a
-format's row generator in blocks of at most `_BLOCK_ROWS`, each column at
-once, drops the rows `invalid` marks, and sorts the issues by line once, at
-the end. A block whose conversion fails, and each row dropped, is read
-again row by row by `_record_from_cells`, which alone defines what a row
-means and the text of every ParseIssue (a JSON boolean is no number, and a
-fraction no count). `parse_records` is `read_runs` with the runs as records.
+points that fail, the first raises. `write_records` formats columns, a
+block of `_BLOCK_ROWS` rows at a time, and encodes each distinct text once.
 `decompose`, `to_fit_samples`, `phase_energies` and `drop_warmup` read a
 RunTable's columns, or build them from records.
 
@@ -108,15 +104,10 @@ _COUNT_LIMIT = 2**63  # token counts and batch are int64 columns
 def _number(name: str, value, convert):
     if value is True or value is False:  # JSON true and false
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return convert(value)
-
-
-def _count_error(name: str, value) -> ValueError:
-    if value < 1:
-        return ValueError(f"{name} must be >= 1")
-    if value >= _COUNT_LIMIT:
-        return ValueError(f"{name} must be below 2**63")
-    return ValueError(f"{name} must be a whole number, got {value!r}")
+    number = convert(value)
+    if convert is int and isinstance(value, float) and number != value:  # a count is no fraction
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return number
 
 
 class _RunFields(NamedTuple):
@@ -144,36 +135,66 @@ _NUMBER_FIELDS = tuple(name for name, kind in zip(_FIELDS, _FIELD_KINDS) if kind
 _DTYPES = {"count": np.int64, "real": np.float64}
 
 
+def _count_checks(name: str) -> tuple:
+    count = operator.attrgetter(name)
+    return ((lambda run: count(run) < 1, f"{name} must be >= 1"),
+            (lambda run: count(run) >= _COUNT_LIMIT, f"{name} must be below 2**63"),
+            (lambda run: count(run) % 1 != 0, f"{name} must be a whole number, got {{{name}}}"))
+
+
+def _energy_ok(wh):
+    return (0 <= wh) & (wh < _INF)
+
+
+# Each check: a fault predicate, of a record's numbers or a table's columns (NaN
+# fails every comparison; np.logical_not, as `~True` is -2), and its message.
+_CHECKS = (
+    *_count_checks("input_tokens"), *_count_checks("output_tokens"),
+    (lambda run: np.logical_not(run.full) & (run.output_tokens != 1),
+     "prefill-only runs have exactly one output token"),
+    (lambda run: np.logical_not((0 < run.latency_s) & (run.latency_s < _INF)), "latency_s must be positive and finite"),
+    (lambda run: np.logical_not(_energy_ok(run.gpu_wh) & _energy_ok(run.cpu_wh) & _energy_ok(run.ram_wh)),
+     "component energies must be nonnegative and finite"),
+    *_count_checks("batch"),
+)
+
+
 class RunRecord(_RunFields):
-    """One measured generation run."""
+    """One measured generation run, refused when built with a bool for a
+    number, else with the message of the first of `_CHECKS` it fails."""
 
     __slots__ = ()
 
     def __new__(cls, prompt_id, run_kind, input_tokens, output_tokens, latency_s,
                 gpu_wh, cpu_wh, ram_wh, model_id="", precision="", batch=1):
-        numbers = (input_tokens, output_tokens, latency_s, gpu_wh, cpu_wh, ram_wh, batch)
-        if bool in map(type, numbers):  # a bool is an int, but no count or measurement
-            for name, value in zip(_NUMBER_FIELDS, numbers):
-                _number(name, value, float)
-        if not 1 <= input_tokens < _COUNT_LIMIT or input_tokens % 1:
-            raise _count_error("input_tokens", input_tokens)
-        if not 1 <= output_tokens < _COUNT_LIMIT or output_tokens % 1:
-            raise _count_error("output_tokens", output_tokens)
-        if run_kind is _PREFILL_ONLY and output_tokens != 1:
-            raise ValueError("prefill-only runs have exactly one output token")
-        # chained comparisons against inf: NaN fails every one of them
-        if not 0 < latency_s < _INF:
-            raise ValueError("latency_s must be positive and finite")
-        if not (0 <= gpu_wh < _INF and 0 <= cpu_wh < _INF and 0 <= ram_wh < _INF):
-            raise ValueError("component energies must be nonnegative and finite")
-        if not 1 <= batch < _COUNT_LIMIT or batch % 1:
-            raise _count_error("batch", batch)
-        return tuple.__new__(cls, (prompt_id, run_kind, input_tokens, output_tokens, latency_s,
-                                   gpu_wh, cpu_wh, ram_wh, model_id, precision, batch))
+        run = tuple.__new__(cls, (prompt_id, run_kind, input_tokens, output_tokens, latency_s,
+                                  gpu_wh, cpu_wh, ram_wh, model_id, precision, batch))
+        if bool in map(type, run[2:8] + run[10:]):  # a bool is an int, but no count or measurement
+            for name in _NUMBER_FIELDS:
+                _number(name, getattr(run, name), float)
+        for fault, message in _CHECKS:
+            if fault(run):
+                raise ValueError(message.format(**run._asdict()))
+        return run
 
     @classmethod
     def _make(cls, iterable) -> "RunRecord":
         return cls(*iterable)  # `_replace` builds through here, so it validates too
+
+    @property
+    def full(self) -> bool:
+        """RunTable's `full`: whether the run kind is RunKind.FULL."""
+        return self.run_kind is _FULL
+
+
+def _faults(runs: "RunTable") -> np.ndarray:
+    """Row k marks the runs that fail `_CHECKS[k]`."""
+    return np.array([fault(runs) for fault, _ in _CHECKS])
+
+
+def _fault(runs: "RunTable", faults: np.ndarray, i: int) -> str:
+    """The message of run `i`'s first failing check; `faults` is `_faults(runs)`."""
+    return _CHECKS[np.argmax(faults[:, i])][1].format(**{name: column[i] for name, column in vars(runs).items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +203,7 @@ class RunTable:
     fill them: RunRecord's fields in its order, of the kinds `_FIELD_KINDS`
     gives (texts as lists of str, counts as int64 and reals as float64
     arrays), with the bool mask `full` in place of `run_kind`. They hold
-    values that pass every RunRecord check (`invalid` marks the runs that do not)."""
+    values that pass every check of `_CHECKS` (`invalid` marks the runs that do not)."""
 
     prompt_id: list
     full: np.ndarray
@@ -227,14 +248,8 @@ class RunTable:
         return list(map(partial(tuple.__new__, RunRecord), zip(*columns)))
 
     def invalid(self) -> np.ndarray:
-        """The mask of the runs that break a RunRecord check (an int64 count
-        is below 2**63 and a whole number already); NaN fails each comparison."""
-        bad = ~self.full & (self.output_tokens != 1)
-        bad |= (self.input_tokens < 1) | (self.output_tokens < 1) | (self.batch < 1)
-        bad |= ~((0 < self.latency_s) & (self.latency_s < _INF))
-        for energy in (self.gpu_wh, self.cpu_wh, self.ram_wh):
-            bad |= ~((0 <= energy) & (energy < _INF))
-        return bad
+        """The mask of the runs a RunRecord would refuse: the OR of the `_CHECKS` faults."""
+        return _faults(self).any(axis=0)
 
 
 def _as_table(runs) -> RunTable:
@@ -247,26 +262,17 @@ class ParseIssue:
     message: str
 
 
-def _count(name: str, value) -> int:
-    """A token count or batch: an integer, a whole float, or text int() reads."""
-    number = _number(name, value, int)
-    if isinstance(value, float) and number != value:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return number
-
-
 def _record_from_cells(cells: Iterable) -> RunRecord:
-    """Convert the eleven field values, in field order, into a record: the
-    one definition of what a trace row means, and of every issue message."""
-    prompt_id, kind, input_tokens, output_tokens, latency_s, gpu_wh, cpu_wh, ram_wh, \
-        model_id, precision, batch = cells
-    run_kind = _RUN_KINDS.get(str(kind))
+    """Convert the eleven field values, in field order, into a record: its
+    faults come before any check's. A count is an integer, a whole float, or
+    text int() reads."""
+    cells = tuple(cells)
+    run_kind = _RUN_KINDS.get(str(cells[_RUN_KIND]))
     if run_kind is None:
-        raise ValueError(f"unknown run_kind {str(kind)!r}")
-    return RunRecord(str(prompt_id), run_kind, _count("input_tokens", input_tokens),
-                     _count("output_tokens", output_tokens), _number("latency_s", latency_s, float),
-                     _number("gpu_wh", gpu_wh, float), _number("cpu_wh", cpu_wh, float),
-                     _number("ram_wh", ram_wh, float), str(model_id), str(precision), _count("batch", batch))
+        raise ValueError(f"unknown run_kind {str(cells[_RUN_KIND])!r}")
+    return RunRecord(*(run_kind if kind == "kind" else str(value) if kind == "text" else
+                       _number(name, value, int if kind == "count" else float)
+                       for name, kind, value in zip(_FIELDS, _FIELD_KINDS, cells)))
 
 
 # What a bad cell or value can raise on its way into a record: int(None)
@@ -276,18 +282,6 @@ _BAD_VALUE = (ValueError, TypeError, OverflowError)
 _BLOCK_ROWS = 1024  # rows read or written at once: it bounds the cell values alive at a time
 # The Python types of the line-json values a column of each field kind converts at once
 _JSON_TYPES = {"text": {str}, "kind": {str}, "count": {int}, "real": {int, float}}
-
-
-def _row_by_row(columns: Sequence, lines: list[int], delimited: bool, issues: list) -> list:
-    """Each row's record, or None where the row is an issue (appended to `issues`)."""
-    records = []
-    for lineno, cells in zip(lines, zip(*columns)):
-        try:
-            records.append(_record_from_cells(map(str.strip, cells) if delimited else cells))
-        except _BAD_VALUE as exc:
-            issues.append(ParseIssue(lineno, str(exc)))
-            records.append(None)
-    return records
 
 
 def _convert_column(kind: str, values: Sequence, delimited: bool):
@@ -305,24 +299,29 @@ def _convert_column(kind: str, values: Sequence, delimited: bool):
 def _convert_block(columns: Sequence, lines: list[int], delimited: bool, issues: list) -> RunTable:
     """The runs of one block of rows, given as its eleven field columns:
     delimited cell text, or line-json values. Each column is converted at
-    once; a block that fails that, and each row that breaks a RunRecord
-    check, is read again row by row by `_record_from_cells`."""
+    once, and each bad run is an issue: an unknown run kind, else its first
+    failing check. A block with a value that does not convert is read again
+    row by row by `_record_from_cells`."""
     try:
         converted = list(map(_convert_column, _FIELD_KINDS, columns, repeat(delimited)))
     except _BAD_VALUE:
-        records = _row_by_row(columns, lines, delimited, issues)
-        return RunTable.from_records([r for r in records if r is not None])
+        records = []
+        for lineno, cells in zip(lines, zip(*columns)):
+            try:
+                records.append(_record_from_cells(map(str.strip, cells) if delimited else cells))
+            except _BAD_VALUE as exc:
+                issues.append(ParseIssue(lineno, str(exc)))
+        return RunTable.from_records(records)
     n, kind = len(lines), converted[_RUN_KIND]
     converted[_RUN_KIND] = np.fromiter(map(RunKind.FULL.value.__eq__, kind), bool, n)
     table = RunTable(*converted)
-    bad = table.invalid() | ~table.full & np.fromiter(map(RunKind.PREFILL_ONLY.value.__ne__, kind), bool, n)
+    unknown = ~table.full & np.fromiter(map(RunKind.PREFILL_ONLY.value.__ne__, kind), bool, n)
+    faults = _faults(table)
+    bad = unknown | faults.any(axis=0)
     if not bad.any():
         return table
-    rows = np.flatnonzero(bad).tolist()
-    records = _row_by_row([[column[i] for i in rows] for column in columns], [lines[i] for i in rows],
-                          delimited, issues)
-    # a row `_record_from_cells` takes is kept: none is, while the masks are the RunRecord checks
-    bad[[i for i, record in zip(rows, records) if record is not None]] = False
+    for i in np.flatnonzero(bad).tolist():
+        issues.append(ParseIssue(lines[i], f"unknown run_kind {kind[i]!r}" if unknown[i] else _fault(table, faults, i)))
     return table.take(np.flatnonzero(~bad))
 
 
@@ -805,7 +804,7 @@ def synthesize_trace(
     batch 1. Deterministic for a fixed seed. A grid point where a polynomial
     is nonpositive, or a drawn value no RunRecord can hold (nonpositive or
     non-finite, as large noise or overflowing coefficients give), raises
-    InferwattError, with the RunRecord message of its first such run; of the
+    InferwattError, naming the first check its first such run fails; of the
     points that fail, the first raises. A plan point that is not a pair of
     whole numbers with 1 <= s < 2**63 and 0 <= g < 2**63 raises ValueError
     before anything is drawn.
@@ -848,7 +847,8 @@ def synthesize_trace(
         latency[kept], energy[kept],  # then cpu_wh, ram_wh, model_id, precision and batch, the same in every run
         *(np.full(n, value, _DTYPES[kind]) if kind in _DTYPES else [value] * n
           for kind, value in zip(_FIELD_KINDS[6:], (0.0, 0.0, "synthetic", "fp32", 1))))
-    invalid = table.invalid()
+    faults = _faults(table)
+    invalid = faults.any(axis=0)
     out_of_range = (t_pre <= 0) | (e_pre <= 0) | decode & ((t_dec <= 0) | (e_dec <= 0))
     failed = decode & no_decode | out_of_range
     failed[np.repeat(np.arange(len(points)), per_point)[invalid]] = True
@@ -860,11 +860,8 @@ def synthesize_trace(
         if out_of_range[idx]:
             raise InferwattError(f"grid point (s={s}, g={g}) is outside the coefficient validity range")
         # the first invalid run is this point's: an earlier point would fail first
-        row = table.take(np.argmax(invalid)[None]).records()[0]
-        try:  # the run's record raises the message of its first failing field
-            RunRecord._make(row)
-        except ValueError as exc:
-            raise InferwattError(f"grid point (s={s}, g={g}) drew a value no run can hold: {exc}") from None
+        raise InferwattError(f"grid point (s={s}, g={g}) drew a value no run can hold: "
+                             f"{_fault(table, faults, int(np.argmax(invalid)))}")
     return table
 
 

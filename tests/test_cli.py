@@ -564,6 +564,22 @@ class TestSynthFitPredictPipeline:
         warnings = [ln for ln in capsys.readouterr().err.splitlines() if "has no" in ln]
         assert warnings == ["warning: prompt 'lonely' (model 'm', precision 'fp32', batch 1) has no prefill_only runs"]
 
+    def test_fit_of_constant_prefill_latencies_has_r_squared_1(self, tmp_path):
+        # every prefill-only run takes 0.1 s: the intercept matches them, to
+        # a residual norm of about 1e-16, where R^2 read -2.14
+        runs = []
+        for k in range(21):
+            s, g = 100 * (k + 1), 10 + 7 * (k % 4) + k
+            runs += [RunRecord(f"p{k}", RunKind.PREFILL_ONLY, s, 1, 0.1, 1e-5 * s, 0.0, 0.0),
+                     RunRecord(f"p{k}", RunKind.FULL, s, g, 0.1 + 0.02 * g, 1e-5 * s + 1e-4 * g, 0.0, 0.0)]
+        path = tmp_path / "constant.csv"
+        path.write_text(write_records(runs))
+        code, out = run_cli("fit", "--trace", str(path), "--component", "gpu", "--out", str(tmp_path / "c"),
+                            "--format", "json")
+        fits = {row["family"]: row for row in json.loads(out)}
+        assert code == 0 and fits["prefill_latency"]["r_squared"] == 1.0
+        assert fits["prefill_latency"]["residual_norm"] < 1e-15
+
     def test_out_of_range_synth_grid_is_data_error(self):
         code, _ = run_cli("synth", "--s-values", "1", "--g-values", "1")
         assert code == 2

@@ -407,6 +407,50 @@ class TestArrayEstimatorMatchesPerEntryLoop:
             assert got == (ValueError, "need s >= 1 and g >= 1")
 
 
+@st.composite
+def hardware_profiles(draw):
+    return HardwareProfile(f_max=draw(st.floats(1e9, 1e16)), b_max=draw(st.floats(1e8, 1e13)),
+                           mu_comp=draw(st.floats(0.05, 1.0)), mu_mem=draw(st.floats(0.05, 1.0)),
+                           p_prefill=draw(st.floats(1.0, 1000.0)), p_decode=draw(st.floats(1.0, 1000.0)))
+
+
+def _totals(source, pairs):
+    _, entries = estimate_workload(source, WorkloadSpec(tuple(WorkloadEntry(s, g) for s, g in pairs)))
+    return [breakdown.total_wh for _, breakdown in entries]
+
+
+class TestThePapersFindingsOnTheAnalyticSource:
+    """Energy per interaction grows with input length, output length and
+    model size, on models and devices no fixture pins."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=small_models(), hw=hardware_profiles(),
+           s=st.lists(st.integers(1, 40_000), min_size=2, max_size=10, unique=True),
+           g=st.lists(st.integers(1, 4000), min_size=2, max_size=10, unique=True))
+    def test_total_is_nondecreasing_in_s_and_in_g(self, model, hw, s, g):
+        source = AnalyticSource(model, hw)
+        s, g = sorted(s), sorted(g)
+        for pairs in ([(x, g[0]) for x in s], [(s[0], y) for y in g]):
+            totals = _totals(source, pairs)
+            assert totals == sorted(totals), pairs
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=small_models(), hw=hardware_profiles(), s=st.integers(1, 40_000), g=st.integers(1, 4000),
+           more=st.integers(1, 4))
+    def test_total_rises_with_n_layers(self, model, hw, s, g, more):
+        deeper = ModelSpec(**{**vars(model), "n_layers": model.n_layers + more})
+        [shallow_wh], [deep_wh] = (_totals(AnalyticSource(spec, hw), [(s, g)]) for spec in (model, deeper))
+        assert deep_wh > shallow_wh
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=small_models(), hw=hardware_profiles(),
+           s=st.lists(st.integers(1, 40_000), min_size=2, max_size=10, unique=True))
+    def test_a_one_token_reply_costs_more_after_a_longer_prompt(self, model, hw, s):
+        # the "thank you" case: at g = 1 the prompt's length alone sets the cost
+        totals = _totals(AnalyticSource(model, hw), [(x, 1) for x in sorted(s)])
+        assert all(a < b for a, b in zip(totals, totals[1:])), totals
+
+
 class TestPinnedAnalyticEnergies:
     # Figures of the per-token and per-entry scalar code this closed form
     # and array path replaced; any change to the counting rules moves them.

@@ -120,6 +120,35 @@ class TestOlsFit:
         fit = ols_fit(DesignMatrix([[1.0], [0.0]]), [1.7e308, 0.0])  # near the largest float
         assert (fit.coefficients, fit.r_squared, fit.residual_norm) == ((1.7e308,), 1.0, 0.0)
 
+    def test_a_line_near_the_largest_float(self):
+        # q.T @ y overflowed here (a numpy warning, an error in this suite)
+        s = np.arange(1.0, 21.0)
+        k = 1.5e308 / 61  # the largest observation, 61 * k, is 1.5e308
+        fit = ols_fit(DesignMatrix.from_columns([s, np.ones_like(s)]), (3.0 * s + 1.0) * k)
+        assert fit.coefficients == pytest.approx((3.0 * k, k), rel=1e-12)
+        assert fit.r_squared == 1.0 and np.isfinite(fit.residual_norm)
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e-250, 1e250, 1e300])
+    def test_far_from_unit_magnitude_the_fit_is_the_scaled_fit(self, factor):
+        # squares of 1e-300 underflowed to 0: R^2 1.0 and residual norm 0.0
+        rng = np.random.default_rng(5)
+        s = np.arange(1.0, 21.0)
+        dm = DesignMatrix.from_columns([s, np.ones_like(s)])
+        y = 3.0 * s + 5.0 + rng.normal(0, 1, s.size)
+        base, fit = ols_fit(dm, y), ols_fit(dm, y * factor)
+        assert base.r_squared < 0.999
+        assert fit.r_squared == pytest.approx(base.r_squared, rel=1e-12)
+        assert fit.residual_norm == pytest.approx(base.residual_norm * factor, rel=1e-12)
+        assert fit.coefficients == pytest.approx([c * factor for c in base.coefficients], rel=1e-12)
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, 1.0, 1 / 3, 0.7, 123.456, 1e-20, 2.0**-200, 6.02e23, 2.0**300])
+    def test_constant_observations_the_fit_matches_have_r_squared_1(self, value):
+        # the mean of 0.1 rounds, so ss_tot was rounding noise and R^2 0.40
+        s = np.arange(1.0, 21.0)
+        fit = ols_fit(poly_design(s), np.full(s.size, value))
+        assert fit.r_squared == 1.0
+        assert fit.coefficients[2] == pytest.approx(value, rel=1e-9)
+
 
 class TestDesignMatrix:
     @pytest.mark.parametrize("values", [np.ones((1, 2)), np.ones((2, 0)), np.ones(3), np.ones((3, 2, 1)), 1.0])

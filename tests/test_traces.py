@@ -12,11 +12,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from inferwatt import traces
-from inferwatt.bundled import reference_trace_text
+from inferwatt.bundled import reference_coefficients, reference_trace_text
 from inferwatt.cli import cli_dispatch
 from inferwatt.errors import (
     BadEdges,
@@ -745,6 +745,40 @@ class TestSynthesizeOracle:
         assert len(records) == 3 * 12 + 3 * 9
 
 
+@st.composite
+def _physical_coefficient_sets(draw):
+    # every coefficient but the intercept nonnegative, as `is_physical` asks
+    families = (PrefillLatencyCoeffs, DecodeLatencyCoeffs, PrefillEnergyCoeffs, DecodeEnergyCoeffs)
+    slope, intercept = st.one_of(st.just(0.0), st.floats(1e-9, 1e-2)), st.floats(-0.01, 0.05)
+    return CoefficientSet(*(cls(*[draw(slope) for _ in fields(cls)[:-1]], draw(intercept)) for cls in families))
+
+
+class TestThePapersFindingsThroughTheTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.one_of(st.just(reference_coefficients()), _physical_coefficient_sets()),
+           s_values=st.lists(st.integers(1, 8000), min_size=2, max_size=5, unique=True),
+           g_values=st.lists(st.integers(1, 4000), min_size=2, max_size=5, unique=True))
+    def test_decode_cost_rises_with_g_and_prefill_energy_with_s(self, coeffs, s_values, g_values):
+        # input and output length drive energy: a noise-free trace, written and read back in either
+        # format, keeps the orderings of the physical polynomials it was drawn from
+        assert all(poly.is_physical for poly in vars(coeffs).values())
+        plan = [(s, g) for s in s_values for g in [0] + g_values  # the points the polynomials are positive at
+                if coeffs.prefill_latency(s) > 0 and coeffs.prefill_energy(s) > 0
+                and (g == 0 or coeffs.decode_latency(s, g) > 0 and coeffs.decode_energy(s, g) > 0)]
+        assume(plan)
+        table = synthesize_trace(plan, coeffs)
+        for fmt in ("delimited", "line-json"):
+            runs, issues = traces.read_runs(write_records(table, fmt), fmt)
+            assert not issues
+            decode = sorted((d.input_tokens, d.output_tokens, d.decode_latency_s, d.decode_wh.gpu)
+                            for d in decompose(runs)[0])
+            for (s1, _, t1, e1), (s2, _, t2, e2) in zip(decode, decode[1:]):
+                assert s1 < s2 or (t1 <= t2 and e1 <= e2)
+            prefill = ~runs.full
+            energy = runs.gpu_wh[prefill][np.argsort(runs.input_tokens[prefill], kind="stable")]
+            assert np.all(np.diff(energy) >= 0)
+
+
 class TestRecordValidation:
     def test_prefill_only_single_output_token(self):
         with pytest.raises(ValueError):
@@ -788,6 +822,23 @@ class TestRecordValidation:
             RunRecord("p", RunKind.FULL, True, 5, True, 0.1, 0.0, 0.0)
         assert parse_records(_json_run(input_tokens=True, latency_s=True), "line-json") == \
             ([], [ParseIssue(1, "input_tokens must be a number, got True")])
+
+    @pytest.mark.parametrize("bad,message", [
+        (dict(input_tokens=0, output_tokens=0, latency_s=-1.0, gpu_wh=-1.0, batch=0), "input_tokens must be >= 1"),
+        (dict(run_kind=RunKind.PREFILL_ONLY, output_tokens=0, latency_s=-1.0, batch=0), "output_tokens must be >= 1"),
+        (dict(run_kind=RunKind.PREFILL_ONLY, output_tokens=5, latency_s=-1.0, gpu_wh=-1.0, batch=0),
+         "prefill-only runs have exactly one output token"),
+        (dict(latency_s=0.0, ram_wh=-1.0, batch=0), "latency_s must be positive and finite"),
+        (dict(cpu_wh=-0.5, batch=0), "component energies must be nonnegative and finite"),
+    ])
+    def test_a_run_is_named_by_its_first_failing_check(self, bad, message):
+        # in a record, and in both readers, which check the run's columns
+        cells = tuple.__new__(RunRecord, {**record()._asdict(), **bad}.values())  # built unchecked
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunRecord(*cells)
+        for fmt in ("delimited", "line-json"):
+            text = write_records(traces.RunTable.from_records([cells]), fmt)
+            assert parse_records(text, fmt) == ([], [ParseIssue(2 if fmt == "delimited" else 1, message)])
 
     def test_non_finite_cell_is_a_parse_issue(self):
         text = HEADER + "\np,full,10,5,1.0,nan,0.0,0.0,m,fp32,1\np,full,10,5,1.0,0.1,0.0,0.0,m,fp32,1\n"
