@@ -9,10 +9,14 @@ The package ships, as plain text files under `inferwatt/data/`:
 * the reference coefficient set for all four cost polynomials, and
 * a small reference trace whose full-run component means are constructed to
   land exactly on the published per-interaction energy figures.
+
+The profile, the coefficient set and each model are loaded once per process
+and shared: what they load is frozen.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 from .phase_model import CoefficientSet, load_coefficients
@@ -39,10 +43,12 @@ def data_path(filename: str):
     return resources.files("inferwatt.data").joinpath(filename)
 
 
+@cache
 def reference_profile() -> HardwareProfile:
     return load_profile(data_path(REFERENCE_PROFILE))
 
 
+@cache
 def reference_coefficients() -> CoefficientSet:
     return load_coefficients(data_path(REFERENCE_COEFFS))
 
@@ -51,6 +57,7 @@ def reference_trace_text() -> str:
     return data_path(REFERENCE_TRACE).read_text(encoding="utf-8")
 
 
+@cache
 def bundled_model(key: str) -> ModelSpec:
     if key not in MODEL_FILES:
         raise KeyError(f"no bundled model {key!r}; choose from {sorted(MODEL_FILES)}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -394,6 +395,7 @@ def _add_common(sub, trace=False, fmt=True):
                          help="drop the first k runs of each kind per (prompt, model, precision, batch)")
 
 
+@functools.cache  # one per process: parsing leaves it unchanged, and its handlers are module functions
 def build_parser() -> _Parser:
     parser = _Parser(prog="inferwatt", description=__doc__)
     subs = parser.add_subparsers(dest="command")

@@ -22,13 +22,18 @@ Contract of `estimate_workload`:
 * the weighted means are builtin sums in entry order, the same numbers a
   per-entry loop gives;
 * the per-entry list of (entry, breakdown) pairs is materialized, in entry
-  order. `estimate_interaction` is the one-entry case.
+  order, after that one check: EnergyBreakdown is a checked named tuple, and
+  the rows are built from the checked columns without checking them again.
+  `estimate_interaction` is the one-entry case.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -100,23 +105,29 @@ def _not_finite(total: float) -> OverflowError:
     return OverflowError(f"energy estimate {total!r} Wh is not finite; inputs are implausibly large")
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Per-phase energy of one interaction (or a weighted mean of many).
-    A non-finite total raises OverflowError: no estimate is reported as inf
-    or NaN."""
+class EnergyBreakdown(namedtuple("_BreakdownFields", "prefill_wh decode_wh provenance warnings total_wh")):
+    """Per-phase energy of one interaction (or a weighted mean of many), as a
+    checked named tuple: `total_wh` is prefill_wh + decode_wh, and a total
+    that is not finite raises OverflowError, so no estimate is reported as inf
+    or NaN. `_make` and `_replace` build through the same check."""
 
-    prefill_wh: float
-    decode_wh: float
-    provenance: str = ""
-    warnings: tuple[str, ...] = ()
-    total_wh: float = field(init=False, default=0.0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        total = self.prefill_wh + self.decode_wh
+    def __new__(cls, prefill_wh, decode_wh, provenance="", warnings=()):
+        total = prefill_wh + decode_wh
         if not math.isfinite(total):
             raise _not_finite(total)
-        object.__setattr__(self, "total_wh", total)
+        return tuple.__new__(cls, (prefill_wh, decode_wh, provenance, warnings, total))
+
+    @classmethod
+    def _make(cls, iterable) -> "EnergyBreakdown":
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> "EnergyBreakdown":
+        return type(self)(**{**dict(zip(self._fields, self[:4])), **changes})  # total_wh follows: no argument
+
+    def __getnewargs__(self):  # copy and pickle rebuild through `__new__`
+        return self[:4]
 
 
 @dataclass(frozen=True)
@@ -217,13 +228,14 @@ class WorkloadSpec:
         return _weighted_mean(self.g, self.weight)
 
 
-def _check_finite(prefill: np.ndarray, decode: np.ndarray) -> None:
-    """Raise for the first row, in entry order, whose total is not finite."""
+def _check_finite(prefill: np.ndarray, decode: np.ndarray) -> np.ndarray:
+    """The totals prefill + decode; the first, in entry order, that is not finite raises."""
     with np.errstate(invalid="ignore"):
         total = prefill + decode
     finite = np.isfinite(total)
     if not finite.all():
         raise _not_finite(total[finite.argmin()].item())
+    return total
 
 
 def _mean_breakdown(source, workload: WorkloadSpec, prefill, decode, notes=()) -> EnergyBreakdown:
@@ -235,20 +247,15 @@ def _mean_breakdown(source, workload: WorkloadSpec, prefill, decode, notes=()) -
     )
 
 
-def _flagged_notes(flagged, prefill, decode, workload: WorkloadSpec) -> dict[int, tuple[str, ...]]:
-    """The warning texts of each flagged row, by row in entry order."""
-    if not flagged:
-        return {}
-    rows = np.flatnonzero(np.logical_or.reduce([mask for _, mask in flagged]))
+def _flagged_notes(flagged, prefill, decode, workload: WorkloadSpec) -> list[tuple[str, ...]]:
+    """The warning texts of each row, in entry order; () where no phase is flagged."""
+    notes = [()] * len(workload.s)
     s, g = workload.s, workload.g
-    return {
-        row: tuple(
-            out_of_range_message(poly, (decode if poly.decode else prefill)[row].item(),
-                                 s[row].item(), g[row].item())
-            for poly, mask in flagged if mask[row]
-        )
-        for row in rows.tolist()
-    }
+    for row in np.flatnonzero(np.logical_or.reduce([mask for _, mask in flagged], initial=False)).tolist():
+        notes[row] = tuple(out_of_range_message(poly, (decode if poly.decode else prefill)[row].item(),
+                                                s[row].item(), g[row].item())
+                           for poly, mask in flagged if mask[row])
+    return notes
 
 
 def estimate_workload(
@@ -257,16 +264,12 @@ def estimate_workload(
     """Weighted mean breakdown over a workload, plus the per-entry table,
     from one evaluation of the source on the workload's columns."""
     prefill, decode, flagged = source.phase_energies(workload.s, workload.g)
-    _check_finite(prefill, decode)
+    total = _check_finite(prefill, decode)
     notes = _flagged_notes(flagged, prefill, decode, workload)
-    mean = _mean_breakdown(source, workload, prefill, decode,
-                           tuple(dict.fromkeys(note for texts in notes.values() for note in texts)))
-    provenance = source.provenance
-    per_entry = [
-        (entry, EnergyBreakdown(p, d, provenance, notes.get(row, ())))
-        for row, (entry, p, d) in enumerate(zip(workload.entries, prefill.tolist(), decode.tolist()))
-    ]
-    return mean, per_entry
+    mean = _mean_breakdown(source, workload, prefill, decode, tuple(dict.fromkeys(chain.from_iterable(notes))))
+    # every total was checked above: the rows are built without checking them again
+    rows = zip(prefill.tolist(), decode.tolist(), repeat(source.provenance), notes, total.tolist())
+    return mean, list(zip(workload.entries, map(partial(tuple.__new__, EnergyBreakdown), rows)))
 
 
 def estimate_interaction(source, s: int, g: int) -> EnergyBreakdown:

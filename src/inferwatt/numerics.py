@@ -62,7 +62,7 @@ class FitResult:
     r_squared is measured against the mean-model baseline and can go negative
     for fits worse than predicting the mean; it is reported as computed.
     Observations whose spread about their mean is within the rounding of the
-    mean are constant: r_squared is 1.0 when the fit matches them, else 0.0.
+    mean are constant: r_squared is 1.0 when the fit matches them to 1e-14 of their norm, else 0.0.
     """
 
     coefficients: tuple[float, ...]
@@ -123,7 +123,7 @@ def ols_fit(x: DesignMatrix, y: Sequence[float]) -> FitResult:
         r_squared = 1.0 - ss_res / ss_tot
     else:
         # Constant observations: perfect if we matched them, else no skill.
-        r_squared = 1.0 if ss_res <= 1e-28 * max(1.0, float(ys @ ys)) else 0.0
+        r_squared = 1.0 if ss_res <= 1e-28 * float(ys @ ys) else 0.0
 
     return FitResult(
         coefficients=tuple(float(b) for b in beta),

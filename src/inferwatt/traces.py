@@ -21,8 +21,9 @@ RunRecord field, in order, its kind (text, run kind, count or real); a
 RunTable holds one column per field in that order, with the mask `full` for
 the run kind. `_CHECKS` states each check once, in the order that names a bad
 run by its first fault, on a record's numbers or a table's columns alike. A
-RunRecord (the row type for runs built by hand) refuses a bool for a number,
-then the first check it fails; `RunTable.invalid` ORs the checks.
+RunRecord (the row type for runs built by hand) refuses a run kind that is no
+RunKind, a bool for a number, then the first check it fails; `RunTable.invalid`
+ORs the checks.
 
 Conversion comes before checking. `read_runs` converts a format's rows in
 blocks of at most `_BLOCK_ROWS`, each column at once, into one RunTable and
@@ -160,13 +161,15 @@ _CHECKS = (
 
 
 class RunRecord(_RunFields):
-    """One measured generation run, refused when built with a bool for a
-    number, else with the message of the first of `_CHECKS` it fails."""
+    """One measured generation run, refused when built with a run kind that is no RunKind, then
+    with a bool for a number, else with the message of the first of `_CHECKS` it fails."""
 
     __slots__ = ()
 
     def __new__(cls, prompt_id, run_kind, input_tokens, output_tokens, latency_s,
                 gpu_wh, cpu_wh, ram_wh, model_id="", precision="", batch=1):
+        if type(run_kind) is not RunKind:  # ahead of every check, as the reader names it
+            raise ValueError(f"unknown run_kind {run_kind!r}")
         run = tuple.__new__(cls, (prompt_id, run_kind, input_tokens, output_tokens, latency_s,
                                   gpu_wh, cpu_wh, ram_wh, model_id, precision, batch))
         if bool in map(type, run[2:8] + run[10:]):  # a bool is an int, but no count or measurement

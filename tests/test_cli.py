@@ -594,6 +594,47 @@ class TestTableFormat:
         assert header.index("total_wh") + len("total_wh") == row.index("0.3025") + len("0.3025")
 
 
+class TestBuiltOncePerProcess:
+    """The parser and the bundled files are made once per process and reused."""
+
+    @staticmethod
+    def _dispatch(argv):
+        out, stdout, stderr = io.StringIO(), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_dispatch(argv, out=out)
+        return code, out.getvalue(), stdout.getvalue(), stderr.getvalue()
+
+    def test_the_reused_parser_answers_as_a_fresh_one(self, monkeypatch):
+        calls = [
+            ["predict", "-s", "900", "-g", "82", "--format", "json"],
+            ["predict", "-s", "0", "-g", "82"],  # a usage error: exit 1
+            ["--help"],  # exit 0, the help on standard output
+            ["predict", "-s", "9", "-g", "1", "--coeffs", "x", "--model", "y"],  # excluding flags: exit 1
+            ["predict", "-s", "900", "-g", "82", "--format", "json"],
+        ]
+        assert cli.build_parser() is cli.build_parser()
+        reused = [self._dispatch(argv) for argv in calls]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a new parser per call
+        fresh = [self._dispatch(argv) for argv in calls]
+        assert [r[0] for r in reused] == [0, 1, 0, 1, 0]
+        assert reused == fresh and reused[0] == reused[-1]
+
+    def test_each_bundled_file_is_loaded_once(self):
+        from inferwatt import bundled
+        from inferwatt.phase_model import load_coefficients
+        from inferwatt.roofline import load_profile
+        from inferwatt.transformer_costs import load_model
+
+        loaders = [(bundled.reference_profile, (), load_profile, bundled.REFERENCE_PROFILE),
+                   (bundled.reference_coefficients, (), load_coefficients, bundled.REFERENCE_COEFFS)]
+        loaders += [(bundled.bundled_model, (key,), load_model, name) for key, name in bundled.MODEL_FILES.items()]
+        for cached, args, load, filename in loaders:
+            first = cached(*args)
+            assert cached(*args) is first
+            assert first == load(data_path(filename))
+        assert bundled.qwen_family() == [bundled.bundled_model(key) for key in bundled.QWEN_FAMILY]
+
+
 # --- argv fuzz ------------------------------------------------------------
 
 _HOSTILE = ["nan", "inf", "-inf", "-1", "0", "", "a,b", "1e308", "-1e308", "99999999999999999999", "1,2"]

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -450,6 +452,26 @@ class TestThePapersFindingsOnTheAnalyticSource:
         totals = _totals(AnalyticSource(model, hw), [(x, 1) for x in sorted(s)])
         assert all(a < b for a, b in zip(totals, totals[1:])), totals
 
+    @settings(max_examples=80, deadline=None)
+    @given(model=small_models(), hw=hardware_profiles(), s=st.integers(1, 40_000), g=st.integers(1, 4000),
+           more=st.integers(1, 4), wider_heads=st.booleans())
+    def test_total_rises_with_hidden(self, model, hw, s, g, more, wider_heads):
+        # hidden is n_heads * head_dim: grow the heads' width or their number
+        n_heads, head_dim = ((model.n_heads, model.head_dim + more) if wider_heads
+                             else (model.n_heads * (1 + more), model.head_dim))
+        wider = ModelSpec(**{**vars(model), "n_heads": n_heads, "head_dim": head_dim, "hidden": n_heads * head_dim})
+        [narrow_wh], [wide_wh] = (_totals(AnalyticSource(spec, hw), [(s, g)]) for spec in (model, wider))
+        assert wide_wh > narrow_wh
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=small_models(), hw=hardware_profiles(), s=st.integers(1, 40_000),
+           g=st.lists(st.integers(1, 4000), min_size=2, max_size=10, unique=True))
+    def test_prefill_share_falls_as_the_reply_grows(self, model, hw, s, g):
+        workload = WorkloadSpec(tuple(WorkloadEntry(s, y) for y in sorted(g)))
+        _, entries = estimate_workload(AnalyticSource(model, hw), workload)
+        shares = [b.prefill_wh / b.total_wh for _, b in entries]
+        assert all(a > b for a, b in zip(shares, shares[1:])), shares
+
 
 class TestPinnedAnalyticEnergies:
     # Figures of the per-token and per-entry scalar code this closed form
@@ -504,6 +526,72 @@ class TestOneEvaluationPerWorkload:
             assert calls == [n]
             assert len(per_entry) == n
         assert all(b.warnings for _, b in estimate_workload(FittedSource(coeffs), workload)[1])
+
+
+class TestThePerEntryTable:
+    """The rows are built from the checked columns, after the one finiteness
+    check: the same rows EnergyBreakdown's own check builds."""
+
+    @staticmethod
+    def _count_checked_builds(monkeypatch):
+        calls = []
+        real = EnergyBreakdown.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(EnergyBreakdown, "__new__", counting)
+        return calls
+
+    def test_one_checked_build_for_the_mean(self, coeffs, monkeypatch):
+        # one-token replies after long prompts: the flagged rows are built too
+        workload = WorkloadSpec.parametric(5000, 2000, 1, 3, count=2000, seed=17)
+        calls = self._count_checked_builds(monkeypatch)
+        mean, per_entry = estimate_workload(FittedSource(coeffs), workload)
+        assert len(calls) == 1 and len(per_entry) == 2000
+        assert any(b.warnings for _, b in per_entry) and mean.warnings
+
+    @settings(max_examples=60, deadline=None)
+    @given(chat=st.lists(st.tuples(st.integers(1, 30_000), st.integers(1, 5000) | st.integers(1, 8)), max_size=20),
+           polite=st.lists(st.integers(1500, 8990), min_size=1, max_size=20), data=st.data())
+    def test_each_row_is_the_checked_breakdown(self, coeffs, chat, polite, data):
+        # the bundled decode energy is <= 0 at g = 1 for s up to about 8990
+        pairs = data.draw(st.permutations(chat + [(s, 1) for s in polite]))
+        source = FittedSource(coeffs)
+        _, per_entry = estimate_workload(source, WorkloadSpec(tuple(WorkloadEntry(s, g) for s, g in pairs)))
+        assert any(b.warnings for _, b in per_entry)  # g = 1 after a long prompt is flagged
+        for (entry, row), (s, g) in zip(per_entry, pairs):
+            want = _interaction_oracle(source, s, g)  # EnergyBreakdown(p, d, provenance, notes)
+            assert (entry.s, entry.g) == (s, g)
+            assert type(row) is EnergyBreakdown and row == want and _bits(row) == _bits(want)
+            assert row.total_wh.hex() == (row.prefill_wh + row.decode_wh).hex()
+
+    def test_a_non_finite_row_raises_before_any_row_is_built(self, coeffs, monkeypatch):
+        # 1e305 Wh per prompt token: the second and fourth prompts overflow
+        source = FittedSource(CoefficientSet(prefill_energy=PrefillEnergyCoeffs(a=1e305, b=0.0),
+                                             decode_energy=coeffs.decode_energy))
+        workload = WorkloadSpec(tuple(WorkloadEntry(s, g) for s, g in [(1, 1), (5000, 1), (900, 82), (9000, 5)]))
+        calls = self._count_checked_builds(monkeypatch)
+        assert _outcome(estimate_workload, source, workload) == \
+            (OverflowError, "energy estimate inf Wh is not finite; inputs are implausibly large")
+        assert calls == []
+
+    def test_a_breakdown_built_by_hand_is_checked(self):
+        b = EnergyBreakdown(0.1, 0.2, "p", ("w",))
+        assert tuple(b) == (0.1, 0.2, "p", ("w",), 0.1 + 0.2)
+        assert b._fields == ("prefill_wh", "decode_wh", "provenance", "warnings", "total_wh")
+        assert b == EnergyBreakdown(0.1, 0.2, "p", ("w",)) != EnergyBreakdown(0.1, 0.2, "p")
+        assert copy.deepcopy(b) == b and pickle.loads(pickle.dumps(b)) == b
+        replaced = b._replace(decode_wh=0.5)
+        assert replaced == EnergyBreakdown(0.1, 0.5, "p", ("w",)) and replaced.total_wh == 0.1 + 0.5
+        assert EnergyBreakdown._make([0.1, 0.2, "p", ("w",)]) == b
+        for build in (lambda: EnergyBreakdown(1e308, 1e308), lambda: EnergyBreakdown(math.nan, 0.0),
+                      lambda: b._replace(prefill_wh=math.inf), lambda: EnergyBreakdown._make([math.inf, 0.0])):
+            with pytest.raises(OverflowError, match="is not finite"):
+                build()
+        with pytest.raises(TypeError):
+            b._replace(total_wh=1.0)  # the total follows prefill and decode
 
 
 class TestWorkloadColumns:

@@ -112,11 +112,11 @@ class TestOlsFit:
         constant = ols_fit(poly_design(s), np.full(s.size, 2.0**531))
         assert constant.r_squared == 1.0 and np.isfinite(constant.residual_norm)
         # constant observations that c * s does not match: no skill, at any scale
-        for c in (0.75, 0.75 * 2.0**512):
+        # (at 1e-20 the residual is 32 % of ||y||: a miss, however small y is)
+        for c in (0.75, 0.75 * 2.0**512, 1e-20):
             assert ols_fit(DesignMatrix([[1.0], [2.0]]), [c, c]).r_squared == 0.0
-        # observations that square within the float range are not rescaled:
-        # these are within the absolute tolerance of a match
-        assert ols_fit(DesignMatrix([[1.0], [2.0]]), [1e-20, 1e-20]).r_squared == 1.0
+        # a tiny constant that c * [1, 1] matches exactly is still a match
+        assert ols_fit(DesignMatrix([[1.0], [1.0]]), [1e-20, 1e-20]).r_squared == 1.0
         fit = ols_fit(DesignMatrix([[1.0], [0.0]]), [1.7e308, 0.0])  # near the largest float
         assert (fit.coefficients, fit.r_squared, fit.residual_norm) == ((1.7e308,), 1.0, 0.0)
 

@@ -840,6 +840,19 @@ class TestRecordValidation:
             text = write_records(traces.RunTable.from_records([cells]), fmt)
             assert parse_records(text, fmt) == ([], [ParseIssue(2 if fmt == "delimited" else 1, message)])
 
+    @pytest.mark.parametrize("run_kind", ["full", "Full", 1, None])
+    def test_a_run_kind_that_is_no_run_kind_is_refused(self, run_kind):
+        # a record of the text 'full' would be written as a prefill_only line; the
+        # refusal comes ahead of the bool refusal and every check, as in the reader
+        message = f"^{re.escape(f'unknown run_kind {run_kind!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            RunRecord("p", run_kind, True, 0, 0.0, -1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=message):
+            record()._replace(run_kind=run_kind)
+        if run_kind == "Full":  # the reader's text for a kind it does not know
+            [issue] = parse_records(_json_run(run_kind=run_kind, input_tokens=True), "line-json")[1]
+            assert re.match(message, issue.message)
+
     def test_non_finite_cell_is_a_parse_issue(self):
         text = HEADER + "\np,full,10,5,1.0,nan,0.0,0.0,m,fp32,1\np,full,10,5,1.0,0.1,0.0,0.0,m,fp32,1\n"
         records, issues = parse_records(text)
