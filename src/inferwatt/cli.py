@@ -9,6 +9,7 @@ significant digits; json and delimited output carry full precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -476,7 +477,8 @@ def cli_dispatch(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):  # --help prints to stdout: it goes to `out`, as every result does
+            args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1

@@ -14,7 +14,7 @@ Contract of `estimate_workload`:
 * a WorkloadSpec's columns (s, g, weight) are built and checked once, when
   the spec is made;
 * the source is evaluated once per workload, on those columns, never once
-  per entry;
+  per entry, and `compare_models` evaluates every model of a sweep at once;
 * flagged rows are never clamped: the value is reported, and the warning
   text goes on the entry's breakdown and on the mean;
 * one finiteness check covers every entry, and a non-finite entry or mean
@@ -40,11 +40,7 @@ import numpy as np
 from .errors import InferwattError
 from .phase_model import CoefficientSet, out_of_range_message
 from .roofline import HardwareProfile, Phase, energy_from_power
-from .transformer_costs import (
-    ModelSpec,
-    class_latencies,
-    step_overflow,
-)
+from .transformer_costs import ModelSpec, class_latencies, step_overflow
 
 DAYS_PER_YEAR = 365.25
 DEFAULT_LED_WATTS = 5.0
@@ -81,24 +77,34 @@ class AnalyticSource:
     model: ModelSpec
     hw: HardwareProfile
 
-    @np.errstate(all="ignore")  # an overflow fails the caller's finiteness check
     def phase_energies(self, s: np.ndarray, g: np.ndarray):
         """Prefill and decode Wh at each (s, g); no row is flagged. A decode
-        step cost that is not finite raises OverflowError, unless an earlier
-        row's total is not finite: the caller reports that row first."""
-        prefill_latency, decode_latency = class_latencies(self.model, self.hw, s, g)
-        prefill = energy_from_power(Phase.PREFILL, prefill_latency.total_seconds, self.hw)
-        decode = energy_from_power(Phase.DECODE, decode_latency.total_seconds, self.hw)
-        overflowed = decode_latency.nonfinite.any(axis=0)
-        if overflowed.any():
-            row = int(overflowed.argmax())
-            if np.isfinite(prefill[:row] + decode[:row]).all():
-                raise step_overflow(decode_latency.nonfinite[:, row])
+        step cost that is not finite raises OverflowError (`_check_steps`)."""
+        prefill, decode, nonfinite = _analytic_energies(self.model, self.hw, s, g)
+        _check_steps(prefill, decode, nonfinite)
         return prefill, decode, ()
 
     @property
     def provenance(self) -> str:
         return f"analytic-roofline ({self.model.name or 'model'} @ {self.hw.name or 'hw'})"
+
+
+@np.errstate(all="ignore")  # an overflow fails the caller's finiteness check
+def _analytic_energies(model: ModelSpec | list[ModelSpec], hw: HardwareProfile, s, g):
+    """Prefill and decode Wh and the decode `nonfinite` marks of `class_latencies`."""
+    prefill_latency, decode_latency = class_latencies(model, hw, s, g)
+    return (energy_from_power(Phase.PREFILL, prefill_latency.total_seconds, hw),
+            energy_from_power(Phase.DECODE, decode_latency.total_seconds, hw), decode_latency.nonfinite)
+
+
+@np.errstate(all="ignore")  # a total that overflows reads as not finite
+def _check_steps(prefill, decode, nonfinite) -> None:
+    """The first row whose decode step cost is not finite raises, unless an earlier row's total is not finite."""
+    overflowed = nonfinite.any(axis=0)
+    if overflowed.any():
+        row = int(overflowed.argmax())
+        if np.isfinite(prefill[:row] + decode[:row]).all():
+            raise step_overflow(nonfinite[:, row])
 
 
 def _not_finite(total: float) -> OverflowError:
@@ -165,26 +171,27 @@ def _token_counts(values: list) -> np.ndarray:
     return _read_only(column)
 
 
-def _weighted_mean(x: np.ndarray, weight: np.ndarray) -> float:
+def _weighted_mean(x: np.ndarray, workload: "WorkloadSpec") -> float:
     """sum(w * x) / sum(w), summed as Python floats in entry order."""
     with np.errstate(over="ignore"):  # an overflowed sum is the caller's to report
-        return sum((weight * x).tolist()) / sum(weight.tolist())
+        return sum((workload.weight * x).tolist()) / workload.weight_total
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
     """A population of interactions as weighted (s, g) pairs.
 
-    `entries` holds them as objects. `s` and `g` (int64) and `weight`
-    (float64) hold the same values as read-only columns, built and checked
-    once here; they take no part in equality or hashing. Token counts must
-    be whole numbers below 2**63 (ValueError, OverflowError otherwise).
+    `entries` holds them as objects. `s` and `g` (int64), `weight` (float64)
+    and `weight_total` (its builtin sum) hold the same values, read-only,
+    built and checked once here; they take no part in equality or hashing.
+    Token counts must be whole numbers below 2**63 (ValueError, OverflowError otherwise).
     """
 
     entries: tuple[WorkloadEntry, ...]
     s: np.ndarray = field(init=False, repr=False, compare=False)
     g: np.ndarray = field(init=False, repr=False, compare=False)
     weight: np.ndarray = field(init=False, repr=False, compare=False)
+    weight_total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
@@ -195,6 +202,7 @@ class WorkloadSpec:
         if not (weight.min() > 0 and weight.max() < math.inf):  # NaN fails too
             raise ValueError("weight must be positive and finite")
         object.__setattr__(self, "weight", _read_only(weight))
+        object.__setattr__(self, "weight_total", sum(weight.tolist()))
 
     @classmethod
     def single(cls, s: int, g: int) -> "WorkloadSpec":
@@ -221,11 +229,11 @@ class WorkloadSpec:
 
     @property
     def mean_s(self) -> float:
-        return _weighted_mean(self.s, self.weight)
+        return _weighted_mean(self.s, self)
 
     @property
     def mean_g(self) -> float:
-        return _weighted_mean(self.g, self.weight)
+        return _weighted_mean(self.g, self)
 
 
 def _check_finite(prefill: np.ndarray, decode: np.ndarray) -> np.ndarray:
@@ -240,8 +248,8 @@ def _check_finite(prefill: np.ndarray, decode: np.ndarray) -> np.ndarray:
 
 def _mean_breakdown(source, workload: WorkloadSpec, prefill, decode, notes=()) -> EnergyBreakdown:
     return EnergyBreakdown(
-        prefill_wh=_weighted_mean(prefill, workload.weight),
-        decode_wh=_weighted_mean(decode, workload.weight),
+        prefill_wh=_weighted_mean(prefill, workload),
+        decode_wh=_weighted_mean(decode, workload),
         provenance=source.provenance,
         warnings=notes,
     )
@@ -337,6 +345,14 @@ class ModelComparison:
     grid: tuple[ContourPoint, ...]
 
 
+def _model_mean(workload: WorkloadSpec, prefill, decode, nonfinite) -> float:
+    """Mean total Wh of the workload rows that lead a model's columns, checked as in `estimate_workload`."""
+    _check_steps(prefill, decode, nonfinite)
+    n = len(workload.entries)
+    _check_finite(prefill[:n], decode[:n])
+    return EnergyBreakdown(_weighted_mean(prefill[:n], workload), _weighted_mean(decode[:n], workload)).total_wh
+
+
 def compare_models(
     specs: list[ModelSpec],
     hw: HardwareProfile,
@@ -348,38 +364,33 @@ def compare_models(
     wh_per_token is the mean total energy divided by the workload's mean
     token count (s + g). The contour grid evaluates decode energy at the
     workload's mean prompt length for each model and each g in contour_g.
-    Each model's workload entries and contour points are one evaluation of
-    its source: the contour points are appended to the workload's columns.
+    One evaluation covers every model: the contour points are appended to the
+    workload's columns, which `class_latencies` evaluates for every model at
+    once; each model's columns are then checked, smallest first, as its own
+    source checks them.
     """
     if not specs:
         raise ValueError("need at least one model spec")
     if any(c < 1 for c in contour_g):
         raise ValueError("need s >= 1 and g >= 1")
-    mean_tokens = workload.mean_s + workload.mean_g
-    grid_s = max(1, int(round(workload.mean_s)))
+    mean_s = workload.mean_s
+    mean_tokens = mean_s + workload.mean_g
+    grid_s = max(1, int(round(mean_s)))
     n = len(workload.entries)
-    contour = np.array(contour_g, dtype=np.int64)
-    s = np.concatenate([workload.s, np.full(len(contour), grid_s)])
-    g = np.concatenate([workload.g, contour])
-
-    rows = []
-    grid = []
-    for spec in sorted(specs, key=lambda m: m.n_params):
-        source = AnalyticSource(spec, hw)
-        prefill, decode, _ = source.phase_energies(s, g)
-        _check_finite(prefill[:n], decode[:n])
-        mean = _mean_breakdown(source, workload, prefill[:n], decode[:n])
+    s = np.concatenate([workload.s, np.full(len(contour_g), grid_s)])
+    g = np.concatenate([workload.g, np.array(contour_g, dtype=np.int64)])
+    ordered = sorted(((spec.n_params, spec) for spec in specs), key=lambda pair: pair[0])
+    try:
+        prefill, decode, nonfinite = _analytic_energies([spec for _, spec in ordered], hw, s, g)
+    except OverflowError:  # a dimension beyond float64: models one at a time raise the error the smallest meets
+        for _, spec in ordered:
+            _model_mean(workload, *_analytic_energies(spec, hw, s, g))
+        raise
+    rows, grid = [], []
+    for i, (n_params, spec) in enumerate(ordered):
+        cols = slice(i * len(s), (i + 1) * len(s))
+        mean_total_wh = _model_mean(workload, prefill[cols], decode[cols], nonfinite[:, cols])
         name = spec.name or "model"
-        rows.append(
-            ModelComparisonRow(
-                name=name,
-                n_params=spec.n_params,
-                mean_total_wh=mean.total_wh,
-                wh_per_token=mean.total_wh / mean_tokens,
-            )
-        )
-        grid.extend(
-            ContourPoint(name=name, n_params=spec.n_params, g=c, decode_wh=wh)
-            for c, wh in zip(contour_g, decode[n:].tolist())
-        )
+        rows.append(ModelComparisonRow(name, n_params, mean_total_wh, mean_total_wh / mean_tokens))
+        grid.extend(ContourPoint(name, n_params, c, wh) for c, wh in zip(contour_g, decode[cols][n:].tolist()))
     return ModelComparison(rows=tuple(rows), grid=tuple(grid))

@@ -28,10 +28,13 @@ replaces is kept in the tests as the oracle the closed form is checked against.
 
 Class costs are array-valued. `_class_costs` is the one definition of the six
 classes' FLOPs and bytes, for a number or an array of token counts, as
-stacks with one row per class (LABELS order) and one column per count.
-`class_latencies` evaluates it once for many (s, g) and returns both phases'
-per-class FLOPs, bytes and seconds as (6, n) stacks; prefill is each class's
-roofline maximum and decode is the closed form above, applied elementwise.
+stacks with one row per class (LABELS order) and one column per count. It
+reads a model's dimensions as numbers, or as columns for a stack of models.
+`class_latencies` evaluates it once for many (s, g), of one model or of a
+list of them (each model's columns bitwise what it gives alone), and returns
+both phases' per-class FLOPs, bytes and seconds as (6, n) stacks; prefill is
+each class's roofline maximum and decode is the closed form above, applied
+elementwise.
 `predict_prefill_latency` and `predict_decode_latency` are its n = 1 case,
 the `ClassLatency` of one (s, g); `prefill_costs` and `decode_step_costs`
 wrap single columns of `_class_costs` as OpCosts.
@@ -39,6 +42,7 @@ wrap single columns of `_class_costs` as OpCosts.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,15 +77,8 @@ class ModelSpec:
     name: str = ""
 
     def __post_init__(self):
-        dims = {
-            "n_layers": self.n_layers,
-            "hidden": self.hidden,
-            "n_heads": self.n_heads,
-            "head_dim": self.head_dim,
-            "ffn_dim": self.ffn_dim,
-            "vocab": self.vocab,
-        }
-        for key, value in dims.items():
+        for key in ("n_layers", "hidden", "n_heads", "head_dim", "ffn_dim", "vocab"):
+            value = getattr(self, key)
             if not (isinstance(value, int) and value >= 1):
                 raise ValueError(f"{key} must be a positive integer, got {value!r}")
         if self.n_heads * self.head_dim != self.hidden:
@@ -129,47 +126,51 @@ def kv_cache_bytes(model: ModelSpec, tokens: int) -> float:
 LABELS = ("embed", "qkv_proj", "attn", "attn_out_proj", "ffn", "lm_head")
 
 
+# What `_class_costs` reads of a model, each integer sum or product formed exactly in
+# Python and rounded once: Python numbers for one model, float64 columns for a stack.
+_Dims = namedtuple("_Dims", "n h kv heads ffn vocab bpp mats width embed qkv_bytes out_bytes ffn_bytes head")
+
+
+def _dims(model: ModelSpec) -> _Dims:
+    h, kv, ffn, bpp, mats = model.hidden, model.kv_dim, model.ffn_dim, model.bytes_per_param, model.ffn_matrices
+    head = model.vocab * h * bpp
+    return _Dims(model.n_layers, h, kv, model.n_heads, ffn, model.vocab, bpp, mats, h + 2 * kv,
+                 0.0 if model.tied_embeddings else head, (h * h + 2 * h * kv) * bpp, h * h * bpp,
+                 mats * h * ffn * bpp, head)
+
+
 @np.errstate(all="ignore")  # overflow gives inf, as Python floats do
-def _class_costs(model: ModelSpec, tokens, span) -> tuple[np.ndarray, np.ndarray]:
+def _class_costs(dims: _Dims, tokens, span) -> tuple[np.ndarray, np.ndarray]:
     """FLOPs and bytes of the classes in LABELS for one pass over `tokens`
     positions whose queries attend over `span` positions, as two stacks with
     one row per class: a prefill has span = tokens, a decode step tokens = 1
     and span = the cached context. `tokens` and `span` are numbers or arrays
-    of one shape, which the stacks take after their first axis. Counts are
+    of one shape, which the stacks take after their first axis; the fields
+    of `dims` are numbers or columns that broadcast with them. Counts are
     formed in float64, so they are exact integers below 2**53.
     """
-    n = model.n_layers
-    h = model.hidden
-    kv = model.kv_dim
-    ffn = model.ffn_dim
-    bpp = model.bytes_per_param
-    mats = model.ffn_matrices
+    n, h, kv, heads, ffn, vocab, bpp, mats, width, embed, qkv_bytes, out_bytes, ffn_bytes, head = dims
     t = np.asarray(tokens, dtype=float)
     span = np.asarray(span, dtype=float)
     th = t * h
 
-    embed_table = 0.0 if model.tied_embeddings else model.vocab * h * bpp
     flops = (
         0.0 * t,  # embed
-        n * (2.0 * t * h * (h + 2 * kv) + NORM_FLOPS_PER_ELEMENT * th),  # qkv_proj
-        n * (4.0 * t * span * h + SOFTMAX_FLOPS_PER_SCORE * t * span * model.n_heads),  # attn
+        n * (2.0 * t * h * width + NORM_FLOPS_PER_ELEMENT * th),  # qkv_proj
+        n * (4.0 * t * span * h + SOFTMAX_FLOPS_PER_SCORE * t * span * heads),  # attn
         n * 2.0 * t * h * h,  # attn_out_proj
         n * (mats * 2.0 * t * h * ffn + NORM_FLOPS_PER_ELEMENT * th),  # ffn
-        2.0 * t * h * model.vocab,  # lm_head
+        2.0 * t * h * vocab,  # lm_head
     )
     nbytes = (
-        embed_table + th * bpp,
-        n * ((h * h + 2 * h * kv) * bpp + th * bpp + t * (h + 2 * kv) * bpp),
+        embed + th * bpp,
+        n * (qkv_bytes + th * bpp + t * width * bpp),
         # fused attention: reads q and the k, v of the span, writes the output
         n * (th + 2 * span * kv) * bpp + n * t * h * bpp,
-        n * (h * h * bpp + 2 * th * bpp),
-        n
-        * (
-            mats * h * ffn * bpp
-            + ((mats - 1) * th + t * ffn) * bpp  # matmul input reads
-            + ((mats - 1) * t * ffn + th) * bpp  # matmul output writes
-        ),
-        model.vocab * h * bpp + th * bpp + t * model.vocab * bpp,
+        n * (out_bytes + 2 * th * bpp),
+        n * (ffn_bytes + ((mats - 1) * th + t * ffn) * bpp  # weights, matmul input reads
+             + ((mats - 1) * t * ffn + th) * bpp),  # matmul output writes
+        head + th * bpp + t * vocab * bpp,
     )
     return np.stack(flops), np.stack(nbytes)
 
@@ -182,7 +183,7 @@ def prefill_costs(model: ModelSpec, s: int) -> list[OpCost]:
     """Per-class costs of encoding an s-token prompt, aggregated over layers."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return _op_costs(*_class_costs(model, s, s))
+    return _op_costs(*_class_costs(_dims(model), s, s))
 
 
 def decode_step_costs(model: ModelSpec, context_len: int) -> list[OpCost]:
@@ -190,7 +191,7 @@ def decode_step_costs(model: ModelSpec, context_len: int) -> list[OpCost]:
     positions. Weight traffic sums to exactly n_params * bytes_per_param."""
     if context_len < 1:
         raise ValueError("context_len must be >= 1")
-    return _op_costs(*_class_costs(model, 1, context_len))
+    return _op_costs(*_class_costs(_dims(model), 1, context_len))
 
 
 class ClassLatency(NamedTuple):
@@ -216,11 +217,12 @@ class ClassLatency(NamedTuple):
 
 
 @np.errstate(all="ignore")  # `nonfinite` marks an overflowed step cost
-def class_latencies(model: ModelSpec, hw: HardwareProfile, s, g) -> tuple[ClassLatency, ClassLatency]:
+def class_latencies(model: ModelSpec | list[ModelSpec], hw: HardwareProfile, s, g) -> tuple[ClassLatency, ClassLatency]:
     """Per-class roofline latency of prefilling an s-token prompt and of
     generating g tokens after it, at each (s, g): numbers or arrays of
-    lengths >= 1 (not checked here). One evaluation of the class costs
-    covers both phases.
+    lengths >= 1 (not checked here), for a ModelSpec or a list of them (s and
+    g 1-D, every model's columns in turn). One evaluation of the class costs
+    covers both phases and every model.
 
     Prefill is each class's roofline maximum. Decode step j = 0..g-1 runs at
     context s + j; each class's step FLOPs and bytes are affine in j (steps
@@ -231,8 +233,13 @@ def class_latencies(model: ModelSpec, hw: HardwareProfile, s, g) -> tuple[ClassL
     s, g = np.asarray(s), np.asarray(g)
     if not (s.max() < 2**53 and g.max() < 2**53):
         raise OverflowError("token counts of 2**53 or more are implausibly large")
+    if isinstance(model, ModelSpec):
+        dims = _dims(model)
+    else:
+        dims = _Dims(*np.repeat(np.array([_dims(m) for m in model], dtype=float).T, s.size, axis=1))
+        s, g = np.tile(s, len(model)), np.tile(g, len(model))
     one = np.ones_like(s)
-    flops, nbytes = _class_costs(model, np.stack([s, one, one]), np.stack([s, s, s + 1]))
+    flops, nbytes = _class_costs(dims, np.stack([s, one, one]), np.stack([s, s, s + 1]))
     prefill = ClassLatency(flops[:, 0], nbytes[:, 0], roofline_seconds(flops[:, 0], nbytes[:, 0], hw))
     f_eff, b_eff = effective_ceilings(hw)
 

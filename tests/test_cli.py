@@ -107,6 +107,20 @@ class TestExitCodes:
         code, _ = run_cli("--help")
         assert code == 0
 
+    @pytest.mark.parametrize("argv,usage", [(["--help"], "usage: inferwatt [-h]"),
+                                            (["compare", "--help"], "usage: inferwatt compare [-h]"),
+                                            (["predict", "-h"], "usage: inferwatt predict [-h]")])
+    def test_help_goes_to_out_as_every_result_does(self, argv, usage, capsys):
+        code, out = run_cli(*argv)
+        assert (code, capsys.readouterr()) == (0, ("", ""))
+        assert out.startswith(usage) and "options:" in out
+        # without `out`, as `main` runs it, the same text goes to standard output
+        with pytest.raises(SystemExit) as exit_:
+            with mock.patch.object(sys, "argv", ["inferwatt", *argv]):
+                cli.main()
+        assert exit_.value.code == 0
+        assert capsys.readouterr() == (out, "")
+
     @pytest.mark.parametrize("argv", [
         ["predict", "-s", "900", "-g", "82", "--model", "{inf_model}"],
         ["predict", "-s", "900", "-g", "82", "--model", "{huge_model}"],
@@ -608,7 +622,7 @@ class TestBuiltOncePerProcess:
         calls = [
             ["predict", "-s", "900", "-g", "82", "--format", "json"],
             ["predict", "-s", "0", "-g", "82"],  # a usage error: exit 1
-            ["--help"],  # exit 0, the help on standard output
+            ["--help"],  # exit 0, the help on `out`
             ["predict", "-s", "9", "-g", "1", "--coeffs", "x", "--model", "y"],  # excluding flags: exit 1
             ["predict", "-s", "900", "-g", "82", "--format", "json"],
         ]

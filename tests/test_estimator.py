@@ -13,9 +13,13 @@ from inferwatt import estimator, phase_model, transformer_costs
 from inferwatt.bundled import qwen_family, reference_trace_text
 from inferwatt.errors import ModelOutOfRangeWarning
 from inferwatt.estimator import (
+    DEFAULT_CONTOUR_G,
     AnalyticSource,
+    ContourPoint,
     EnergyBreakdown,
     FittedSource,
+    ModelComparison,
+    ModelComparisonRow,
     WorkloadEntry,
     WorkloadSpec,
     compare_models,
@@ -654,3 +658,134 @@ class TestCompareModelsGrid:
     def test_contour_lengths_must_be_positive(self, llama8b, hw):
         with pytest.raises(ValueError, match="need s >= 1 and g >= 1"):
             compare_models([llama8b], hw, WorkloadSpec.single(900, 82), contour_g=(16, 0))
+
+
+# --- compare_models as the per-model loop, kept as the reference -------------
+
+
+def _compare_oracle(specs, hw, workload, contour_g):
+    """compare_models as one source evaluation per model, smallest first, each
+    followed by the checks `estimate_workload` makes."""
+    mean_tokens = workload.mean_s + workload.mean_g
+    grid_s = max(1, int(round(workload.mean_s)))
+    n = len(workload.entries)
+    s = np.concatenate([workload.s, np.full(len(contour_g), grid_s)])
+    g = np.concatenate([workload.g, np.array(contour_g, dtype=np.int64)])
+    rows, grid = [], []
+    for spec in sorted(specs, key=lambda m: m.n_params):
+        source = AnalyticSource(spec, hw)
+        prefill, decode, _ = source.phase_energies(s, g)
+        estimator._check_finite(prefill[:n], decode[:n])
+        mean = estimator._mean_breakdown(source, workload, prefill[:n], decode[:n])
+        name = spec.name or "model"
+        rows.append(ModelComparisonRow(name, spec.n_params, mean.total_wh, mean.total_wh / mean_tokens))
+        grid.extend(ContourPoint(name, spec.n_params, c, wh) for c, wh in zip(contour_g, decode[n:].tolist()))
+    return ModelComparison(tuple(rows), tuple(grid))
+
+
+def _assert_compare_matches_oracle(specs, hw, workload, contour_g):
+    """Rows and grid bitwise (repr writes every float exactly), or the same error."""
+    got = _outcome(compare_models, specs, hw, workload, contour_g)
+    assert repr(got) == repr(_outcome(_compare_oracle, specs, hw, workload, contour_g))
+    return got
+
+
+@st.composite
+def sweep_models(draw):
+    """GQA, gated, tied and untied models whose integer dimension products run
+    from a few to past 2**53, and vocabularies past 2**63."""
+    n_heads = draw(st.sampled_from([1, 2, 3, 7, 8, 64, 96]))
+    head_dim = draw(st.integers(1, 64) | st.integers(2**20, 2**28))
+    return ModelSpec(
+        n_layers=draw(st.integers(1, 2**10)),
+        hidden=n_heads * head_dim,
+        n_heads=n_heads,
+        head_dim=head_dim,
+        ffn_dim=draw(st.integers(1, 2**30)),
+        vocab=draw(st.integers(1, 2**40) | st.integers(2**63, 2**70)),
+        bytes_per_param=draw(st.sampled_from([0.5, 1.0, 2.0, 3.3, 4.0])),
+        kv_heads=draw(st.sampled_from([d for d in range(1, n_heads + 1) if n_heads % d == 0])),
+        gated_ffn=draw(st.booleans()),
+        tied_embeddings=draw(st.booleans()),
+        name=draw(st.sampled_from(["", "m"])),
+    )
+
+
+_CONTOUR = st.lists(st.integers(1, 5000), max_size=5).map(tuple)
+
+
+class TestOneEvaluationPerSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(specs=st.lists(sweep_models(), min_size=1, max_size=6), hw=hardware_profiles(),
+           workload=workloads, contour_g=_CONTOUR)
+    def test_matches_the_per_model_loop_bitwise(self, specs, hw, workload, contour_g):
+        got = _assert_compare_matches_oracle(specs, hw, workload, contour_g)
+        assert isinstance(got, ModelComparison)
+        assert len(got.rows) == len(specs) and len(got.grid) == len(specs) * len(contour_g)
+
+    @pytest.mark.parametrize("contour_g", [DEFAULT_CONTOUR_G, (1, 16, 4096), ()])
+    def test_bundled_models_match_the_per_model_loop_bitwise(self, llama8b, hw, contour_g):
+        specs = qwen_family() + [llama8b, qwen_family()[0]]
+        for workload in (WorkloadSpec.single(900, 82),
+                         WorkloadSpec.parametric(900, 200, 82, 30, count=50, seed=18)):
+            got = _assert_compare_matches_oracle(specs, hw, workload, contour_g)
+            assert [row.name for row in got.rows][-1] == "qwen25-14b-fp32"
+
+    @pytest.mark.parametrize("count", [1, 2, 6])
+    def test_one_class_cost_evaluation_per_sweep(self, llama8b, hw, monkeypatch, count):
+        calls = []
+        real = transformer_costs._class_costs
+
+        def counting(dims, tokens, span):
+            calls.append(np.shape(span))
+            return real(dims, tokens, span)
+
+        monkeypatch.setattr(transformer_costs, "_class_costs", counting)
+        specs = (qwen_family() + [llama8b])[:count]
+        workload = WorkloadSpec.parametric(900, 200, 82, 30, count=7, seed=1)
+        compare_models(specs, hw, workload, contour_g=(16, 64))
+        assert calls == [(3, count * (7 + 2))]
+
+    # Errors are pinned as the per-model loop raised them: the smallest
+    # model's first, whatever a larger one meets.
+    _WIDE = ModelSpec(n_layers=10**300, hidden=1, n_heads=1, head_dim=1, ffn_dim=1, vocab=1, name="wide")
+
+    @pytest.mark.parametrize("specs,s,error", [
+        # the prefill of the smaller model's row overflows; the larger one's
+        # decode step cost is not finite
+        ([ModelSpec(**{**vars(_WIDE), "n_layers": 2 * 10**300, "bytes_per_param": 1e308}), _WIDE], 10**4,
+         "energy estimate inf Wh is not finite; inputs are implausibly large"),
+        ([ModelSpec(**{**vars(_WIDE), "n_layers": 10**299, "bytes_per_param": 1e308}), _WIDE], 10**4,
+         "embed step cost is not finite; the model is implausibly large"),
+        # a larger model's width does not convert to a float at all
+        ([ModelSpec(n_layers=1, hidden=2**1100, n_heads=1, head_dim=2**1100, ffn_dim=1, vocab=1), _WIDE], 10**4,
+         "energy estimate inf Wh is not finite; inputs are implausibly large"),
+        ([ModelSpec(n_layers=1, hidden=2**1100, n_heads=1, head_dim=2**1100, ffn_dim=1, vocab=1), _WIDE], 5,
+         "int too large to convert to float"),
+    ])
+    def test_a_smaller_models_error_is_reported_first(self, hw, specs, s, error):
+        workload = WorkloadSpec.single(s, 1)
+        assert _assert_compare_matches_oracle(specs, hw, workload, (16,)) == (OverflowError, error)
+
+
+class TestWeightTotal:
+    @settings(max_examples=100, deadline=None)
+    @given(workload=workloads, data=st.data())
+    def test_means_are_the_resummed_formula_bitwise(self, workload, data):
+        def resummed(x):
+            return sum((workload.weight * x).tolist()) / sum(workload.weight.tolist())
+
+        x = np.array(data.draw(st.lists(st.floats(0, 1e6), min_size=len(workload.entries),
+                                        max_size=len(workload.entries))))
+        assert workload.weight_total == sum(workload.weight.tolist())
+        assert workload.mean_s.hex() == resummed(workload.s).hex()
+        assert workload.mean_g.hex() == resummed(workload.g).hex()
+        assert estimator._weighted_mean(x, workload).hex() == resummed(x).hex()
+
+    def test_weight_total_is_derived_and_read_only(self):
+        workload = WorkloadSpec((WorkloadEntry(5, 1, 0.1), WorkloadEntry(6, 2, 0.2)))
+        assert workload.weight_total == 0.1 + 0.2
+        with pytest.raises(AttributeError):
+            workload.weight_total = 1.0
+        assert "weight_total" not in repr(workload)
+        assert workload == WorkloadSpec(workload.entries)

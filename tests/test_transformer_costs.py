@@ -329,9 +329,9 @@ class TestClosedFormDecode:
         calls = []
         real = transformer_costs._class_costs
 
-        def counting(model, tokens, span):
+        def counting(dims, tokens, span):
             calls.append(np.shape(span))
-            return real(model, tokens, span)
+            return real(dims, tokens, span)
 
         monkeypatch.setattr(transformer_costs, "_class_costs", counting)
         for g in (1, 100, 10000):
