@@ -1,7 +1,7 @@
 """Latency and energy cost modeling for transformer LLM inference.
 
-Predicts per-interaction latency and energy three ways and keeps them
-honest against each other:
+Predicts per-interaction latency and energy three ways, each computed
+independently of the others (comparing the three is not yet done):
 
 * a roofline model over counted transformer operations (`roofline`,
   `transformer_costs`),
@@ -14,11 +14,9 @@ plus workload/fleet estimation (`estimator`) and a reporting CLI (`cli`).
 """
 
 from .roofline import (
-    Boundedness,
     HardwareProfile,
     OpCost,
     Phase,
-    boundedness,
     effective_ceilings,
     energy_from_power,
     op_latency,
@@ -30,7 +28,6 @@ from .transformer_costs import (
     kv_cache_bytes,
     predict_decode_latency,
     predict_prefill_latency,
-    prefill_costs,
     weight_bytes,
 )
 from .numerics import DesignMatrix, FitResult, ols_fit
@@ -41,7 +38,6 @@ from .phase_model import (
     FitSamples,
     PrefillEnergyCoeffs,
     PrefillLatencyCoeffs,
-    consistency_report,
     eval_decode_energy,
     eval_decode_latency,
     eval_prefill_energy,

@@ -431,8 +431,9 @@ def build_parser() -> _Parser:
     _add_common(p, trace=True)
     p.add_argument("--component", choices=("gpu", "cpu", "ram", "total"), default="gpu")
     p.add_argument("--phase", choices=("prefill", "full", "decode"), default="full")
-    p.add_argument("--bins", type=_POSITIVE_INT, default=10)
-    p.add_argument("--edges", type=_NUMBERS, default=None, help="explicit comma-separated bin edges")
+    bins = p.add_mutually_exclusive_group()
+    bins.add_argument("--bins", type=_POSITIVE_INT, default=10)
+    bins.add_argument("--edges", type=_NUMBERS, default=None, help="explicit comma-separated bin edges")
     p.set_defaults(func=_cmd_hist)
 
     p = subs.add_parser("compare", help="workload energy across model sizes")

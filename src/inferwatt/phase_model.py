@@ -26,9 +26,8 @@ on each coefficient set tells you whether the sign pattern matches the
 underlying cost structure.
 
 Energy and latency are linked through per-phase mean power:
-E = t * P_phase / 3600 (watts and seconds to Wh). `consistency_report`
-cross-checks fitted energy coefficients against power-scaled latency
-coefficients and flags pairs that disagree by more than a tolerance.
+E = t * P_phase / 3600 (watts and seconds to Wh), as
+`roofline.energy_from_power` computes it.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import numpy as np
 from .errors import ConfigError, InsufficientSamples, ModelOutOfRangeWarning
 from . import kvconfig
 from .numerics import DesignMatrix, FitResult, ols_fit
-from .roofline import SECONDS_PER_HOUR, HardwareProfile
 
 
 class _Polynomial:
@@ -234,72 +232,6 @@ def fit_prefill_energy(samples: FitSamples) -> tuple[PrefillEnergyCoeffs, FitRes
 def fit_decode_energy(samples: FitSamples) -> tuple[DecodeEnergyCoeffs, FitResult]:
     """Fit E = c*g + d*s*g + g_intercept to decode samples carrying energy."""
     return _fit(DecodeEnergyCoeffs, samples)
-
-
-# --- power consistency --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConsistencyEntry:
-    """One fitted-vs-power-implied coefficient comparison."""
-
-    name: str
-    fitted: float
-    power_implied: float
-    relative_deviation: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    entries: tuple[ConsistencyEntry, ...]
-
-    def entry(self, name: str) -> ConsistencyEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    @property
-    def flagged(self) -> tuple[ConsistencyEntry, ...]:
-        return tuple(e for e in self.entries if e.flagged)
-
-
-def consistency_report(
-    prefill_latency: PrefillLatencyCoeffs,
-    decode_latency: DecodeLatencyCoeffs,
-    prefill_energy: PrefillEnergyCoeffs,
-    decode_energy: DecodeEnergyCoeffs,
-    hw: HardwareProfile,
-    flag_above: float = 0.10,
-) -> ConsistencyReport:
-    """Compare fitted energy coefficients against power-scaled latency ones.
-
-    If energy really is phase power times runtime, each energy coefficient
-    should equal the matching latency coefficient times P_phase/3600. The
-    relative deviation is measured against the power-implied value; entries
-    above `flag_above` are flagged but never treated as errors, because both
-    sides are measurements.
-    """
-    pre_scale = hw.p_prefill / SECONDS_PER_HOUR
-    dec_scale = hw.p_decode / SECONDS_PER_HOUR
-    pairs = [
-        ("prefill_slope", prefill_energy.a, pre_scale * prefill_latency.alpha),
-        ("prefill_intercept", prefill_energy.b, pre_scale * prefill_latency.gamma),
-        ("decode_slope", decode_energy.c, dec_scale * decode_latency.eta),
-        ("decode_context_slope", decode_energy.d, dec_scale * decode_latency.theta),
-        ("decode_intercept", decode_energy.g_intercept, dec_scale * decode_latency.rho),
-    ]
-    entries = []
-    for name, fitted, implied in pairs:
-        if implied == 0:
-            deviation = 0.0 if fitted == 0 else float("inf")
-        else:
-            deviation = abs(fitted - implied) / abs(implied)
-        entries.append(
-            ConsistencyEntry(name, fitted, implied, deviation, deviation > flag_above)
-        )
-    return ConsistencyReport(tuple(entries))
 
 
 # --- coefficient file IO --------------------------------------------------

@@ -39,12 +39,6 @@ class Phase(enum.Enum):
     DECODE = "decode"
 
 
-class Boundedness(enum.Enum):
-    COMPUTE_BOUND = "compute_bound"
-    MEMORY_BOUND = "memory_bound"
-    BALANCED = "balanced"
-
-
 @dataclass(frozen=True)
 class HardwareProfile:
     """Compute/bandwidth ceilings, efficiency factors, and per-phase mean power.
@@ -115,21 +109,6 @@ def roofline_seconds(flops, nbytes, hw: HardwareProfile):
 def op_latency(cost: OpCost, hw: HardwareProfile) -> float:
     """Roofline latency of one operation."""
     return float(roofline_seconds(cost.flops, cost.bytes, hw))
-
-
-def boundedness(cost: OpCost, hw: HardwareProfile) -> Boundedness:
-    """Classify which resource limits the operation.
-
-    Uses exact comparison of the two resource times; ties are Balanced.
-    """
-    f_eff, b_eff = effective_ceilings(hw)
-    compute_time = cost.flops / f_eff
-    memory_time = cost.bytes / b_eff
-    if compute_time > memory_time:
-        return Boundedness.COMPUTE_BOUND
-    if compute_time < memory_time:
-        return Boundedness.MEMORY_BOUND
-    return Boundedness.BALANCED
 
 
 # A profile file must state the phase powers, which the class defaults.

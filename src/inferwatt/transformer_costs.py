@@ -36,8 +36,8 @@ both phases' per-class FLOPs, bytes and seconds as (6, n) stacks; prefill is
 each class's roofline maximum and decode is the closed form above, applied
 elementwise.
 `predict_prefill_latency` and `predict_decode_latency` are its n = 1 case,
-the `ClassLatency` of one (s, g); `prefill_costs` and `decode_step_costs`
-wrap single columns of `_class_costs` as OpCosts.
+the `ClassLatency` of one (s, g); `decode_step_costs` wraps one decode
+step's column of `_class_costs` as OpCosts.
 """
 
 from __future__ import annotations
@@ -77,18 +77,20 @@ class ModelSpec:
     name: str = ""
 
     def __post_init__(self):
+        # a bool is an int, but no dimension, head count or byte width
         for key in ("n_layers", "hidden", "n_heads", "head_dim", "ffn_dim", "vocab"):
             value = getattr(self, key)
-            if not (isinstance(value, int) and value >= 1):
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
                 raise ValueError(f"{key} must be a positive integer, got {value!r}")
         if self.n_heads * self.head_dim != self.hidden:
             raise ValueError("n_heads * head_dim must equal hidden")
-        if self.kv_heads is not None:
-            if not (isinstance(self.kv_heads, int) and 1 <= self.kv_heads <= self.n_heads):
+        kv = self.kv_heads
+        if kv is not None:
+            if isinstance(kv, bool) or not (isinstance(kv, int) and 1 <= kv <= self.n_heads):
                 raise ValueError("kv_heads must be in [1, n_heads]")
-            if self.n_heads % self.kv_heads != 0:
+            if self.n_heads % kv != 0:
                 raise ValueError("kv_heads must divide n_heads")
-        if not 0 < self.bytes_per_param < float("inf"):  # NaN fails too
+        if isinstance(self.bytes_per_param, bool) or not 0 < self.bytes_per_param < float("inf"):  # NaN fails too
             raise ValueError("bytes_per_param must be positive and finite")
 
     @property
@@ -177,13 +179,6 @@ def _class_costs(dims: _Dims, tokens, span) -> tuple[np.ndarray, np.ndarray]:
 
 def _op_costs(flops: np.ndarray, nbytes: np.ndarray) -> list[OpCost]:
     return [OpCost(f, b, label) for label, f, b in zip(LABELS, flops.tolist(), nbytes.tolist())]
-
-
-def prefill_costs(model: ModelSpec, s: int) -> list[OpCost]:
-    """Per-class costs of encoding an s-token prompt, aggregated over layers."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    return _op_costs(*_class_costs(_dims(model), s, s))
 
 
 def decode_step_costs(model: ModelSpec, context_len: int) -> list[OpCost]:

@@ -246,6 +246,9 @@ class TestArgumentValidation:
     @pytest.mark.parametrize("argv, message", [
         (("predict", "-s", "0", "-g", "5"), "argument -s: expected an integer >= 1"),
         (("predict", "-s", "5", "-g", "5", "--coeffs", "A", "--model", "B"), "argument --model: not allowed"),
+        # --edges set the bins and --bins was dropped
+        (("hist", "--trace", "T", "--edges", "0,1", "--bins", "3"), "argument --bins: not allowed with argument --edges"),
+        (("hist", "--trace", "T", "--bins", "3", "--edges", "0,1"), "argument --edges: not allowed with argument --bins"),
         # raised by the handlers, after parsing
         (("predict", "-s", "5", "-g", "5", "--hw", "H"), "--hw sets the hardware"),
         (("compare", "-s", "5", "-g", "5"), "give model spec files"),

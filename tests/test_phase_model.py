@@ -22,7 +22,6 @@ from inferwatt.phase_model import (
     FitSamples,
     PrefillEnergyCoeffs,
     PrefillLatencyCoeffs,
-    consistency_report,
     eval_decode_energy,
     eval_decode_latency,
     eval_prefill_energy,
@@ -126,41 +125,48 @@ class TestEnergyFromPower:
         assert abs(from_power - from_fit) / from_fit < 0.01
 
 
-class TestConsistencyReport:
-    @pytest.fixture()
-    def report(self, coeffs, hw):
-        return consistency_report(
-            coeffs.prefill_latency, coeffs.decode_latency,
-            coeffs.prefill_energy, coeffs.decode_energy, hw,
-        )
+class TestPowerScaledCoefficients:
+    """Each fitted energy coefficient against the matching latency coefficient
+    scaled by P_phase / 3600, and fitted energy against power times fitted
+    latency, on the bundled coefficients and hardware."""
 
-    def test_prefill_slope_pair_agrees(self, report):
-        entry = report.entry("prefill_slope")
-        assert entry.power_implied == pytest.approx(6.042e-5, rel=1e-3)
-        assert entry.relative_deviation == pytest.approx(0.0013, abs=2e-4)
-        assert not entry.flagged
+    def test_prefill_slope_pair_agrees(self, coeffs, hw):
+        implied = hw.p_prefill / 3600 * coeffs.prefill_latency.alpha
+        assert implied == pytest.approx(6.042e-5, rel=1e-3)
+        assert abs(coeffs.prefill_energy.a / implied - 1) == pytest.approx(0.0013, abs=2e-4)
 
-    def test_decode_slope_pair_agrees(self, report):
-        entry = report.entry("decode_slope")
-        assert entry.power_implied == pytest.approx(2.124e-3, rel=1e-3)
-        assert entry.relative_deviation == pytest.approx(0.0027, abs=3e-4)
-        assert not entry.flagged
+    def test_decode_slope_pair_agrees(self, coeffs, hw):
+        implied = hw.p_decode / 3600 * coeffs.decode_latency.eta
+        assert implied == pytest.approx(2.124e-3, rel=1e-3)
+        assert abs(coeffs.decode_energy.c / implied - 1) == pytest.approx(0.0027, abs=3e-4)
 
-    def test_decode_context_slope_pair_flagged_10x(self, report):
-        entry = report.entry("decode_context_slope")
-        assert entry.power_implied == pytest.approx(2.694e-8, rel=1e-3)
-        assert entry.fitted / entry.power_implied == pytest.approx(10.65, rel=1e-2)
-        assert entry.flagged
+    def test_decode_context_slope_pair_10x(self, coeffs, hw):
+        implied = hw.p_decode / 3600 * coeffs.decode_latency.theta
+        assert implied == pytest.approx(2.694e-8, rel=1e-3)
+        assert coeffs.decode_energy.d / implied == pytest.approx(10.65, rel=1e-2)
 
-    def test_prefill_intercept_pair_flagged(self, report):
-        entry = report.entry("prefill_intercept")
-        assert entry.relative_deviation == pytest.approx(0.566, abs=5e-3)
-        assert entry.flagged
+    def test_prefill_intercept_pair_deviates(self, coeffs, hw):
+        implied = hw.p_prefill / 3600 * coeffs.prefill_latency.gamma
+        assert abs(coeffs.prefill_energy.b / implied - 1) == pytest.approx(0.566, abs=5e-3)
 
-    def test_decode_intercept_pair_within_tolerance(self, report):
-        entry = report.entry("decode_intercept")
-        assert entry.relative_deviation == pytest.approx(0.088, abs=5e-3)
-        assert not entry.flagged
+    def test_decode_intercept_pair_deviates(self, coeffs, hw):
+        implied = hw.p_decode / 3600 * coeffs.decode_latency.rho
+        assert abs(coeffs.decode_energy.g_intercept / implied - 1) == pytest.approx(0.088, abs=5e-3)
+
+    @pytest.mark.parametrize("s,prefill,decode_82,decode_1000", [
+        (900, 1.001, 1.112, 1.109),
+        (9000, 0.756, 2.012, 1.989),
+        (30000, 0.477, 3.709, 3.660),
+    ])
+    def test_energy_over_power_times_latency(self, coeffs, hw, s, prefill, decode_82, decode_1000):
+        # agreement near the chat regime, growing apart with context
+        def ratio(energy, latency, power, *args):
+            return energy(*args) / (power * latency(*args) / 3600)
+
+        assert ratio(coeffs.prefill_energy, coeffs.prefill_latency, hw.p_prefill, s) == pytest.approx(prefill, rel=1e-3)
+        for g, expect in ((82, decode_82), (1000, decode_1000)):
+            assert ratio(coeffs.decode_energy, coeffs.decode_latency, hw.p_decode, s, g) == \
+                pytest.approx(expect, rel=1e-3)
 
 
 NOISY_SEED = 42

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from inferwatt.errors import ConfigError
 from inferwatt.kvconfig import parse_kv
 from inferwatt.roofline import (
-    Boundedness,
     HardwareProfile,
     OpCost,
-    boundedness,
     effective_ceilings,
     op_latency,
     profile_from_kv,
@@ -55,22 +53,6 @@ class TestOpLatency:
         hw = make_hw()
         f_eff, b_eff = effective_ceilings(hw)
         assert op_latency(OpCost(flops=f_eff, bytes=2 * b_eff), hw) == pytest.approx(2.0)
-
-
-class TestBoundedness:
-    def test_compute_bound(self):
-        hw = make_hw()
-        f_eff, b_eff = effective_ceilings(hw)
-        assert boundedness(OpCost(2 * f_eff, b_eff), hw) is Boundedness.COMPUTE_BOUND
-
-    def test_memory_bound(self):
-        hw = make_hw()
-        f_eff, b_eff = effective_ceilings(hw)
-        assert boundedness(OpCost(f_eff, 2 * b_eff), hw) is Boundedness.MEMORY_BOUND
-
-    def test_balanced_on_exact_tie(self):
-        hw = make_hw(f_max=1e12, b_max=1e12, mu_comp=0.5, mu_mem=0.5)
-        assert boundedness(OpCost(1e9, 1e9), hw) is Boundedness.BALANCED
 
 
 def phase_total(ops, hw):

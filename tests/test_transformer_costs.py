@@ -8,12 +8,7 @@ from inferwatt.bundled import bundled_model, qwen_family
 from inferwatt.errors import ConfigError
 from inferwatt.kvconfig import parse_kv
 from inferwatt.estimator import WorkloadSpec, compare_models
-from inferwatt.roofline import (
-    Boundedness,
-    HardwareProfile,
-    boundedness,
-    op_latency,
-)
+from inferwatt.roofline import HardwareProfile, OpCost, effective_ceilings, op_latency
 from inferwatt.transformer_costs import (
     LABELS,
     ClassLatency,
@@ -25,7 +20,6 @@ from inferwatt.transformer_costs import (
     model_from_kv,
     predict_decode_latency,
     predict_prefill_latency,
-    prefill_costs,
     weight_bytes,
 )
 
@@ -38,6 +32,12 @@ def tiny_model(**overrides):
 
 def by_label(costs):
     return {c.label: c for c in costs}
+
+
+def prefill_rows(model, s, hw):
+    """Per-class prefill costs as OpCosts, from the rows of `class_latencies`."""
+    prefill = class_latencies(model, hw, s, 1)[0]
+    return [OpCost(f, b, label) for label, f, b in zip(LABELS, prefill.flops.tolist(), prefill.bytes.tolist())]
 
 
 def _decode_latency_oracle(model, hw, s, g):
@@ -84,6 +84,26 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             tiny_model(bytes_per_param=bpp)
 
+    def test_all_bool_dimensions_rejected(self):
+        # True == 1 passes every arithmetic check, and would count 8 parameters
+        with pytest.raises(ValueError, match=r"^n_layers must be a positive integer, got True$"):
+            ModelSpec(n_layers=True, hidden=True, n_heads=True, head_dim=True, ffn_dim=True, vocab=True,
+                      kv_heads=True)
+
+    @pytest.mark.parametrize("key,message", [
+        *((key, f"{key} must be a positive integer, got True")
+          for key in ("n_layers", "hidden", "n_heads", "head_dim", "ffn_dim", "vocab")),
+        ("kv_heads", "kv_heads must be in [1, n_heads]"),
+        ("bytes_per_param", "bytes_per_param must be positive and finite"),
+    ])
+    def test_bool_field_rejected(self, key, message):
+        # each field True on a model where 1 is otherwise valid for it
+        dims = dict(n_layers=1, hidden=1, n_heads=1, head_dim=1, ffn_dim=1, vocab=1, kv_heads=1)
+        ModelSpec(**dims, bytes_per_param=1)
+        with pytest.raises(ValueError) as error:
+            ModelSpec(**{**dims, "bytes_per_param": 1, key: True})
+        assert str(error.value) == message
+
     def test_tied_embeddings_counted_once(self):
         untied = tiny_model()
         tied = tiny_model(tied_embeddings=True)
@@ -110,39 +130,35 @@ class TestModelSpec:
 
 
 class TestPrefillCosts:
-    def test_matmul_counting_rule(self):
+    def test_matmul_counting_rule(self, hw):
         # attn_out_proj is a bare (s x h) @ (h x h) matmul per layer:
         # 2*m*n*k with no folded constants
         m = tiny_model()
         s = 17
-        cost = by_label(prefill_costs(m, s))["attn_out_proj"]
+        cost = by_label(prefill_rows(m, s, hw))["attn_out_proj"]
         assert cost.flops == m.n_layers * 2 * s * m.hidden * m.hidden
 
-    def test_per_token_flops_close_to_twice_param_count(self, llama8b):
+    def test_per_token_flops_close_to_twice_param_count(self, llama8b, hw):
         # brute-force class sum at s=1 vs the 2*n_params rule of thumb
         # (the embedding contributes parameters but no multiply-adds)
-        flops = sum(c.flops for c in prefill_costs(llama8b, 1))
+        flops = sum(c.flops for c in prefill_rows(llama8b, 1, hw))
         assert flops == pytest.approx(2 * llama8b.n_params, rel=0.10)
 
-    def test_doubling_hidden_quadruples_projection_flops(self, llama8b):
+    def test_doubling_hidden_quadruples_projection_flops(self, llama8b, hw):
         wide = ModelSpec(n_layers=32, hidden=8192, n_heads=64, head_dim=128,
                          kv_heads=16, ffn_dim=28672, vocab=128256, gated_ffn=True)
         s = 64
         for label in ("qkv_proj", "attn_out_proj", "ffn"):
-            a = by_label(prefill_costs(llama8b, s))[label].flops
-            b = by_label(prefill_costs(wide, s))[label].flops
+            a = by_label(prefill_rows(llama8b, s, hw))[label].flops
+            b = by_label(prefill_rows(wide, s, hw))[label].flops
             # the folded norm constants are linear in h, hence the loose digit
             assert b / a == pytest.approx(4.0, rel=1e-3)
 
-    def test_rejects_empty_prompt(self):
-        with pytest.raises(ValueError):
-            prefill_costs(tiny_model(), 0)
-
-    def test_flops_linear_in_s_except_attention(self, llama8b):
+    def test_flops_linear_in_s_except_attention(self, llama8b, hw):
         s_grid = np.array([128, 256, 512, 1024, 2048], dtype=float)
         per_class = {}
         for s in s_grid:
-            for c in prefill_costs(llama8b, int(s)):
+            for c in prefill_rows(llama8b, int(s), hw):
                 per_class.setdefault(c.label, []).append(c.flops)
         for label, flops in per_class.items():
             y = np.array(flops)
@@ -199,16 +215,19 @@ class TestDecodeStepCosts:
 
 
 class TestBoundednessOnReferenceHardware:
+    # compute time FLOPs/f_eff against memory time bytes/b_eff, per class
     @pytest.mark.parametrize("s", [100, 1000, 4000])
     def test_prefill_matmul_classes_compute_bound(self, llama8b, hw, s):
-        for cost in prefill_costs(llama8b, s):
+        f_eff, b_eff = effective_ceilings(hw)
+        for cost in prefill_rows(llama8b, s, hw):
             if cost.flops > 0:
-                assert boundedness(cost, hw) is Boundedness.COMPUTE_BOUND, cost.label
+                assert cost.flops / f_eff > cost.bytes / b_eff, cost.label
 
     @pytest.mark.parametrize("ctx", [1, 100, 1000, 8000])
     def test_decode_classes_all_memory_bound(self, llama8b, hw, ctx):
+        f_eff, b_eff = effective_ceilings(hw)
         for cost in decode_step_costs(llama8b, ctx):
-            assert boundedness(cost, hw) is Boundedness.MEMORY_BOUND, cost.label
+            assert cost.flops / f_eff < cost.bytes / b_eff, cost.label
 
 
 class TestPredictPrefill:
@@ -216,9 +235,13 @@ class TestPredictPrefill:
         s = 777
         breakdown = predict_prefill_latency(llama8b, hw, s)
         assert breakdown.total_seconds == pytest.approx(
-            sum(op_latency(c, hw) for c in prefill_costs(llama8b, s)), rel=1e-12
+            sum(op_latency(c, hw) for c in prefill_rows(llama8b, s, hw)), rel=1e-12
         )
         assert breakdown.total_seconds == pytest.approx(sum(breakdown.seconds.tolist()), rel=1e-12)
+
+    def test_rejects_empty_prompt(self, hw):
+        with pytest.raises(ValueError):
+            predict_prefill_latency(tiny_model(), hw, 0)
 
     def test_per_token_slope_near_reference_alpha(self, llama8b, hw, coeffs):
         t_lo = predict_prefill_latency(llama8b, hw, 900).total_seconds
@@ -429,8 +452,8 @@ class TestSizeScaling:
 
 @settings(max_examples=25, deadline=None)
 @given(s=st.integers(min_value=1, max_value=2048))
-def test_prefill_costs_positive_and_labeled(s):
-    costs = prefill_costs(tiny_model(), s)
+def test_prefill_costs_positive_and_labeled(hw, s):
+    costs = prefill_rows(tiny_model(), s, hw)
     assert [c.label for c in costs] == ["embed", "qkv_proj", "attn", "attn_out_proj", "ffn", "lm_head"]
     assert all(c.bytes > 0 for c in costs)
     assert all(c.flops >= 0 for c in costs)
