@@ -30,7 +30,11 @@ blocks of at most `_BLOCK_ROWS`, each column at once, into one RunTable and
 names each bad run by an unknown run kind, else by its first failing check.
 Only a block with a value that does not convert is read again row by row by
 `_record_from_cells`, the one definition of a row's conversion (a JSON
-boolean is no number, and a fraction no count). `parse_records` is
+boolean is no number, and a fraction no count). A delimited trace with no
+double quote or NUL, each line after the header holding the header's cell
+count and none longer than `csv.field_size_limit()`, is split at its commas
+a block of lines at a time, with no list per row; any other goes through
+`csv.reader`, which gives the same runs and issues. `parse_records` is
 `read_runs` with the runs as records. `synthesize_trace` evaluates the plan
 at once and draws the noise as one vector in record order; of the plan
 points that fail, the first raises. `write_records` formats columns, a
@@ -328,10 +332,15 @@ def _convert_block(columns: Sequence, lines: list[int], delimited: bool, issues:
     return table.take(np.flatnonzero(~bad))
 
 
+def _blocks(rows):  # each block as its columns, line numbers last; none is held once the next is asked for
+    return iter(lambda: list(zip(*islice(rows, _BLOCK_ROWS))), [])
+
+
 def _read_delimited(text: str, rename: dict, issues: list):
-    """The header's `columns` (a block's rows -> its eleven field columns) and
-    a generator of the rows, their line number last; issues go to `issues`."""
-    reader = csv.reader(text.splitlines(keepends=True))
+    """The header's `columns` (a block's header columns -> its eleven field
+    columns) and the blocks, line numbers last; issues go to `issues`."""
+    lines = text.splitlines(keepends=True)
+    reader = csv.reader(lines)
     try:
         header = [rename.get(h.strip(), h.strip()) for h in next(reader)]
     except csv.Error as exc:
@@ -344,6 +353,16 @@ def _read_delimited(text: str, rename: dict, issues: list):
 
     def columns(cells):  # an absent optional column reads its default cell
         return [cells[position[f]] if f in position else (str(_DEFAULTS[f]),) * len(cells[0]) for f in _FIELDS]
+
+    body = lines[1:]
+    # csv would split these at each comma, a record per line: no quote or NUL, no blank line, no cell too long
+    if '"' not in text and "\0" not in text and set(map(str.count, body, repeat(","))) == {width - 1} \
+            and max(map(len, body)) <= csv.field_size_limit():
+        def split_block(start):  # a last cell keeps its CR/LF, which csv drops and int(), float() and strip take
+            cells = ",".join(body[start:start + _BLOCK_ROWS]).split(",")
+            return [cells[i::width] for i in range(width)] + [range(start + 2, start + 2 + len(cells) // width)]
+
+        return columns, map(split_block, range(0, len(body), _BLOCK_ROWS))
 
     def rows():
         start = 2  # the line on which the next csv record starts
@@ -361,7 +380,7 @@ def _read_delimited(text: str, rename: dict, issues: list):
                 issues.append(ParseIssue(start, str(exc)))
                 start = reader.line_num + 1
 
-    return columns, rows()
+    return columns, _blocks(rows())
 
 
 _scan_json = json.JSONDecoder().scan_once
@@ -420,8 +439,12 @@ def read_runs(
 
     Malformed lines are never silently dropped. A delimited record that
     spans lines (a quoted newline) is reported at the line where it starts.
-    `rename` maps external column/key names onto the canonical field names.
-    A file or stream that is not UTF-8 text raises UnknownFormat.
+    A delimited text with no double quote or NUL, whose lines after the
+    header each hold the header's cell count and fit `csv.field_size_limit()`,
+    is split at its commas, and any other read by csv, with equal results.
+    One leading byte-order mark (U+FEFF) is dropped. `rename` maps external
+    column/key names onto the canonical field names. A file or stream that is
+    not UTF-8 text raises UnknownFormat.
     """
     try:
         if hasattr(source, "read"):
@@ -434,19 +457,20 @@ def read_runs(
         raise UnknownFormat(f"trace is not UTF-8 text: {exc}") from None
     if fmt not in (FORMAT_DELIMITED, FORMAT_LINE_JSON):
         raise UnknownFormat(f"unknown trace format {fmt!r}")
+    if text[:1] == "\ufeff":  # a byte-order mark, as Excel's "CSV UTF-8" writes
+        text = text[1:]
     if not text.strip():
         raise EmptyInput("trace contains no data")
     issues: list[ParseIssue] = []
     delimited = fmt == FORMAT_DELIMITED
     if delimited:
-        columns, rows = _read_delimited(text, rename or {}, issues)
+        columns, blocks = _read_delimited(text, rename or {}, issues)
     else:  # a line-json row is its field values, then its line number
-        columns, rows = (lambda cells: cells[:-1]), _read_line_json(text, rename or {}, issues)
+        columns, blocks = (lambda cells: cells[:-1]), _blocks(_read_line_json(text, rename or {}, issues))
     tables = []
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        cells = list(zip(*block))
+    for cells in blocks:
         tables.append(_convert_block(columns(cells), cells[-1], delimited, issues))
-        del block, cells  # before the next block is read: with both alive, reading took ~4 % longer
+        del cells  # before the next block is read: with both alive, reading took ~4 % longer
     issues.sort(key=operator.attrgetter("line"))  # a line has at most one issue
     return RunTable.concat(tables), issues
 

@@ -158,6 +158,20 @@ class TestExitCodes:
         want = f"error: {bad_files[path]} is not UTF-8 text: " if path else "error: trace is not UTF-8 text: "
         assert err.startswith(want + "'utf-8' codec can't decode byte 0x") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["stats"], ["stats", "--phase", "decode"], ["decompose"], ["fit"], ["hist"]])
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_trace_with_a_byte_order_mark_reads_as_without_it(self, command, suffix, tmp_path, capsys):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        text = data_path(REFERENCE_TRACE).read_text(encoding="utf-8")
+        if suffix == ".jsonl":
+            text = write_records(parse_records(text)[0], "line-json")
+        outputs = []
+        path = tmp_path / f"trace{suffix}"  # one name: `fit` prints it
+        for head in ("", "\ufeff"):
+            path.write_text(head + text, encoding="utf-8")
+            outputs.append((run_cli(*command, "--trace", str(path)), capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][0][0] == 0
+
     # Workload columns are int64, and the analytic class costs are formed in
     # float64, exact below 2**53: counts past those limits are rejected,
     # although the fitted polynomials would give a finite estimate.

@@ -1127,6 +1127,214 @@ class TestParseFuzz:
         assert len(records) == 1 and [i.line for i in issues] == [2]
 
 
+# --- the delimited reader's two paths: split text, or csv for the rest ------
+
+
+def _read_state(text, rename=None):
+    """What `read_runs` gives for `text`: every column with its type and
+    dtype (repr shows every bit) and the issues, or the error it raises."""
+    try:
+        table, issues = traces.read_runs(text, rename=rename)
+    except InferwattError as exc:
+        return type(exc), str(exc)
+    return repr([(type(column), getattr(column, "dtype", None), column if isinstance(column, list) else column.tolist())
+                 for column in vars(table).values()]), issues
+
+
+def _through_csv(text):
+    """`text` with the header's first cell quoted: it then reads through csv."""
+    first, rest = text.split(",", 1)
+    return f'"{first}",{rest}'
+
+
+def _takes_split_path(text, rename=None):
+    with mock.patch.object(traces, "_blocks", wraps=traces._blocks) as row_blocks:
+        traces.read_runs(text, rename=rename)
+    return not row_blocks.called
+
+
+# Text values with no double quote, comma, NUL or line break: written unquoted
+_UNQUOTED = st.text(st.characters(blacklist_characters='",\0\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029',
+                                  blacklist_categories=("Cs",)), max_size=5)
+_COUNT = st.integers(1, 2**63 - 1)
+_REAL = st.floats(0, allow_infinity=False)
+
+
+@st.composite
+def _unquoted_tables(draw):
+    runs = []
+    for _ in range(draw(st.integers(1, 9))):
+        full = draw(st.booleans())
+        runs.append(RunRecord(draw(_UNQUOTED), RunKind.FULL if full else RunKind.PREFILL_ONLY, draw(_COUNT),
+                              draw(_COUNT) if full else 1, draw(_REAL.filter(bool)), draw(_REAL), draw(_REAL),
+                              draw(_REAL), draw(_UNQUOTED), draw(_UNQUOTED), draw(_COUNT)))
+    return traces.RunTable.from_records(runs)
+
+
+# Inputs that exercise the reader's rules, and whether each takes the split path
+_DELIMITED_CASES = {
+    "blank line": (HEADER + "\np1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1\n\np2,full,9,2,1,0,0,0,m,fp32,1\n", False),
+    "blank line at the end": (HEADER + "\np1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1\n \n", False),
+    "wrong cell count": (HEADER + "\np1,full,100,20,1.5,0.3,0.02,0.01,m,fp32\np2,full,1,2,1,0,0,0,m,fp32,1,\n",
+                         False),
+    "cell that does not convert": (HEADER + "\np1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1\n"
+                                   "p2,full,1_0,2.5,1,0,0,0,m,fp32,1\np3,bogus,1,2,1,0,0,0,m,fp32,1\n", True),
+    "run no record holds": (HEADER + "\np1,full,100,20,-1.5,0.3,0.02,0.01,m,fp32,1\n", True),
+    "CRLF line ends": (HEADER + "\r\np1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1\r\np2,full,x,1,1,0,0,0,m,fp32,2\r\n",
+                       True),
+    "other line breaks": (HEADER + "\x0cp1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1\x85"
+                          "p2,prefill_only,5,1,1,0,0,0,m,fp32,2\u2028p3,full,1,2,1,0,0,0,m,x,1\x1c", True),
+    "spaces around cells": (" " + HEADER.replace(",", " , ") + " \n p1 , full ,100 , 20,\t1.5,0.3,0.02,0.01, m ,"
+                            " fp32 , 1 \n", True),
+    "no line end": (HEADER + "\np1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1", True),
+    "absent optional columns": (HEADER.rsplit(",", 3)[0] + "\np1,full,100,20,1.5,0.3,0.02,0.01\n", True),
+    "header only": (HEADER + "\n", False),
+    "NUL": (HEADER + "\np\0,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1\n", False),
+    "quoted cell": (HEADER + '\n"p,1",full,100,20,1.5,0.3,0.02,0.01,m,fp32,1\n', False),
+    "special numbers": (HEADER + "\np1,full,1e2,20,inf,nan,1e400,-0.0,m,fp32,1\np2,full,100,20,1.5,0,-0.0,0,m,fp32,1\n",
+                        True),
+    "missing column": ("prompt_id,run_kind,input_tokens\np1,full,100\n", None),
+}
+_HEADER_CASES = {  # a header's names and a rename: each row's cells in that order
+    "renamed": ("prompt,kind,input_tokens,output_tokens,latency_s,gpu_wh,cpu_wh,ram_wh",
+                {"prompt": "prompt_id", "kind": "run_kind"}),
+    "reordered": ("batch,ram_wh,prompt_id,input_tokens,run_kind,output_tokens,latency_s,gpu_wh,cpu_wh,model_id", None),
+    "repeated": (HEADER + ",prompt_id", None),
+    "renamed onto another": (HEADER + ",pid", {"pid": "prompt_id"}),
+}
+
+
+class TestDelimitedPaths:
+    """A delimited trace without quotes reads by splitting its text; every
+    other one through csv. Both give the same runs and issues."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_unquoted_tables(), st.sampled_from(_BLOCK_SIZES),
+           st.none() | st.tuples(st.integers(0, 8), st.integers(0, 10), st.sampled_from(["x", "", "-1", "2.5", " "])))
+    def test_drawn_tables_read_alike_on_both_paths(self, table, block_rows, bad):
+        text = write_records(table)
+        if bad is not None:  # one cell of one row replaced, which may make an issue
+            lines = text.splitlines(keepends=True)
+            row, col = bad[0] % len(table) + 1, bad[1]
+            cells = lines[row].split(",")
+            cells[col] = bad[2] + ("\n" if col == 10 else "")
+            lines[row] = ",".join(cells)
+            text = "".join(lines)
+        with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+            assert _takes_split_path(text) and not _takes_split_path(_through_csv(text))
+            state = _read_state(text)
+            assert state == _read_state(_through_csv(text))
+
+    @pytest.mark.parametrize("case", _DELIMITED_CASES)
+    @pytest.mark.parametrize("block_rows", [1, 2, traces._BLOCK_ROWS])
+    def test_each_case_reads_alike_on_both_paths(self, case, block_rows):
+        text, split = _DELIMITED_CASES[case]
+        with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+            state = _read_state(text)
+            assert state == _read_state(_through_csv(text))
+            assert state == _read_state(re.sub(r"(?<!\r)\n", "\r\n", text))
+            if split is not None:
+                assert _takes_split_path(text) is split
+
+    @pytest.mark.parametrize("case", _HEADER_CASES)
+    def test_each_header_reads_alike_on_both_paths(self, case):
+        header, rename = _HEADER_CASES[case]
+        good = {**dict(zip(_ORACLE_FIELDS, "p1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,2".split(","))),
+                "prompt": "p1", "kind": "full", "pid": "p9"}
+        text = header + "\n" + ",".join(good[name] for name in header.split(",")) + "\n"
+        assert _takes_split_path(text, rename)
+        state = _read_state(text, rename)
+        assert state == _read_state(_through_csv(text), rename)
+        records, issues = parse_records(text, rename=rename)
+        assert not issues and records == _parse_records_oracle(text, rename=rename)[0]
+
+    def test_issue_names_the_line_of_a_cell_that_does_not_convert(self):
+        good = "p{},full,100,20,1.5,0.3,0.02,0.01,m,fp32,1"
+        lines = [HEADER] + [good.format(i) for i in range(7)]
+        lines[5] = "p4,full,100,20,1.5,zero,0.02,0.01,m,fp32,1"
+        text = "\r\n".join(lines) + "\r\n"
+        for block_rows in (2, 3, traces._BLOCK_ROWS):
+            with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+                assert _takes_split_path(text)
+                records, issues = parse_records(text)
+                assert issues == [ParseIssue(6, "could not convert string to float: 'zero'")]
+                assert [r.prompt_id for r in records] == ["p0", "p1", "p2", "p3", "p5", "p6"]
+                assert (records, issues) == parse_records(_through_csv(text))
+
+    @pytest.fixture
+    def field_limit(self):
+        limit = csv.field_size_limit()
+        yield csv.field_size_limit
+        csv.field_size_limit(limit)
+
+    def test_a_line_longer_than_the_field_limit_reads_through_csv(self, field_limit):
+        good = "p1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1"
+        text = "\n".join([HEADER, "q" * 5 + good, "r" * 60 + good, good]) + "\n"
+        every = ["q" * 5 + "p1", "r" * 60 + "p1", "p1"]
+        field_limit(50)  # the third line's first cell is longer than the limit
+        assert not _takes_split_path(text)
+        records, issues = parse_records(text)
+        assert [r.prompt_id for r in records] == [every[0], every[2]]
+        assert issues == [ParseIssue(3, "field larger than field limit (50)")]
+        assert _read_state(text) == _read_state(_through_csv(text))
+        field_limit(70)  # the third line is longer than the limit, but none of its cells
+        assert not _takes_split_path(text)
+        assert parse_records(text) == parse_records(_through_csv(text))
+        assert [r.prompt_id for r in parse_records(text)[0]] == every
+        field_limit(200)  # every line fits
+        assert _takes_split_path(text)
+        assert [r.prompt_id for r in parse_records(text)[0]] == every
+
+    def test_unquoted_input_never_reads_a_body_row_with_csv(self, monkeypatch):
+        # csv reads the header alone: were it asked for a body row, reading would fail
+        class BodyRowRead(Exception):
+            pass
+
+        real_reader = csv.reader
+
+        def header_only(lines, *args, **kwargs):
+            yield next(real_reader(lines, *args, **kwargs))
+            raise BodyRowRead
+
+        plan = [(s, g) for s in (300, 900, 2000) for g in (0, 40)]
+        text = write_records(synthesize_trace(plan, reference_coefficients(), noise=0.05, seed=2, runs=200))
+        want = _read_state(text)
+        monkeypatch.setattr(traces.csv, "reader", header_only)
+        for trace in (text, reference_trace_text(), text.replace("\n", "\r\n")):
+            table, issues = traces.read_runs(trace)
+            assert len(table) > 0 and not issues
+        assert _read_state(text) == want
+        with pytest.raises(BodyRowRead):
+            traces.read_runs(_through_csv(text))
+
+
+class TestByteOrderMark:
+    """One leading U+FEFF, as Excel's "CSV UTF-8" writes, is no part of the trace."""
+
+    @pytest.mark.parametrize("fmt", ["delimited", "line-json"])
+    def test_text_stream_and_path_read_as_without_it(self, tmp_path, fmt):
+        text = write_records(parse_records(reference_trace_text())[0], fmt)
+        want = parse_records(text, fmt)
+        path = tmp_path / "trace"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_records("\ufeff" + text, fmt) == want
+        assert parse_records(io.StringIO("\ufeff" + text), fmt) == want
+        assert parse_records(path, fmt) == want
+
+    def test_only_one_is_dropped(self):
+        records, issues = parse_records("\ufeff\ufeff" + _json_run(), "line-json")
+        assert not records and [i.line for i in issues] == [1]
+        with pytest.raises(UnknownFormat, match="missing required columns"):
+            parse_records("\ufeff\ufeff" + HEADER + "\n")
+        with pytest.raises(EmptyInput):
+            parse_records("\ufeff", "line-json")
+
+    def test_writer_writes_none(self):
+        for fmt in ("delimited", "line-json"):
+            assert not write_records([record()], fmt).startswith("\ufeff")
+
+
 def _json_run(**values):
     run = {"prompt_id": "p", "run_kind": "full", "input_tokens": 10, "output_tokens": 2, "latency_s": 1.0,
            "gpu_wh": 0.1, "cpu_wh": 0.0, "ram_wh": 0.0}
