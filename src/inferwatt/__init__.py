@@ -25,10 +25,8 @@ from .transformer_costs import (
     ClassLatency,
     ModelSpec,
     decode_step_costs,
-    kv_cache_bytes,
     predict_decode_latency,
     predict_prefill_latency,
-    weight_bytes,
 )
 from .numerics import DesignMatrix, FitResult, ols_fit
 from .phase_model import (

@@ -25,22 +25,29 @@ RunRecord (the row type for runs built by hand) refuses a run kind that is no
 RunKind, a bool for a number, then the first check it fails; `RunTable.invalid`
 ORs the checks.
 
-Conversion comes before checking. `read_runs` converts a format's rows in
-blocks of at most `_BLOCK_ROWS`, each column at once, into one RunTable and
-names each bad run by an unknown run kind, else by its first failing check.
-Only a block with a value that does not convert is read again row by row by
+Conversion comes before checking. `read_runs` reads blocks of at most
+`_BLOCK_ROWS` lines, converts each block's columns at once and names each
+bad run by an unknown run kind, else by its first failing check. Only a
+block with a value that does not convert is read again row by row by
 `_record_from_cells`, the one definition of a row's conversion (a JSON
-boolean is no number, and a fraction no count). A delimited trace with no
-double quote or NUL, each line after the header holding the header's cell
-count and none longer than `csv.field_size_limit()`, is split at its commas
-a block of lines at a time, with no list per row; any other goes through
-`csv.reader`, which gives the same runs and issues. `parse_records` is
-`read_runs` with the runs as records. `synthesize_trace` evaluates the plan
-at once and draws the noise as one vector in record order; of the plan
-points that fail, the first raises. `write_records` formats columns, a
-block of `_BLOCK_ROWS` rows at a time, and encodes each distinct text once.
-`decompose`, `to_fit_samples`, `phase_energies` and `drop_warmup` read a
-RunTable's columns, or build them from records.
+boolean is no number, and a fraction no count). Each block takes one of
+two paths, which give the same runs and issues. In a delimited trace with
+no double quote or NUL, a block whose lines each hold the header's cell
+count, none longer than `csv.field_size_limit()`, is split at its commas
+with no list per row; any other block goes through `csv.reader`. A
+line-json block whose every line matches `_JSON_LINE` (the layout
+`write_records` writes, with no escape in a string and no number whose
+text converts to other than JSON's value) takes its columns from the
+pattern's groups; any other, and every one under `rename`, is decoded a
+line at a time. Line-json lines end at "\n" or "\r\n" only, so a string
+may hold a raw U+2028; delimited lines end at each break of
+`str.splitlines`. `parse_records` is `read_runs` with the runs as records.
+`synthesize_trace` evaluates the plan at once and draws the noise as one
+vector in record order; of the plan points that fail, the first raises.
+`write_records` formats columns, a block of `_BLOCK_ROWS` rows at a time,
+and encodes each distinct text once. `decompose`, `to_fit_samples`,
+`phase_energies` and `drop_warmup` read a RunTable's columns, or build
+them from records.
 
 Two serializations are supported, both UTF-8 (other bytes raise
 UnknownFormat) with field names exactly as the RunRecord fields:
@@ -286,36 +293,38 @@ def _record_from_cells(cells: Iterable) -> RunRecord:
 # (TypeError) and int(inf) (OverflowError) are reachable from line-json.
 _BAD_VALUE = (ValueError, TypeError, OverflowError)
 
-_BLOCK_ROWS = 1024  # rows read or written at once: it bounds the cell values alive at a time
+_BLOCK_ROWS = 1024  # lines read or rows written at once: it bounds the cell values alive at a time
 # The Python types of the line-json values a column of each field kind converts at once
 _JSON_TYPES = {"text": {str}, "kind": {str}, "count": {int}, "real": {int, float}}
 
 
-def _convert_column(kind: str, values: Sequence, delimited: bool):
-    """One field's column of a block, converted at once: delimited cell
-    text, stripped, or line-json values, each of a type its kind takes (the
-    run kind stays text)."""
-    if delimited:  # int() and float() take surrounding whitespace
-        return list(map(str.strip, values)) if kind in ("text", "kind") else \
-            np.fromiter(map(int if kind == "count" else float, values), _DTYPES[kind], len(values))
-    if not set(map(type, values)) <= _JSON_TYPES[kind]:  # int() takes booleans and fractions, float() booleans
-        raise ValueError("a JSON value not of its column's type")
-    return list(values) if kind in ("text", "kind") else np.array(values, dtype=_DTYPES[kind])
+def _convert_column(kind: str, values: Sequence, form: str):
+    """One field's column of a block, converted at once (the run kind stays
+    text), of the `form` "cells" (delimited cell text, stripped), "tokens" (the
+    text of values `_JSON_LINE` matched) or "values" (of the JSON types its kind takes)."""
+    if form == "values":
+        if not set(map(type, values)) <= _JSON_TYPES[kind]:  # int() takes booleans and fractions, float() booleans
+            raise ValueError("a JSON value not of its column's type")
+        return list(values) if kind in ("text", "kind") else np.array(values, dtype=_DTYPES[kind])
+    if kind in ("text", "kind"):
+        return list(map(str.strip, values)) if form == "cells" else list(values)
+    # int() and float() take surrounding whitespace
+    return np.fromiter(map(int if kind == "count" else float, values), _DTYPES[kind], len(values))
 
 
-def _convert_block(columns: Sequence, lines: list[int], delimited: bool, issues: list) -> RunTable:
-    """The runs of one block of rows, given as its eleven field columns:
-    delimited cell text, or line-json values. Each column is converted at
-    once, and each bad run is an issue: an unknown run kind, else its first
-    failing check. A block with a value that does not convert is read again
-    row by row by `_record_from_cells`."""
+def _convert_block(form: str, columns: Sequence, lines: Sequence[int], issues: list) -> RunTable:
+    """The runs of one block of rows, given as its eleven field columns in
+    a `_convert_column` form. Each column is converted at once, and each
+    bad run is an issue: an unknown run kind, else its first failing check.
+    A block with a value that does not convert is read again row by row by
+    `_record_from_cells`."""
     try:
-        converted = list(map(_convert_column, _FIELD_KINDS, columns, repeat(delimited)))
+        converted = list(map(_convert_column, _FIELD_KINDS, columns, repeat(form)))
     except _BAD_VALUE:
         records = []
         for lineno, cells in zip(lines, zip(*columns)):
             try:
-                records.append(_record_from_cells(map(str.strip, cells) if delimited else cells))
+                records.append(_record_from_cells(map(str.strip, cells) if form == "cells" else cells))
             except _BAD_VALUE as exc:
                 issues.append(ParseIssue(lineno, str(exc)))
         return RunTable.from_records(records)
@@ -337,8 +346,8 @@ def _blocks(rows):  # each block as its columns, line numbers last; none is held
 
 
 def _read_delimited(text: str, rename: dict, issues: list):
-    """The header's `columns` (a block's header columns -> its eleven field
-    columns) and the blocks, line numbers last; issues go to `issues`."""
+    """An iterator of the blocks, each as "cells", its eleven field columns
+    and its line numbers; issues go to `issues`."""
     lines = text.splitlines(keepends=True)
     reader = csv.reader(lines)
     try:
@@ -349,27 +358,17 @@ def _read_delimited(text: str, rename: dict, issues: list):
     missing = [f for f in _REQUIRED if f not in position]
     if missing:
         raise UnknownFormat(f"header is missing required columns {missing}")
-    width = len(header)
+    width, limit = len(header), csv.field_size_limit()
 
-    def columns(cells):  # an absent optional column reads its default cell
-        return [cells[position[f]] if f in position else (str(_DEFAULTS[f]),) * len(cells[0]) for f in _FIELDS]
+    def block(cells):  # a block's header columns, line numbers last; an absent optional column reads its default
+        return "cells", [cells[position[f]] if f in position else (str(_DEFAULTS[f]),) * len(cells[-1])
+                         for f in _FIELDS], cells[-1]
 
-    body = lines[1:]
-    # csv would split these at each comma, a record per line: no quote or NUL, no blank line, no cell too long
-    if '"' not in text and "\0" not in text and set(map(str.count, body, repeat(","))) == {width - 1} \
-            and max(map(len, body)) <= csv.field_size_limit():
-        def split_block(start):  # a last cell keeps its CR/LF, which csv drops and int(), float() and strip take
-            cells = ",".join(body[start:start + _BLOCK_ROWS]).split(",")
-            return [cells[i::width] for i in range(width)] + [range(start + 2, start + 2 + len(cells) // width)]
-
-        return columns, map(split_block, range(0, len(body), _BLOCK_ROWS))
-
-    def rows():
-        start = 2  # the line on which the next csv record starts
+    def rows(reader, before, start):  # `before` lines come ahead of the reader's; its next record starts at `start`
         while True:
             try:
                 for row in reader:
-                    lineno, start = start, reader.line_num + 1
+                    lineno, start = start, before + reader.line_num + 1
                     if len(row) == width:
                         row.append(lineno)
                         yield row
@@ -378,12 +377,38 @@ def _read_delimited(text: str, rename: dict, issues: list):
                 return
             except csv.Error as exc:  # a cell longer than csv.field_size_limit(); reading goes on
                 issues.append(ParseIssue(start, str(exc)))
-                start = reader.line_num + 1
+                start = before + reader.line_num + 1
 
-    return columns, _blocks(rows())
+    if '"' in text or "\0" in text:  # a quoted record may span lines
+        return map(block, _blocks(rows(reader, 0, 2)))
+
+    def read(start):  # the block of lines from `start`, each a csv record, or None if it has no row
+        chunk = lines[start:start + _BLOCK_ROWS]
+        cells = ",".join(chunk).split(",")
+        # csv splits the lines at each comma when each holds `width` cells (each width-th cell but the block's
+        # last then ends its line: with a sentinel, one piece each) and none is longer than the field limit.
+        # A last cell keeps its CR/LF, which int(), float() and strip take
+        ends = "".join(cells[width - 1:-1:width]) + "."
+        if len(cells) == width * len(chunk) and len(ends.splitlines()) == len(chunk) \
+                and max(map(len, chunk)) <= limit:
+            return block([cells[i::width] for i in range(width)] + [range(start + 1, start + 1 + len(chunk))])
+        cells = list(zip(*rows(csv.reader(chunk), start, start + 1)))
+        return block(cells) if cells else None
+
+    return filter(None, map(read, range(1, len(lines), _BLOCK_ROWS)))  # a block's text dies with `read`
 
 
 _scan_json = json.JSONDecoder().scan_once
+# A line-json row as `write_records` writes it, a %s per value
+_JSON_LAYOUT = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in _FIELDS) + "}"
+# Each field kind's value text as a group. A string: no escape, and no control character, which JSON refuses. A
+# count: an integer of at most 19 digits. A real: a number, but an integer -0 (JSON's is int 0, float("-0") is -0.0)
+# or of 309 digits or more (float() of JSON's raises, of its text gives inf); a comma follows each. re matches (?:x|)
+# faster than (?:x)?
+_JSON_TOKENS = dict(text=r'"([^"\\\x00-\x1f]*)"', kind=r'"([^"\\\x00-\x1f]*)"', count=r"(-?(?:0|[1-9][0-9]{0,18}))",
+                    real=r"(?!-0,)(-?(?:0|[1-9][0-9]{0,307})(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|))")
+# One written line (a CR may end it), each value's text a group: int() and float() of it give JSON's value
+_JSON_LINE = re.compile("(?m)^" + re.escape(_JSON_LAYOUT) % tuple(map(_JSON_TOKENS.get, _FIELD_KINDS)) + r"\r?$")
 
 
 def _json_value(line: str):
@@ -399,25 +424,40 @@ def _json_value(line: str):
 
 
 def _read_line_json(text: str, rename: dict, issues: list):
-    """A generator of the rows, their line number last; issues go to `issues`."""
+    """An iterator of the blocks of lines, each as its form ("tokens" if `_JSON_LINE` matches every line, else
+    "values"), its eleven field columns and its line numbers; issues go to `issues`."""
     every, required = operator.itemgetter(*_FIELDS), operator.itemgetter(*_REQUIRED)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = _json_value(line)
-            if not isinstance(obj, dict):
-                raise ValueError("line is not a JSON object")
-            if rename:
-                obj = {rename.get(k, k): v for k, v in obj.items()}
+    lines = text.split("\n")
+    if not lines[-1]:  # the text's last "\n" ends a line, not one more (text.removesuffix would copy the text)
+        lines.pop()
+
+    def read(start):  # the block of lines from `start`, taken off `lines` (their text dies with it), or None if no row
+        block = lines[:_BLOCK_ROWS]
+        del lines[:_BLOCK_ROWS]
+        rows = [] if rename else _JSON_LINE.findall("\n".join(block))  # at most one match a line
+        if len(rows) == len(block):
+            return "tokens", list(zip(*rows)), range(start + 1, start + 1 + len(block))
+        rows = []
+        for lineno, line in enumerate(block, start=start + 1):
+            if not line.strip():
+                continue
             try:
-                row = (*every(obj), lineno)
-            except KeyError:  # a required field left out raises again; an optional one takes its default
-                row = (*required(obj), *map(obj.get, _DEFAULTS, _DEFAULTS.values()), lineno)
-        except (*_BAD_VALUE, KeyError, RecursionError) as exc:
-            issues.append(ParseIssue(lineno, str(exc)))
-            continue
-        yield row
+                obj = _json_value(line.removesuffix("\r"))  # a CR LF ends a line too
+                if not isinstance(obj, dict):
+                    raise ValueError("line is not a JSON object")
+                if rename:
+                    obj = {rename.get(k, k): v for k, v in obj.items()}
+                try:
+                    rows.append((*every(obj), lineno))
+                except KeyError:  # a required field left out raises again; an optional one takes its default
+                    rows.append((*required(obj), *map(obj.get, _DEFAULTS, _DEFAULTS.values()), lineno))
+            except (*_BAD_VALUE, KeyError, RecursionError) as exc:
+                issues.append(ParseIssue(lineno, str(exc)))
+        if rows:
+            *columns, numbers = zip(*rows)
+            return "values", columns, numbers
+
+    return filter(None, map(read, range(0, len(lines), _BLOCK_ROWS)))  # a block's rows die with `read`
 
 
 def trace_format(path, fmt: str | None) -> str:
@@ -439,12 +479,13 @@ def read_runs(
 
     Malformed lines are never silently dropped. A delimited record that
     spans lines (a quoted newline) is reported at the line where it starts.
-    A delimited text with no double quote or NUL, whose lines after the
-    header each hold the header's cell count and fit `csv.field_size_limit()`,
-    is split at its commas, and any other read by csv, with equal results.
-    One leading byte-order mark (U+FEFF) is dropped. `rename` maps external
-    column/key names onto the canonical field names. A file or stream that is
-    not UTF-8 text raises UnknownFormat.
+    Each block of `_BLOCK_ROWS` lines is split at its commas, or matched by
+    one line-json pattern, when its text allows, else read by csv or a JSON
+    decode per line, with equal results (see the module docstring).
+    Line-json lines end at "\n" or "\r\n" only. One leading byte-order
+    mark (U+FEFF) is dropped. `rename` maps external column/key names onto
+    the canonical field names. A file or stream that is not UTF-8 text
+    raises UnknownFormat.
     """
     try:
         if hasattr(source, "read"):
@@ -462,15 +503,11 @@ def read_runs(
     if not text.strip():
         raise EmptyInput("trace contains no data")
     issues: list[ParseIssue] = []
-    delimited = fmt == FORMAT_DELIMITED
-    if delimited:
-        columns, blocks = _read_delimited(text, rename or {}, issues)
-    else:  # a line-json row is its field values, then its line number
-        columns, blocks = (lambda cells: cells[:-1]), _blocks(_read_line_json(text, rename or {}, issues))
     tables = []
-    for cells in blocks:
-        tables.append(_convert_block(columns(cells), cells[-1], delimited, issues))
-        del cells  # before the next block is read: with both alive, reading took ~4 % longer
+    for form, columns, lines in (_read_delimited if fmt == FORMAT_DELIMITED else _read_line_json)(
+            text, rename or {}, issues):
+        tables.append(_convert_block(form, columns, lines, issues))
+        del columns  # before the next block is read: with both alive, reading took ~4 % longer
     issues.sort(key=operator.attrgetter("line"))  # a line has at most one issue
     return RunTable.concat(tables), issues
 
@@ -509,7 +546,7 @@ def _csv_cell(value: str) -> str:
 # A row's text: text cells and the run kind as encoded, numbers as their repr (as csv and json write them)
 _CELLS = tuple("%r" if kind in _DTYPES else "%s" for kind in _FIELD_KINDS)
 _DELIMITED_ROW = ",".join(_CELLS) + "\n"
-_JSON_ROW = "{" + ", ".join(f"{json.dumps(name)}: {cell}" for name, cell in zip(_FIELDS, _CELLS)) + "}\n"
+_JSON_ROW = _JSON_LAYOUT % _CELLS + "\n"
 
 
 def _refuse_unquoted_breaks(columns: Sequence[list], distinct: Sequence[dict]) -> None:

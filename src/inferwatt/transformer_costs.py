@@ -115,16 +115,6 @@ class ModelSpec:
         return self.vocab * h + self.n_layers * per_layer + head
 
 
-def weight_bytes(model: ModelSpec) -> float:
-    """Total parameter footprint in bytes."""
-    return model.n_params * model.bytes_per_param
-
-
-def kv_cache_bytes(model: ModelSpec, tokens: int) -> float:
-    """Bytes of cached K and V tensors covering `tokens` positions."""
-    return 2.0 * tokens * model.n_layers * model.kv_dim * model.bytes_per_param
-
-
 LABELS = ("embed", "qkv_proj", "attn", "attn_out_proj", "ffn", "lm_head")
 
 

@@ -916,7 +916,8 @@ def _record_from_fields_oracle(fields: dict) -> RunRecord:
 def _parse_records_oracle(text, fmt="delimited", rename=None):
     rename = rename or {}
     records, issues = [], []
-    lines = text.splitlines()
+    # line-json lines end at "\n" or "\r\n" only
+    lines = text.splitlines() if fmt == "delimited" else [line.removesuffix("\r") for line in text.split("\n")]
     if fmt == "delimited":
         header = [rename.get(h.strip(), h.strip()) for h in lines[0].split(",")]
         for lineno, line in enumerate(lines[1:], start=2):
@@ -1130,11 +1131,11 @@ class TestParseFuzz:
 # --- the delimited reader's two paths: split text, or csv for the rest ------
 
 
-def _read_state(text, rename=None):
+def _read_state(text, rename=None, fmt="delimited"):
     """What `read_runs` gives for `text`: every column with its type and
     dtype (repr shows every bit) and the issues, or the error it raises."""
     try:
-        table, issues = traces.read_runs(text, rename=rename)
+        table, issues = traces.read_runs(text, fmt, rename)
     except InferwattError as exc:
         return type(exc), str(exc)
     return repr([(type(column), getattr(column, "dtype", None), column if isinstance(column, list) else column.tolist())
@@ -1148,9 +1149,11 @@ def _through_csv(text):
 
 
 def _takes_split_path(text, rename=None):
-    with mock.patch.object(traces, "_blocks", wraps=traces._blocks) as row_blocks:
+    """Whether every body line of `text` is split, none read by csv: a csv reader reads the header alone."""
+    with mock.patch.object(traces, "_blocks", wraps=traces._blocks) as row_blocks, \
+            mock.patch.object(traces.csv, "reader", wraps=csv.reader) as readers:
         traces.read_runs(text, rename=rename)
-    return not row_blocks.called
+    return not row_blocks.called and readers.call_count == 1
 
 
 # Text values with no double quote, comma, NUL or line break: written unquoted
@@ -1161,13 +1164,13 @@ _REAL = st.floats(0, allow_infinity=False)
 
 
 @st.composite
-def _unquoted_tables(draw):
+def _unquoted_tables(draw, texts=_UNQUOTED):
     runs = []
     for _ in range(draw(st.integers(1, 9))):
         full = draw(st.booleans())
-        runs.append(RunRecord(draw(_UNQUOTED), RunKind.FULL if full else RunKind.PREFILL_ONLY, draw(_COUNT),
+        runs.append(RunRecord(draw(texts), RunKind.FULL if full else RunKind.PREFILL_ONLY, draw(_COUNT),
                               draw(_COUNT) if full else 1, draw(_REAL.filter(bool)), draw(_REAL), draw(_REAL),
-                              draw(_REAL), draw(_UNQUOTED), draw(_UNQUOTED), draw(_COUNT)))
+                              draw(_REAL), draw(texts), draw(texts), draw(_COUNT)))
     return traces.RunTable.from_records(runs)
 
 
@@ -1188,7 +1191,7 @@ _DELIMITED_CASES = {
                             " fp32 , 1 \n", True),
     "no line end": (HEADER + "\np1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1", True),
     "absent optional columns": (HEADER.rsplit(",", 3)[0] + "\np1,full,100,20,1.5,0.3,0.02,0.01\n", True),
-    "header only": (HEADER + "\n", False),
+    "header only": (HEADER + "\n", True),  # no body line to read by csv
     "NUL": (HEADER + "\np\0,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1\n", False),
     "quoted cell": (HEADER + '\n"p,1",full,100,20,1.5,0.3,0.02,0.01,m,fp32,1\n', False),
     "special numbers": (HEADER + "\np1,full,1e2,20,inf,nan,1e400,-0.0,m,fp32,1\np2,full,100,20,1.5,0,-0.0,0,m,fp32,1\n",
@@ -1306,6 +1309,109 @@ class TestDelimitedPaths:
         assert _read_state(text) == want
         with pytest.raises(BodyRowRead):
             traces.read_runs(_through_csv(text))
+
+
+# --- the line-json reader's two paths: one pattern per block, or a JSON decode per line
+
+# Text values json.dumps writes with no escape
+_JSON_PLAIN = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e, blacklist_characters='"\\'), max_size=5)
+_NEVER = re.compile(r"(?!)")
+
+# A value's text in place of a drawn field's (in a field of the kind given, if any)
+_JSON_VALUE_CASES = {
+    "-0": ("-0", "real"), "-0.0": ("-0.0", "real"), "1e400": ("1e400", "real"),
+    "400 zeros": ("1" + "0" * 400, "real"), "2**63": (str(2**63), "count"), "1.0 in a count": ("1.0", "count"),
+    "true": ("true", None), "null": ("null", None), "NaN": ("NaN", None), '"x"': ('"x"', None),
+    "escaped quote": ('"\\""', None), "raw non-ASCII": ('"é"', None),
+    "spaces": ('" p "', None), "raw U+2028": ('"a\u2028b"', None),
+}
+
+
+def _json_lines(table, change=None, row=0, field=0):
+    """`table` as line-json lines, built from each value's JSON text, with
+    one line changed: a `_JSON_VALUE_CASES` case or a layout change."""
+    lines = []
+    for i, values in enumerate(zip(*(c if isinstance(c, list) else c.tolist() for c in vars(table).values()))):
+        values = list(values)
+        values[1] = "full" if values[1] else "prefill_only"
+        pairs = [[json.dumps(name), json.dumps(value)] for name, value in zip(_ORACLE_FIELDS, values)]
+        separators = (", ", ": ")
+        if i == row and change in _JSON_VALUE_CASES:
+            token, kind = _JSON_VALUE_CASES[change]
+            fields = [k for k, f in enumerate(traces._FIELD_KINDS) if kind in (None, f)]
+            pairs[fields[field % len(fields)]][1] = token
+        elif i == row and change == "compact separators":
+            separators = (",", ":")
+        elif i == row and change == "reordered keys":
+            pairs.reverse()
+        elif i == row and change == "missing optional key":
+            del pairs[-1 - field % 3]
+        elif i == row and change == "duplicate key":
+            pairs.append([pairs[field % len(pairs)][0], "2"])
+        line = "{" + separators[0].join(map(separators[1].join, pairs)) + "}"
+        lines.append(line + "\r" if i == row and change == "trailing CR" else line)
+    return lines
+
+
+class TestLineJsonPaths:
+    """A block of line-json lines each in the written layout reads through
+    one pattern; every other block through a JSON decode per line. Both
+    give the same runs and issues."""
+
+    @pytest.mark.parametrize("change", [None, *_JSON_VALUE_CASES, "compact separators", "reordered keys",
+                                        "missing optional key", "duplicate key", "trailing CR"])
+    @pytest.mark.parametrize("block_rows", [1, 2, traces._BLOCK_ROWS])
+    @settings(max_examples=10, deadline=None)
+    @given(table=_unquoted_tables(), row=st.integers(0, 8), field=st.integers(0, 10))
+    def test_each_change_reads_alike_on_both_paths(self, change, block_rows, table, row, field):
+        text = "\n".join(_json_lines(table, change, row % len(table), field)) + "\n"
+        if change is None:
+            assert text == write_records(table, "line-json")
+        with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+            state = _read_state(text, fmt="line-json")
+            with mock.patch.object(traces, "_JSON_LINE", _NEVER):
+                assert state == _read_state(text, fmt="line-json")
+
+    @pytest.mark.parametrize("case", ["-0", "400 zeros", "1.0 in a count", "escaped quote"])
+    def test_values_whose_text_converts_otherwise_read_through_json(self, case):
+        text = "".join(line + "\n" for line in _json_lines(traces.RunTable.from_records([record()] * 3), case, 1))
+        with mock.patch.object(traces, "_json_value", wraps=traces._json_value) as decode:
+            state = _read_state(text, fmt="line-json")
+        assert decode.call_count == 3
+        with mock.patch.object(traces, "_JSON_LINE", _NEVER):
+            assert state == _read_state(text, fmt="line-json")
+
+    @staticmethod
+    def _reads_without_decoding(text):
+        want = _read_state(text, fmt="line-json")
+        with mock.patch.object(traces, "_json_value", side_effect=AssertionError("a line was decoded")):
+            assert _read_state(text, fmt="line-json") == want
+            assert _read_state(text.replace("\n", "\r\n"), fmt="line-json") == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(_unquoted_tables(_JSON_PLAIN), st.sampled_from([1, 2, traces._BLOCK_ROWS]))
+    def test_written_tables_never_decode_a_line(self, table, block_rows):
+        with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+            self._reads_without_decoding(write_records(table, "line-json"))
+
+    @pytest.mark.parametrize("block_rows", [1, 2, traces._BLOCK_ROWS])
+    def test_written_traces_never_decode_a_line(self, block_rows):
+        plan = [(s, g) for s in (300, 900, 2000) for g in (0, 40)]
+        synthesized = synthesize_trace(plan, reference_coefficients(), noise=0.05, seed=2, runs=200)
+        with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+            for runs in (synthesized, parse_records(reference_trace_text())[0]):
+                self._reads_without_decoding(write_records(runs, "line-json"))
+
+    def test_lines_end_at_newline_only(self):
+        good = _json_run()
+        run = json.dumps(json.loads(good) | {"prompt_id": "caf\u2028e"}, ensure_ascii=False) + "\n"
+        assert "\u2028" in run
+        records, issues = parse_records(run + "{\x0c}\n" + good, "line-json")
+        assert [r.prompt_id for r in records] == ["caf\u2028e", "p"]
+        assert [i.line for i in issues] == [2]
+        crlf = good.replace(", ", ",\r ").replace("\n", "\r\n")  # a CR is JSON whitespace, and CR LF ends a line
+        records, issues = parse_records(crlf + good + good.replace("\n", "\x0c\n"), "line-json")
+        assert len(records) == 2 and [i.line for i in issues] == [3]
 
 
 class TestByteOrderMark:

@@ -16,12 +16,21 @@ from inferwatt.transformer_costs import (
     _compute_bound_steps,
     class_latencies,
     decode_step_costs,
-    kv_cache_bytes,
     model_from_kv,
     predict_decode_latency,
     predict_prefill_latency,
-    weight_bytes,
 )
+
+
+# Private oracle copies of the byte counts the decode step charges
+def weight_bytes(model: ModelSpec) -> float:
+    """Total parameter footprint in bytes."""
+    return model.n_params * model.bytes_per_param
+
+
+def kv_cache_bytes(model: ModelSpec, tokens: int) -> float:
+    """Bytes of cached K and V tensors covering `tokens` positions."""
+    return 2.0 * tokens * model.n_layers * model.kv_dim * model.bytes_per_param
 
 
 def tiny_model(**overrides):
