@@ -1739,3 +1739,28 @@ def test_reference_fixture_matches_its_generator():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert write_records(module.build_records()) == reference_trace_text()
+
+
+@pytest.mark.parametrize("source", ["bundled", "synthesized"])
+def test_the_benchmarks_row_contract(source, tmp_path):
+    # What the trace-fit benchmark's check relies on of the rows `parse_records`
+    # returns: they are the table's, equal across formats, written back to the
+    # file's text, and decomposed as the table is.
+    if source == "bundled":
+        table = traces.read_runs(reference_trace_text())[0]
+    else:
+        plan = [(s, g) for s in (128, 900, 4000) for g in (0, 16, 82)]
+        table = synthesize_trace(plan, reference_coefficients(), noise=0.05, seed=11, runs=3)
+    rows = {}
+    for fmt in ("delimited", "line-json"):
+        path = tmp_path / f"trace.{fmt}"
+        path.write_text(write_records(table, fmt), encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        records, issues = parse_records(path, fmt)
+        assert not issues and records == traces.read_runs(path, fmt)[0].records() == parse_records(text, fmt)[0]
+        assert write_records(records, fmt) == text
+        assert decompose(records) == decompose(table)
+        rows[fmt] = records
+    assert rows["delimited"] == rows["line-json"]
+    if source == "bundled":
+        assert write_records(rows["delimited"]) == reference_trace_text()
