@@ -36,6 +36,7 @@ import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 from inferwatt.bundled import data_path, reference_coefficients
 from inferwatt.cli import cli_dispatch
@@ -258,13 +259,13 @@ def transcript(calls: list[list[str]], workdir: Path) -> str:
     parts = []
     cwd = os.getcwd()
     os.chdir(workdir)
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "100"  # argparse wraps --help to the terminal's width
     try:
         for argv in calls:
             before = {p: p.read_bytes() for p in Path("out").rglob("*") if p.is_file()}
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            # argparse wraps --help to the terminal's width
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught, \
+                    mock.patch.dict(os.environ, COLUMNS="100"):
                 warnings.simplefilter("always")
                 code = cli_dispatch(list(argv), out=out)
             parts.append(f"$ inferwatt {' '.join(json.dumps(a) if not a or ' ' in a else a for a in argv)}\n"
@@ -278,10 +279,6 @@ def transcript(calls: list[list[str]], workdir: Path) -> str:
             parts.append("\n")
     finally:
         os.chdir(cwd)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
     return "".join(parts)
 
 

@@ -19,7 +19,7 @@ from inferwatt.phase_model import (
     eval_prefill_energy,
     eval_prefill_latency,
 )
-from inferwatt.traces import RunKind, RunRecord, write_records
+from inferwatt.traces import RunKind, RunTable, write_records
 
 S_VALUES = [860, 880, 900, 920, 940, 890, 910, 900]  # mean 900
 G_VALUES = [78, 80, 82, 84, 86, 81, 83, 82]  # mean 82
@@ -34,38 +34,31 @@ def paired(center, deltas):
     return out
 
 
-def build_records():
+def build_runs() -> RunTable:
     cs = reference_coefficients()
     gpu = paired(GPU_TARGET, [1 / 64, 1 / 128, 1 / 256, 1 / 512])
     cpu = paired(CPU_TARGET, [1 / 512, 1 / 1024, 1 / 2048, 1 / 4096])
     ram = paired(RAM_TARGET, [1 / 1024, 1 / 2048, 1 / 4096, 1 / 8192])
 
-    records = []
+    rows = []
     for i, (s, g) in enumerate(zip(S_VALUES, G_VALUES)):
         prompt = f"ref{i:02d}"
         t_pre = eval_prefill_latency(cs.prefill_latency, s)
         t_full = t_pre + eval_decode_latency(cs.decode_latency, s, g)
         e_pre = eval_prefill_energy(cs.prefill_energy, s)
-        records.append(
-            RunRecord(prompt, RunKind.PREFILL_ONLY, s, 1, t_pre, e_pre, 0.006, 0.004,
-                      "llama31-8b-fp32", "fp32", 1)
-        )
-        records.append(
-            RunRecord(prompt, RunKind.FULL, s, g, t_full, gpu[i], cpu[i], ram[i],
-                      "llama31-8b-fp32", "fp32", 1)
-        )
-    return records
+        rows.append((prompt, RunKind.PREFILL_ONLY, s, 1, t_pre, e_pre, 0.006, 0.004, "llama31-8b-fp32", "fp32", 1))
+        rows.append((prompt, RunKind.FULL, s, g, t_full, gpu[i], cpu[i], ram[i], "llama31-8b-fp32", "fp32", 1))
+    return RunTable.from_records(rows)
 
 
 def main():
-    records = build_records()
-    full = [r for r in records if r.run_kind is RunKind.FULL]
+    runs = build_runs()
     for name, target in (("gpu_wh", GPU_TARGET), ("cpu_wh", CPU_TARGET), ("ram_wh", RAM_TARGET)):
-        mean = float(np.mean([getattr(r, name) for r in full]))
+        mean = float(np.mean(getattr(runs, name)[runs.full]))
         assert mean == target, f"{name} mean {mean!r} != {target!r}"
     dest = Path(__file__).resolve().parent.parent / "src" / "inferwatt" / "data" / "reference_trace.csv"
-    dest.write_text(write_records(records), encoding="utf-8")
-    print(f"wrote {dest} ({len(records)} records)")
+    dest.write_text(write_records(runs), encoding="utf-8")
+    print(f"wrote {dest} ({len(runs)} runs)")
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ from .traces import (
     EnergyStats,
     PromptDecomposition,
     RunKind,
-    RunRecord,
+    RunTable,
     aggregate,
     decompose,
     histogram,

@@ -4,7 +4,8 @@ One `key = value` pair per line. A line whose first non-blank character is
 `#` is a comment, and blank lines are ignored; a `#` anywhere else is part
 of the value (`name = H100 #2` reads as `H100 #2`).
 Used for hardware profiles, model specs, and coefficient files so that every
-configurable input is a plain, diffable text file.
+configurable input is a plain, diffable text file. A file is UTF-8 text; one
+leading byte-order mark (U+FEFF) is dropped, as the trace reader drops one.
 
 Each file's schema is the frozen dataclass it is read into (`read_fields`):
 its keys are the field names, each field's annotation (`float`, `int`,
@@ -45,8 +46,8 @@ def parse_kv(text: str) -> "OrderedDict[str, str]":
 def read_kv_file(path) -> "OrderedDict[str, str]":
     try:
         if hasattr(path, "read_text"):
-            return parse_kv(path.read_text(encoding="utf-8"))
-        with open(path, "r", encoding="utf-8") as fh:
+            return parse_kv(path.read_text(encoding="utf-8-sig"))
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_kv(fh.read())
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None

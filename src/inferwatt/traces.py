@@ -16,41 +16,41 @@ estimates of decompositions); `aggregate` and the CLI's `hist` both read
 it. `to_fit_samples` picks what `fit` fits: the prefill-only runs as g = 0
 rows, then the positive decode estimates, as one `FitSamples` table.
 
-A run has one layout and one list of checks. `_FIELD_KINDS` gives each
-RunRecord field, in order, its kind (text, run kind, count or real); a
-RunTable holds one column per field in that order, with the mask `full` for
-the run kind. `_CHECKS` states each check once, in the order that names a bad
-run by its first fault, on a record's numbers or a table's columns alike. A
-RunRecord (the row type for runs built by hand) refuses a run kind that is no
-RunKind, a bool for a number, then the first check it fails; `RunTable.invalid`
-ORs the checks.
+A run has one layout, one conversion and one list of checks. `_FIELD_KINDS`
+gives each field of `_FIELDS`, in order, its kind (text, run kind, count or
+real); a RunTable holds one column per field in that order, with the mask
+`full` for the run kind, and a row (`_RunFields`) one value per field.
+`_CHECKS` states each check once, in the order that names a bad run by its
+first fault, on a row's numbers or a table's columns alike; `RunTable.invalid`
+ORs them. `_run`, the one conversion and check of a row built by hand
+(`RunTable.from_records`) or read, refuses a run kind that is no RunKind, then
+converts each value (a boolean is no number, and a fraction no count), then
+raises the message of the first check the run fails.
 
 Conversion comes before checking. `read_runs` reads blocks of at most
 `_BLOCK_ROWS` lines, converts each block's columns at once and names each
 bad run by an unknown run kind, else by its first failing check. Only a
-block with a value that does not convert is read again row by row by
-`_record_from_cells`, the one definition of a row's conversion (a JSON
-boolean is no number, and a fraction no count). Each block takes one of
-two paths, which give the same runs and issues. In a delimited trace with
-no double quote or NUL, a block whose lines each hold the header's cell
-count, none longer than `csv.field_size_limit()`, is split at its commas
-with no list per row; any other block goes through `csv.reader`. A
-line-json block whose every line matches `_JSON_LINE` (the layout
-`write_records` writes, with no escape in a string and no number whose
-text converts to other than JSON's value) takes its columns from the
-pattern's groups; any other, and every one under `rename`, is decoded a
-line at a time. Line-json lines end at "\n" or "\r\n" only, so a string
-may hold a raw U+2028; delimited lines end at each break of
-`str.splitlines`. `parse_records` is `read_runs` with the runs as records.
-`synthesize_trace` evaluates the plan at once and draws the noise as one
-vector in record order; of the plan points that fail, the first raises.
+block with a value that does not convert is read again row by row through
+`_run`. Each block takes one of two paths, which give the same runs and
+issues. In a delimited trace with no double quote or NUL, a block whose
+lines each hold the header's cell count, none longer than
+`csv.field_size_limit()`, is split at its commas with no list per row; any
+other block goes through `csv.reader`. A line-json block whose every line
+matches `_JSON_LINE` (the layout `write_records` writes, with no escape in a
+string and no number whose text converts to other than JSON's value) takes
+its columns from the pattern's groups; any other, and every one under
+`rename`, is decoded a line at a time. Line-json lines end at "\n" or
+"\r\n" only, so a string may hold a raw U+2028; delimited lines end at each
+break of `str.splitlines`. `parse_records` is `read_runs` with the runs as
+rows. `synthesize_trace` evaluates the plan at once and draws the noise as
+one vector in record order; of the plan points that fail, the first raises.
 `write_records` formats columns, a block of `_BLOCK_ROWS` rows at a time,
 and encodes each distinct text once. `decompose`, `to_fit_samples`,
-`phase_energies` and `drop_warmup` read a RunTable's columns, or build
-them from records.
+`phase_energies` and `drop_warmup` read a RunTable's columns; `write_records`
+and `decompose` also take rows, through `RunTable.from_records`.
 
 Two serializations are supported, both UTF-8 (other bytes raise
-UnknownFormat) with field names exactly as the RunRecord fields:
+UnknownFormat) with field names exactly as `_FIELDS`:
 `delimited` (CSV with a header row) and `line-json` (one object per line).
 Floats are written with shortest round-trip precision, so
 parse -> write -> parse is identity. Delimited cells are quoted as the csv
@@ -93,7 +93,7 @@ class RunKind(enum.Enum):
 
 
 _RUN_KINDS = {kind.value: kind for kind in RunKind}
-# Per-record code reads the members from globals: that is faster than the
+# Per-row code reads the members from globals: that is faster than the
 # enum class attribute.
 _PREFILL_ONLY, _FULL = RunKind.PREFILL_ONLY, RunKind.FULL
 
@@ -115,14 +115,19 @@ _COUNT_LIMIT = 2**63  # token counts and batch are int64 columns
 
 def _number(name: str, value, convert):
     if value is True or value is False:  # JSON true and false
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    number = convert(value)
-    if convert is int and isinstance(value, float) and number != value:  # a count is no fraction
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {value}")
+    try:
+        number = convert(value)
+    except (TypeError, OverflowError) as exc:  # as int(None) or int(inf): a value, not a program, at fault
+        raise ValueError(str(exc)) from None
+    if convert is int and number != value and not isinstance(value, str):  # a count is no fraction
+        raise ValueError(f"{name} must be a whole number, got {value}")
     return number
 
 
 class _RunFields(NamedTuple):
+    """One run as a row: its field values in field order."""
+
     prompt_id: str
     run_kind: RunKind
     input_tokens: int
@@ -135,6 +140,11 @@ class _RunFields(NamedTuple):
     precision: str = ""
     batch: int = 1
 
+    @property
+    def full(self) -> bool:
+        """RunTable's `full`: whether the run kind is RunKind.FULL."""
+        return self.run_kind is _FULL
+
 
 _FIELDS = _RunFields._fields
 # Each field's kind, in field order: a RunTable column, a column read and a
@@ -143,22 +153,20 @@ _FIELD_KINDS = ("text", "kind", "count", "count", "real", "real", "real", "real"
 _DEFAULTS = _RunFields._field_defaults  # the optional fields', in field order
 _RUN_KIND = _FIELDS.index("run_kind")  # RunTable's `full`
 _REQUIRED = _FIELDS[:-len(_DEFAULTS)]
-_NUMBER_FIELDS = tuple(name for name, kind in zip(_FIELDS, _FIELD_KINDS) if kind in ("count", "real"))
 _DTYPES = {"count": np.int64, "real": np.float64}
 
 
 def _count_checks(name: str) -> tuple:
     count = operator.attrgetter(name)
     return ((lambda run: count(run) < 1, f"{name} must be >= 1"),
-            (lambda run: count(run) >= _COUNT_LIMIT, f"{name} must be below 2**63"),
-            (lambda run: count(run) % 1 != 0, f"{name} must be a whole number, got {{{name}}}"))
+            (lambda run: count(run) >= _COUNT_LIMIT, f"{name} must be below 2**63"))
 
 
 def _energy_ok(wh):
     return (0 <= wh) & (wh < _INF)
 
 
-# Each check: a fault predicate, of a record's numbers or a table's columns (NaN
+# Each check: a fault predicate, of a row's numbers or a table's columns (NaN
 # fails every comparison; np.logical_not, as `~True` is -2), and its message.
 _CHECKS = (
     *_count_checks("input_tokens"), *_count_checks("output_tokens"),
@@ -171,34 +179,19 @@ _CHECKS = (
 )
 
 
-class RunRecord(_RunFields):
-    """One measured generation run, refused when built with a run kind that is no RunKind, then
-    with a bool for a number, else with the message of the first of `_CHECKS` it fails."""
-
-    __slots__ = ()
-
-    def __new__(cls, prompt_id, run_kind, input_tokens, output_tokens, latency_s,
-                gpu_wh, cpu_wh, ram_wh, model_id="", precision="", batch=1):
-        if type(run_kind) is not RunKind:  # ahead of every check, as the reader names it
-            raise ValueError(f"unknown run_kind {run_kind!r}")
-        run = tuple.__new__(cls, (prompt_id, run_kind, input_tokens, output_tokens, latency_s,
-                                  gpu_wh, cpu_wh, ram_wh, model_id, precision, batch))
-        if bool in map(type, run[2:8] + run[10:]):  # a bool is an int, but no count or measurement
-            for name in _NUMBER_FIELDS:
-                _number(name, getattr(run, name), float)
-        for fault, message in _CHECKS:
-            if fault(run):
-                raise ValueError(message.format(**run._asdict()))
-        return run
-
-    @classmethod
-    def _make(cls, iterable) -> "RunRecord":
-        return cls(*iterable)  # `_replace` builds through here, so it validates too
-
-    @property
-    def full(self) -> bool:
-        """RunTable's `full`: whether the run kind is RunKind.FULL."""
-        return self.run_kind is _FULL
+def _run(values) -> _RunFields:
+    """The run of a row's field values in field order (optional ones may be left
+    out), converted and checked as the module docstring says."""
+    values = tuple(values)
+    if type(values[_RUN_KIND]) is not RunKind:
+        raise ValueError(f"unknown run_kind {values[_RUN_KIND]!r}")
+    run = _RunFields(*(value if kind == "kind" else str(value) if kind == "text" else
+                       _number(name, value, int if kind == "count" else float)
+                       for name, kind, value in zip(_FIELDS, _FIELD_KINDS, values)))
+    for fault, message in _CHECKS:
+        if fault(run):
+            raise ValueError(message)
+    return run
 
 
 def _faults(runs: "RunTable") -> np.ndarray:
@@ -206,18 +199,19 @@ def _faults(runs: "RunTable") -> np.ndarray:
     return np.array([fault(runs) for fault, _ in _CHECKS])
 
 
-def _fault(runs: "RunTable", faults: np.ndarray, i: int) -> str:
-    """The message of run `i`'s first failing check; `faults` is `_faults(runs)`."""
-    return _CHECKS[np.argmax(faults[:, i])][1].format(**{name: column[i] for name, column in vars(runs).items()})
+def _fault(faults: np.ndarray, i: int) -> str:
+    """The message of run `i`'s first failing check; `faults` is `_faults` of its table."""
+    return _CHECKS[np.argmax(faults[:, i])][1]
 
 
 @dataclass(frozen=True, eq=False)
 class RunTable:
-    """Runs as columns, in trace order, as `read_runs` and `synthesize_trace`
-    fill them: RunRecord's fields in its order, of the kinds `_FIELD_KINDS`
-    gives (texts as lists of str, counts as int64 and reals as float64
-    arrays), with the bool mask `full` in place of `run_kind`. They hold
-    values that pass every check of `_CHECKS` (`invalid` marks the runs that do not)."""
+    """Runs as columns, in trace order, as `read_runs`, `synthesize_trace` and
+    `from_records` fill them: one per field of `_FIELDS`, in order, of the
+    kinds `_FIELD_KINDS` gives (texts as lists of str, counts as int64 and
+    reals as float64 arrays), with the bool mask `full` in place of
+    `run_kind`. They hold values that pass every check of `_CHECKS` (`invalid`
+    marks the runs that do not)."""
 
     prompt_id: list
     full: np.ndarray
@@ -235,16 +229,16 @@ class RunTable:
         return len(self.prompt_id)
 
     @classmethod
-    def from_records(cls, records: Sequence[RunRecord]) -> "RunTable":
-        columns = zip(*records) if records else ((),) * len(_FIELDS)
-        return cls(*(list(values) if kind == "text" else np.fromiter(values, _DTYPES[kind]) if kind in _DTYPES
-                     else np.fromiter((value is _FULL for value in values), bool)
-                     for kind, values in zip(_FIELD_KINDS, columns)))
+    def from_records(cls, rows: Iterable) -> "RunTable":
+        """The runs of rows built by hand, each its field values in field order
+        (a `_RunFields` or a tuple), converted and checked as the reader
+        converts and checks a row (`_run`): the first bad row raises."""
+        return _table(list(map(_run, rows)))
 
     @classmethod
     def concat(cls, tables: Sequence["RunTable"]) -> "RunTable":
         if not tables:
-            return cls.from_records(())
+            return _table(())
         return cls(*(list(chain.from_iterable(columns)) if kind == "text" else np.concatenate(columns)
                      for kind, columns in zip(_FIELD_KINDS, zip(*(vars(table).values() for table in tables)))))
 
@@ -254,20 +248,28 @@ class RunTable:
         return RunTable(*([column[i] for i in rows] if isinstance(column, list) else column[index]
                           for column in vars(self).values()))
 
-    def records(self) -> list[RunRecord]:
-        """The runs as records (built without checking them again)."""
+    def records(self) -> list[_RunFields]:
+        """The runs as rows (built without checking them again)."""
         run_kinds = map((_PREFILL_ONLY, _FULL).__getitem__, self.full.tolist())
         columns = (run_kinds if kind == "kind" else column if kind == "text" else column.tolist()
                    for kind, column in zip(_FIELD_KINDS, vars(self).values()))
-        return list(map(partial(tuple.__new__, RunRecord), zip(*columns)))
+        return list(map(partial(tuple.__new__, _RunFields), zip(*columns)))
 
     def invalid(self) -> np.ndarray:
-        """The mask of the runs a RunRecord would refuse: the OR of the `_CHECKS` faults."""
+        """The mask of the runs that fail a check: the OR of the `_CHECKS` faults."""
         return _faults(self).any(axis=0)
 
 
+def _table(runs: Sequence[_RunFields]) -> RunTable:
+    """The table of rows `_run` gave."""
+    columns = zip(*runs) if runs else ((),) * len(_FIELDS)
+    return RunTable(*(list(values) if kind == "text" else np.fromiter(values, _DTYPES[kind]) if kind in _DTYPES
+                      else np.fromiter((value is _FULL for value in values), bool)
+                      for kind, values in zip(_FIELD_KINDS, columns)))
+
+
 def _as_table(runs) -> RunTable:
-    return runs if isinstance(runs, RunTable) else RunTable.from_records(list(runs))
+    return runs if isinstance(runs, RunTable) else RunTable.from_records(runs)
 
 
 @dataclass(frozen=True)
@@ -276,20 +278,7 @@ class ParseIssue:
     message: str
 
 
-def _record_from_cells(cells: Iterable) -> RunRecord:
-    """Convert the eleven field values, in field order, into a record: its
-    faults come before any check's. A count is an integer, a whole float, or
-    text int() reads."""
-    cells = tuple(cells)
-    run_kind = _RUN_KINDS.get(str(cells[_RUN_KIND]))
-    if run_kind is None:
-        raise ValueError(f"unknown run_kind {str(cells[_RUN_KIND])!r}")
-    return RunRecord(*(run_kind if kind == "kind" else str(value) if kind == "text" else
-                       _number(name, value, int if kind == "count" else float)
-                       for name, kind, value in zip(_FIELDS, _FIELD_KINDS, cells)))
-
-
-# What a bad cell or value can raise on its way into a record: int(None)
+# What a bad cell or value can raise on its way into a run: int(None)
 # (TypeError) and int(inf) (OverflowError) are reachable from line-json.
 _BAD_VALUE = (ValueError, TypeError, OverflowError)
 
@@ -316,18 +305,21 @@ def _convert_block(form: str, columns: Sequence, lines: Sequence[int], issues: l
     """The runs of one block of rows, given as its eleven field columns in
     a `_convert_column` form. Each column is converted at once, and each
     bad run is an issue: an unknown run kind, else its first failing check.
-    A block with a value that does not convert is read again row by row by
-    `_record_from_cells`."""
+    A block with a value that does not convert is read again row by row
+    through `_run`."""
     try:
         converted = list(map(_convert_column, _FIELD_KINDS, columns, repeat(form)))
     except _BAD_VALUE:
-        records = []
+        runs = []
         for lineno, cells in zip(lines, zip(*columns)):
+            cells = list(map(str.strip, cells) if form == "cells" else cells)
+            kind = str(cells[_RUN_KIND])
+            cells[_RUN_KIND] = _RUN_KINDS.get(kind, kind)
             try:
-                records.append(_record_from_cells(map(str.strip, cells) if form == "cells" else cells))
+                runs.append(_run(cells))
             except _BAD_VALUE as exc:
                 issues.append(ParseIssue(lineno, str(exc)))
-        return RunTable.from_records(records)
+        return _table(runs)
     n, kind = len(lines), converted[_RUN_KIND]
     converted[_RUN_KIND] = np.fromiter(map(RunKind.FULL.value.__eq__, kind), bool, n)
     table = RunTable(*converted)
@@ -337,7 +329,7 @@ def _convert_block(form: str, columns: Sequence, lines: Sequence[int], issues: l
     if not bad.any():
         return table
     for i in np.flatnonzero(bad).tolist():
-        issues.append(ParseIssue(lines[i], f"unknown run_kind {kind[i]!r}" if unknown[i] else _fault(table, faults, i)))
+        issues.append(ParseIssue(lines[i], f"unknown run_kind {kind[i]!r}" if unknown[i] else _fault(faults, i)))
     return table.take(np.flatnonzero(~bad))
 
 
@@ -516,8 +508,8 @@ def parse_records(
     source,
     fmt: str = FORMAT_DELIMITED,
     rename: dict[str, str] | None = None,
-) -> tuple[list[RunRecord], list[ParseIssue]]:
-    """`read_runs`, with the runs as records."""
+) -> tuple[list[_RunFields], list[ParseIssue]]:
+    """`read_runs`, with the runs as rows (`RunTable.records`)."""
     table, issues = read_runs(source, fmt, rename)
     return table.records(), issues
 
@@ -562,7 +554,7 @@ def _refuse_unquoted_breaks(columns: Sequence[list], distinct: Sequence[dict]) -
 
 
 def write_records(runs, fmt: str = FORMAT_DELIMITED) -> str:
-    """Serialize runs, a RunTable or records; inverse of `read_runs` and
+    """Serialize runs, a RunTable or rows; inverse of `read_runs` and
     `parse_records` for both formats. Counts are written as integers, and
     latency and energies as floats, as a RunTable holds them.
 
@@ -593,26 +585,23 @@ def write_records(runs, fmt: str = FORMAT_DELIMITED) -> str:
     return "".join(blocks) or "\n"  # line-json without runs: one empty line
 
 
-def drop_warmup(runs, k: int):
+def drop_warmup(runs: RunTable, k: int) -> RunTable:
     """Drop the first k runs of each kind in each group `decompose` forms
-    (prompt_id, model_id, precision, batch), preserving order. Returns a
-    RunTable for a RunTable, and the kept records for records.
+    (prompt_id, model_id, precision, batch), preserving order.
 
     Traces are normally expected to have warmup runs already excluded; this
     is the escape hatch for ones that do not.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    records = None if isinstance(runs, RunTable) else list(runs)
-    table = runs if records is None else RunTable.from_records(records)
     seen: dict[tuple, int] = {}
     kept = []
-    for i, key in enumerate(zip(table.prompt_id, table.model_id, table.precision, table.batch.tolist(),
-                                table.full.tolist())):
+    for i, key in enumerate(zip(runs.prompt_id, runs.model_id, runs.precision, runs.batch.tolist(),
+                                runs.full.tolist())):
         seen[key] = count = seen.get(key, 0) + 1
         if count > k:
             kept.append(i)
-    return table.take(np.array(kept, dtype=np.intp)) if records is None else [records[i] for i in kept]
+    return runs.take(np.array(kept, dtype=np.intp))
 
 
 NEGATIVE_DECODE = "negative_decode"
@@ -685,7 +674,7 @@ def decompose(runs) -> tuple[list[PromptDecomposition], list[MissingKind]]:
     any component sets the negative_decode flag on the decomposition; runs
     that disagree on input_tokens set mixed_input_tokens (input_tokens is
     then the rounded mean over the full runs). `runs` is a RunTable or
-    records.
+    rows.
     """
     table = _as_table(runs)
     if not len(table):
@@ -757,21 +746,18 @@ def phase_energies(items, phase: str = PHASE_FULL) -> np.ndarray:
     """The gpu, cpu and ram energy (Wh) of one phase, as a (3, n) array with
     one C-contiguous row per component, items in order.
 
-    For runs (a RunTable or records) the phase selects the run kind
-    (prefill <-> prefill-only runs, full <-> full runs; decode requires
-    decompositions); for decompositions it selects their prefill mean, full
-    mean or decode estimate.
+    For runs (a RunTable) the phase selects the run kind (prefill <->
+    prefill-only runs, full <-> full runs; decode requires decompositions);
+    for decompositions it selects their prefill mean, full mean or decode
+    estimate.
     """
     if phase not in _PHASE_ENERGY:
         raise ValueError(f"unknown phase {phase!r}")
-    if not isinstance(items, RunTable):
-        items = list(items)
-    if isinstance(items, RunTable) or items and isinstance(items[0], RunRecord):
+    if isinstance(items, RunTable):
         if phase == PHASE_DECODE:
             raise EmptySelection("decode statistics require decompositions, not raw records")
-        table = _as_table(items)
-        pick = table.full if phase == PHASE_FULL else ~table.full
-        energies = np.stack([table.gpu_wh[pick], table.cpu_wh[pick], table.ram_wh[pick]])
+        pick = items.full if phase == PHASE_FULL else ~items.full
+        energies = np.stack([items.gpu_wh[pick], items.cpu_wh[pick], items.ram_wh[pick]])
     else:
         energies = np.array(list(map(operator.attrgetter(_PHASE_ENERGY[phase]), items)), dtype=float).T
     if not energies.size:
@@ -866,7 +852,7 @@ def synthesize_trace(
     gpu_wh component (the families model device-side energy); cpu and ram
     are zero, and every run has model_id 'synthetic', precision 'fp32' and
     batch 1. Deterministic for a fixed seed. A grid point where a polynomial
-    is nonpositive, or a drawn value no RunRecord can hold (nonpositive or
+    is nonpositive, or a drawn value no run can hold (nonpositive or
     non-finite, as large noise or overflowing coefficients give), raises
     InferwattError, naming the first check its first such run fails; of the
     points that fail, the first raises. A plan point that is not a pair of
@@ -925,7 +911,7 @@ def synthesize_trace(
             raise InferwattError(f"grid point (s={s}, g={g}) is outside the coefficient validity range")
         # the first invalid run is this point's: an earlier point would fail first
         raise InferwattError(f"grid point (s={s}, g={g}) drew a value no run can hold: "
-                             f"{_fault(table, faults, int(np.argmax(invalid)))}")
+                             f"{_fault(faults, int(np.argmax(invalid)))}")
     return table
 
 
@@ -936,26 +922,25 @@ def decode_fit_rows(decompositions: Sequence[PromptDecomposition]) -> list[Promp
     return [d for d in decompositions if d.decode_latency_s > 0]
 
 
-def to_fit_samples(runs, decompositions: Sequence[PromptDecomposition],
+def to_fit_samples(runs: RunTable, decompositions: Sequence[PromptDecomposition],
                    component: str = "total") -> FitSamples:
-    """The samples `fit` fits: the prefill-only runs (of a RunTable or
-    records), in order, as g = 0 rows, then the `decode_fit_rows` decode
-    estimates (decode latency and energy at their output length).
+    """The samples `fit` fits: the prefill-only runs, in order, as g = 0
+    rows, then the `decode_fit_rows` decode estimates (decode latency and
+    energy at their output length).
     `component` picks which energy the samples carry ('gpu', 'cpu', 'ram',
     or 'total', the sum gpu + cpu + ram).
     """
     if component not in COMPONENTS + ("total",):
         raise ValueError(f"unknown component {component!r}")
-    table = _as_table(runs)
-    prefill = ~table.full
+    prefill = ~runs.full
     decode = decode_fit_rows(decompositions)
     if component == "total":
-        energy = table.gpu_wh[prefill] + table.cpu_wh[prefill] + table.ram_wh[prefill]
+        energy = runs.gpu_wh[prefill] + runs.cpu_wh[prefill] + runs.ram_wh[prefill]
     else:
-        energy = getattr(table, f"{component}_wh")[prefill]
+        energy = getattr(runs, f"{component}_wh")[prefill]
     return FitSamples(
-        s=table.input_tokens[prefill].tolist() + [d.input_tokens for d in decode],
+        s=runs.input_tokens[prefill].tolist() + [d.input_tokens for d in decode],
         g=[0] * len(energy) + [d.output_tokens for d in decode],
-        t=table.latency_s[prefill].tolist() + [d.decode_latency_s for d in decode],
+        t=runs.latency_s[prefill].tolist() + [d.decode_latency_s for d in decode],
         energy_wh=energy.tolist() + [getattr(d.decode_wh, component) for d in decode],
     )

@@ -19,8 +19,9 @@ from inferwatt import cli
 from inferwatt.bundled import data_path, REFERENCE_TRACE
 from inferwatt.cli import cli_dispatch
 from inferwatt.errors import EmptySelection, InferwattError
-from inferwatt.traces import (COMPONENTS, ComponentEnergy, ComponentStats, EnergyStats, RunKind, RunRecord,
+from inferwatt.traces import (COMPONENTS, ComponentEnergy, ComponentStats, EnergyStats, RunKind, RunTable,
                               aggregate, decompose, histogram, parse_records, write_records)
+from inferwatt.traces import _RunFields as Run
 
 
 HEADER = "prompt_id,run_kind,input_tokens,output_tokens,latency_s,gpu_wh,cpu_wh,ram_wh,model_id,precision,batch"
@@ -383,8 +384,8 @@ class TestDecompose:
     def test_delimited_output_is_quoted_csv(self, tmp_path):
         path = tmp_path / "comma.csv"
         path.write_text(write_records([
-            RunRecord("a,b", RunKind.PREFILL_ONLY, 10, 1, 0.5, 0.1, 0.0, 0.0, 'm"1', "fp32", 1),
-            RunRecord("a,b", RunKind.FULL, 10, 5, 1.0, 0.3, 0.0, 0.0, 'm"1', "fp32", 1),
+            Run("a,b", RunKind.PREFILL_ONLY, 10, 1, 0.5, 0.1, 0.0, 0.0, 'm"1', "fp32", 1),
+            Run("a,b", RunKind.FULL, 10, 5, 1.0, 0.3, 0.0, 0.0, 'm"1', "fp32", 1),
         ]))
         code, out = run_cli("decompose", "--trace", str(path), "--format", "delimited")
         assert code == 0
@@ -467,8 +468,8 @@ class TestJsonShape:
     def two_prompts(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("shape") / "two.csv"
         path.write_text(write_records([
-            RunRecord(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else 20, 1e-3 * s + 0.1, 1e-4 * s + 0.01,
-                      0.0, 0.0, "m", "fp32", 1)
+            Run(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else 20, 1e-3 * s + 0.1, 1e-4 * s + 0.01,
+                0.0, 0.0, "m", "fp32", 1)
             for pid, s in (("a", 100), ("b", 300)) for kind in RunKind
         ]))
         return str(path)
@@ -561,8 +562,8 @@ class TestSynthFitPredictPipeline:
         # decode row sits at their rounded mean; q, r and t are consistent
         def run(pid, kind, s, g):
             full = kind is RunKind.FULL
-            return RunRecord(pid, kind, s, g if full else 1, 1e-3 * s + 0.02 * g * full,
-                             1e-5 * s + 1e-4 * g * full, 0.0, 0.0, "m", "fp32", 1)
+            return Run(pid, kind, s, g if full else 1, 1e-3 * s + 0.02 * g * full,
+                       1e-5 * s + 1e-4 * g * full, 0.0, 0.0, "m", "fp32", 1)
 
         runs = [("p", RunKind.PREFILL_ONLY, 10, 20), ("p", RunKind.FULL, 10, 20), ("p", RunKind.FULL, 500, 20)]
         runs += [(pid, kind, s, g) for pid, s, g in (("q", 300, 40), ("r", 700, 80), ("t", 900, 160))
@@ -601,8 +602,8 @@ class TestSynthFitPredictPipeline:
         runs = []
         for k in range(21):
             s, g = 100 * (k + 1), 10 + 7 * (k % 4) + k
-            runs += [RunRecord(f"p{k}", RunKind.PREFILL_ONLY, s, 1, 0.1, 1e-5 * s, 0.0, 0.0),
-                     RunRecord(f"p{k}", RunKind.FULL, s, g, 0.1 + 0.02 * g, 1e-5 * s + 1e-4 * g, 0.0, 0.0)]
+            runs += [Run(f"p{k}", RunKind.PREFILL_ONLY, s, 1, 0.1, 1e-5 * s, 0.0, 0.0),
+                     Run(f"p{k}", RunKind.FULL, s, g, 0.1 + 0.02 * g, 1e-5 * s + 1e-4 * g, 0.0, 0.0)]
         path = tmp_path / "constant.csv"
         path.write_text(write_records(runs))
         code, out = run_cli("fit", "--trace", str(path), "--component", "gpu", "--out", str(tmp_path / "c"),
@@ -686,8 +687,8 @@ def cli_flags(tmp_path_factory, bad_files):
     root = tmp_path_factory.mktemp("fuzz")
     two_models = root / "two-models.csv"
     two_models.write_text(write_records([
-        RunRecord("a,b", kind, 10, 1 if kind is RunKind.PREFILL_ONLY else 5, 1.0 + i, 0.1 * i, 0.0, 0.0,
-                  model, "fp32", 1)
+        Run("a,b", kind, 10, 1 if kind is RunKind.PREFILL_ONLY else 5, 1.0 + i, 0.1 * i, 0.0, 0.0,
+            model, "fp32", 1)
         for i, (model, kind) in enumerate((m, k) for m in "AB" for k in RunKind)
     ]))
     missing = str(root / "missing")
@@ -758,7 +759,7 @@ _PHASE_FIELD = {"prefill": "prefill_mean_wh", "full": "full_mean_wh", "decode": 
 def _old_phase_energies(items, phase):
     """One ComponentEnergy per selected record or decomposition, as
     `aggregate` and `hist` each selected them."""
-    if items and isinstance(items[0], RunRecord):
+    if items and isinstance(items[0], Run):
         if phase == "decode":
             raise EmptySelection("decode statistics require decompositions, not raw records")
         want = RunKind.PREFILL_ONLY if phase == "prefill" else RunKind.FULL
@@ -798,18 +799,20 @@ _stat_run = st.tuples(
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_stat_run, max_size=30))
 def test_stats_and_hist_match_the_per_item_selection(runs):
-    records = [RunRecord(prompt, kind, 10, 1 if kind is RunKind.PREFILL_ONLY else g, t, *energy, model)
+    records = [Run(prompt, kind, 10, 1 if kind is RunKind.PREFILL_ONLY else g, t, *energy, model)
                for prompt, model, kind, g, t, energy in runs]
     decomps = decompose(records)[0]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         path.write_text(write_records(records), encoding="utf-8")
-        for phase, items in (("prefill", records), ("full", records), ("decode", decomps)):
-            assert _outcome(aggregate, items, phase) == _outcome(_aggregate_oracle, items, phase)
+        table = RunTable.from_records(records)
+        for phase, items, selected in (("prefill", table, records), ("full", table, records),
+                                       ("decode", decomps, decomps)):
+            assert _outcome(aggregate, items, phase) == _outcome(_aggregate_oracle, selected, phase)
             if phase != "decode":
                 assert _outcome(aggregate, decomps, phase) == _outcome(_aggregate_oracle, decomps, phase)
             for component in COMPONENTS + ("total",):
-                want = [getattr(e, component) for e in _old_phase_energies(items, phase)]
+                want = [getattr(e, component) for e in _old_phase_energies(selected, phase)]
                 with mock.patch.object(cli, "histogram", wraps=histogram) as spy, \
                         contextlib.redirect_stderr(io.StringIO()):
                     code = cli_dispatch(["hist", "--trace", str(path), "--phase", phase,

@@ -36,7 +36,7 @@ from inferwatt.phase_model import (
     eval_prefill_energy,
 )
 from inferwatt.roofline import HardwareProfile, Phase, energy_from_power
-from inferwatt.traces import aggregate, parse_records
+from inferwatt.traces import aggregate, read_runs
 from inferwatt.transformer_costs import (
     ModelSpec,
     decode_step_costs,
@@ -155,8 +155,8 @@ class TestEstimateWorkload:
     def test_parametric_workload_matches_fixture_scale(self, coeffs):
         # a parametric workload shaped like the bundled reference trace
         # reproduces its measured mean interaction energy to ~10%
-        records, _ = parse_records(reference_trace_text())
-        measured = aggregate(records, phase="full").total_mean
+        runs, _ = read_runs(reference_trace_text())
+        measured = aggregate(runs, phase="full").total_mean
         workload = WorkloadSpec.parametric(900, 50, 82, 6, count=500, seed=11)
         mean, _ = estimate_workload(FittedSource(coeffs), workload)
         assert abs(mean.total_wh - measured) / measured < 0.10

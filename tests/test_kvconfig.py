@@ -8,9 +8,9 @@ from inferwatt.bundled import data_path
 from inferwatt.errors import ConfigError
 from inferwatt.kvconfig import format_kv, parse_kv, read_kv_file
 from inferwatt.phase_model import (DecodeEnergyCoeffs, DecodeLatencyCoeffs, PrefillEnergyCoeffs,
-                                   PrefillLatencyCoeffs, coefficients_from_kv)
+                                   PrefillLatencyCoeffs, coefficients_from_kv, load_coefficients)
 from inferwatt.roofline import HardwareProfile, load_profile, profile_from_kv, profile_to_kv
-from inferwatt.transformer_costs import ModelSpec, model_from_kv
+from inferwatt.transformer_costs import ModelSpec, load_model, model_from_kv
 
 
 def _parse_kv_before_line_comments(text):
@@ -111,6 +111,23 @@ class TestReadKvFile:
         with pytest.raises(ConfigError) as exc:
             read_kv_file(path if as_path else str(path))
         assert str(exc.value).startswith(f"{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize("name,load", [
+        ("h100_sxm_80gb_fp32.hw", load_profile),
+        ("llama31_8b_fp32.model", load_model),
+        ("llama31_8b_h100_fp32.coeffs", load_coefficients),
+    ])
+    def test_one_leading_byte_order_mark_is_dropped(self, tmp_path, name, load):
+        # as a Windows editor saves UTF-8; the trace reader drops one too
+        text = data_path(name).read_text(encoding="utf-8")
+        path = tmp_path / name
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert load(path) == load(data_path(name))
+        assert load(str(path)) == load(data_path(name))
+        path.write_text("\ufeff\ufeff" + text, encoding="utf-8")  # a second is no key-value line
+        with pytest.raises(ConfigError) as exc:
+            load(path)
+        assert str(exc.value).startswith("line 1: expected 'key = value', got '\\ufeff# ")
 
 
 class TestSchemaErrors:

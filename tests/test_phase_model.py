@@ -34,7 +34,8 @@ from inferwatt.phase_model import (
     parse_coefficients,
 )
 from inferwatt.roofline import Phase, energy_from_power
-from inferwatt.traces import RunKind, RunRecord, decompose, synthesize_trace, to_fit_samples
+from inferwatt.traces import RunKind, RunTable, decompose, synthesize_trace, to_fit_samples
+from inferwatt.traces import _RunFields as Run
 
 
 class TestPrefillLatencyEval:
@@ -548,7 +549,7 @@ def _to_fit_samples_oracle(items, component):
     prefill sample and, for positive decode latency, a decode sample."""
     samples = []
     for item in items:
-        if isinstance(item, RunRecord):
+        if isinstance(item, Run):
             samples.append(_OldSample(
                 item.input_tokens, 0 if item.run_kind is RunKind.PREFILL_ONLY else item.output_tokens,
                 item.latency_s,
@@ -615,12 +616,12 @@ def test_fit_matches_the_per_sample_selection(groups):
     records = []
     for i, (s, g, prefill, full) in enumerate(groups):
         prompt, model = f"p{i // 2}", f"m{i % 2}"
-        records += [RunRecord(prompt, RunKind.PREFILL_ONLY, s, 1, t, *e, model) for t, e in prefill]
-        records += [RunRecord(prompt, RunKind.FULL, s, g, t, *e, model) for t, e in full]
+        records += [Run(prompt, RunKind.PREFILL_ONLY, s, 1, t, *e, model) for t, e in prefill]
+        records += [Run(prompt, RunKind.FULL, s, g, t, *e, model) for t, e in full]
     records = records[1::2] + records[::2]  # interleave the groups
     decomps = decompose(records)[0]
     for component in ("gpu", "cpu", "ram", "total"):
-        samples = to_fit_samples(records, decomps, component)
+        samples = to_fit_samples(RunTable.from_records(records), decomps, component)
         old = _fit_selection_oracle(records, component)
         assert repr(rows(samples)) == repr([(float(x.s), float(x.g), x.t, x.energy_wh) for x in old])
         for family in FAMILIES:

@@ -30,6 +30,7 @@ from inferwatt.phase_model import (
     CoefficientSet,
     DecodeEnergyCoeffs,
     DecodeLatencyCoeffs,
+    FitSamples,
     PrefillEnergyCoeffs,
     PrefillLatencyCoeffs,
     eval_decode_energy,
@@ -45,7 +46,6 @@ from inferwatt.traces import (
     ParseIssue,
     PromptDecomposition,
     RunKind,
-    RunRecord,
     aggregate,
     decompose,
     drop_warmup,
@@ -56,6 +56,7 @@ from inferwatt.traces import (
     to_fit_samples,
     write_records,
 )
+from inferwatt.traces import _RunFields as Run
 
 HEADER = "prompt_id,run_kind,input_tokens,output_tokens,latency_s,gpu_wh,cpu_wh,ram_wh,model_id,precision,batch"
 
@@ -69,7 +70,12 @@ def record(prompt="p0", kind=RunKind.FULL, s=100, g=20, t=1.0,
            gpu=0.3, cpu=0.02, ram=0.01):
     if kind is RunKind.PREFILL_ONLY:
         g = 1
-    return RunRecord(prompt, kind, s, g, t, gpu, cpu, ram, "m", "fp32", 1)
+    return Run(prompt, kind, s, g, t, gpu, cpu, ram, "m", "fp32", 1)
+
+
+def as_table(records):
+    """The RunTable of hand-built rows, which it checks."""
+    return traces.RunTable.from_records(records)
 
 
 class TestParse:
@@ -154,8 +160,8 @@ class TestRoundTrip:
     ))
     def test_random_records_round_trip_both_formats(self, rows):
         records = [
-            RunRecord(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else g,
-                      t, e, e / 3, e / 7, model, precision)
+            Run(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else g,
+                t, e, e / 3, e / 7, model, precision)
             for pid, kind, s, g, t, e, model, precision in rows
         ]
         for fmt in ("delimited", "line-json"):
@@ -196,7 +202,7 @@ def _write_records_oracle(records, fmt="delimited"):
     if fmt == "delimited":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(RunRecord._fields)
+        writer.writerow(traces._FIELDS)
         writer.writerows(map(row, records))
         text = out.getvalue()
         bad = re.search(r"\r(?!\n)|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]", text)
@@ -205,7 +211,7 @@ def _write_records_oracle(records, fmt="delimited"):
                              "the delimited format cannot carry; use line-json")
         return text
     if fmt == "line-json":
-        return "\n".join(json.dumps(dict(zip(RunRecord._fields, row(rec)))) for rec in records) + "\n"
+        return "\n".join(json.dumps(dict(zip(traces._FIELDS, row(rec)))) for rec in records) + "\n"
     raise UnknownFormat(f"unknown trace format {fmt!r}")
 
 
@@ -224,9 +230,9 @@ _COUNT = st.one_of(st.integers(1, 2**63 - 1), st.sampled_from([1, 2**53 + 1, 2**
 def _hostile_records(draw):
     ids = draw(st.lists(_HOSTILE_TEXT, min_size=1, max_size=4))
     text = st.sampled_from(ids)
-    return [RunRecord(draw(text), kind, draw(_COUNT), 1 if kind is RunKind.PREFILL_ONLY else draw(_COUNT),
-                      draw(_LATENCY), draw(_ENERGY), draw(_ENERGY), draw(_ENERGY), draw(text), draw(text),
-                      draw(_COUNT))
+    return [Run(draw(text), kind, draw(_COUNT), 1 if kind is RunKind.PREFILL_ONLY else draw(_COUNT),
+                draw(_LATENCY), draw(_ENERGY), draw(_ENERGY), draw(_ENERGY), draw(text), draw(text),
+                draw(_COUNT))
             for kind in draw(st.lists(st.sampled_from(list(RunKind)), max_size=8))]
 
 
@@ -243,7 +249,7 @@ class TestWriteOracle:
     def test_first_unquoted_break_in_the_text_is_named(self):
         # the earliest row wins, then the leftmost column, then the first break in the value
         rows = [("ok", "ok", "ok"), ("ok", "b\u2028\x0b", "c\x85"), ("\x0b", "ok", "ok")]
-        records = [RunRecord(pid, RunKind.FULL, 10, 2, 1.0, 0.5, 0.0, 0.0, model, precision)
+        records = [Run(pid, RunKind.FULL, 10, 2, 1.0, 0.5, 0.0, 0.0, model, precision)
                    for pid, model, precision in rows]
         want = _result(_write_records_oracle, records)
         assert want[0] is ValueError and "'\\u2028'" in want[1]
@@ -275,7 +281,7 @@ class TestDropWarmup:
     def test_drops_first_k_per_prompt_and_kind(self):
         records = [record(prompt="a", t=float(i + 1)) for i in range(4)]
         records += [record(prompt="a", kind=RunKind.PREFILL_ONLY, t=9.0)]
-        kept = drop_warmup(records, 2)
+        kept = drop_warmup(as_table(records), 2).records()
         assert [r.latency_s for r in kept if r.run_kind is RunKind.FULL] == [3.0, 4.0]
         assert len([r for r in kept if r.run_kind is RunKind.PREFILL_ONLY]) == 0
 
@@ -286,13 +292,13 @@ class TestDropWarmup:
         kinds = (RunKind.PREFILL_ONLY, RunKind.FULL)
         # two runs of each kind per model: each model keeps its second ones
         records = [run(m, k) for k in kinds for m in "AB" for _ in range(2)]
-        assert [(r.model_id, r.run_kind) for r in drop_warmup(records, 1)] == \
+        assert [(r.model_id, r.run_kind) for r in drop_warmup(as_table(records), 1).records()] == \
             [(m, k) for k in kinds for m in "AB"]
         # one run of each: the first model's runs are not counted against the second's
         records = [run(m, k) for m in "AB" for k in kinds]
-        assert drop_warmup(records, 1) == []
+        assert drop_warmup(as_table(records), 1).records() == []
         split = [r._replace(precision=p) for r in records for p in ("fp32", "bf16")]
-        assert [r.precision for r in drop_warmup(split, 1)] == []
+        assert [r.precision for r in drop_warmup(as_table(split), 1).records()] == []
 
 
 class TestDecompose:
@@ -325,12 +331,12 @@ class TestDecompose:
             decode = ComponentEnergy(*rng.uniform(0.05, 0.5, 3))
             truth[prompt] = decode
             for _ in range(5):
-                records.append(RunRecord(prompt, RunKind.PREFILL_ONLY, 100, 1, 0.5,
-                                         *prefill))
-                records.append(RunRecord(prompt, RunKind.FULL, 100, 40, 2.0,
-                                         prefill.gpu + decode.gpu,
-                                         prefill.cpu + decode.cpu,
-                                         prefill.ram + decode.ram))
+                records.append(Run(prompt, RunKind.PREFILL_ONLY, 100, 1, 0.5,
+                                   *prefill))
+                records.append(Run(prompt, RunKind.FULL, 100, 40, 2.0,
+                                   prefill.gpu + decode.gpu,
+                                   prefill.cpu + decode.cpu,
+                                   prefill.ram + decode.ram))
         decomps, missing = decompose(records)
         assert not missing
         for d in decomps:
@@ -365,7 +371,7 @@ class TestDecompose:
 
 class TestAggregate:
     def test_single_record_stats(self):
-        stats = aggregate([record(gpu=0.4)], phase="full")
+        stats = aggregate(as_table([record(gpu=0.4)]), phase="full")
         gpu = stats.components["gpu"]
         assert gpu.mean == 0.4 and gpu.std == 0.0 and gpu.count == 1
         assert gpu.min == gpu.max == 0.4
@@ -373,7 +379,7 @@ class TestAggregate:
     def test_reference_fixture_hits_published_means_exactly(self):
         records, issues = parse_records(reference_trace_text())
         assert not issues
-        stats = aggregate(records, phase="full")
+        stats = aggregate(as_table(records), phase="full")
         assert stats.components["gpu"].mean == 0.202
         assert stats.components["cpu"].mean == 0.024
         assert stats.components["ram"].mean == 0.019
@@ -385,31 +391,31 @@ class TestAggregate:
                    enumerate(rng.uniform(0.01, 1.0, 30))]
         shuffled = records[:]
         random.Random(1).shuffle(shuffled)
-        assert aggregate(records).components["gpu"].mean == pytest.approx(
-            aggregate(shuffled).components["gpu"].mean, rel=1e-12
+        assert aggregate(as_table(records)).components["gpu"].mean == pytest.approx(
+            aggregate(as_table(shuffled)).components["gpu"].mean, rel=1e-12
         )
 
     def test_population_std(self):
         records = [record(prompt="a", gpu=0.1), record(prompt="b", gpu=0.3)]
         # population std of {0.1, 0.3} is 0.1 (sample std would be 0.1414)
-        assert aggregate(records).components["gpu"].std == pytest.approx(0.1)
+        assert aggregate(as_table(records)).components["gpu"].std == pytest.approx(0.1)
 
     def test_total_is_sum_of_component_means(self):
         records = [record(gpu=0.4, cpu=0.03, ram=0.02), record(gpu=0.2, cpu=0.01, ram=0.04)]
-        stats = aggregate(records)
+        stats = aggregate(as_table(records))
         assert stats.total_mean == pytest.approx(
             sum(stats.components[c].mean for c in ("gpu", "cpu", "ram"))
         )
 
     def test_empty_selection(self):
         with pytest.raises(EmptySelection):
-            aggregate([record()], phase="prefill")
+            aggregate(as_table([record()]), phase="prefill")
         with pytest.raises(EmptySelection):
-            aggregate([], phase="full")
+            aggregate(as_table([]), phase="full")
 
     def test_decode_phase_needs_decompositions(self):
         with pytest.raises(EmptySelection):
-            aggregate([record()], phase="decode")
+            aggregate(as_table([record()]), phase="decode")
         records = [record(kind=RunKind.PREFILL_ONLY, gpu=0.1), record(gpu=0.5)]
         decomps, _ = decompose(records)
         stats = aggregate(decomps, phase="decode")
@@ -420,7 +426,7 @@ class TestPhaseEnergies:
     def test_one_contiguous_row_per_component(self):
         records = [record(gpu=0.4, cpu=0.03, ram=0.02), record(kind=RunKind.PREFILL_ONLY, gpu=0.1),
                    record(gpu=0.2, cpu=0.01, ram=0.04)]
-        energies = phase_energies(records, "full")
+        energies = phase_energies(as_table(records), "full")
         assert energies.shape == (3, 2)
         assert all(row.flags.c_contiguous for row in energies)
         assert energies.tolist() == [[0.4, 0.2], [0.03, 0.01], [0.02, 0.04]]
@@ -434,11 +440,11 @@ class TestPhaseEnergies:
 
     def test_bad_selections(self):
         with pytest.raises(ValueError, match="unknown phase"):
-            phase_energies([record()], "both")
+            phase_energies(as_table([record()]), "both")
         with pytest.raises(EmptySelection, match="require decompositions"):
-            phase_energies([record()], "decode")
+            phase_energies(as_table([record()]), "decode")
         with pytest.raises(EmptySelection, match="no items match phase 'prefill'"):
-            phase_energies([record()], "prefill")
+            phase_energies(as_table([record()]), "prefill")
 
 
 class TestHistogram:
@@ -502,7 +508,7 @@ class TestToFitSamples:
             record(prompt="b", kind=RunKind.FULL, s=200, g=50, t=0.3),  # decode latency -0.1: skipped
         ]
         decomps, _ = decompose(records)
-        samples = to_fit_samples(records, decomps, component="gpu")
+        samples = to_fit_samples(as_table(records), decomps, component="gpu")
         # full runs are no rows; prefill-only runs come in file order
         assert samples.s.tolist() == [200, 300, 300]
         assert samples.g.tolist() == [0, 0, 64]
@@ -511,15 +517,15 @@ class TestToFitSamples:
 
     def test_component_selector(self):
         records = [record(kind=RunKind.PREFILL_ONLY, gpu=0.5, cpu=0.04, ram=0.01)]
-        assert to_fit_samples(records, [], component="gpu").energy_wh.tolist() == [0.5]
+        assert to_fit_samples(as_table(records), [], component="gpu").energy_wh.tolist() == [0.5]
 
     def test_empty_input_empty_output(self):
-        samples = to_fit_samples([], [])
+        samples = to_fit_samples(as_table([]), [])
         assert [len(c) for c in (samples.s, samples.g, samples.t, samples.energy_wh)] == [0, 0, 0, 0]
 
     def test_unknown_component_rejected(self):
         with pytest.raises(ValueError, match="unknown component"):
-            to_fit_samples([], [], component="disk")
+            to_fit_samples(as_table([]), [], component="disk")
 
     def test_records_read_the_component_fields(self, monkeypatch):
         records = [record(kind=RunKind.PREFILL_ONLY, gpu=0.1, cpu=0.2, ram=0.7),
@@ -530,9 +536,9 @@ class TestToFitSamples:
 
         monkeypatch.setattr(traces, "ComponentEnergy", no_per_record_energy)
         for component in ("gpu", "cpu", "ram"):
-            got = to_fit_samples(records, [], component=component).energy_wh.tolist()
+            got = to_fit_samples(as_table(records), [], component=component).energy_wh.tolist()
             assert got == [getattr(r, f"{component}_wh") for r in records]
-        totals = to_fit_samples(records, []).energy_wh.tolist()
+        totals = to_fit_samples(as_table(records), []).energy_wh.tolist()
         assert totals == [r.gpu_wh + r.cpu_wh + r.ram_wh for r in records]  # bitwise, in that order
 
 
@@ -560,7 +566,7 @@ class TestSynthesizeTrace:
 
     def test_values_no_run_can_hold_are_an_error(self, coeffs):
         # relative noise 5 draws negative values; a coefficient of 1e308
-        # overflows to inf. Neither is a RunRecord, so neither is a trace.
+        # overflows to inf. Neither is a run, so neither is a trace.
         with pytest.raises(InferwattError, match="drew a value no run can hold"):
             synthesize_trace([(900, 0)] * 20, coeffs, noise=5.0)
         huge = CoefficientSet(coeffs.prefill_latency, None, PrefillEnergyCoeffs(1e308, 0.0))
@@ -605,10 +611,10 @@ class TestSynthesizeTrace:
         records = _synthesize_oracle(plan, coeffs, noise=0.05, seed=4, runs=3)
         want = {fmt: _write_records_oracle(records, fmt) for fmt in ("delimited", "line-json")}
 
-        def no_per_run_record(*args):
-            raise AssertionError("a RunRecord was built")
+        def no_per_run_check(*args):
+            raise AssertionError("a row was converted and checked")
 
-        monkeypatch.setattr(traces, "RunRecord", no_per_run_record)
+        monkeypatch.setattr(traces, "_run", no_per_run_check)
         table = synthesize_trace(plan, coeffs, noise=0.05, seed=4, runs=3)
         for fmt in want:
             assert write_records(table, fmt) == want[fmt]
@@ -655,10 +661,11 @@ def _synthesize_oracle(plan, coeffs, noise=0.0, seed=0, runs=1, model_id="synthe
                 raise InferwattError(f"grid point (s={s}, g={g}) is outside the coefficient validity range") from None
         prompt = f"p{idx:04d}"
         try:
-            records += [RunRecord(prompt, RunKind.PREFILL_ONLY, s, 1, draw(t_pre), draw(e_pre),
-                                  0.0, 0.0, model_id, precision, 1) for _ in range(runs)]
-            records += [RunRecord(prompt, RunKind.FULL, s, g, draw(t_pre) + draw(t_dec), draw(e_pre) + draw(e_dec),
-                                  0.0, 0.0, model_id, precision, 1) for _ in range(runs if g >= 1 else 0)]
+            records += [_checked_oracle(Run(prompt, RunKind.PREFILL_ONLY, s, 1, draw(t_pre), draw(e_pre),
+                                            0.0, 0.0, model_id, precision, 1)) for _ in range(runs)]
+            records += [_checked_oracle(Run(prompt, RunKind.FULL, s, g, draw(t_pre) + draw(t_dec),
+                                            draw(e_pre) + draw(e_dec), 0.0, 0.0, model_id, precision, 1))
+                        for _ in range(runs if g >= 1 else 0)]
         except ValueError as exc:
             raise InferwattError(f"grid point (s={s}, g={g}) drew a value no run can hold: {exc}") from None
     return records
@@ -780,30 +787,33 @@ class TestThePapersFindingsThroughTheTrace:
 
 
 class TestRecordValidation:
+    """`RunTable.from_records` converts and checks hand-built rows as the
+    reader converts and checks a read one; the first bad row raises."""
+
     def test_prefill_only_single_output_token(self):
-        with pytest.raises(ValueError):
-            RunRecord("p", RunKind.PREFILL_ONLY, 10, 5, 1.0, 0.1, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^prefill-only runs have exactly one output token$"):
+            as_table([Run("p", RunKind.PREFILL_ONLY, 10, 5, 1.0, 0.1, 0.0, 0.0)])
 
     def test_nonpositive_latency_rejected(self):
-        with pytest.raises(ValueError):
-            RunRecord("p", RunKind.FULL, 10, 5, 0.0, 0.1, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^latency_s must be positive and finite$"):
+            as_table([Run("p", RunKind.FULL, 10, 5, 0.0, 0.1, 0.0, 0.0)])
 
     def test_negative_energy_rejected(self):
-        with pytest.raises(ValueError):
-            RunRecord("p", RunKind.FULL, 10, 5, 1.0, -0.1, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^component energies must be nonnegative and finite$"):
+            as_table([Run("p", RunKind.FULL, 10, 5, 1.0, -0.1, 0.0, 0.0)])
 
     @pytest.mark.parametrize("latency", [float("inf"), float("nan")])
     def test_non_finite_latency_rejected(self, latency):
-        with pytest.raises(ValueError):
-            RunRecord("p", RunKind.FULL, 10, 5, latency, 0.1, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^latency_s must be positive and finite$"):
+            as_table([Run("p", RunKind.FULL, 10, 5, latency, 0.1, 0.0, 0.0)])
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_energy_rejected(self, position, value):
         energies = [0.1, 0.01, 0.01]
         energies[position] = value
-        with pytest.raises(ValueError):
-            RunRecord("p", RunKind.FULL, 10, 5, 1.0, *energies)
+        with pytest.raises(ValueError, match="^component energies must be nonnegative and finite$"):
+            as_table([Run("p", RunKind.FULL, 10, 5, 1.0, *energies)])
 
     @pytest.mark.parametrize("position", [2, 3, 4, 5, 6, 7, 10])
     @pytest.mark.parametrize("value", [True, False])
@@ -811,17 +821,28 @@ class TestRecordValidation:
         # True passed every count check and `decompose` counted it as 1
         cells = ["p", RunKind.FULL, 10, 2, 1.0, 0.1, 0.0, 0.0, "m", "fp32", 1]
         cells[position] = value
-        message = f"^{RunRecord._fields[position]} must be a number, got {value}$"
+        message = f"^{traces._FIELDS[position]} must be a number, got {value}$"
         with pytest.raises(ValueError, match=message):
-            RunRecord(*cells)
+            as_table([tuple(cells)])
         with pytest.raises(ValueError, match=message):
-            record()._replace(**{RunRecord._fields[position]: value})
+            as_table([record()._replace(**{traces._FIELDS[position]: value})])
 
     def test_the_first_boolean_is_named_with_the_readers_text(self):
         with pytest.raises(ValueError, match="^input_tokens must be a number, got True$"):
-            RunRecord("p", RunKind.FULL, True, 5, True, 0.1, 0.0, 0.0)
+            as_table([Run("p", RunKind.FULL, True, 5, True, 0.1, 0.0, 0.0)])
         assert parse_records(_json_run(input_tokens=True, latency_s=True), "line-json") == \
             ([], [ParseIssue(1, "input_tokens must be a number, got True")])
+
+    @pytest.mark.parametrize("field", ["input_tokens", "output_tokens", "batch"])
+    @pytest.mark.parametrize("value", [2.5, np.float64(2.5), np.float32(2.5), 1e-3])
+    def test_a_count_is_no_fraction(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number, got {float(value)}$"):
+            as_table([record()._replace(**{field: value})])
+
+    def test_whole_numbers_convert_to_counts_and_reals(self):
+        table = as_table([record()._replace(input_tokens=100.0, latency_s=2, batch=np.int64(3), model_id=7)])
+        assert table.records() == [record()._replace(latency_s=2.0, batch=3, model_id="7")]
+        assert type(table.records()[0].input_tokens) is int and type(table.latency_s[0]) is np.float64
 
     @pytest.mark.parametrize("bad,message", [
         (dict(input_tokens=0, output_tokens=0, latency_s=-1.0, gpu_wh=-1.0, batch=0), "input_tokens must be >= 1"),
@@ -830,28 +851,49 @@ class TestRecordValidation:
          "prefill-only runs have exactly one output token"),
         (dict(latency_s=0.0, ram_wh=-1.0, batch=0), "latency_s must be positive and finite"),
         (dict(cpu_wh=-0.5, batch=0), "component energies must be nonnegative and finite"),
+        (dict(batch=0), "batch must be >= 1"),
     ])
     def test_a_run_is_named_by_its_first_failing_check(self, bad, message):
-        # in a record, and in both readers, which check the run's columns
-        cells = tuple.__new__(RunRecord, {**record()._asdict(), **bad}.values())  # built unchecked
+        # built by hand, and in both readers, which check the run's columns
+        cells = record()._replace(**bad)  # a row is built unchecked
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            RunRecord(*cells)
+            as_table([cells])
         for fmt in ("delimited", "line-json"):
-            text = write_records(traces.RunTable.from_records([cells]), fmt)
+            text = write_records(traces._table([cells]), fmt)
             assert parse_records(text, fmt) == ([], [ParseIssue(2 if fmt == "delimited" else 1, message)])
 
     @pytest.mark.parametrize("run_kind", ["full", "Full", 1, None])
     def test_a_run_kind_that_is_no_run_kind_is_refused(self, run_kind):
-        # a record of the text 'full' would be written as a prefill_only line; the
+        # a row of the text 'full' would be written as a prefill_only line; the
         # refusal comes ahead of the bool refusal and every check, as in the reader
         message = f"^{re.escape(f'unknown run_kind {run_kind!r}')}$"
         with pytest.raises(ValueError, match=message):
-            RunRecord("p", run_kind, True, 0, 0.0, -1.0, 0.0, 0.0)
+            as_table([Run("p", run_kind, True, 0, 0.0, -1.0, 0.0, 0.0)])
         with pytest.raises(ValueError, match=message):
-            record()._replace(run_kind=run_kind)
+            as_table([record()._replace(run_kind=run_kind)])
         if run_kind == "Full":  # the reader's text for a kind it does not know
             [issue] = parse_records(_json_run(run_kind=run_kind, input_tokens=True), "line-json")[1]
             assert re.match(message, issue.message)
+
+    @pytest.mark.parametrize("bad", [
+        dict(input_tokens=True), dict(batch=False), dict(output_tokens=2.5), dict(run_kind="Full"),
+        dict(run_kind=RunKind.PREFILL_ONLY), dict(latency_s=0.0), dict(ram_wh=-1e-300), dict(batch=2**63),
+        dict(input_tokens=0, latency_s=True), dict(latency_s="x"), dict(gpu_wh=[0.1]), dict(input_tokens=None),
+    ])
+    def test_a_row_built_by_hand_and_read_from_line_json_give_one_message(self, bad):
+        row = record()._replace(**bad)
+        with pytest.raises(ValueError) as refused:
+            as_table([row])
+        line = json.dumps({name: value.value if isinstance(value, RunKind) else value
+                           for name, value in row._asdict().items()})
+        assert parse_records(line, "line-json") == ([], [ParseIssue(1, str(refused.value))])
+
+    def test_the_first_bad_row_raises(self):
+        rows = [record(), record()._replace(batch=0), record()._replace(latency_s=0.0)]
+        with pytest.raises(ValueError, match="^batch must be >= 1$"):
+            as_table(rows)
+        assert as_table(rows[:1]).records() == rows[:1]
+        assert len(as_table(iter(rows[:1]))) == 1
 
     def test_non_finite_cell_is_a_parse_issue(self):
         text = HEADER + "\np,full,10,5,1.0,nan,0.0,0.0,m,fp32,1\np,full,10,5,1.0,0.1,0.0,0.0,m,fp32,1\n"
@@ -860,26 +902,22 @@ class TestRecordValidation:
 
 
 class TestRecordTuple:
-    def test_replace_and_make_validate(self):
-        rec = record()
-        assert rec._replace(latency_s=2.0).latency_s == 2.0
-        with pytest.raises(ValueError, match="latency_s must be positive and finite"):
-            rec._replace(latency_s=0.0)
-        with pytest.raises(ValueError, match="batch must be >= 1"):
-            RunRecord._make((*rec[:10], 0))
-
     def test_immutable_hashable_with_defaults(self):
-        rec = RunRecord("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)
+        rec = Run("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)
         assert (rec.model_id, rec.precision, rec.batch) == ("", "", 1)
         assert (rec.gpu_wh, rec.cpu_wh, rec.ram_wh) == (0.1, 0.0, 0.0)
-        assert len({rec, RunRecord("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)}) == 1
+        assert len({rec, Run("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)}) == 1
         with pytest.raises(AttributeError):
             rec.latency_s = 2.0
+
+    def test_optional_fields_may_be_left_out(self):
+        assert as_table([("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)]).records() == \
+            [Run("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)]
 
 
 # --- the parser before csv-module reading, kept as the reference ------------
 
-_ORACLE_FIELDS = RunRecord._fields
+_ORACLE_FIELDS = traces._FIELDS
 
 
 def _number_oracle(fields: dict, name: str, convert, default=None):
@@ -892,13 +930,35 @@ def _number_oracle(fields: dict, name: str, convert, default=None):
     return convert(value)
 
 
-def _record_from_fields_oracle(fields: dict) -> RunRecord:
+def _checked_oracle(run):
+    """`run`, or ValueError naming the first check it fails, in this order."""
+    def count(name):
+        value = getattr(run, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+        if value >= 2**63:
+            raise ValueError(f"{name} must be below 2**63")
+
+    count("input_tokens")
+    count("output_tokens")
+    if run.run_kind is RunKind.PREFILL_ONLY and run.output_tokens != 1:
+        raise ValueError("prefill-only runs have exactly one output token")
+    if not 0 < run.latency_s < float("inf"):
+        raise ValueError("latency_s must be positive and finite")
+    if not all(0 <= wh < float("inf") for wh in (run.gpu_wh, run.cpu_wh, run.ram_wh)):
+        raise ValueError("component energies must be nonnegative and finite")
+    count("batch")
+    return run
+
+
+def _record_from_fields_oracle(fields: dict) -> Run:
+    # its own copy of the checks: RunTable.from_records is what it checks
     kind_raw = str(fields["run_kind"])
     try:
         kind = RunKind(kind_raw)
     except ValueError:
         raise ValueError(f"unknown run_kind {kind_raw!r}") from None
-    return RunRecord(
+    return _checked_oracle(Run(
         prompt_id=str(fields["prompt_id"]),
         run_kind=kind,
         input_tokens=_number_oracle(fields, "input_tokens", int),
@@ -910,7 +970,7 @@ def _record_from_fields_oracle(fields: dict) -> RunRecord:
         model_id=str(fields.get("model_id", "")),
         precision=str(fields.get("precision", "")),
         batch=_number_oracle(fields, "batch", int, 1),
-    )
+    ))
 
 
 def _parse_records_oracle(text, fmt="delimited", rename=None):
@@ -1101,7 +1161,7 @@ class TestParseFuzz:
             records, issues = parse_records(text, fmt)
         except (EmptyInput, UnknownFormat):
             return
-        assert all(isinstance(r, RunRecord) for r in records)
+        assert all(isinstance(r, Run) for r in records)
         assert all(isinstance(i, ParseIssue) for i in issues)
 
     @pytest.mark.parametrize("value", ["null", "[1]", "Infinity", "1e400"])
@@ -1168,9 +1228,9 @@ def _unquoted_tables(draw, texts=_UNQUOTED):
     runs = []
     for _ in range(draw(st.integers(1, 9))):
         full = draw(st.booleans())
-        runs.append(RunRecord(draw(texts), RunKind.FULL if full else RunKind.PREFILL_ONLY, draw(_COUNT),
-                              draw(_COUNT) if full else 1, draw(_REAL.filter(bool)), draw(_REAL), draw(_REAL),
-                              draw(_REAL), draw(texts), draw(texts), draw(_COUNT)))
+        runs.append(Run(draw(texts), RunKind.FULL if full else RunKind.PREFILL_ONLY, draw(_COUNT),
+                        draw(_COUNT) if full else 1, draw(_REAL.filter(bool)), draw(_REAL), draw(_REAL),
+                        draw(_REAL), draw(texts), draw(texts), draw(_COUNT)))
     return traces.RunTable.from_records(runs)
 
 
@@ -1483,15 +1543,15 @@ class TestNumbers:
     @pytest.mark.parametrize("position", [2, 3, 10])
     def test_record_counts_are_whole_and_below_2_63(self, position):
         fields = ["p", RunKind.FULL, 10, 2, 1.0, 0.1, 0.0, 0.0, "m", "fp32", 1]
-        name = RunRecord._fields[position]
+        name = traces._FIELDS[position]
         for good in (2**63 - 1, 5.0):
             fields[position] = good
-            assert RunRecord(*fields)[position] == good
+            assert as_table([tuple(fields)]).records()[0][position] == good
         for bad, message in ((2**63, f"{name} must be below 2\\*\\*63"),
                              (5.5, f"{name} must be a whole number, got 5.5")):
             fields[position] = bad
             with pytest.raises(ValueError, match=message):
-                RunRecord(*fields)
+                as_table([tuple(fields)])
 
     def test_plan_of_the_largest_count_round_trips(self, coeffs):
         table = synthesize_trace([(2**63 - 1, 1)], coeffs)
@@ -1599,8 +1659,8 @@ class TestDecomposeOracle:
     @given(st.lists(_run, max_size=60))
     def test_matches_the_per_group_loop(self, runs):
         records = [
-            RunRecord(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else g, t, *energy,
-                      model, precision, batch)
+            Run(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else g, t, *energy,
+                model, precision, batch)
             for pid, model, precision, batch, kind, s, g, t, energy in runs
         ]
         _assert_same_decomposition(records)
@@ -1614,8 +1674,8 @@ class TestDecomposeOracle:
             n_full = sizes[(i * 7) % len(sizes)]
             for kind, n in ((RunKind.PREFILL_ONLY, n_pre), (RunKind.FULL, n_full)):
                 for _ in range(n):
-                    records.append(RunRecord(f"p{i}", kind, 100, 1 if kind is RunKind.PREFILL_ONLY else 40,
-                                             *rng.uniform(1e-3, 5.0, 4).tolist()))
+                    records.append(Run(f"p{i}", kind, 100, 1 if kind is RunKind.PREFILL_ONLY else 40,
+                                       *rng.uniform(1e-3, 5.0, 4).tolist()))
         rng.shuffle(records)
         records.append(record(prompt="only_full"))
         _assert_same_decomposition(records)
@@ -1628,41 +1688,57 @@ class TestDecomposeOracle:
         assert decompose([]) == ([], [])
 
 
-# Values at each edge of the RunRecord checks, as int64 and float64 columns hold them
+# Values at each edge of the run checks, as int64 and float64 columns hold them
 _EDGE_COUNTS = st.sampled_from([0, 1, 2, 2**63 - 1, -1, -(2**63)])
 _EDGE_REALS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.0, float("inf"), -float("inf"), float("nan")])
 
 
 class TestRunTable:
-    """Every reader of runs gives, on a RunTable, what it gives on the
-    table's records, and `decompose` what the per-group loop gives."""
+    """Every reader of runs gives, on a RunTable, what a selection row by row
+    gives on the table's rows, and `decompose` what the per-group loop gives."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_run, max_size=60), st.integers(0, 3))
     def test_columns_and_records_read_alike(self, runs, k):
         records = [
-            RunRecord(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else g, t, *energy,
-                      model, precision, batch)
+            Run(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else g, t, *energy,
+                model, precision, batch)
             for pid, model, precision, batch, kind, s, g, t, energy in runs
         ]
         table = traces.RunTable.from_records(records)
         assert repr(table.records()) == repr(records)
         decomps = decompose(records)
         assert repr(decompose(table)) == repr(decomps) == repr(_decompose_oracle(records))
+        prefill = [r for r in records if r.run_kind is RunKind.PREFILL_ONLY]
+        decode = traces.decode_fit_rows(decomps[0])
         for component in ("gpu", "cpu", "ram", "total"):
-            want = to_fit_samples(records, decomps[0], component)
+            energy = [r.gpu_wh + r.cpu_wh + r.ram_wh if component == "total" else getattr(r, f"{component}_wh")
+                      for r in prefill]
+            want = FitSamples(s=[r.input_tokens for r in prefill] + [d.input_tokens for d in decode],
+                              g=[0] * len(prefill) + [d.output_tokens for d in decode],
+                              t=[r.latency_s for r in prefill] + [d.decode_latency_s for d in decode],
+                              energy_wh=energy + [getattr(d.decode_wh, component) for d in decode])
             got = to_fit_samples(table, decomps[0], component)
             assert [repr(c.tolist()) for c in (got.s, got.g, got.t, got.energy_wh)] == \
                 [repr(c.tolist()) for c in (want.s, want.g, want.t, want.energy_wh)]
-        for phase in ("prefill", "full", "decode"):
-            want = _outcome(phase_energies, records, phase) if records else None
-            got = _outcome(phase_energies, table, phase) if records else None
-            assert got == want
-        assert repr(drop_warmup(table, k).records()) == repr(drop_warmup(records, k))
+        for phase in ("prefill", "full"):
+            picked = [r for r in records if r.full is (phase == "full")]
+            want = repr([[r.gpu_wh for r in picked], [r.cpu_wh for r in picked], [r.ram_wh for r in picked]]) \
+                if picked else (EmptySelection, f"no items match phase {phase!r}")
+            assert _outcome(phase_energies, table, phase) == want
+        assert _outcome(phase_energies, table, "decode") == \
+            (EmptySelection, "decode statistics require decompositions, not raw records")
+        seen, kept = {}, []
+        for r in records:  # each group's runs of each kind after its first k
+            key = (r.prompt_id, r.model_id, r.precision, r.batch, r.run_kind)
+            seen[key] = seen.get(key, 0) + 1
+            if seen[key] > k:
+                kept.append(r)
+        assert repr(drop_warmup(table, k).records()) == repr(kept)
 
     def test_columns_are_the_record_fields_in_order(self):
         assert [f.name for f in fields(traces.RunTable)] == \
-            ["full" if name == "run_kind" else name for name in RunRecord._fields]
+            ["full" if name == "run_kind" else name for name in traces._FIELDS]
 
     @settings(max_examples=400, deadline=None)
     @given(full=st.booleans(), s=_EDGE_COUNTS, g=st.one_of(st.sampled_from([1, 2]), _EDGE_COUNTS),
@@ -1670,11 +1746,11 @@ class TestRunTable:
     def test_invalid_marks_a_run_exactly_when_its_record_is_refused(self, full, s, g, t, gpu, cpu, ram, batch):
         cells = ("p", RunKind.FULL if full else RunKind.PREFILL_ONLY, s, g, t, gpu, cpu, ram, "m", "fp32", batch)
         try:
-            RunRecord(*cells)
+            as_table([cells])
             refused = False
         except ValueError:
             refused = True
-        table = traces.RunTable.from_records([tuple.__new__(RunRecord, cells)])  # built unchecked
+        table = traces._table([Run(*cells)])  # built unchecked
         assert table.invalid().tolist() == [refused]
 
     def test_empty(self):
@@ -1696,8 +1772,8 @@ class TestDecomposeGrouping:
         records = []
         for model, s in (("small", 10), ("large", 500)):
             records += [
-                RunRecord("p", RunKind.PREFILL_ONLY, s, 1, 0.5, 0.1, 0.0, 0.0, model),
-                RunRecord("p", RunKind.FULL, s, 20, 2.0, 0.3, 0.0, 0.0, model),
+                Run("p", RunKind.PREFILL_ONLY, s, 1, 0.5, 0.1, 0.0, 0.0, model),
+                Run("p", RunKind.FULL, s, 20, 2.0, 0.3, 0.0, 0.0, model),
             ]
         decomps, missing = decompose(records)
         assert not missing
@@ -1707,8 +1783,8 @@ class TestDecomposeGrouping:
 
     def test_precision_and_batch_split_groups(self):
         records = [
-            RunRecord("p", kind, 10, 1 if kind is RunKind.PREFILL_ONLY else 5, 1.0, 0.1, 0.0, 0.0,
-                      "m", precision, batch)
+            Run("p", kind, 10, 1 if kind is RunKind.PREFILL_ONLY else 5, 1.0, 0.1, 0.0, 0.0,
+                "m", precision, batch)
             for precision, batch in (("fp32", 1), ("bf16", 1), ("fp32", 4))
             for kind in RunKind
         ]
@@ -1723,8 +1799,8 @@ class TestDecomposeGrouping:
 
     def test_missing_kind_reported_per_group(self):
         records = [
-            RunRecord("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0, "a"),
-            RunRecord("p", RunKind.PREFILL_ONLY, 10, 1, 1.0, 0.1, 0.0, 0.0, "b"),
+            Run("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0, "a"),
+            Run("p", RunKind.PREFILL_ONLY, 10, 1, 1.0, 0.1, 0.0, 0.0, "b"),
         ]
         decomps, missing = decompose(records)
         assert not decomps
@@ -1732,13 +1808,13 @@ class TestDecomposeGrouping:
 
 
 def test_reference_fixture_matches_its_generator():
-    # the generator script, loaded without running it: its records must
+    # the generator script, loaded without running it: its runs must
     # serialize to the bundled fixture byte for byte
     path = Path(__file__).resolve().parent.parent / "scripts" / "make_reference_fixture.py"
     spec = importlib.util.spec_from_file_location("make_reference_fixture", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert write_records(module.build_records()) == reference_trace_text()
+    assert write_records(module.build_runs()) == reference_trace_text()
 
 
 @pytest.mark.parametrize("source", ["bundled", "synthesized"])
