@@ -179,10 +179,9 @@ _CHECKS = (
 )
 
 
-def _run(values) -> _RunFields:
+def _run(values: Sequence) -> _RunFields:
     """The run of a row's field values in field order (optional ones may be left
     out), converted and checked as the module docstring says."""
-    values = tuple(values)
     if type(values[_RUN_KIND]) is not RunKind:
         raise ValueError(f"unknown run_kind {values[_RUN_KIND]!r}")
     run = _RunFields(*(value if kind == "kind" else str(value) if kind == "text" else
