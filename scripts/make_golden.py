@@ -167,7 +167,7 @@ def matrix() -> dict[str, list[list[str]]]:
         ["decompose", "--trace", TRACE, "--format", "json"],
         ["stats", "--trace", TRACE, "--trace-format", "line-json"],
         ["hist", "--trace", TRACE, "--edges", "0.3,0.1"],
-        ["stats", "--trace", "tests/golden/inputs/missing.csv"],
+        ["stats", "--trace", f"{INPUTS}/missing.csv"],
     ]
     for suffix in ("csv", "jsonl"):
         renamed = f"{INPUTS}/synth-renamed.{suffix}"
