@@ -118,8 +118,8 @@ def _number(name: str, value, convert):
         raise ValueError(f"{name} must be a number, got {value}")
     try:
         number = convert(value)
-    except (TypeError, OverflowError) as exc:  # as int(None) or int(inf): a value, not a program, at fault
-        raise ValueError(str(exc)) from None
+    except _BAD_VALUE as exc:  # as int("x"), int(None) or int(inf): a value, not a program, at fault
+        raise ValueError(f"{name}: {exc}") from None
     if convert is int and number != value and not isinstance(value, str):  # a count is no fraction
         raise ValueError(f"{name} must be a whole number, got {value}")
     return number
@@ -440,9 +440,12 @@ def _read_line_json(text: str, rename: dict, issues: list):
                     obj = {rename.get(k, k): v for k, v in obj.items()}
                 try:
                     rows.append((*every(obj), lineno))
-                except KeyError:  # a required field left out raises again; an optional one takes its default
+                except KeyError:  # an optional field left out takes its default
+                    missing = [f for f in _REQUIRED if f not in obj]
+                    if missing:
+                        raise ValueError(f"line is missing required fields {missing}") from None
                     rows.append((*required(obj), *map(obj.get, _DEFAULTS, _DEFAULTS.values()), lineno))
-            except (*_BAD_VALUE, KeyError, RecursionError) as exc:
+            except (*_BAD_VALUE, RecursionError) as exc:
                 issues.append(ParseIssue(lineno, str(exc)))
         if rows:
             *columns, numbers = zip(*rows)

@@ -927,7 +927,10 @@ def _number_oracle(fields: dict, name: str, convert, default=None):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if convert is int and isinstance(value, float) and value != int(value):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return convert(value)
+    try:
+        return convert(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _checked_oracle(run):
@@ -1000,8 +1003,11 @@ def _parse_records_oracle(text, fmt="delimited", rename=None):
                 if not isinstance(obj, dict):
                     raise ValueError("line is not a JSON object")
                 obj = {rename.get(k, k): v for k, v in obj.items()}
+                missing = [f for f in traces._REQUIRED if f not in obj]
+                if missing:
+                    raise ValueError(f"line is missing required fields {missing}")
                 records.append(_record_from_fields_oracle(obj))
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 issues.append(ParseIssue(lineno, str(exc)))
     return records, issues
 
@@ -1127,7 +1133,7 @@ class TestParseOracle:
             records, issues = parse_records("\n".join(lines) + "\n")
         assert [r.prompt_id for r in records] == ["p0", "p1", "p3", "p6", "p8"]
         assert [(i.line, i.message) for i in issues] == [
-            (4, "invalid literal for int() with base 10: 'x'"),
+            (4, "output_tokens: invalid literal for int() with base 10: 'x'"),
             (6, "latency_s must be positive and finite"),
             (7, "field larger than field limit (131072)"),
             (9, "expected 11 cells, got 2"),
@@ -1320,7 +1326,7 @@ class TestDelimitedPaths:
             with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
                 assert _takes_split_path(text)
                 records, issues = parse_records(text)
-                assert issues == [ParseIssue(6, "could not convert string to float: 'zero'")]
+                assert issues == [ParseIssue(6, "gpu_wh: could not convert string to float: 'zero'")]
                 assert [r.prompt_id for r in records] == ["p0", "p1", "p2", "p3", "p5", "p6"]
                 assert (records, issues) == parse_records(_through_csv(text))
 
@@ -1531,7 +1537,7 @@ class TestNumbers:
         assert type(records[0].input_tokens) is int
 
     @pytest.mark.parametrize("cell,message", [
-        ("2.5", "invalid literal for int() with base 10: '2.5'"),
+        ("2.5", "input_tokens: invalid literal for int() with base 10: '2.5'"),
         (str(2**63), "input_tokens must be below 2**63"),
     ])
     def test_delimited_counts_are_integers_below_2_63(self, cell, message):
@@ -1557,6 +1563,36 @@ class TestNumbers:
         table = synthesize_trace([(2**63 - 1, 1)], coeffs)
         for fmt in ("delimited", "line-json"):
             assert parse_records(write_records(table, fmt), fmt) == (table.records(), [])
+
+    @pytest.mark.parametrize("field,cell,message", [
+        ("input_tokens", "x", "input_tokens: invalid literal for int() with base 10: 'x'"),
+        ("batch", "true", "batch: invalid literal for int() with base 10: 'true'"),
+        ("cpu_wh", "1.5.0", "cpu_wh: could not convert string to float: '1.5.0'"),
+    ])
+    def test_an_issue_names_the_field_that_does_not_convert(self, field, cell, message):
+        good = dict(zip(traces._FIELDS, ["p", "full", "10", "2", "1.0", "0.1", "0", "0", "m", "fp32", "1"]))
+        bad = {**good, field: cell}
+        delimited = "\n".join([HEADER, ",".join(good.values()), ",".join(bad.values())]) + "\n"
+        assert parse_records(delimited) == ([Run("p", RunKind.FULL, 10, 2, 1.0, 0.1, 0.0, 0.0, "m", "fp32", 1)],
+                                            [ParseIssue(3, message)])
+        assert parse_records(_json_run(**{field: cell}), "line-json") == ([], [ParseIssue(1, message)])
+        assert parse_records(_json_run(**{field: None}), "line-json")[1][0].message.startswith(f"{field}: ")
+
+    def test_a_required_field_left_out_is_reported_missing(self):
+        line = json.loads(_json_run())
+        del line["input_tokens"], line["ram_wh"]
+        text = _json_run() + json.dumps(line) + "\n" + json.dumps({"prompt_id": "p", "batch": 1}) + "\n"
+        records, issues = parse_records(text, "line-json")
+        assert len(records) == 1 and issues == [
+            ParseIssue(2, "line is missing required fields ['input_tokens', 'ram_wh']"),
+            ParseIssue(3, "line is missing required fields ['run_kind', 'input_tokens', 'output_tokens',"
+                          " 'latency_s', 'gpu_wh', 'cpu_wh', 'ram_wh']"),
+        ]
+        # an optional field left out takes its default; the delimited reader names a missing column in its header
+        assert parse_records(_json_run(), "line-json")[0][0].batch == 1
+        header = HEADER.replace("ram_wh,", "")
+        with pytest.raises(UnknownFormat, match=re.escape("header is missing required columns ['ram_wh']")):
+            parse_records(header + "\np,full,10,2,1.0,0.1,0,m,fp32,1\n")
 
 
 def _loaded(read, line):
