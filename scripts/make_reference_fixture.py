@@ -14,11 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from inferwatt.bundled import reference_coefficients
-from inferwatt.phase_model import (
-    eval_decode_latency,
-    eval_prefill_energy,
-    eval_prefill_latency,
-)
 from inferwatt.traces import RunKind, RunTable, write_records
 
 S_VALUES = [860, 880, 900, 920, 940, 890, 910, 900]  # mean 900
@@ -43,9 +38,9 @@ def build_runs() -> RunTable:
     rows = []
     for i, (s, g) in enumerate(zip(S_VALUES, G_VALUES)):
         prompt = f"ref{i:02d}"
-        t_pre = eval_prefill_latency(cs.prefill_latency, s)
-        t_full = t_pre + eval_decode_latency(cs.decode_latency, s, g)
-        e_pre = eval_prefill_energy(cs.prefill_energy, s)
+        t_pre = cs.prefill_latency(s)
+        t_full = t_pre + cs.decode_latency(s, g)
+        e_pre = cs.prefill_energy(s)
         rows.append((prompt, RunKind.PREFILL_ONLY, s, 1, t_pre, e_pre, 0.006, 0.004, "llama31-8b-fp32", "fp32", 1))
         rows.append((prompt, RunKind.FULL, s, g, t_full, gpu[i], cpu[i], ram[i], "llama31-8b-fp32", "fp32", 1))
     return RunTable.from_records(rows)

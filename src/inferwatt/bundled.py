@@ -53,10 +53,6 @@ def reference_coefficients() -> CoefficientSet:
     return load_coefficients(data_path(REFERENCE_COEFFS))
 
 
-def reference_trace_text() -> str:
-    return data_path(REFERENCE_TRACE).read_text(encoding="utf-8")
-
-
 @cache
 def bundled_model(key: str) -> ModelSpec:
     if key not in MODEL_FILES:

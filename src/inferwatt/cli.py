@@ -17,10 +17,33 @@ import math
 import sys
 from pathlib import Path
 
+from .traces import (  # first: without cached bytecode, the largest module then compiles on the smallest heap
+    COMPONENTS,
+    FORMAT_DELIMITED,
+    FORMAT_LINE_JSON,
+    MIXED_INPUT_TOKENS,
+    PHASE_DECODE,
+    PHASE_FULL,
+    PHASE_PREFILL,
+    ComponentEnergy,
+    RunKind,
+    aggregate,
+    decode_fit_rows,
+    decompose,
+    drop_warmup,
+    histogram,
+    phase_energies,
+    read_runs,
+    synthesize_trace,
+    to_fit_samples,
+    trace_format,
+    write_records,
+)
 from . import bundled
 from .errors import EmptyInput, InferwattError
 from .estimator import (
     DEFAULT_CONTOUR_G,
+    DEFAULT_LED_WATTS,
     AnalyticSource,
     FittedSource,
     WorkloadSpec,
@@ -39,24 +62,6 @@ from .phase_model import (
     load_coefficients,
 )
 from .roofline import load_profile
-from .traces import (
-    FORMAT_DELIMITED,
-    FORMAT_LINE_JSON,
-    MIXED_INPUT_TOKENS,
-    PHASE_DECODE,
-    RunKind,
-    aggregate,
-    decode_fit_rows,
-    decompose,
-    drop_warmup,
-    histogram,
-    phase_energies,
-    read_runs,
-    synthesize_trace,
-    to_fit_samples,
-    trace_format,
-    write_records,
-)
 from .transformer_costs import load_model
 
 FORMATS = ("table", "json", "delimited")
@@ -314,8 +319,7 @@ def _cmd_stats(args, out) -> int:
 
 
 def _cmd_hist(args, out) -> int:
-    gpu, cpu, ram = phase_energies(_phase_items(args), args.phase)
-    values = {"gpu": gpu, "cpu": cpu, "ram": ram, "total": gpu + cpu + ram}[args.component]
+    values = getattr(ComponentEnergy(*phase_energies(_phase_items(args), args.phase)), args.component)
     result = histogram(values, args.edges or args.bins)
     skew = "right-skewed (mean > median)" if result.right_skewed else "not right-skewed"
     print(
@@ -380,9 +384,8 @@ def _cmd_synth(args, out) -> int:
 # --- parser ---------------------------------------------------------------
 
 
-def _add_common(sub, trace=False, fmt=True):
-    if fmt:
-        sub.add_argument("--format", choices=FORMATS, default="table")
+def _add_common(sub, trace=False):
+    sub.add_argument("--format", choices=FORMATS, default="table")
     if trace:
         sub.add_argument("--trace", required=True, help="trace file path")
         sub.add_argument(
@@ -408,13 +411,13 @@ def build_parser() -> _Parser:
     source.add_argument("--coeffs", help="coefficient file (default: bundled reference set)")
     source.add_argument("--model", help="model spec file: use the analytic roofline source")
     p.add_argument("--hw", help="hardware profile file for --model (default: bundled H100 profile)")
-    p.add_argument("--led-watts", type=_POSITIVE, default=5.0)
+    p.add_argument("--led-watts", type=_POSITIVE, default=DEFAULT_LED_WATTS)
     _add_common(p)
     p.set_defaults(func=_cmd_predict)
 
     p = subs.add_parser("fit", help="fit polynomial coefficients from a trace")
     _add_common(p, trace=True)
-    p.add_argument("--component", choices=("gpu", "cpu", "ram", "total"), default="total")
+    p.add_argument("--component", choices=(*COMPONENTS, "total"), default="total")
     p.add_argument("--out", help="write coefficient file here instead of stdout")
     p.set_defaults(func=_cmd_fit)
 
@@ -424,13 +427,13 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("stats", help="aggregate energy statistics")
     _add_common(p, trace=True)
-    p.add_argument("--phase", choices=("prefill", "full", "decode"), default="full")
+    p.add_argument("--phase", choices=(PHASE_PREFILL, PHASE_FULL, PHASE_DECODE), default=PHASE_FULL)
     p.set_defaults(func=_cmd_stats)
 
     p = subs.add_parser("hist", help="energy histogram (bin_left_edge, count)")
     _add_common(p, trace=True)
-    p.add_argument("--component", choices=("gpu", "cpu", "ram", "total"), default="gpu")
-    p.add_argument("--phase", choices=("prefill", "full", "decode"), default="full")
+    p.add_argument("--component", choices=(*COMPONENTS, "total"), default="gpu")
+    p.add_argument("--phase", choices=(PHASE_PREFILL, PHASE_FULL, PHASE_DECODE), default=PHASE_FULL)
     bins = p.add_mutually_exclusive_group()
     bins.add_argument("--bins", type=_POSITIVE_INT, default=10)
     bins.add_argument("--edges", type=_NUMBERS, default=None, help="explicit comma-separated bin edges")
@@ -450,7 +453,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("extrapolate", help="scale one interaction to fleet level")
     p.add_argument("--wh", type=_NONNEGATIVE, required=True, help="Wh per interaction")
     p.add_argument("--per-day", type=_NONNEGATIVE, required=True, help="interactions per day")
-    p.add_argument("--led-watts", type=_POSITIVE, default=5.0)
+    p.add_argument("--led-watts", type=_POSITIVE, default=DEFAULT_LED_WATTS)
     _add_common(p)
     p.set_defaults(func=_cmd_extrapolate)
 

@@ -34,6 +34,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,17 +137,12 @@ class EnergyBreakdown(namedtuple("_BreakdownFields", "prefill_wh decode_wh prove
         return self[:4]
 
 
-@dataclass(frozen=True)
-class WorkloadEntry:
+class WorkloadEntry(NamedTuple):
+    """One weighted (s, g) pair of a workload, unchecked: `WorkloadSpec` checks its entries."""
+
     s: int
     g: int
     weight: float = 1.0
-
-    def __post_init__(self):
-        if self.s < 1 or self.g < 1:
-            raise ValueError("need s >= 1 and g >= 1")
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValueError("weight must be positive and finite")
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
@@ -181,10 +177,10 @@ def _weighted_mean(x: np.ndarray, workload: "WorkloadSpec") -> float:
 class WorkloadSpec:
     """A population of interactions as weighted (s, g) pairs.
 
-    `entries` holds them as objects. `s` and `g` (int64), `weight` (float64)
-    and `weight_total` (its builtin sum) hold the same values, read-only,
-    built and checked once here; they take no part in equality or hashing.
-    Token counts must be whole numbers below 2**63 (ValueError, OverflowError otherwise).
+    `entries` holds them as `WorkloadEntry` tuples. `s` and `g` (int64),
+    `weight` (float64) and `weight_total` (its builtin sum) hold the same
+    values, read-only, built and checked once here; they take no part in
+    equality or hashing. Token counts must be whole numbers below 2**63 (ValueError, OverflowError otherwise).
     """
 
     entries: tuple[WorkloadEntry, ...]

@@ -16,16 +16,15 @@ with a default may be omitted unless the field says a file must state it
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import MISSING, fields
 from typing import Iterable, Mapping
 
 from .errors import ConfigError
 
 
-def parse_kv(text: str) -> "OrderedDict[str, str]":
-    """Parse key-value text into an ordered mapping of raw string values."""
-    out: "OrderedDict[str, str]" = OrderedDict()
+def parse_kv(text: str) -> dict[str, str]:
+    """Parse key-value text into a mapping of raw string values, in file order."""
+    out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -43,7 +42,7 @@ def parse_kv(text: str) -> "OrderedDict[str, str]":
     return out
 
 
-def read_kv_file(path) -> "OrderedDict[str, str]":
+def read_kv_file(path) -> dict[str, str]:
     try:
         if hasattr(path, "read_text"):
             return parse_kv(path.read_text(encoding="utf-8-sig"))

@@ -284,9 +284,5 @@ def coefficients_from_kv(kv: dict) -> CoefficientSet:
                              for group, values in groups.items()})
 
 
-def parse_coefficients(text: str) -> CoefficientSet:
-    return coefficients_from_kv(kvconfig.parse_kv(text))
-
-
 def load_coefficients(path) -> CoefficientSet:
     return coefficients_from_kv(kvconfig.read_kv_file(path))

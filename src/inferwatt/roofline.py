@@ -18,7 +18,7 @@ overlapped schedule of the same work. Kernel launch overhead is not modeled.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,7 +119,3 @@ def profile_from_kv(kv: dict) -> HardwareProfile:
 
 def load_profile(path) -> HardwareProfile:
     return profile_from_kv(kvconfig.read_kv_file(path))
-
-
-def profile_to_kv(hw: HardwareProfile) -> list[tuple[str, str]]:
-    return [(f.name, str(getattr(hw, f.name))) for f in fields(hw)]

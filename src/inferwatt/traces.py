@@ -21,8 +21,8 @@ gives each field of `_FIELDS`, in order, its kind (text, run kind, count or
 real); a RunTable holds one column per field in that order, with the mask
 `full` for the run kind, and a row (`_RunFields`) one value per field.
 `_CHECKS` states each check once, in the order that names a bad run by its
-first fault, on a row's numbers or a table's columns alike; `RunTable.invalid`
-ORs them. `_run`, the one conversion and check of a row built by hand
+first fault, on a row's numbers or a table's columns alike; `_faults` gives a
+table's fault masks. `_run`, the one conversion and check of a row built by hand
 (`RunTable.from_records`) or read, refuses a run kind that is no RunKind, then
 converts each value (a boolean is no number, and a fraction no count), then
 raises the message of the first check the run fails.
@@ -98,16 +98,27 @@ _RUN_KINDS = {kind.value: kind for kind in RunKind}
 _PREFILL_ONLY, _FULL = RunKind.PREFILL_ONLY, RunKind.FULL
 
 
+def _finite(values, what: str):
+    """`values`, if each is finite: a statistic that overflowed is refused (OverflowError naming `what`)."""
+    if not np.isfinite(values).all():
+        raise OverflowError(f"{what} is not finite; inputs are implausibly large")
+    return values
+
+
+@np.errstate(over="ignore")  # a total that overflows is refused
+def _total(energy):
+    """The total gpu + cpu + ram of a (gpu, cpu, ram) triple of numbers or of columns, if it does not overflow."""
+    return _finite(energy[0] + energy[1] + energy[2], "a total energy (gpu + cpu + ram)")
+
+
 class ComponentEnergy(NamedTuple):
-    """Per-component energy in Wh."""
+    """Per-component energy in Wh, as numbers or as columns."""
 
     gpu: float
     cpu: float
     ram: float
 
-    @property
-    def total(self) -> float:
-        return self.gpu + self.cpu + self.ram
+    total = property(_total)
 
 
 _COUNT_LIMIT = 2**63  # token counts and batch are int64 columns
@@ -209,8 +220,7 @@ class RunTable:
     `from_records` fill them: one per field of `_FIELDS`, in order, of the
     kinds `_FIELD_KINDS` gives (texts as lists of str, counts as int64 and
     reals as float64 arrays), with the bool mask `full` in place of
-    `run_kind`. They hold values that pass every check of `_CHECKS` (`invalid`
-    marks the runs that do not)."""
+    `run_kind`. They hold values that pass every check of `_CHECKS`."""
 
     prompt_id: list
     full: np.ndarray
@@ -253,10 +263,6 @@ class RunTable:
         columns = (run_kinds if kind == "kind" else column if kind == "text" else column.tolist()
                    for kind, column in zip(_FIELD_KINDS, vars(self).values()))
         return list(map(partial(tuple.__new__, _RunFields), zip(*columns)))
-
-    def invalid(self) -> np.ndarray:
-        """The mask of the runs that fail a check: the OR of the `_CHECKS` faults."""
-        return _faults(self).any(axis=0)
 
 
 def _table(runs: Sequence[_RunFields]) -> RunTable:
@@ -467,9 +473,8 @@ def read_runs(
     fmt: str = FORMAT_DELIMITED,
     rename: dict[str, str] | None = None,
 ) -> tuple[RunTable, list[ParseIssue]]:
-    """Read a trace from text, a text stream, or a pathlib.Path into a
-    RunTable of its well-formed runs, in file order, and a ParseIssue per
-    malformed line.
+    """Read a trace from text or a pathlib.Path into a RunTable of its
+    well-formed runs, in file order, and a ParseIssue per malformed line.
 
     Malformed lines are never silently dropped. A delimited record that
     spans lines (a quoted newline) is reported at the line where it starts.
@@ -478,16 +483,11 @@ def read_runs(
     decode per line, with equal results (see the module docstring).
     Line-json lines end at "\n" or "\r\n" only. One leading byte-order
     mark (U+FEFF) is dropped. `rename` maps external column/key names onto
-    the canonical field names. A file or stream that is not UTF-8 text
-    raises UnknownFormat.
+    the canonical field names. A file that is not UTF-8 text raises
+    UnknownFormat.
     """
     try:
-        if hasattr(source, "read"):
-            text = source.read()
-        elif hasattr(source, "read_text"):
-            text = source.read_text(encoding="utf-8")
-        else:
-            text = source
+        text = source.read_text(encoding="utf-8") if hasattr(source, "read_text") else source
     except UnicodeDecodeError as exc:
         raise UnknownFormat(f"trace is not UTF-8 text: {exc}") from None
     if fmt not in (FORMAT_DELIMITED, FORMAT_LINE_JSON):
@@ -667,6 +667,7 @@ def _group_means(values: Sequence[np.ndarray], group: np.ndarray, picked: np.nda
     return counts, means
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a mean that overflows is refused below
 def decompose(runs) -> tuple[list[PromptDecomposition], list[MissingKind]]:
     """Split the cost of each (prompt_id, model_id, precision, batch) group
     into prefill and decode phases, in the order the groups first appear.
@@ -675,8 +676,8 @@ def decompose(runs) -> tuple[list[PromptDecomposition], list[MissingKind]]:
     no decomposition; nothing is fabricated. A negative decode estimate in
     any component sets the negative_decode flag on the decomposition; runs
     that disagree on input_tokens set mixed_input_tokens (input_tokens is
-    then the rounded mean over the full runs). `runs` is a RunTable or
-    rows.
+    then the rounded mean over the full runs). A decomposed group whose run
+    means overflow raises OverflowError. `runs` is a RunTable or rows.
     """
     table = _as_table(runs)
     if not len(table):
@@ -697,19 +698,21 @@ def decompose(runs) -> tuple[list[PromptDecomposition], list[MissingKind]]:
     pre_counts, pre_means = _group_means(values, group, np.flatnonzero(~full), n_groups, rows)
     full_counts, full_means = _group_means(values, group, np.flatnonzero(full), n_groups,
                                            rows + (_TOKENS_IN, _TOKENS_OUT))
-    decode = full_means[:4] - pre_means
+    decode = full_means[:4] - pre_means  # finite where both means are: latency and energies are >= 0
     negative = (decode[1:] < 0).any(axis=0)
 
     decompositions, missing = [], []
-    for (prompt_id, model_id, precision, batch), n_pre, n_full, p, f, d, neg, mix in zip(
+    for (prompt_id, model_id, precision, batch), n_pre, n_full, p, f, d, neg, mix, finite in zip(
             groups, pre_counts.tolist(), full_counts.tolist(), pre_means.T.tolist(), full_means.T.tolist(),
-            decode.T.tolist(), negative.tolist(), mixed.tolist()):
+            decode.T.tolist(), negative.tolist(), mixed.tolist(), np.isfinite(decode).all(axis=0).tolist()):
         if not n_pre:
             missing.append(MissingKind(prompt_id, RunKind.PREFILL_ONLY, model_id, precision, batch))
         if not n_full:
             missing.append(MissingKind(prompt_id, RunKind.FULL, model_id, precision, batch))
         if not n_pre or not n_full:
             continue
+        if not finite:  # of the groups decomposed, the first whose run means overflowed
+            _finite(d, f"a run mean of prompt {prompt_id!r} (model {model_id!r}, precision {precision!r}, batch {batch})")
         decompositions.append(PromptDecomposition(
             prompt_id, ComponentEnergy(*p[1:]), ComponentEnergy(*f[1:4]), ComponentEnergy(*d[1:]), p[0], f[0], d[0],
             int(round(f[4])), int(round(f[5])), n_pre, n_full, (NEGATIVE_DECODE,) * neg + (MIXED_INPUT_TOKENS,) * mix,
@@ -767,22 +770,23 @@ def phase_energies(items, phase: str = PHASE_FULL) -> np.ndarray:
     return np.ascontiguousarray(energies)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a statistic that overflows is refused
 def aggregate(items, phase: str = PHASE_FULL) -> EnergyStats:
     """Aggregate per-component energy statistics over the runs or
     decompositions `phase_energies` selects, with the arithmetic mean and the
-    population standard deviation.
+    population standard deviation. A statistic that overflows raises OverflowError.
     """
     components = {
         comp: ComponentStats(
-            mean=float(np.mean(values)),
-            std=float(np.std(values)),  # population std
+            mean=_finite(float(np.mean(values)), f"the {phase} {comp} energy mean"),
+            std=_finite(float(np.std(values)), f"the {phase} {comp} energy std"),  # population std
             count=len(values),
             min=float(np.min(values)),
             max=float(np.max(values)),
         )
         for comp, values in zip(COMPONENTS, phase_energies(items, phase))
     }
-    total_mean = sum(components[c].mean for c in COMPONENTS)
+    total_mean = _finite(sum(components[c].mean for c in COMPONENTS), f"the {phase} total energy mean")
     return EnergyStats(phase=phase, components=components, total_mean=total_mean)
 
 
@@ -801,12 +805,13 @@ class HistogramResult:
         return self.mean > self.median
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a mean or median that overflows is refused
 def histogram(values: Sequence[float], bins) -> HistogramResult:
     """Bin values into `bins` (a count or explicit edges).
 
     Counts always sum to len(values): with explicit edges, out-of-range
-    values are clipped into the end bins. A count of bins that the values'
-    range cannot split into finite-sized bins raises BadEdges.
+    values are clipped into the end bins. Too many bins for the values'
+    range raise BadEdges, and an overflowing mean or median OverflowError.
     """
     data = np.asarray(values, dtype=float)
     if data.size == 0:
@@ -832,8 +837,8 @@ def histogram(values: Sequence[float], bins) -> HistogramResult:
     return HistogramResult(
         edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
-        mean=float(np.mean(data)),
-        median=float(median),
+        mean=_finite(float(np.mean(data)), "the mean of the values"),
+        median=_finite(float(median), "the median of the values"),
     )
 
 
@@ -928,21 +933,19 @@ def to_fit_samples(runs: RunTable, decompositions: Sequence[PromptDecomposition]
                    component: str = "total") -> FitSamples:
     """The samples `fit` fits: the prefill-only runs, in order, as g = 0
     rows, then the `decode_fit_rows` decode estimates (decode latency and
-    energy at their output length).
-    `component` picks which energy the samples carry ('gpu', 'cpu', 'ram',
-    or 'total', the sum gpu + cpu + ram).
+    energy at their output length). `component` picks which energy the
+    samples carry ('gpu', 'cpu', 'ram', or 'total', their sum, which raises
+    OverflowError if it overflows).
     """
     if component not in COMPONENTS + ("total",):
         raise ValueError(f"unknown component {component!r}")
     prefill = ~runs.full
     decode = decode_fit_rows(decompositions)
-    if component == "total":
-        energy = runs.gpu_wh[prefill] + runs.cpu_wh[prefill] + runs.ram_wh[prefill]
-    else:
-        energy = getattr(runs, f"{component}_wh")[prefill]
+    pick = _total if component == "total" else operator.itemgetter(COMPONENTS.index(component))
+    energy = pick((runs.gpu_wh[prefill], runs.cpu_wh[prefill], runs.ram_wh[prefill]))
     return FitSamples(
         s=runs.input_tokens[prefill].tolist() + [d.input_tokens for d in decode],
         g=[0] * len(energy) + [d.output_tokens for d in decode],
         t=runs.latency_s[prefill].tolist() + [d.decode_latency_s for d in decode],
-        energy_wh=energy.tolist() + [getattr(d.decode_wh, component) for d in decode],
+        energy_wh=energy.tolist() + pick(np.reshape([d.decode_wh for d in decode], (-1, 3)).T).tolist(),
     )

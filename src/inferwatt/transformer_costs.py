@@ -94,13 +94,9 @@ class ModelSpec:
             raise ValueError("bytes_per_param must be positive and finite")
 
     @property
-    def effective_kv_heads(self) -> int:
-        return self.kv_heads if self.kv_heads is not None else self.n_heads
-
-    @property
     def kv_dim(self) -> int:
         """Width of the K (or V) projection output."""
-        return self.effective_kv_heads * self.head_dim
+        return (self.kv_heads if self.kv_heads is not None else self.n_heads) * self.head_dim
 
     @property
     def ffn_matrices(self) -> int:

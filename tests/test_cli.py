@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +26,7 @@ from inferwatt.traces import _RunFields as Run
 
 
 HEADER = "prompt_id,run_kind,input_tokens,output_tokens,latency_s,gpu_wh,cpu_wh,ram_wh,model_id,precision,batch"
+GROUP_MEAN = "a run mean of prompt 'p' (model 'm', precision 'fp32', batch 1)"
 
 
 def run_cli(*argv):
@@ -213,6 +215,30 @@ class TestExitCodes:
         after = f" after --drop-first {drop}" if drop != "0" else ""
         assert len(err) == warnings + 1 and all(ln.startswith("warning: line ") for ln in err[:-1])
         assert err[-1] == f"error: trace has no valid runs{after}"
+
+    @pytest.mark.parametrize("trace,argv,what", [
+        ("means", ["decompose"], GROUP_MEAN),
+        ("means", ["fit"], GROUP_MEAN),
+        ("means", ["stats"], "the full gpu energy mean"),
+        ("means", ["stats", "--phase", "decode"], GROUP_MEAN),
+        ("means", ["hist", "--phase", "decode"], GROUP_MEAN),
+        ("means", ["hist", "--edges", "0,1"], "the mean of the values"),
+        ("totals", ["stats", "--phase", "prefill"], "the prefill total energy mean"),
+        ("totals", ["hist", "--phase", "prefill", "--component", "total"], "a total energy (gpu + cpu + ram)"),
+        ("totals", ["fit"], "a total energy (gpu + cpu + ram)"),
+    ])
+    def test_statistics_that_overflow_are_data_error(self, trace, argv, what, tmp_path, capsys):
+        # every run is finite; the means of one prompt's runs, or its component totals, are not
+        body = {"means": "p,prefill_only,10,1,1e308,1e308,0,0,m,fp32,1\n"
+                         + "p,full,10,5,1e308,1e308,0,0,m,fp32,1\n" * 2,
+                "totals": "p,prefill_only,10,1,1.0,1e308,1e308,0,m,fp32,1\np,full,10,5,2.0,1e308,1e308,0,m,fp32,1\n"}
+        path = tmp_path / "runs.csv"
+        path.write_text(HEADER + "\n" + body[trace], encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings included
+            code, out = run_cli(*argv, "--trace", str(path))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {what} is not finite; inputs are implausibly large\n"
 
     @pytest.mark.parametrize("lengths", [("--s-values", str(2**63)), ("--g-values", f"0,{2**63}")])
     def test_synth_lengths_of_2_63_or_more_are_data_error(self, lengths, capsys):

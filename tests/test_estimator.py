@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inferwatt import estimator, phase_model, transformer_costs
-from inferwatt.bundled import qwen_family, reference_trace_text
+from inferwatt.bundled import REFERENCE_TRACE, data_path, qwen_family
 from inferwatt.errors import ModelOutOfRangeWarning
 from inferwatt.estimator import (
     DEFAULT_CONTOUR_G,
@@ -155,7 +155,7 @@ class TestEstimateWorkload:
     def test_parametric_workload_matches_fixture_scale(self, coeffs):
         # a parametric workload shaped like the bundled reference trace
         # reproduces its measured mean interaction energy to ~10%
-        runs, _ = read_runs(reference_trace_text())
+        runs, _ = read_runs(data_path(REFERENCE_TRACE))
         measured = aggregate(runs, phase="full").total_mean
         workload = WorkloadSpec.parametric(900, 50, 82, 6, count=500, seed=11)
         mean, _ = estimate_workload(FittedSource(coeffs), workload)
@@ -262,12 +262,15 @@ class TestWorkloadValidation:
             WorkloadSpec(())
 
     def test_bad_entry_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadEntry(0, 10)
-        with pytest.raises(ValueError):
-            WorkloadEntry(10, 10, weight=0.0)
-        with pytest.raises(ValueError):
-            WorkloadEntry(10, 10, weight=float("inf"))
+        # an entry is a plain named tuple: the spec made from it is the one check
+        with pytest.raises(ValueError, match=r"need s >= 1 and g >= 1"):
+            WorkloadSpec((WorkloadEntry(0, 10),))
+        with pytest.raises(ValueError, match=r"need s >= 1 and g >= 1"):
+            WorkloadSpec.single(10, 0)
+        with pytest.raises(ValueError, match="weight must be positive and finite"):
+            WorkloadSpec((WorkloadEntry(10, 10, weight=0.0),))
+        with pytest.raises(ValueError, match="weight must be positive and finite"):
+            WorkloadSpec((WorkloadEntry(10, 10, weight=float("inf")),))
 
     def test_fitted_source_needs_energy_families(self, coeffs):
         from inferwatt.errors import InferwattError

@@ -14,6 +14,7 @@ from inferwatt.errors import (
     ModelOutOfRangeWarning,
     RankDeficient,
 )
+from inferwatt.kvconfig import parse_kv
 from inferwatt.numerics import DesignMatrix, ols_fit
 from inferwatt.phase_model import (
     CoefficientSet,
@@ -30,8 +31,8 @@ from inferwatt.phase_model import (
     fit_decode_latency,
     fit_prefill_energy,
     fit_prefill_latency,
+    coefficients_from_kv,
     format_coefficients,
-    parse_coefficients,
 )
 from inferwatt.roofline import Phase, energy_from_power
 from inferwatt.traces import RunKind, RunTable, decompose, synthesize_trace, to_fit_samples
@@ -334,21 +335,21 @@ def test_decode_latency_monotone_in_g(coeffs, s, g1, g2):
 class TestCoefficientFiles:
     def test_round_trip(self, coeffs):
         text = format_coefficients(coeffs, header="round trip")
-        parsed = parse_coefficients(text)
+        parsed = coefficients_from_kv(parse_kv(text))
         assert parsed == coeffs
 
     def test_partial_set_allowed(self):
-        parsed = parse_coefficients("prefill_energy.a = 1e-5\nprefill_energy.b = 2e-3\n")
+        parsed = coefficients_from_kv(parse_kv("prefill_energy.a = 1e-5\nprefill_energy.b = 2e-3\n"))
         assert parsed.prefill_energy == PrefillEnergyCoeffs(1e-5, 2e-3)
         assert parsed.decode_latency is None
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            parse_coefficients("prefill_latency.zeta = 1.0\n")
+            coefficients_from_kv(parse_kv("prefill_latency.zeta = 1.0\n"))
 
     def test_incomplete_group_rejected(self):
         with pytest.raises(ConfigError):
-            parse_coefficients("prefill_latency.alpha = 1e-4\n")
+            coefficients_from_kv(parse_kv("prefill_latency.alpha = 1e-4\n"))
 
     def test_bundled_reference_values(self, coeffs):
         assert coeffs.prefill_latency == PrefillLatencyCoeffs(3.18e-4, 1.17e-8, 1.68e-2)

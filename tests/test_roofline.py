@@ -13,7 +13,6 @@ from inferwatt.roofline import (
     effective_ceilings,
     op_latency,
     profile_from_kv,
-    profile_to_kv,
     roofline_seconds,
 )
 from inferwatt.transformer_costs import ClassLatency
@@ -145,11 +144,6 @@ class TestValidation:
 
 
 class TestProfileConfig:
-    def test_round_trip(self):
-        hw = make_hw()
-        kv = parse_kv("\n".join(f"{k} = {v}" for k, v in profile_to_kv(hw)))
-        assert profile_from_kv(kv) == hw
-
     def test_efficiency_factors_default_when_omitted(self):
         kv = parse_kv("f_max = 1e12\nb_max = 1e12\np_prefill = 100\np_decode = 50\n")
         hw = profile_from_kv(kv)
