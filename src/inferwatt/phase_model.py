@@ -8,10 +8,10 @@ Four coefficient families describe one generation:
     decode energy     E(s, g) = c*g + d*s*g + g_intercept
 
 with s input tokens and g generated tokens. Each family's coefficient class
-is the one definition of its polynomial: calling it on (s, g) evaluates it
-(on numbers or numpy arrays), fitting evaluates it on unit coefficient
-vectors to build its basis columns, and its fields name the keys of the
-coefficient file. The last field is always the intercept.
+states its polynomial once, as `terms`: one (coefficient, *factors) tuple per
+field, in field order, each factor "s" or "g", the intercept last with none.
+Evaluation (on numbers or numpy arrays), the fit's basis columns and
+`is_physical` read it; the fields name the keys of the coefficient file.
 
 Fits read a `FitSamples` table: columns s, g, latency t and (optionally)
 energy, one row per generation. Each family fits the rows of its phase,
@@ -32,8 +32,10 @@ E = t * P_phase / 3600 (watts and seconds to Wh), as
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 
@@ -42,13 +44,19 @@ from . import kvconfig
 from .numerics import DesignMatrix, FitResult, ols_fit
 
 
+def _product(start, factors, s, g):
+    """`start` times each factor ("s" or "g") of a term, left to right."""
+    return reduce(operator.mul, (s if factor == "s" else g for factor in factors), start)
+
+
 class _Polynomial:
     """Base of the four coefficient families. Subclasses are frozen
-    dataclasses whose fields are the coefficients, intercept last, and whose
-    `__call__(s, g)` evaluates the polynomial. Class constants: `decode`
-    (the family is fitted to g >= 1 samples, else to g = 0 ones), `what`
-    ("latency" or "energy") and `unit` of the value."""
+    dataclasses whose fields are the coefficients. Class constants: `terms`
+    (the polynomial, as in the module docstring), `decode` (the family is
+    fitted to g >= 1 samples, else to g = 0 ones), `what` ("latency" or
+    "energy") and `unit` of the value."""
 
+    terms: tuple[tuple[str, ...], ...]
     decode: bool
     what: str
     unit: str
@@ -59,10 +67,15 @@ class _Polynomial:
             if not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
 
+    def __call__(self, s, g=None):
+        """The polynomial at (s, g); TypeError for a decode family without g. The
+        terms add left to right from the first (sum() from 0 would lose a -0.0)."""
+        return reduce(operator.add, (_product(getattr(self, name), factors, s, g) for name, *factors in self.terms))
+
     @property
     def is_physical(self) -> bool:
-        """Every coefficient but the intercept is nonnegative."""
-        return all(getattr(self, f.name) >= 0 for f in fields(self)[:-1])
+        """Every coefficient of a term with a factor is nonnegative."""
+        return all(getattr(self, name) >= 0 for name, *factors in self.terms if factors)
 
 
 @dataclass(frozen=True)
@@ -70,27 +83,22 @@ class PrefillLatencyCoeffs(_Polynomial):
     """Seconds per input token (alpha), per token squared (beta), intercept (gamma)."""
 
     decode, what, unit = False, "latency", "s"
+    terms = (("alpha", "s"), ("beta", "s", "s"), ("gamma",))
     alpha: float
     beta: float
     gamma: float
 
-    def __call__(self, s, g=0):
-        return self.alpha * s + self.beta * s * s + self.gamma
-
 
 @dataclass(frozen=True)
 class DecodeLatencyCoeffs(_Polynomial):
-    """Seconds per output token (eta), per input*output token (theta),
-    per output token squared (phi), intercept (rho, may be negative)."""
+    """Seconds per output token (eta), per s*g (theta), per g^2 (phi); rho may be negative."""
 
     decode, what, unit = True, "latency", "s"
+    terms = (("eta", "g"), ("theta", "s", "g"), ("phi", "g", "g"), ("rho",))
     eta: float
     theta: float
     phi: float
     rho: float
-
-    def __call__(self, s, g):
-        return self.eta * g + self.theta * s * g + self.phi * g * g + self.rho
 
 
 @dataclass(frozen=True)
@@ -98,25 +106,20 @@ class PrefillEnergyCoeffs(_Polynomial):
     """Wh per input token (a) and intercept (b)."""
 
     decode, what, unit = False, "energy", "Wh"
+    terms = (("a", "s"), ("b",))
     a: float
     b: float
-
-    def __call__(self, s, g=0):
-        return self.a * s + self.b
 
 
 @dataclass(frozen=True)
 class DecodeEnergyCoeffs(_Polynomial):
-    """Wh per output token (c), per input*output token (d), intercept
-    (g_intercept, may be negative)."""
+    """Wh per output token (c), per s*g (d), intercept (g_intercept, may be negative)."""
 
     decode, what, unit = True, "energy", "Wh"
+    terms = (("c", "g"), ("d", "s", "g"), ("g_intercept",))
     c: float
     d: float
     g_intercept: float
-
-    def __call__(self, s, g):
-        return self.c * g + self.d * s * g + self.g_intercept
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +127,7 @@ class FitSamples:
     """Fit samples as columns, one row per measured or synthesized generation:
     input length s, output length g (g = 0 marks a prefill-only run), latency
     t and energy_wh (None when the samples carry no energy). Each column is
-    stored as a read-only float64 copy, checked once when built."""
+    a read-only float64 copy of finite values, checked once when built."""
 
     s: np.ndarray
     g: np.ndarray
@@ -139,11 +142,12 @@ class FitSamples:
             column = np.array(value, dtype=float)
             if column.ndim != 1:
                 raise ValueError(f"{f.name} must be a 1-D column")
+            if not np.isfinite(column).all():
+                raise ValueError(f"{f.name} must be finite")
             column.flags.writeable = False
             object.__setattr__(self, f.name, column)
         if len({len(c) for c in (self.s, self.g, self.t, self.energy_wh) if c is not None}) > 1:
             raise ValueError("columns must have equal length")
-        # NaN fails each of these
         if not np.all(self.s >= 1):
             raise ValueError("s must be >= 1")
         if not np.all(self.g >= 0):
@@ -196,41 +200,36 @@ def eval_decode_energy(coeffs: DecodeEnergyCoeffs, s: float, g: float) -> float:
 def _fit(family: type[_Polynomial], samples: FitSamples):
     """Least-squares fit of one family to the rows of its phase (g >= 1 for
     decode, g = 0 for prefill; energy families take no rows from samples
-    without energy). The basis columns are the polynomial at each unit
-    coefficient vector."""
+    without energy). Each term's product of factors is a basis column."""
     y = samples.energy_wh if family.what == "energy" else samples.t
     rows = (samples.g >= 1 if family.decode else samples.g == 0) & (y is not None)
-    n, found = len(fields(family)), int(np.count_nonzero(rows))
+    n, found = len(family.terms), int(np.count_nonzero(rows))
     if found < n:
         phase = "decode" if family.decode else "prefill"
         raise InsufficientSamples(f"need >= {n} {phase} {family.what} samples, got {found}")
     s, g = samples.s[rows], samples.g[rows]
-    columns = [family(*unit)(s, g) for unit in np.eye(n).tolist()]
+    columns = [_product(np.ones_like(s), factors, s, g) for _, *factors in family.terms]
     fit = ols_fit(DesignMatrix.from_columns(columns), y[rows])
     return family(*fit.coefficients), fit
 
 
 def fit_prefill_latency(samples: FitSamples) -> tuple[PrefillLatencyCoeffs, FitResult]:
-    """Fit t = alpha*s + beta*s^2 + gamma to prefill-only samples (g = 0).
-
-    Returns the raw least-squares coefficients; check `.is_physical` before
-    treating negative slopes as meaningful.
-    """
+    """Fit the prefill latency family to prefill-only samples (g = 0)."""
     return _fit(PrefillLatencyCoeffs, samples)
 
 
 def fit_decode_latency(samples: FitSamples) -> tuple[DecodeLatencyCoeffs, FitResult]:
-    """Fit t = eta*g + theta*s*g + phi*g^2 + rho to decode-phase samples (g >= 1)."""
+    """Fit the decode latency family to decode-phase samples (g >= 1)."""
     return _fit(DecodeLatencyCoeffs, samples)
 
 
 def fit_prefill_energy(samples: FitSamples) -> tuple[PrefillEnergyCoeffs, FitResult]:
-    """Fit E = a*s + b to prefill-only samples carrying energy."""
+    """Fit the prefill energy family to prefill-only samples carrying energy."""
     return _fit(PrefillEnergyCoeffs, samples)
 
 
 def fit_decode_energy(samples: FitSamples) -> tuple[DecodeEnergyCoeffs, FitResult]:
-    """Fit E = c*g + d*s*g + g_intercept to decode samples carrying energy."""
+    """Fit the decode energy family to decode samples carrying energy."""
     return _fit(DecodeEnergyCoeffs, samples)
 
 

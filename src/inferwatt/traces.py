@@ -395,7 +395,6 @@ def _read_delimited(text: str, rename: dict, issues: list):
     return filter(None, map(read, range(1, len(lines), _BLOCK_ROWS)))  # a block's text dies with `read`
 
 
-_scan_json = json.JSONDecoder().scan_once
 # A line-json row as `write_records` writes it, a %s per value
 _JSON_LAYOUT = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in _FIELDS) + "}"
 # Each field kind's value text as a group. A string: no escape, and no control character, which JSON refuses. A
@@ -406,18 +405,6 @@ _JSON_TOKENS = dict(text=r'"([^"\\\x00-\x1f]*)"', kind=r'"([^"\\\x00-\x1f]*)"', 
                     real=r"(?!-0,)(-?(?:0|[1-9][0-9]{0,307})(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|))")
 # One written line (a CR may end it), each value's text a group: int() and float() of it give JSON's value
 _JSON_LINE = re.compile("(?m)^" + re.escape(_JSON_LAYOUT) % tuple(map(_JSON_TOKENS.get, _FIELD_KINDS)) + r"\r?$")
-
-
-def _json_value(line: str):
-    """json.loads(line). The C scanner reads a line that is one value and
-    nothing more; any other line goes to json.loads, for its value or error."""
-    try:
-        value, end = _scan_json(line, 0)
-        if end == len(line):
-            return value
-    except (StopIteration, ValueError, RecursionError):
-        pass
-    return json.loads(line)
 
 
 def _read_line_json(text: str, rename: dict, issues: list):
@@ -439,7 +426,7 @@ def _read_line_json(text: str, rename: dict, issues: list):
             if not line.strip():
                 continue
             try:
-                obj = _json_value(line.removesuffix("\r"))  # a CR LF ends a line too
+                obj = json.loads(line.removesuffix("\r"))  # a CR LF ends a line too
                 if not isinstance(obj, dict):
                     raise ValueError("line is not a JSON object")
                 if rename:
@@ -810,12 +797,20 @@ def histogram(values: Sequence[float], bins) -> HistogramResult:
     """Bin values into `bins` (a count or explicit edges).
 
     Counts always sum to len(values): with explicit edges, out-of-range
-    values are clipped into the end bins. Too many bins for the values'
-    range raise BadEdges, and an overflowing mean or median OverflowError.
+    values are clipped into the end bins. An overflowing mean or median
+    raises OverflowError, checked first; too many bins for the values' range
+    raise BadEdges.
     """
     data = np.asarray(values, dtype=float)
     if data.size == 0:
         raise EmptyInput("no values to bin")
+    # the middle value, or the mean of the middle two, as statistics.median
+    # takes them; np.median would import numpy.ma (~2 MB) on its first call
+    mid = data.size // 2
+    middle = np.partition(data, [mid] if data.size % 2 else [mid - 1, mid])
+    median = middle[mid] if data.size % 2 else (middle[mid - 1] + middle[mid]) / 2
+    mean = _finite(float(np.mean(data)), "the mean of the values")
+    median = _finite(float(median), "the median of the values")
     if isinstance(bins, int):
         if bins < 1:
             raise ValueError("bins must be >= 1")
@@ -829,16 +824,11 @@ def histogram(values: Sequence[float], bins) -> HistogramResult:
             raise BadEdges("edges must be strictly increasing with at least two entries")
         clipped = np.clip(data, edges[0], edges[-1])
         counts, edges = np.histogram(clipped, bins=edges)
-    # the middle value, or the mean of the middle two, as statistics.median
-    # takes them; np.median would import numpy.ma (~2 MB) on its first call
-    mid = data.size // 2
-    middle = np.partition(data, [mid] if data.size % 2 else [mid - 1, mid])
-    median = middle[mid] if data.size % 2 else (middle[mid - 1] + middle[mid]) / 2
     return HistogramResult(
         edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
-        mean=_finite(float(np.mean(data)), "the mean of the values"),
-        median=_finite(float(median), "the median of the values"),
+        mean=mean,
+        median=median,
     )
 
 

@@ -222,6 +222,7 @@ class TestExitCodes:
         ("means", ["stats"], "the full gpu energy mean"),
         ("means", ["stats", "--phase", "decode"], GROUP_MEAN),
         ("means", ["hist", "--phase", "decode"], GROUP_MEAN),
+        ("means", ["hist"], "the mean of the values"),
         ("means", ["hist", "--edges", "0,1"], "the mean of the values"),
         ("totals", ["stats", "--phase", "prefill"], "the prefill total energy mean"),
         ("totals", ["hist", "--phase", "prefill", "--component", "total"], "a total energy (gpu + cpu + ram)"),

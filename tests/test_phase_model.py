@@ -1,6 +1,8 @@
+import math
 import warnings
 from dataclasses import fields
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -367,12 +369,15 @@ class TestSampleValidation:
         with pytest.raises(ValueError, match="t must be positive"):
             FitSamples([1], [0], [0.0])
 
-    @pytest.mark.parametrize("column", ["s", "g", "t"])
-    def test_nan_rejected(self, column):
-        values = {"s": [5.0, 6.0], "g": [0.0, 3.0], "t": [0.5, 0.7]}
-        values[column][1] = float("nan")
-        with pytest.raises(ValueError, match=f"{column} must be"):
-            FitSamples(**values)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("column", ["s", "g", "t", "energy_wh"])
+    def test_non_finite_rejected(self, column, bad):
+        values = {"s": [5.0, 6.0], "g": [0.0, 3.0], "t": [0.5, 0.7], "energy_wh": [0.1, 0.2]}
+        values[column][1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused on entry, before any numpy warning
+            with pytest.raises(ValueError, match=f"^{column} must be finite$"):
+                FitSamples(**values)
 
     @pytest.mark.parametrize("lengths", [(2, 2, 3, None), (2, 1, 2, None), (2, 2, 2, 1), (2, 2, 2, 3)])
     def test_unequal_lengths_rejected(self, lengths):
@@ -497,6 +502,49 @@ class TestFamiliesMatchTheOldFormulas:
                 for s in (100, 200, 300, 400)]
         with pytest.raises(InsufficientSamples):
             _FIT[family](synth_samples(plan[: N_COEFFS[family] - 1], coeffs))
+
+
+class TestTermTables:
+    """Each family's `terms` is its polynomial: evaluation, the fit's basis
+    columns, `decode` and `is_physical` all follow it."""
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+    def test_terms_name_each_field_once_in_order_intercept_last(self, family):
+        assert [name for name, *_ in family.terms] == [f.name for f in fields(family)]
+        *slopes, intercept = family.terms
+        assert len(intercept) == 1 and all(factors and set(factors) <= {"s", "g"} for _, *factors in slopes)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+    def test_decode_exactly_when_a_term_reads_g(self, family):
+        assert family.decode == any("g" in factors for _, *factors in family.terms)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+    def test_basis_columns_are_the_hand_written_columns_bitwise(self, coeffs, family):
+        plan = [(s, g) for s in (200, 1700, 3900, 40000) for g in (0, 8, 130, 5000)]
+        samples = synth_samples(plan, coeffs, seed=3)
+        rows = samples.g >= 1 if family.decode else samples.g == 0
+        s, g = samples.s[rows], samples.g[rows]
+        with mock.patch.object(DesignMatrix, "from_columns", wraps=DesignMatrix.from_columns) as build:
+            _FIT[family](samples)
+        (columns,), _ = build.call_args
+        want = _ORACLE_COLUMNS[family](s, g)
+        assert [c.tobytes() for c in columns] == [c.tobytes() for c in want]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+    def test_negative_zero_keeps_its_sign(self, family):
+        c = family(*[-0.0] * len(family.terms))
+        assert math.copysign(1.0, c(900.0, 82.0)) == math.copysign(1.0, _ORACLE_VALUE[family](c, 900.0, 82.0)) == -1.0
+        values = c(np.array([1.0, 900.0]), np.array([1.0, 82.0]))
+        assert np.signbit(values).all()
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+    def test_a_decode_family_needs_g(self, family):
+        c = family(*[1.0] * len(family.terms))
+        if family.decode:
+            with pytest.raises(TypeError):
+                c(900.0)
+        else:
+            assert c(900.0) == c(900.0, 82.0) == _ORACLE_VALUE[family](c, 900.0, 82.0)
 
 
 class TestOutOfRangeWarnings:
