@@ -204,25 +204,6 @@ class WorkloadSpec:
     def single(cls, s: int, g: int) -> "WorkloadSpec":
         return cls((WorkloadEntry(s, g),))
 
-    @classmethod
-    def parametric(
-        cls,
-        s_mean: float,
-        s_std: float,
-        g_mean: float,
-        g_std: float,
-        count: int,
-        seed: int = 0,
-    ) -> "WorkloadSpec":
-        """Draw `count` interactions from independent normal length
-        distributions (rounded, clipped to >= 1). Deterministic per seed."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        rng = np.random.default_rng(seed)
-        s_draw = np.maximum(1, np.rint(rng.normal(s_mean, s_std, count))).astype(int)
-        g_draw = np.maximum(1, np.rint(rng.normal(g_mean, g_std, count))).astype(int)
-        return cls(tuple(WorkloadEntry(int(s), int(g)) for s, g in zip(s_draw, g_draw)))
-
     @property
     def mean_s(self) -> float:
         return _weighted_mean(self.s, self)

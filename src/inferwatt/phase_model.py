@@ -32,10 +32,8 @@ E = t * P_phase / 3600 (watts and seconds to Wh), as
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass, fields
-from functools import reduce
 
 import numpy as np
 
@@ -46,7 +44,9 @@ from .numerics import DesignMatrix, FitResult, ols_fit
 
 def _product(start, factors, s, g):
     """`start` times each factor ("s" or "g") of a term, left to right."""
-    return reduce(operator.mul, (s if factor == "s" else g for factor in factors), start)
+    for factor in factors:
+        start = start * (s if factor == "s" else g)
+    return start
 
 
 class _Polynomial:
@@ -70,7 +70,11 @@ class _Polynomial:
     def __call__(self, s, g=None):
         """The polynomial at (s, g); TypeError for a decode family without g. The
         terms add left to right from the first (sum() from 0 would lose a -0.0)."""
-        return reduce(operator.add, (_product(getattr(self, name), factors, s, g) for name, *factors in self.terms))
+        total = None
+        for name, *factors in self.terms:
+            term = _product(getattr(self, name), factors, s, g)
+            total = term if total is None else total + term
+        return total
 
     @property
     def is_physical(self) -> bool:

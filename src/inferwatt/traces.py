@@ -470,9 +470,11 @@ def read_runs(
     decode per line, with equal results (see the module docstring).
     Line-json lines end at "\n" or "\r\n" only. One leading byte-order
     mark (U+FEFF) is dropped. `rename` maps external column/key names onto
-    the canonical field names. A file that is not UTF-8 text raises
-    UnknownFormat.
+    the canonical field names. A file that is not UTF-8 text, or a source
+    that is neither text nor a Path (a stream, bytes), raises UnknownFormat.
     """
+    if not (isinstance(source, str) or hasattr(source, "read_text")):
+        raise UnknownFormat(f"a trace is text or a pathlib.Path, not {type(source).__name__}")
     try:
         text = source.read_text(encoding="utf-8") if hasattr(source, "read_text") else source
     except UnicodeDecodeError as exc:
@@ -797,13 +799,17 @@ def histogram(values: Sequence[float], bins) -> HistogramResult:
     """Bin values into `bins` (a count or explicit edges).
 
     Counts always sum to len(values): with explicit edges, out-of-range
-    values are clipped into the end bins. An overflowing mean or median
-    raises OverflowError, checked first; too many bins for the values' range
-    raise BadEdges.
+    values are clipped into the end bins. A value that is not finite raises
+    ValueError, checked first; then an overflowing mean or median raises
+    OverflowError; too many bins for the values' range raise BadEdges.
     """
     data = np.asarray(values, dtype=float)
     if data.size == 0:
         raise EmptyInput("no values to bin")
+    finite = np.isfinite(data)
+    if not finite.all():
+        bad = int(finite.argmin())
+        raise ValueError(f"values must be finite, got {data.flat[bad].item()!r} at index {bad}")
     # the middle value, or the mean of the middle two, as statistics.median
     # takes them; np.median would import numpy.ma (~2 MB) on its first call
     mid = data.size // 2

@@ -26,23 +26,24 @@ most once, and the g per-step roofline maxima are arithmetic series on either
 side of that step. Its cost is independent of g; the per-token loop it
 replaces is kept in the tests as the oracle the closed form is checked against.
 
-Class costs are array-valued. `_class_costs` is the one definition of the six
-classes' FLOPs and bytes, for a number or an array of token counts, as
-stacks with one row per class (LABELS order) and one column per count. It
-reads a model's dimensions as numbers, or as columns for a stack of models.
-`class_latencies` evaluates it once for many (s, g), of one model or of a
-list of them (each model's columns bitwise what it gives alone), and returns
-both phases' per-class FLOPs, bytes and seconds as (6, n) stacks; prefill is
-each class's roofline maximum and decode is the closed form above, applied
-elementwise.
+Every class's count is a fixed polynomial in the t positions a pass
+processes and the `span` positions their queries attend over: a*t + b*t*span
+FLOPs and c + e*t + k*span bytes. `_term_table` states the counting rule
+once, as a model's term table: the five coefficient vectors a, b, c, e and
+k, one entry per class of LABELS. Every consumer reads it.
+`class_latencies` evaluates it for many (s, g), of one model or of a list
+of them (the tables stacked, each model's columns bitwise what it gives
+alone), and returns both phases' per-class FLOPs, bytes and seconds as
+(6, n) stacks: prefill (t = span = s) is each class's roofline maximum, and
+decode is the closed form above, whose first step costs a + b*s FLOPs and
+c + e + k*s bytes and each later step b FLOPs and k bytes more.
 `predict_prefill_latency` and `predict_decode_latency` are its n = 1 case,
-the `ClassLatency` of one (s, g); `decode_step_costs` wraps one decode
-step's column of `_class_costs` as OpCosts.
+the `ClassLatency` of one (s, g); `decode_step_costs` evaluates the table
+at t = 1 and span = ctx, as OpCosts.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -114,57 +115,34 @@ class ModelSpec:
 LABELS = ("embed", "qkv_proj", "attn", "attn_out_proj", "ffn", "lm_head")
 
 
-# What `_class_costs` reads of a model, each integer sum or product formed exactly in
-# Python and rounded once: Python numbers for one model, float64 columns for a stack.
-_Dims = namedtuple("_Dims", "n h kv heads ffn vocab bpp mats width embed qkv_bytes out_bytes ffn_bytes head")
-
-
-def _dims(model: ModelSpec) -> _Dims:
-    h, kv, ffn, bpp, mats = model.hidden, model.kv_dim, model.ffn_dim, model.bytes_per_param, model.ffn_matrices
-    head = model.vocab * h * bpp
-    return _Dims(model.n_layers, h, kv, model.n_heads, ffn, model.vocab, bpp, mats, h + 2 * kv,
-                 0.0 if model.tied_embeddings else head, (h * h + 2 * h * kv) * bpp, h * h * bpp,
-                 mats * h * ffn * bpp, head)
-
-
-@np.errstate(all="ignore")  # overflow gives inf, as Python floats do
-def _class_costs(dims: _Dims, tokens, span) -> tuple[np.ndarray, np.ndarray]:
-    """FLOPs and bytes of the classes in LABELS for one pass over `tokens`
-    positions whose queries attend over `span` positions, as two stacks with
-    one row per class: a prefill has span = tokens, a decode step tokens = 1
-    and span = the cached context. `tokens` and `span` are numbers or arrays
-    of one shape, which the stacks take after their first axis; the fields
-    of `dims` are numbers or columns that broadcast with them. Counts are
-    formed in float64, so they are exact integers below 2**53.
-    """
-    n, h, kv, heads, ffn, vocab, bpp, mats, width, embed, qkv_bytes, out_bytes, ffn_bytes, head = dims
-    t = np.asarray(tokens, dtype=float)
-    span = np.asarray(span, dtype=float)
-    th = t * h
-
-    flops = (
-        0.0 * t,  # embed
-        n * (2.0 * t * h * width + NORM_FLOPS_PER_ELEMENT * th),  # qkv_proj
-        n * (4.0 * t * span * h + SOFTMAX_FLOPS_PER_SCORE * t * span * heads),  # attn
-        n * 2.0 * t * h * h,  # attn_out_proj
-        n * (mats * 2.0 * t * h * ffn + NORM_FLOPS_PER_ELEMENT * th),  # ffn
-        2.0 * t * h * vocab,  # lm_head
-    )
-    nbytes = (
-        embed + th * bpp,
-        n * (qkv_bytes + th * bpp + t * width * bpp),
-        # fused attention: reads q and the k, v of the span, writes the output
-        n * (th + 2 * span * kv) * bpp + n * t * h * bpp,
-        n * (out_bytes + 2 * th * bpp),
-        n * (ffn_bytes + ((mats - 1) * th + t * ffn) * bpp  # weights, matmul input reads
-             + ((mats - 1) * t * ffn + th) * bpp),  # matmul output writes
-        head + th * bpp + t * vocab * bpp,
-    )
-    return np.stack(flops), np.stack(nbytes)
-
-
-def _op_costs(flops: np.ndarray, nbytes: np.ndarray) -> list[OpCost]:
-    return [OpCost(f, b, label) for label, f, b in zip(LABELS, flops.tolist(), nbytes.tolist())]
+def _term_table(model: ModelSpec) -> np.ndarray:
+    """The counting rule of the classes in LABELS, as a (5, 6) table with
+    rows a, b, c, e, k and one column per class: a pass over t positions
+    whose queries attend over `span` positions costs a*t + b*t*span FLOPs and
+    moves c + e*t + k*span bytes. A prefill has span = t = s, a decode step
+    t = 1 and span = the cached context. Formed in float64 from the model's
+    dimensions, so its entries are exact integers below 2**53 and an overflow
+    reads as inf; a dimension beyond float64 raises OverflowError."""
+    n, h, kv, heads, ffn, vocab = (float(d) for d in (model.n_layers, model.hidden, model.kv_dim,
+                                                      model.n_heads, model.ffn_dim, model.vocab))
+    bpp, mats = float(model.bytes_per_param), float(model.ffn_matrices)
+    width = h + 2 * kv  # the q, k and v outputs
+    norm = NORM_FLOPS_PER_ELEMENT * h
+    head = vocab * h * bpp
+    return np.array((
+        # a, per position: the matmuls and norms (embed, qkv_proj, attn, attn_out_proj, ffn, lm_head)
+        (0.0, n * (2 * h * width + norm), 0.0, n * 2 * h * h, n * (mats * 2 * h * ffn + norm), 2 * h * vocab),
+        # b, per attention score: the q.k and p.v matmuls and the softmax
+        (0.0, 0.0, n * (4 * h + SOFTMAX_FLOPS_PER_SCORE * heads), 0.0, 0.0, 0.0),
+        # c, per pass: the weights
+        (0.0 if model.tied_embeddings else head, n * h * width * bpp, 0.0, n * h * h * bpp,
+         n * mats * h * ffn * bpp, head),
+        # e, per position: activations read and written (fused attention reads q, writes its output)
+        (h * bpp, n * (h + width) * bpp, 2 * n * h * bpp, 2 * n * h * bpp, n * mats * (h + ffn) * bpp,
+         (h + vocab) * bpp),
+        # k, per attended position: its cached k and v
+        (0.0, 0.0, 2 * n * kv * bpp, 0.0, 0.0, 0.0),
+    ))
 
 
 def decode_step_costs(model: ModelSpec, context_len: int) -> list[OpCost]:
@@ -172,7 +150,9 @@ def decode_step_costs(model: ModelSpec, context_len: int) -> list[OpCost]:
     positions. Weight traffic sums to exactly n_params * bytes_per_param."""
     if context_len < 1:
         raise ValueError("context_len must be >= 1")
-    return _op_costs(*_class_costs(_dims(model), 1, context_len))
+    a, b, c, e, k = _term_table(model)
+    flops, nbytes = a + b * context_len, c + e + k * context_len
+    return [OpCost(f, nb, label) for label, f, nb in zip(LABELS, flops.tolist(), nbytes.tolist())]
 
 
 class ClassLatency(NamedTuple):
@@ -202,30 +182,32 @@ def class_latencies(model: ModelSpec | list[ModelSpec], hw: HardwareProfile, s, 
     """Per-class roofline latency of prefilling an s-token prompt and of
     generating g tokens after it, at each (s, g): numbers or arrays of
     lengths >= 1 (not checked here), for a ModelSpec or a list of them (s and
-    g 1-D, every model's columns in turn). One evaluation of the class costs
-    covers both phases and every model.
+    g 1-D, every model's columns in turn). Each model's term table is formed
+    once and covers both phases.
 
     Prefill is each class's roofline maximum. Decode step j = 0..g-1 runs at
-    context s + j; each class's step FLOPs and bytes are affine in j (steps
-    at s and s + 1 give base and slope), so the sum of step maxima is three
-    arithmetic series split at the crossover step. Token counts of 2**53
-    or more raise OverflowError: below that they are exact in float64.
+    context s + j; each class's step FLOPs and bytes are affine in j, so the
+    sum of step maxima is three arithmetic series split at the crossover
+    step. Token counts of 2**53 or more raise OverflowError: below that they
+    are exact in float64.
     """
     s, g = np.asarray(s), np.asarray(g)
     if not (s.max() < 2**53 and g.max() < 2**53):
         raise OverflowError("token counts of 2**53 or more are implausibly large")
     if isinstance(model, ModelSpec):
-        dims = _dims(model)
+        table = _term_table(model).reshape((5, len(LABELS)) + (1,) * s.ndim)
     else:
-        dims = _Dims(*np.repeat(np.array([_dims(m) for m in model], dtype=float).T, s.size, axis=1))
+        table = np.repeat(np.stack([_term_table(m) for m in model], axis=-1), s.size, axis=-1)
         s, g = np.tile(s, len(model)), np.tile(g, len(model))
-    one = np.ones_like(s)
-    flops, nbytes = _class_costs(dims, np.stack([s, one, one]), np.stack([s, s, s + 1]))
-    prefill = ClassLatency(flops[:, 0], nbytes[:, 0], roofline_seconds(flops[:, 0], nbytes[:, 0], hw))
+    a, b, c, e, k = table
+    s = s.astype(float)
+    # decode's first step and its growth per step; a prefill is (a + b*s)*s FLOPs
+    f0, df = a + b * s, b
+    b0, db = c + e + k * s, k
+    flops, nbytes = f0 * s, c + (e + k) * s
+    prefill = ClassLatency(flops, nbytes, roofline_seconds(flops, nbytes, hw))
     f_eff, b_eff = effective_ceilings(hw)
 
-    f0, b0 = flops[:, 1], nbytes[:, 1]
-    df, db = flops[:, 2] - f0, nbytes[:, 2] - b0
     c0, c1 = f0 / f_eff, df / f_eff
     m0, m1 = b0 / b_eff, db / b_eff
     lo, hi = _compute_bound_steps(c0 - m0, c1 - m1, g)

@@ -45,6 +45,15 @@ from inferwatt.transformer_costs import (
 )
 
 
+def drawn_workload(s_mean, s_std, g_mean, g_std, count, seed):
+    """`count` interactions drawn from independent seeded normal length
+    distributions, rounded and clipped to >= 1."""
+    rng = np.random.default_rng(seed)
+    s = np.maximum(1, np.rint(rng.normal(s_mean, s_std, count))).astype(int)
+    g = np.maximum(1, np.rint(rng.normal(g_mean, g_std, count))).astype(int)
+    return WorkloadSpec(tuple(WorkloadEntry(int(a), int(b)) for a, b in zip(s, g)))
+
+
 # --- the per-entry scalar path, kept as the reference -----------------------
 
 
@@ -157,14 +166,9 @@ class TestEstimateWorkload:
         # reproduces its measured mean interaction energy to ~10%
         runs, _ = read_runs(data_path(REFERENCE_TRACE))
         measured = aggregate(runs, phase="full").total_mean
-        workload = WorkloadSpec.parametric(900, 50, 82, 6, count=500, seed=11)
+        workload = drawn_workload(900, 50, 82, 6, count=500, seed=11)
         mean, _ = estimate_workload(FittedSource(coeffs), workload)
         assert abs(mean.total_wh - measured) / measured < 0.10
-
-    def test_parametric_deterministic(self):
-        a = WorkloadSpec.parametric(900, 50, 82, 6, count=50, seed=5)
-        b = WorkloadSpec.parametric(900, 50, 82, 6, count=50, seed=5)
-        assert a == b
 
 
 class TestLedEquivalent:
@@ -376,7 +380,7 @@ class TestArrayEstimatorMatchesPerEntryLoop:
         _assert_matches_oracle(AnalyticSource(model, hw), workload, rel=1e-12)
 
     def test_bundled_model_on_a_chat_mix(self, llama8b, hw):
-        workload = WorkloadSpec.parametric(900, 200, 82, 30, count=200, seed=4)
+        workload = drawn_workload(900, 200, 82, 30, count=200, seed=4)
         _assert_matches_oracle(AnalyticSource(llama8b, hw), workload, rel=1e-12)
 
     # The errors are pinned as the previous per-entry code raised them.
@@ -526,7 +530,7 @@ class TestOneEvaluationPerWorkload:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         # one-token replies: the fitted source flags their decode energy
-        workload = WorkloadSpec.parametric(900, 300, 1, 0, count=n, seed=n)
+        workload = drawn_workload(900, 300, 1, 0, count=n, seed=n)
         for source in (FittedSource(coeffs), AnalyticSource(llama8b, hw)):
             calls.clear()
             _, per_entry = estimate_workload(source, workload)
@@ -553,7 +557,7 @@ class TestThePerEntryTable:
 
     def test_one_checked_build_for_the_mean(self, coeffs, monkeypatch):
         # one-token replies after long prompts: the flagged rows are built too
-        workload = WorkloadSpec.parametric(5000, 2000, 1, 3, count=2000, seed=17)
+        workload = drawn_workload(5000, 2000, 1, 3, count=2000, seed=17)
         calls = self._count_checked_builds(monkeypatch)
         mean, per_entry = estimate_workload(FittedSource(coeffs), workload)
         assert len(calls) == 1 and len(per_entry) == 2000
@@ -615,13 +619,13 @@ class TestWorkloadColumns:
                 column[0] = 2
 
     def test_equality_and_hash_follow_the_entries(self):
-        a = WorkloadSpec.parametric(900, 50, 82, 6, count=20, seed=1)
+        a = drawn_workload(900, 50, 82, 6, count=20, seed=1)
         b = WorkloadSpec(a.entries)
         assert a == b and hash(a) == hash(b)
         assert "array" not in repr(a)
 
     def test_means_are_the_entry_loop_sums(self):
-        workload = WorkloadSpec.parametric(900, 200, 82, 30, count=300, seed=2)
+        workload = drawn_workload(900, 200, 82, 30, count=300, seed=2)
         entries = workload.entries
         total = sum(e.weight for e in entries)
         assert workload.mean_s == sum(e.s * e.weight for e in entries) / total
@@ -730,24 +734,32 @@ class TestOneEvaluationPerSweep:
     def test_bundled_models_match_the_per_model_loop_bitwise(self, llama8b, hw, contour_g):
         specs = qwen_family() + [llama8b, qwen_family()[0]]
         for workload in (WorkloadSpec.single(900, 82),
-                         WorkloadSpec.parametric(900, 200, 82, 30, count=50, seed=18)):
+                         drawn_workload(900, 200, 82, 30, count=50, seed=18)):
             got = _assert_compare_matches_oracle(specs, hw, workload, contour_g)
             assert [row.name for row in got.rows][-1] == "qwen25-14b-fp32"
 
     @pytest.mark.parametrize("count", [1, 2, 6])
     def test_one_class_cost_evaluation_per_sweep(self, llama8b, hw, monkeypatch, count):
-        calls = []
-        real = transformer_costs._class_costs
+        # one evaluation covers every model and column: each model's term
+        # table is formed once, smallest model first
+        tables, evaluations = [], []
+        real_table, real_latencies = transformer_costs._term_table, estimator.class_latencies
 
-        def counting(dims, tokens, span):
-            calls.append(np.shape(span))
-            return real(dims, tokens, span)
+        def counting_table(model):
+            tables.append(model.name)
+            return real_table(model)
 
-        monkeypatch.setattr(transformer_costs, "_class_costs", counting)
+        def counting_latencies(model, hw, s, g):
+            evaluations.append((len(model), np.shape(s), np.shape(g)))
+            return real_latencies(model, hw, s, g)
+
+        monkeypatch.setattr(transformer_costs, "_term_table", counting_table)
+        monkeypatch.setattr(estimator, "class_latencies", counting_latencies)
         specs = (qwen_family() + [llama8b])[:count]
-        workload = WorkloadSpec.parametric(900, 200, 82, 30, count=7, seed=1)
+        workload = drawn_workload(900, 200, 82, 30, count=7, seed=1)
         compare_models(specs, hw, workload, contour_g=(16, 64))
-        assert calls == [(3, count * (7 + 2))]
+        assert tables == [spec.name for spec in sorted(specs, key=lambda m: m.n_params)]
+        assert evaluations == [(count, (7 + 2,), (7 + 2,))]
 
     # Errors are pinned as the per-model loop raised them: the smallest
     # model's first, whatever a larger one meets.

@@ -537,6 +537,15 @@ class TestTermTables:
         values = c(np.array([1.0, 900.0]), np.array([1.0, 82.0]))
         assert np.signbit(values).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), data=st.data(),
+           s=st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6), g=st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6))
+    def test_call_is_the_left_to_right_sum_bitwise(self, family, data, s, g):
+        # any finite coefficients, signed zeros and sums that overflow included
+        coefficient = st.sampled_from([-0.0, 0.0]) | st.floats(allow_nan=False, allow_infinity=False)
+        c = family(*data.draw(st.lists(coefficient, min_size=len(family.terms), max_size=len(family.terms))))
+        assert c(s, g).hex() == _ORACLE_VALUE[family](c, s, g).hex()
+
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
     def test_a_decode_family_needs_g(self, family):
         c = family(*[1.0] * len(family.terms))

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import random
 import re
 import statistics
@@ -585,6 +586,16 @@ class TestStatisticsThatOverflow:
     ])
     def test_histogram_names_the_statistic(self, values, what, bins):
         with pytest.raises(OverflowError, match=f"^{what} is not finite"):
+            histogram(values, bins)
+
+    @pytest.mark.parametrize("bins", [[0.0, 1.0], 10])
+    @pytest.mark.parametrize("values,text", [
+        ([math.nan, 1.0], "nan at index 0"),
+        ([1.0, 2.0, -math.inf], "-inf at index 2"),
+        ([BIG, BIG, math.inf], "inf at index 2"),  # before the mean's overflow
+    ])
+    def test_histogram_refuses_a_value_that_is_not_finite(self, values, text, bins):
+        with pytest.raises(ValueError, match=f"^values must be finite, got {text}$"):
             histogram(values, bins)
 
     def test_component_totals(self):
@@ -1243,6 +1254,12 @@ class TestParseFuzz:
         path.write_bytes(good + b"\xff\n")
         with pytest.raises(UnknownFormat, match="trace is not UTF-8 text"):
             parse_records(path, fmt)
+
+    @pytest.mark.parametrize("fmt", ["delimited", "line-json"])
+    @pytest.mark.parametrize("source", [io.StringIO(REFERENCE_TEXT), REFERENCE_TEXT.encode("utf-8"), None, 5])
+    def test_a_source_that_is_not_text_or_a_path_is_unknown_format(self, source, fmt):
+        with pytest.raises(UnknownFormat, match=r"^a trace is text or a pathlib\.Path, not [A-Za-z]+$"):
+            traces.read_runs(source, fmt)
 
     def test_oversized_cell_is_an_issue_and_reading_goes_on(self):
         good = "p1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1"

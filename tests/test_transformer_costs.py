@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,13 @@ from inferwatt.bundled import bundled_model, qwen_family
 from inferwatt.errors import ConfigError
 from inferwatt.kvconfig import parse_kv
 from inferwatt.estimator import WorkloadSpec, compare_models
-from inferwatt.roofline import HardwareProfile, OpCost, effective_ceilings, op_latency
+from inferwatt.roofline import HardwareProfile, OpCost, effective_ceilings, op_latency, roofline_seconds
 from inferwatt.transformer_costs import (
     LABELS,
     ClassLatency,
     ModelSpec,
     _compute_bound_steps,
+    _term_table,
     class_latencies,
     decode_step_costs,
     model_from_kv,
@@ -61,6 +64,81 @@ def _decode_latency_oracle(model, hw, s, g):
             traffic[i] += cost.bytes
             seconds[i] += op_latency(cost, hw)
     return ClassLatency(flops, traffic, seconds)
+
+
+# The class costs written out expression by expression, as they were before
+# the term table, and `class_latencies` evaluated from them: the oracles the
+# table is checked against, bitwise.
+_Dims = namedtuple("_Dims", "n h kv heads ffn vocab bpp mats width embed qkv_bytes out_bytes ffn_bytes head")
+
+
+def _dims(model):
+    h, kv, ffn, bpp, mats = model.hidden, model.kv_dim, model.ffn_dim, model.bytes_per_param, model.ffn_matrices
+    head = model.vocab * h * bpp
+    return _Dims(model.n_layers, h, kv, model.n_heads, ffn, model.vocab, bpp, mats, h + 2 * kv,
+                 0.0 if model.tied_embeddings else head, (h * h + 2 * h * kv) * bpp, h * h * bpp,
+                 mats * h * ffn * bpp, head)
+
+
+@np.errstate(all="ignore")
+def _class_costs(model, tokens, span):
+    """FLOPs and bytes of the classes in LABELS for a pass over `tokens`
+    positions attending over `span` positions, as stacks with one row per class."""
+    n, h, kv, heads, ffn, vocab, bpp, mats, width, embed, qkv_bytes, out_bytes, ffn_bytes, head = _dims(model)
+    t = np.asarray(tokens, dtype=float)
+    span = np.asarray(span, dtype=float)
+    th = t * h
+    flops = (
+        0.0 * t,
+        n * (2.0 * t * h * width + transformer_costs.NORM_FLOPS_PER_ELEMENT * th),
+        n * (4.0 * t * span * h + transformer_costs.SOFTMAX_FLOPS_PER_SCORE * t * span * heads),
+        n * 2.0 * t * h * h,
+        n * (mats * 2.0 * t * h * ffn + transformer_costs.NORM_FLOPS_PER_ELEMENT * th),
+        2.0 * t * h * vocab,
+    )
+    nbytes = (
+        embed + th * bpp,
+        n * (qkv_bytes + th * bpp + t * width * bpp),
+        n * (th + 2 * span * kv) * bpp + n * t * h * bpp,
+        n * (out_bytes + 2 * th * bpp),
+        n * (ffn_bytes + ((mats - 1) * th + t * ffn) * bpp + ((mats - 1) * t * ffn + th) * bpp),
+        head + th * bpp + t * vocab * bpp,
+    )
+    return np.stack(flops), np.stack(nbytes)
+
+
+def _oracle_table(model):
+    """The term table's rows a, b, c, e, k, read off the oracle at (tokens, span) = (0 or 1, 0 or 1)."""
+    flops, nbytes = _class_costs(model, [0, 1, 0, 1], [0, 0, 1, 1])
+    return np.stack([flops[:, 1], flops[:, 3] - flops[:, 1],
+                     nbytes[:, 0], nbytes[:, 1] - nbytes[:, 0], nbytes[:, 2] - nbytes[:, 0]])
+
+
+@np.errstate(all="ignore")
+def _class_latencies_oracle(model, hw, s, g):
+    """`class_latencies` of one model from the oracle's costs: the prefill and
+    the decode steps at contexts s and s + 1, the slopes their differences."""
+    s, g = np.asarray(s), np.asarray(g)
+    one = np.ones_like(s)
+    flops, nbytes = _class_costs(model, np.stack([s, one, one]), np.stack([s, s, s + 1]))
+    prefill = ClassLatency(flops[:, 0], nbytes[:, 0], roofline_seconds(flops[:, 0], nbytes[:, 0], hw))
+    f_eff, b_eff = effective_ceilings(hw)
+    f0, b0 = flops[:, 1], nbytes[:, 1]
+    df, db = flops[:, 2] - f0, nbytes[:, 2] - b0
+    c0, c1 = f0 / f_eff, df / f_eff
+    m0, m1 = b0 / b_eff, db / b_eff
+    lo, hi = _compute_bound_steps(c0 - m0, c1 - m1, g)
+    series = transformer_costs._series
+    seconds = series(m0, m1, 0, lo) + series(c0, c1, lo, hi) + series(m0, m1, hi, g)
+    decode = ClassLatency(series(f0, df, 0, g), series(b0, db, 0, g), seconds, ~np.isfinite(c0 + c1 + m0 + m1))
+    return prefill, decode
+
+
+def _assert_bitwise(got, want):
+    for phase_got, phase_want in zip(got, want):
+        for field, x, y in zip(ClassLatency._fields, phase_got, phase_want):
+            if y is not None:
+                assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
 
 
 class TestModelSpec:
@@ -356,20 +434,19 @@ class TestClosedFormDecode:
         _assert_matches_oracle(llama8b, hw, s, g)
 
     def test_step_evaluations_independent_of_g(self, llama8b, hw, monkeypatch):
-        # one evaluation of the class costs covers the prefill and the decode
-        # steps at contexts s and s + 1, whatever g is
+        # one term table covers the prefill and every decode step, whatever g is
         calls = []
-        real = transformer_costs._class_costs
+        real = transformer_costs._term_table
 
-        def counting(dims, tokens, span):
-            calls.append(np.shape(span))
-            return real(dims, tokens, span)
+        def counting(model):
+            calls.append(model)
+            return real(model)
 
-        monkeypatch.setattr(transformer_costs, "_class_costs", counting)
+        monkeypatch.setattr(transformer_costs, "_term_table", counting)
         for g in (1, 100, 10000):
             calls.clear()
             predict_decode_latency(llama8b, hw, 500, g)
-            assert calls == [(3,)]
+            assert calls == [llama8b]
 
     @pytest.mark.parametrize("s,g", [(0, 5), (5, 0)])
     def test_rejects_empty_prompt_or_generation(self, llama8b, hw, s, g):
@@ -418,6 +495,51 @@ class TestOnePointIsAColumn:
             seconds = got.seconds.tolist()
             assert got.total_seconds == sum(seconds)
             assert got.dominant_class == max(zip(LABELS, seconds), key=lambda pair: pair[1])[0]
+
+
+class TestTermTable:
+    # below 2**53 every count is an exact integer, whichever order forms it
+    _S = np.array([1, 2, 17, 900, 4096, 32768, 131072, 2_000_000])
+    _G = np.array([1, 2, 82, 4096, 100_000])
+
+    def test_bundled_models_reproduce_the_oracle(self, llama8b):
+        for model in qwen_family() + [llama8b]:
+            assert _term_table(model).tobytes() == _oracle_table(model).tobytes(), model.name
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=small_models())
+    def test_models_reproduce_the_oracle(self, model):
+        # small_models draws power-of-two byte widths: every count is exact
+        assert _term_table(model).tobytes() == _oracle_table(model).tobytes()
+
+    def test_class_latencies_match_the_oracle_on_a_grid(self, llama8b, hw):
+        s, g = (column.ravel() for column in np.meshgrid(self._S, self._G))
+        models = qwen_family() + [llama8b]
+        for model in models:
+            _assert_bitwise(class_latencies(model, hw, s, g), _class_latencies_oracle(model, hw, s, g))
+            for s_j, g_j in ((1, 1), (900, 82)):
+                _assert_bitwise(class_latencies(model, hw, s_j, g_j), _class_latencies_oracle(model, hw, s_j, g_j))
+        # a stack's columns are each model's in turn
+        stacked = class_latencies(models, hw, s, g)
+        for i, model in enumerate(models):
+            columns = [ClassLatency(*(None if x is None else x[:, i * s.size:(i + 1) * s.size] for x in phase))
+                       for phase in stacked]
+            _assert_bitwise(columns, _class_latencies_oracle(model, hw, s, g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=small_models(), points=st.lists(st.tuples(st.integers(1, 10**5), st.integers(1, 10**5)),
+                                                 min_size=1, max_size=6),
+           f_max=st.floats(1e9, 1e16))
+    def test_class_latencies_match_the_oracle(self, model, points, f_max):
+        hw = HardwareProfile(f_max=f_max, b_max=1e12)
+        s, g = (np.array(column) for column in zip(*points))
+        _assert_bitwise(class_latencies(model, hw, s, g), _class_latencies_oracle(model, hw, s, g))
+
+    def test_decode_step_is_the_table_at_one_token(self, llama8b):
+        for ctx in (1, 900, 10**6):
+            flops, nbytes = _class_costs(llama8b, 1, ctx)
+            costs = decode_step_costs(llama8b, ctx)
+            assert [c.flops for c in costs] == flops.tolist() and [c.bytes for c in costs] == nbytes.tolist()
 
 
 def decode_grid(specs, hw, s, g):
