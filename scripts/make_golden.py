@@ -17,9 +17,10 @@ the bundled data files, by their paths relative to the repository, and run
 in a scratch directory that holds copies at those paths, so no transcript
 depends on where the checkout is. Files the calls write go to out/ there.
 
-tests/test_golden.py replays the matrix against the committed inputs and
-compares bytes. A change that alters an output on purpose regenerates the
-files in the same commit and names each changed transcript.
+tests/test_golden.py checks that the committed inputs are `inputs()` byte
+for byte, replays the matrix against them and compares bytes. A change that
+alters an output on purpose regenerates the files in the same commit and
+names each changed transcript.
 
     PYTHONPATH=src python scripts/make_golden.py
 """
@@ -99,11 +100,8 @@ def _bad_lines(text: str, fmt: str, cells) -> str:
     return "".join(lines)
 
 
-def write_inputs() -> None:
-    """The traces and configuration files under tests/golden/inputs/."""
-    root = REPO / INPUTS
-    shutil.rmtree(root, ignore_errors=True)
-    root.mkdir(parents=True)
+def inputs() -> dict[str, str]:
+    """The text of each trace and configuration file under tests/golden/inputs/, by file name."""
     bundled = read_runs(data_path("reference_trace.csv").read_text(encoding="utf-8"))[0]
     plan = [(s, g) for s in (128, 512, 2048) for g in (0, 16, 256)]
     tables = {"bundled": bundled, "synth": synthesize_trace(plan, reference_coefficients(), 0.05, 7, 2)}
@@ -132,7 +130,15 @@ def write_inputs() -> None:
     for path in (COEFFS, HW, MODEL):  # each configuration file with a byte-order mark, as Windows editors write
         name = Path(path).name
         files["bom-" + name] = "\ufeff" + (REPO / path).read_text(encoding="utf-8")
-    for name, text in files.items():
+    return files
+
+
+def write_inputs() -> None:
+    """Write `inputs()` under tests/golden/inputs/, in place of what it held."""
+    root = REPO / INPUTS
+    shutil.rmtree(root, ignore_errors=True)
+    root.mkdir(parents=True)
+    for name, text in inputs().items():
         (root / name).write_bytes(text.encode("utf-8"))
 
 

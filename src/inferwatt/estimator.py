@@ -17,8 +17,8 @@ Contract of `estimate_workload`:
   per entry, and `compare_models` evaluates every model of a sweep at once;
 * flagged rows are never clamped: the value is reported, and the warning
   text goes on the entry's breakdown and on the mean;
-* one finiteness check covers every entry, and a non-finite entry or mean
-  raises OverflowError: nothing is reported as inf or NaN;
+* one finiteness check covers every entry and contour point, of either
+  source, and then the mean: nothing is reported as inf or NaN (OverflowError);
 * the weighted means are builtin sums in entry order, the same numbers a
   per-entry loop gives;
 * the per-entry list of (entry, breakdown) pairs is materialized, in entry
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import InferwattError
 from .phase_model import CoefficientSet, out_of_range_message
 from .roofline import HardwareProfile, Phase, energy_from_power
-from .transformer_costs import ModelSpec, class_latencies, step_overflow
+from .transformer_costs import ModelSpec, class_latencies
 
 DAYS_PER_YEAR = 365.25
 DEFAULT_LED_WATTS = 5.0
@@ -79,11 +79,8 @@ class AnalyticSource:
     hw: HardwareProfile
 
     def phase_energies(self, s: np.ndarray, g: np.ndarray):
-        """Prefill and decode Wh at each (s, g); no row is flagged. A decode
-        step cost that is not finite raises OverflowError (`_check_steps`)."""
-        prefill, decode, nonfinite = _analytic_energies(self.model, self.hw, s, g)
-        _check_steps(prefill, decode, nonfinite)
-        return prefill, decode, ()
+        """Prefill and decode Wh at each (s, g); no row is flagged."""
+        return *_analytic_energies(self.model, self.hw, s, g), ()
 
     @property
     def provenance(self) -> str:
@@ -92,20 +89,10 @@ class AnalyticSource:
 
 @np.errstate(all="ignore")  # an overflow fails the caller's finiteness check
 def _analytic_energies(model: ModelSpec | list[ModelSpec], hw: HardwareProfile, s, g):
-    """Prefill and decode Wh and the decode `nonfinite` marks of `class_latencies`."""
+    """Prefill and decode Wh of `class_latencies`' columns."""
     prefill_latency, decode_latency = class_latencies(model, hw, s, g)
     return (energy_from_power(Phase.PREFILL, prefill_latency.total_seconds, hw),
-            energy_from_power(Phase.DECODE, decode_latency.total_seconds, hw), decode_latency.nonfinite)
-
-
-@np.errstate(all="ignore")  # a total that overflows reads as not finite
-def _check_steps(prefill, decode, nonfinite) -> None:
-    """The first row whose decode step cost is not finite raises, unless an earlier row's total is not finite."""
-    overflowed = nonfinite.any(axis=0)
-    if overflowed.any():
-        row = int(overflowed.argmax())
-        if np.isfinite(prefill[:row] + decode[:row]).all():
-            raise step_overflow(nonfinite[:, row])
+            energy_from_power(Phase.DECODE, decode_latency.total_seconds, hw))
 
 
 def _not_finite(total: float) -> OverflowError:
@@ -213,10 +200,10 @@ class WorkloadSpec:
         return _weighted_mean(self.g, self)
 
 
+@np.errstate(all="ignore")  # a total that overflows reads as inf
 def _check_finite(prefill: np.ndarray, decode: np.ndarray) -> np.ndarray:
     """The totals prefill + decode; the first, in entry order, that is not finite raises."""
-    with np.errstate(invalid="ignore"):
-        total = prefill + decode
+    total = prefill + decode
     finite = np.isfinite(total)
     if not finite.all():
         raise _not_finite(total[finite.argmin()].item())
@@ -322,14 +309,6 @@ class ModelComparison:
     grid: tuple[ContourPoint, ...]
 
 
-def _model_mean(workload: WorkloadSpec, prefill, decode, nonfinite) -> float:
-    """Mean total Wh of the workload rows that lead a model's columns, checked as in `estimate_workload`."""
-    _check_steps(prefill, decode, nonfinite)
-    n = len(workload.entries)
-    _check_finite(prefill[:n], decode[:n])
-    return EnergyBreakdown(_weighted_mean(prefill[:n], workload), _weighted_mean(decode[:n], workload)).total_wh
-
-
 def compare_models(
     specs: list[ModelSpec],
     hw: HardwareProfile,
@@ -343,8 +322,8 @@ def compare_models(
     workload's mean prompt length for each model and each g in contour_g.
     One evaluation covers every model: the contour points are appended to the
     workload's columns, which `class_latencies` evaluates for every model at
-    once; each model's columns are then checked, smallest first, as its own
-    source checks them.
+    once. Model by model, smallest first, its workload rows and contour
+    points and then its mean are checked as `estimate_workload` checks them.
     """
     if not specs:
         raise ValueError("need at least one model spec")
@@ -357,17 +336,12 @@ def compare_models(
     s = np.concatenate([workload.s, np.full(len(contour_g), grid_s)])
     g = np.concatenate([workload.g, np.array(contour_g, dtype=np.int64)])
     ordered = sorted(((spec.n_params, spec) for spec in specs), key=lambda pair: pair[0])
-    try:
-        prefill, decode, nonfinite = _analytic_energies([spec for _, spec in ordered], hw, s, g)
-    except OverflowError:  # a dimension beyond float64: models one at a time raise the error the smallest meets
-        for _, spec in ordered:
-            _model_mean(workload, *_analytic_energies(spec, hw, s, g))
-        raise
+    prefill, decode = _analytic_energies([spec for _, spec in ordered], hw, s, g)
     rows, grid = [], []
-    for i, (n_params, spec) in enumerate(ordered):
-        cols = slice(i * len(s), (i + 1) * len(s))
-        mean_total_wh = _model_mean(workload, prefill[cols], decode[cols], nonfinite[:, cols])
+    for (n_params, spec), p, d in zip(ordered, prefill.reshape(len(ordered), -1), decode.reshape(len(ordered), -1)):
+        _check_finite(p, d)
+        mean = EnergyBreakdown(_weighted_mean(p[:n], workload), _weighted_mean(d[:n], workload))
         name = spec.name or "model"
-        rows.append(ModelComparisonRow(name, n_params, mean_total_wh, mean_total_wh / mean_tokens))
-        grid.extend(ContourPoint(name, n_params, c, wh) for c, wh in zip(contour_g, decode[cols][n:].tolist()))
+        rows.append(ModelComparisonRow(name, n_params, mean.total_wh, mean.total_wh / mean_tokens))
+        grid.extend(ContourPoint(name, n_params, c, wh) for c, wh in zip(contour_g, d[n:].tolist()))
     return ModelComparison(rows=tuple(rows), grid=tuple(grid))

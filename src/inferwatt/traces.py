@@ -52,14 +52,15 @@ and `decompose` also take rows, through `RunTable.from_records`.
 Two serializations are supported, both UTF-8 (other bytes raise
 UnknownFormat) with field names exactly as `_FIELDS`:
 `delimited` (CSV with a header row) and `line-json` (one object per line).
-Floats are written with shortest round-trip precision, so
-parse -> write -> parse is identity. Delimited cells are quoted as the csv
-module does (a cell holding a comma, a double quote or a newline is wrapped
-in double quotes, inner quotes doubled) and read back with their surrounding
-whitespace stripped. A text field holding a line break that csv leaves
-unquoted (a lone carriage return, or one of the other breaks of
-`str.splitlines`, such as U+2028) cannot be carried: writing it raises
-ValueError; line-json carries any text.
+Floats are written with shortest round-trip precision, so parse -> write ->
+parse is identity. Line-json writes a text with only JSON's required escapes,
+or as ASCII if it holds a lone surrogate, which UTF-8 cannot encode.
+Delimited cells are quoted as the csv module does (a cell holding a comma, a
+double quote or a newline is wrapped in double quotes, inner quotes doubled)
+and read back with their surrounding whitespace stripped. A text field
+holding a line break that csv leaves unquoted (a lone carriage return, or one
+of the other breaks of `str.splitlines`, such as U+2028) cannot be carried:
+writing it raises ValueError; line-json carries any text.
 """
 
 from __future__ import annotations
@@ -526,6 +527,14 @@ def _csv_cell(value: str) -> str:
     return _csv_row(("", value))[1:-1]  # one cell of a two-cell row: csv writes a lone "" as '""'
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")  # in a str, only a "\ud800" escape read from line-json gives one
+
+
+def _json_text(value: str) -> str:
+    """A text as line-json writes it: as it is, or escaped if it holds a lone surrogate, which UTF-8 cannot encode."""
+    return json.dumps(value, ensure_ascii=_SURROGATE.search(value) is not None)
+
+
 # A row's text: text cells and the run kind as encoded, numbers as their repr (as csv and json write them)
 _CELLS = tuple("%r" if kind in _DTYPES else "%s" for kind in _FIELD_KINDS)
 _DELIMITED_ROW = ",".join(_CELLS) + "\n"
@@ -550,14 +559,14 @@ def write_records(runs, fmt: str = FORMAT_DELIMITED) -> str:
     latency and energies as floats, as a RunTable holds them.
 
     Columns are formatted at once: each distinct text value is encoded once,
-    by the csv module or `json.dumps`, and numbers are written as their repr,
+    by the csv module or `_json_text`, and numbers are written as their repr,
     as csv and json write them. Raises ValueError when a delimited text field
     holds a line break the format cannot carry (see the module docstring).
     """
     if fmt not in (FORMAT_DELIMITED, FORMAT_LINE_JSON):
         raise UnknownFormat(f"unknown trace format {fmt!r}")
     delimited = fmt == FORMAT_DELIMITED
-    encode = _csv_cell if delimited else json.dumps
+    encode = _csv_cell if delimited else _json_text
     table = _as_table(runs)
     columns = list(vars(table).values())
     texts = [k for k, kind in enumerate(_FIELD_KINDS) if kind == "text"]

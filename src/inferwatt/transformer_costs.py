@@ -39,7 +39,8 @@ decode is the closed form above, whose first step costs a + b*s FLOPs and
 c + e + k*s bytes and each later step b FLOPs and k bytes more.
 `predict_prefill_latency` and `predict_decode_latency` are its n = 1 case,
 the `ClassLatency` of one (s, g); `decode_step_costs` evaluates the table
-at t = 1 and span = ctx, as OpCosts.
+at t = 1 and span = ctx, as OpCosts. A count that overflows reads as inf, or
+NaN where no step multiplies it, in its seconds; the estimator refuses it.
 """
 
 from __future__ import annotations
@@ -158,15 +159,13 @@ def decode_step_costs(model: ModelSpec, context_len: int) -> list[OpCost]:
 class ClassLatency(NamedTuple):
     """Roofline latency of one phase by class. Each field is a stack with one
     row per class of LABELS and one column per (s, g), a vector for one
-    (s, g): FLOPs, bytes and seconds summed over the phase; for decode also
-    `nonfinite`, which marks the classes whose per-step cost is not finite.
-    `total_seconds` and `dominant_class` (the first class with the most
-    seconds) are per column."""
+    (s, g): FLOPs, bytes and seconds summed over the phase, inf or NaN where
+    a count overflowed. `total_seconds` and `dominant_class` (the first class
+    with the most seconds) are per column."""
 
     flops: np.ndarray
     bytes: np.ndarray
     seconds: np.ndarray
-    nonfinite: np.ndarray | None = None
 
     @property
     def total_seconds(self):
@@ -177,7 +176,7 @@ class ClassLatency(NamedTuple):
         return np.asarray(LABELS)[self.seconds.argmax(axis=0)]
 
 
-@np.errstate(all="ignore")  # `nonfinite` marks an overflowed step cost
+@np.errstate(all="ignore")  # an overflowed count reads as inf or NaN, which the estimator refuses
 def class_latencies(model: ModelSpec | list[ModelSpec], hw: HardwareProfile, s, g) -> tuple[ClassLatency, ClassLatency]:
     """Per-class roofline latency of prefilling an s-token prompt and of
     generating g tokens after it, at each (s, g): numbers or arrays of
@@ -212,16 +211,7 @@ def class_latencies(model: ModelSpec | list[ModelSpec], hw: HardwareProfile, s, 
     m0, m1 = b0 / b_eff, db / b_eff
     lo, hi = _compute_bound_steps(c0 - m0, c1 - m1, g)
     seconds = _series(m0, m1, 0, lo) + _series(c0, c1, lo, hi) + _series(m0, m1, hi, g)
-    decode = ClassLatency(_series(f0, df, 0, g), _series(b0, db, 0, g), seconds,
-                          ~np.isfinite(c0 + c1 + m0 + m1))
-    return prefill, decode
-
-
-def step_overflow(nonfinite: np.ndarray) -> OverflowError:
-    """The error for one (s, g) whose decode step cost is not finite, given
-    its column of `ClassLatency.nonfinite`; it names the first such class."""
-    label = LABELS[int(np.argmax(nonfinite))]
-    return OverflowError(f"{label} step cost is not finite; the model is implausibly large")
+    return prefill, ClassLatency(_series(f0, df, 0, g), _series(b0, db, 0, g), seconds)
 
 
 def _series(v0, v1, lo, hi):
@@ -253,14 +243,16 @@ def predict_prefill_latency(model: ModelSpec, hw: HardwareProfile, s: int) -> Cl
     return class_latencies(model, hw, s, 1)[0]
 
 
+@np.errstate(over="ignore")  # a total that overflows reads as inf
 def predict_decode_latency(model: ModelSpec, hw: HardwareProfile, s: int, g: int) -> ClassLatency:
     """Roofline latency of generating g tokens after an s-token prompt, by
-    class: the one-interaction case of `class_latencies`."""
+    class: the one-interaction case of `class_latencies`. A total that is not
+    finite raises OverflowError."""
     if s < 1 or g < 1:
         raise ValueError("need s >= 1 and g >= 1")
     _, decode = class_latencies(model, hw, s, g)
-    if decode.nonfinite.any():
-        raise step_overflow(decode.nonfinite)
+    if not np.isfinite(decode.total_seconds):
+        raise OverflowError("decode latency is not finite; the model is implausibly large")
     return decode
 
 

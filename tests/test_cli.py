@@ -62,6 +62,7 @@ def bad_files(tmp_path_factory):
     files = {
         "inf_model": llama.replace("bytes_per_param = 4", "bytes_per_param = inf"),
         "huge_model": llama.replace("bytes_per_param = 4", "bytes_per_param = 1e308"),
+        "large_model": llama.replace("bytes_per_param = 4", "bytes_per_param = 1e290"),
         "inf_hw": hw.replace("p_prefill = 684", "p_prefill = inf"),
         "huge_coeffs": coeffs.replace("prefill_energy.a = 6.05e-05", "prefill_energy.a = 1e308"),
         "inf_coeffs": coeffs.replace("prefill_energy.a = 6.05e-05", "prefill_energy.a = inf"),
@@ -485,6 +486,20 @@ class TestCompare:
     def test_needs_at_least_one_model(self):
         code, _ = run_cli("compare", "-s", "900", "-g", "82")
         assert code == 1
+
+    def test_a_contour_point_that_is_not_finite_is_data_error(self, bad_files, tmp_path, capsys):
+        # 1e290 bytes per parameter: a reply of 10**15 tokens overflows, as an entry and as a contour point
+        grid = tmp_path / "grid.csv"
+        error = "error: energy estimate inf Wh is not finite; inputs are implausibly large\n"
+        code, out = run_cli("predict", "--model", bad_files["large_model"], "-s", "1", "-g", "1000000000000000")
+        assert (code, out, capsys.readouterr().err) == (2, "", error)
+        code, out = run_cli("compare", bad_files["large_model"], "-s", "1", "-g", "1",
+                            "--contour-g", "16,1000000000000000", "--grid-out", str(grid))
+        assert (code, out, capsys.readouterr().err) == (2, "", error)
+        assert not grid.exists()
+        code, _ = run_cli("compare", bad_files["large_model"], "-s", "1", "-g", "1", "--contour-g", "16",
+                          "--grid-out", str(grid))
+        assert code == 0 and grid.exists()
 
 
 class TestJsonShape:

@@ -383,10 +383,11 @@ class TestArrayEstimatorMatchesPerEntryLoop:
         workload = drawn_workload(900, 200, 82, 30, count=200, seed=4)
         _assert_matches_oracle(AnalyticSource(llama8b, hw), workload, rel=1e-12)
 
-    # The errors are pinned as the previous per-entry code raised them.
+    # Either source's first entry whose total is not finite is reported: an
+    # overflowed analytic step cost reads as NaN where no step multiplies it
     @pytest.mark.parametrize("analytic,entries,error", [
-        (True, [(900, 82)], "embed step cost is not finite; the model is implausibly large"),
-        (True, [(1, 1), (900, 82), (5, 5)], "embed step cost is not finite; the model is implausibly large"),
+        (True, [(900, 82)], "energy estimate nan Wh is not finite; inputs are implausibly large"),
+        (True, [(1, 1), (900, 82), (5, 5)], "energy estimate nan Wh is not finite; inputs are implausibly large"),
         (False, [(900, 82)], "energy estimate inf Wh is not finite; inputs are implausibly large"),
         (False, [(1, 1), (900, 82), (5, 5)], "energy estimate inf Wh is not finite; inputs are implausibly large"),
     ])
@@ -404,9 +405,9 @@ class TestArrayEstimatorMatchesPerEntryLoop:
     # context overflow too. Whichever entry comes first is reported.
     @pytest.mark.parametrize("entries,error", [
         ([(10**4, 1), (10**8, 1)], "energy estimate inf Wh is not finite; inputs are implausibly large"),
-        # the previous code formed these counts as Python ints and raised
+        # the per-entry code formed these counts as Python ints and raised
         # "int too large to convert to float" here
-        ([(10**8, 1), (10**4, 1)], "attn step cost is not finite; the model is implausibly large"),
+        ([(10**8, 1), (10**4, 1)], "energy estimate nan Wh is not finite; inputs are implausibly large"),
     ])
     def test_an_earlier_entry_that_overflows_is_reported_first(self, hw, entries, error):
         model = ModelSpec(n_layers=10**300, hidden=1, n_heads=1, head_dim=1, ffn_dim=1, vocab=1)
@@ -588,6 +589,13 @@ class TestThePerEntryTable:
             (OverflowError, "energy estimate inf Wh is not finite; inputs are implausibly large")
         assert calls == []
 
+    def test_phases_whose_total_overflows_raise(self):
+        # each phase is finite; only their sum is not
+        source = FittedSource(CoefficientSet(prefill_energy=PrefillEnergyCoeffs(a=0.0, b=1e308),
+                                             decode_energy=DecodeEnergyCoeffs(c=0.0, d=0.0, g_intercept=1e308)))
+        assert _outcome(estimate_workload, source, WorkloadSpec.single(900, 82)) == \
+            (OverflowError, "energy estimate inf Wh is not finite; inputs are implausibly large")
+
     def test_a_breakdown_built_by_hand_is_checked(self):
         b = EnergyBreakdown(0.1, 0.2, "p", ("w",))
         assert tuple(b) == (0.1, 0.2, "p", ("w",), 0.1 + 0.2)
@@ -662,6 +670,15 @@ class TestCompareModelsGrid:
             want, _ = _estimate_workload_oracle(AnalyticSource(specs[row.name], hw), workload)
             assert row.mean_total_wh == pytest.approx(want.total_wh, rel=1e-12, abs=0)
 
+    def test_a_contour_point_that_is_not_finite_is_refused(self, llama8b, hw):
+        # 1e290 bytes per parameter: a reply of 10**15 tokens overflows, as an entry and as a contour point
+        model = ModelSpec(**{**vars(llama8b), "bytes_per_param": 1e290})
+        workload = WorkloadSpec.single(1, 1)
+        error = (OverflowError, "energy estimate inf Wh is not finite; inputs are implausibly large")
+        assert _outcome(estimate_interaction, AnalyticSource(model, hw), 1, 10**15) == error
+        assert _outcome(compare_models, [model], hw, workload, (16, 10**15)) == error
+        assert [point.g for point in compare_models([model], hw, workload, (16,)).grid] == [16]
+
     def test_contour_lengths_must_be_positive(self, llama8b, hw):
         with pytest.raises(ValueError, match="need s >= 1 and g >= 1"):
             compare_models([llama8b], hw, WorkloadSpec.single(900, 82), contour_g=(16, 0))
@@ -672,7 +689,11 @@ class TestCompareModelsGrid:
 
 def _compare_oracle(specs, hw, workload, contour_g):
     """compare_models as one source evaluation per model, smallest first, each
-    followed by the checks `estimate_workload` makes."""
+    followed by the check `estimate_workload` makes, on the workload rows and
+    the contour points, and the check of its mean. A model dimension that
+    does not convert to float64 refuses the sweep before any is evaluated."""
+    for spec in specs:
+        transformer_costs._term_table(spec)
     mean_tokens = workload.mean_s + workload.mean_g
     grid_s = max(1, int(round(workload.mean_s)))
     n = len(workload.entries)
@@ -682,7 +703,7 @@ def _compare_oracle(specs, hw, workload, contour_g):
     for spec in sorted(specs, key=lambda m: m.n_params):
         source = AnalyticSource(spec, hw)
         prefill, decode, _ = source.phase_energies(s, g)
-        estimator._check_finite(prefill[:n], decode[:n])
+        estimator._check_finite(prefill, decode)
         mean = estimator._mean_breakdown(source, workload, prefill[:n], decode[:n])
         name = spec.name or "model"
         rows.append(ModelComparisonRow(name, spec.n_params, mean.total_wh, mean.total_wh / mean_tokens))
@@ -762,7 +783,8 @@ class TestOneEvaluationPerSweep:
         assert evaluations == [(count, (7 + 2,), (7 + 2,))]
 
     # Errors are pinned as the per-model loop raised them: the smallest
-    # model's first, whatever a larger one meets.
+    # model's first, whatever a larger one meets; but a dimension that does
+    # not convert to float64 refuses the sweep outright.
     _WIDE = ModelSpec(n_layers=10**300, hidden=1, n_heads=1, head_dim=1, ffn_dim=1, vocab=1, name="wide")
 
     @pytest.mark.parametrize("specs,s,error", [
@@ -771,10 +793,10 @@ class TestOneEvaluationPerSweep:
         ([ModelSpec(**{**vars(_WIDE), "n_layers": 2 * 10**300, "bytes_per_param": 1e308}), _WIDE], 10**4,
          "energy estimate inf Wh is not finite; inputs are implausibly large"),
         ([ModelSpec(**{**vars(_WIDE), "n_layers": 10**299, "bytes_per_param": 1e308}), _WIDE], 10**4,
-         "embed step cost is not finite; the model is implausibly large"),
+         "energy estimate nan Wh is not finite; inputs are implausibly large"),
         # a larger model's width does not convert to a float at all
         ([ModelSpec(n_layers=1, hidden=2**1100, n_heads=1, head_dim=2**1100, ffn_dim=1, vocab=1), _WIDE], 10**4,
-         "energy estimate inf Wh is not finite; inputs are implausibly large"),
+         "int too large to convert to float"),
         ([ModelSpec(n_layers=1, hidden=2**1100, n_heads=1, head_dim=2**1100, ffn_dim=1, vocab=1), _WIDE], 5,
          "int too large to convert to float"),
     ])

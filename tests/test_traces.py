@@ -212,8 +212,8 @@ def _write_records_oracle(records, fmt="delimited"):
             raise ValueError(f"a text field holds the line break {bad.group()!r}, which "
                              "the delimited format cannot carry; use line-json")
         return text
-    if fmt == "line-json":
-        return "\n".join(json.dumps(dict(zip(traces._FIELDS, row(rec)))) for rec in records) + "\n"
+    if fmt == "line-json":  # texts as they are: these hold no lone surrogate, which UTF-8 cannot encode
+        return "\n".join(json.dumps(dict(zip(traces._FIELDS, row(rec))), ensure_ascii=False) for rec in records) + "\n"
     raise UnknownFormat(f"unknown trace format {fmt!r}")
 
 
@@ -269,7 +269,8 @@ class TestWriteOracle:
         table = synthesize_trace([(s, g) for s in (200, 900) for g in (0, 82)], coeffs, noise=0.05, runs=30)
         want = {fmt: _write_records_oracle(table.records(), fmt) for fmt in ("delimited", "line-json")}
         encoded = []
-        monkeypatch.setattr(traces, "json", mock.Mock(dumps=lambda value: encoded.append(value) or json.dumps(value)))
+        monkeypatch.setattr(traces, "json", mock.Mock(
+            dumps=lambda value, **options: encoded.append(value) or json.dumps(value, **options)))
         row = traces._csv_row
         monkeypatch.setattr(traces, "_csv_row", lambda cells: encoded.append(cells) or row(cells))
         for fmt in want:
@@ -1453,7 +1454,7 @@ class TestDelimitedPaths:
 
 # --- the line-json reader's two paths: one pattern per block, or a JSON decode per line
 
-# Text values json.dumps writes with no escape
+# Text values json.dumps writes with no escape, whatever its ensure_ascii
 _JSON_PLAIN = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e, blacklist_characters='"\\'), max_size=5)
 _NEVER = re.compile(r"(?!)")
 
@@ -1474,7 +1475,9 @@ def _json_lines(table, change=None, row=0, field=0):
     for i, values in enumerate(zip(*(c if isinstance(c, list) else c.tolist() for c in vars(table).values()))):
         values = list(values)
         values[1] = "full" if values[1] else "prefill_only"
-        pairs = [[json.dumps(name), json.dumps(value)] for name, value in zip(_ORACLE_FIELDS, values)]
+        # texts as they are: _unquoted_tables draws no lone surrogate, which UTF-8 cannot encode
+        pairs = [[json.dumps(name), json.dumps(value, ensure_ascii=False)]
+                 for name, value in zip(_ORACLE_FIELDS, values)]
         separators = (", ", ": ")
         if i == row and change in _JSON_VALUE_CASES:
             token, kind = _JSON_VALUE_CASES[change]
@@ -1541,6 +1544,22 @@ class TestLineJsonPaths:
         with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
             for runs in (synthesized, parse_records(REFERENCE_TEXT)[0]):
                 self._reads_without_decoding(write_records(runs, "line-json"))
+
+    def test_non_ascii_texts_are_written_as_they_are(self):
+        runs = parse_records(REFERENCE_TEXT)[0]
+        text = write_records([run._replace(model_id="caf\xe9", precision="\u2028\U0001f600") for run in runs],
+                             "line-json")
+        assert '"model_id": "caf\xe9", "precision": "\u2028\U0001f600"' in text
+        self._reads_without_decoding(text)
+
+    def test_a_lone_surrogate_is_written_escaped(self):
+        # only a "\ud800" escape read from line-json gives a str holding one
+        runs = parse_records(_json_run(prompt_id="\ud800") + _json_run(prompt_id="caf\xe9"), "line-json")[0]
+        assert [run.prompt_id for run in runs] == ["\ud800", "caf\xe9"]
+        text = write_records(runs, "line-json")
+        assert text.encode("utf-8").decode("utf-8") == text
+        assert ['"prompt_id": "\\ud800"' in line for line in text.splitlines()] == [True, False]
+        assert parse_records(text, "line-json") == (runs, [])
 
     def test_lines_end_at_newline_only(self):
         good = _json_run()

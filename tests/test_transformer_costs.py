@@ -130,15 +130,13 @@ def _class_latencies_oracle(model, hw, s, g):
     lo, hi = _compute_bound_steps(c0 - m0, c1 - m1, g)
     series = transformer_costs._series
     seconds = series(m0, m1, 0, lo) + series(c0, c1, lo, hi) + series(m0, m1, hi, g)
-    decode = ClassLatency(series(f0, df, 0, g), series(b0, db, 0, g), seconds, ~np.isfinite(c0 + c1 + m0 + m1))
-    return prefill, decode
+    return prefill, ClassLatency(series(f0, df, 0, g), series(b0, db, 0, g), seconds)
 
 
 def _assert_bitwise(got, want):
     for phase_got, phase_want in zip(got, want):
         for field, x, y in zip(ClassLatency._fields, phase_got, phase_want):
-            if y is not None:
-                assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+            assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
 
 
 class TestModelSpec:
@@ -522,8 +520,7 @@ class TestTermTable:
         # a stack's columns are each model's in turn
         stacked = class_latencies(models, hw, s, g)
         for i, model in enumerate(models):
-            columns = [ClassLatency(*(None if x is None else x[:, i * s.size:(i + 1) * s.size] for x in phase))
-                       for phase in stacked]
+            columns = [ClassLatency(*(x[:, i * s.size:(i + 1) * s.size] for x in phase)) for phase in stacked]
             _assert_bitwise(columns, _class_latencies_oracle(model, hw, s, g))
 
     @settings(max_examples=60, deadline=None)
