@@ -149,7 +149,7 @@ def _token_counts(values: list) -> np.ndarray:
         if not np.array_equal(counts, column):
             raise ValueError("token counts must be whole numbers")
         column = counts
-    if column.min() < 1:
+    if (column < 1).any():
         raise ValueError("need s >= 1 and g >= 1")
     return _read_only(column)
 
@@ -324,17 +324,17 @@ def compare_models(
     workload's columns, which `class_latencies` evaluates for every model at
     once. Model by model, smallest first, its workload rows and contour
     points and then its mean are checked as `estimate_workload` checks them.
+    Contour lengths are checked as a workload's token counts are.
     """
     if not specs:
         raise ValueError("need at least one model spec")
-    if any(c < 1 for c in contour_g):
-        raise ValueError("need s >= 1 and g >= 1")
+    contour = _token_counts(list(contour_g))
     mean_s = workload.mean_s
     mean_tokens = mean_s + workload.mean_g
     grid_s = max(1, int(round(mean_s)))
     n = len(workload.entries)
     s = np.concatenate([workload.s, np.full(len(contour_g), grid_s)])
-    g = np.concatenate([workload.g, np.array(contour_g, dtype=np.int64)])
+    g = np.concatenate([workload.g, contour])
     ordered = sorted(((spec.n_params, spec) for spec in specs), key=lambda pair: pair[0])
     prefill, decode = _analytic_energies([spec for _, spec in ordered], hw, s, g)
     rows, grid = [], []

@@ -130,27 +130,24 @@ class DecodeEnergyCoeffs(_Polynomial):
 class FitSamples:
     """Fit samples as columns, one row per measured or synthesized generation:
     input length s, output length g (g = 0 marks a prefill-only run), latency
-    t and energy_wh (None when the samples carry no energy). Each column is
-    a read-only float64 copy of finite values, checked once when built."""
+    t and energy_wh. Each column is a read-only float64 copy of finite
+    values, checked once when built."""
 
     s: np.ndarray
     g: np.ndarray
     t: np.ndarray
-    energy_wh: np.ndarray | None = None
+    energy_wh: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.name == "energy_wh":
-                continue
-            column = np.array(value, dtype=float)
+            column = np.array(getattr(self, f.name), dtype=float)
             if column.ndim != 1:
                 raise ValueError(f"{f.name} must be a 1-D column")
             if not np.isfinite(column).all():
                 raise ValueError(f"{f.name} must be finite")
             column.flags.writeable = False
             object.__setattr__(self, f.name, column)
-        if len({len(c) for c in (self.s, self.g, self.t, self.energy_wh) if c is not None}) > 1:
+        if len({len(c) for c in (self.s, self.g, self.t, self.energy_wh)}) > 1:
             raise ValueError("columns must have equal length")
         if not np.all(self.s >= 1):
             raise ValueError("s must be >= 1")
@@ -203,10 +200,10 @@ def eval_decode_energy(coeffs: DecodeEnergyCoeffs, s: float, g: float) -> float:
 
 def _fit(family: type[_Polynomial], samples: FitSamples):
     """Least-squares fit of one family to the rows of its phase (g >= 1 for
-    decode, g = 0 for prefill; energy families take no rows from samples
-    without energy). Each term's product of factors is a basis column."""
+    decode, g = 0 for prefill). Each term's product of factors is a basis
+    column."""
     y = samples.energy_wh if family.what == "energy" else samples.t
-    rows = (samples.g >= 1 if family.decode else samples.g == 0) & (y is not None)
+    rows = samples.g >= 1 if family.decode else samples.g == 0
     n, found = len(family.terms), int(np.count_nonzero(rows))
     if found < n:
         phase = "decode" if family.decode else "prefill"

@@ -41,13 +41,15 @@ string and no number whose text converts to other than JSON's value) takes
 its columns from the pattern's groups; any other, and every one under
 `rename`, is decoded a line at a time. Line-json lines end at "\n" or
 "\r\n" only, so a string may hold a raw U+2028; delimited lines end at each
-break of `str.splitlines`. `parse_records` is `read_runs` with the runs as
-rows. `synthesize_trace` evaluates the plan at once and draws the noise as
-one vector in record order; of the plan points that fail, the first raises.
+break of `str.splitlines`. `parse_records` is the package's name for
+`read_runs`, the same function. `synthesize_trace` evaluates the plan at
+once and draws the noise as one vector in record order; of the plan points
+that fail, the first raises.
 `write_records` formats columns, a block of `_BLOCK_ROWS` rows at a time,
-and encodes each distinct text once. `decompose`, `to_fit_samples`,
-`phase_energies` and `drop_warmup` read a RunTable's columns; `write_records`
-and `decompose` also take rows, through `RunTable.from_records`.
+and encodes each distinct text once. `write_records`, `decompose`,
+`to_fit_samples`, `phase_energies` and `drop_warmup` take a RunTable and read
+its columns. Two RunTables are equal when every column holds the same values
+in the same order.
 
 Two serializations are supported, both UTF-8 (other bytes raise
 UnknownFormat) with field names exactly as `_FIELDS`:
@@ -71,7 +73,6 @@ import json
 import operator
 import re
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, islice, repeat
 from pathlib import PurePath
 from typing import Iterable, NamedTuple, Sequence
@@ -94,9 +95,7 @@ class RunKind(enum.Enum):
 
 
 _RUN_KINDS = {kind.value: kind for kind in RunKind}
-# Per-row code reads the members from globals: that is faster than the
-# enum class attribute.
-_PREFILL_ONLY, _FULL = RunKind.PREFILL_ONLY, RunKind.FULL
+_FULL = RunKind.FULL  # per-row code reads it from globals: that is faster than the enum class attribute
 
 
 def _finite(values, what: str):
@@ -221,7 +220,8 @@ class RunTable:
     `from_records` fill them: one per field of `_FIELDS`, in order, of the
     kinds `_FIELD_KINDS` gives (texts as lists of str, counts as int64 and
     reals as float64 arrays), with the bool mask `full` in place of
-    `run_kind`. They hold values that pass every check of `_CHECKS`."""
+    `run_kind`. They hold values that pass every check of `_CHECKS`. Two
+    tables are equal when each column holds the same values, in order."""
 
     prompt_id: list
     full: np.ndarray
@@ -252,18 +252,17 @@ class RunTable:
         return cls(*(list(chain.from_iterable(columns)) if kind == "text" else np.concatenate(columns)
                      for kind, columns in zip(_FIELD_KINDS, zip(*(vars(table).values() for table in tables)))))
 
+    def __eq__(self, other):
+        if not isinstance(other, RunTable):
+            return NotImplemented
+        return all(mine == theirs if isinstance(mine, list) else np.array_equal(mine, theirs)
+                   for mine, theirs in zip(vars(self).values(), vars(other).values()))
+
     def take(self, index) -> "RunTable":
         """The runs at `index` (an int array), in its order."""
         rows = index.tolist()
         return RunTable(*([column[i] for i in rows] if isinstance(column, list) else column[index]
                           for column in vars(self).values()))
-
-    def records(self) -> list[_RunFields]:
-        """The runs as rows (built without checking them again)."""
-        run_kinds = map((_PREFILL_ONLY, _FULL).__getitem__, self.full.tolist())
-        columns = (run_kinds if kind == "kind" else column if kind == "text" else column.tolist()
-                   for kind, column in zip(_FIELD_KINDS, vars(self).values()))
-        return list(map(partial(tuple.__new__, _RunFields), zip(*columns)))
 
 
 def _table(runs: Sequence[_RunFields]) -> RunTable:
@@ -272,10 +271,6 @@ def _table(runs: Sequence[_RunFields]) -> RunTable:
     return RunTable(*(list(values) if kind == "text" else np.fromiter(values, _DTYPES[kind]) if kind in _DTYPES
                       else np.fromiter((value is _FULL for value in values), bool)
                       for kind, values in zip(_FIELD_KINDS, columns)))
-
-
-def _as_table(runs) -> RunTable:
-    return runs if isinstance(runs, RunTable) else RunTable.from_records(runs)
 
 
 @dataclass(frozen=True)
@@ -473,6 +468,7 @@ def read_runs(
     mark (U+FEFF) is dropped. `rename` maps external column/key names onto
     the canonical field names. A file that is not UTF-8 text, or a source
     that is neither text nor a Path (a stream, bytes), raises UnknownFormat.
+    The package exports this function as `parse_records`.
     """
     if not (isinstance(source, str) or hasattr(source, "read_text")):
         raise UnknownFormat(f"a trace is text or a pathlib.Path, not {type(source).__name__}")
@@ -496,14 +492,7 @@ def read_runs(
     return RunTable.concat(tables), issues
 
 
-def parse_records(
-    source,
-    fmt: str = FORMAT_DELIMITED,
-    rename: dict[str, str] | None = None,
-) -> tuple[list[_RunFields], list[ParseIssue]]:
-    """`read_runs`, with the runs as rows (`RunTable.records`)."""
-    table, issues = read_runs(source, fmt, rename)
-    return table.records(), issues
+parse_records = read_runs  # the package's name for the reader: one function, so a wrapper of either wraps both
 
 
 # Line breaks that str.splitlines (and so the reader) splits on but that csv
@@ -553,9 +542,9 @@ def _refuse_unquoted_breaks(columns: Sequence[list], distinct: Sequence[dict]) -
                          "which the delimited format cannot carry; use line-json")
 
 
-def write_records(runs, fmt: str = FORMAT_DELIMITED) -> str:
-    """Serialize runs, a RunTable or rows; inverse of `read_runs` and
-    `parse_records` for both formats. Counts are written as integers, and
+def write_records(runs: RunTable, fmt: str = FORMAT_DELIMITED) -> str:
+    """Serialize a RunTable; inverse of `read_runs` (`parse_records`) for
+    both formats. Counts are written as integers, and
     latency and energies as floats, as a RunTable holds them.
 
     Columns are formatted at once: each distinct text value is encoded once,
@@ -567,8 +556,7 @@ def write_records(runs, fmt: str = FORMAT_DELIMITED) -> str:
         raise UnknownFormat(f"unknown trace format {fmt!r}")
     delimited = fmt == FORMAT_DELIMITED
     encode = _csv_cell if delimited else _json_text
-    table = _as_table(runs)
-    columns = list(vars(table).values())
+    columns = list(vars(runs).values())
     texts = [k for k, kind in enumerate(_FIELD_KINDS) if kind == "text"]
     distinct = [dict.fromkeys(columns[k]) for k in texts]
     if delimited:
@@ -576,10 +564,10 @@ def write_records(runs, fmt: str = FORMAT_DELIMITED) -> str:
     for k, values in zip(texts, distinct):
         columns[k] = list(map({value: encode(value) for value in values}.__getitem__, columns[k]))
     columns[_RUN_KIND] = list(map(
-        (encode(RunKind.PREFILL_ONLY.value), encode(RunKind.FULL.value)).__getitem__, table.full.tolist()))
+        (encode(RunKind.PREFILL_ONLY.value), encode(RunKind.FULL.value)).__getitem__, runs.full.tolist()))
     row = _DELIMITED_ROW if delimited else _JSON_ROW
     blocks = [_csv_row(_FIELDS)] if delimited else []
-    for start in range(0, len(table), _BLOCK_ROWS):
+    for start in range(0, len(runs), _BLOCK_ROWS):
         cells = (column[start:start + _BLOCK_ROWS] for column in columns)
         blocks.append("".join(map(row.__mod__, zip(*(c if isinstance(c, list) else c.tolist() for c in cells)))))
     return "".join(blocks) or "\n"  # line-json without runs: one empty line
@@ -666,7 +654,7 @@ def _group_means(values: Sequence[np.ndarray], group: np.ndarray, picked: np.nda
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a mean that overflows is refused below
-def decompose(runs) -> tuple[list[PromptDecomposition], list[MissingKind]]:
+def decompose(runs: RunTable) -> tuple[list[PromptDecomposition], list[MissingKind]]:
     """Split the cost of each (prompt_id, model_id, precision, batch) group
     into prefill and decode phases, in the order the groups first appear.
 
@@ -675,21 +663,20 @@ def decompose(runs) -> tuple[list[PromptDecomposition], list[MissingKind]]:
     any component sets the negative_decode flag on the decomposition; runs
     that disagree on input_tokens set mixed_input_tokens (input_tokens is
     then the rounded mean over the full runs). A decomposed group whose run
-    means overflow raises OverflowError. `runs` is a RunTable or rows.
+    means overflow raises OverflowError. `runs` is a RunTable.
     """
-    table = _as_table(runs)
-    if not len(table):
+    if not len(runs):
         return [], []
     groups: dict[tuple, int] = {}
     group = np.array([groups.setdefault(key, len(groups)) for key in
-                      zip(table.prompt_id, table.model_id, table.precision, table.batch.tolist())], dtype=np.intp)
-    full = table.full
-    values = (table.input_tokens.astype(np.float64), table.output_tokens.astype(np.float64), table.latency_s,
-              table.gpu_wh, table.cpu_wh, table.ram_wh)
+                      zip(runs.prompt_id, runs.model_id, runs.precision, runs.batch.tolist())], dtype=np.intp)
+    full = runs.full
+    values = (runs.input_tokens.astype(np.float64), runs.output_tokens.astype(np.float64), runs.latency_s,
+              runs.gpu_wh, runs.cpu_wh, runs.ram_wh)
     n_groups = len(groups)
     low, high = np.full(n_groups, _COUNT_LIMIT - 1), np.zeros(n_groups, dtype=np.int64)
-    np.minimum.at(low, group, table.input_tokens)
-    np.maximum.at(high, group, table.input_tokens)
+    np.minimum.at(low, group, runs.input_tokens)
+    np.maximum.at(high, group, runs.input_tokens)
     mixed = low != high
 
     rows = (_LATENCY, _GPU, _CPU, _RAM)

@@ -411,10 +411,10 @@ class TestDecompose:
 
     def test_delimited_output_is_quoted_csv(self, tmp_path):
         path = tmp_path / "comma.csv"
-        path.write_text(write_records([
+        path.write_text(write_records(RunTable.from_records([
             Run("a,b", RunKind.PREFILL_ONLY, 10, 1, 0.5, 0.1, 0.0, 0.0, 'm"1', "fp32", 1),
             Run("a,b", RunKind.FULL, 10, 5, 1.0, 0.3, 0.0, 0.0, 'm"1', "fp32", 1),
-        ]))
+        ])))
         code, out = run_cli("decompose", "--trace", str(path), "--format", "delimited")
         assert code == 0
         header, row = csv.reader(io.StringIO(out))
@@ -509,11 +509,11 @@ class TestJsonShape:
     @pytest.fixture(scope="class")
     def two_prompts(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("shape") / "two.csv"
-        path.write_text(write_records([
+        path.write_text(write_records(RunTable.from_records([
             Run(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else 20, 1e-3 * s + 0.1, 1e-4 * s + 0.01,
                 0.0, 0.0, "m", "fp32", 1)
             for pid, s in (("a", 100), ("b", 300)) for kind in RunKind
-        ]))
+        ])))
         return str(path)
 
     def test_decompose_of_one_prompt_is_a_list(self, two_prompts, tmp_path):
@@ -611,14 +611,14 @@ class TestSynthFitPredictPipeline:
         runs += [(pid, kind, s, g) for pid, s, g in (("q", 300, 40), ("r", 700, 80), ("t", 900, 160))
                  for kind in (RunKind.PREFILL_ONLY, RunKind.FULL)]
         path = tmp_path / "mixed.csv"
-        path.write_text(write_records([run(*r) for r in runs]))
+        path.write_text(write_records(RunTable.from_records([run(*r) for r in runs])))
         code, out = run_cli("fit", "--trace", str(path))
         warnings = [ln for ln in capsys.readouterr().err.splitlines() if "input lengths" in ln]
         assert code == 0 and "decode_energy.c" in out
         assert warnings == ["warning: prompt 'p' (model 'm', precision 'fp32', batch 1) mixes input "
                             "lengths; its decode row is fitted at their rounded mean s=255"]
 
-        path.write_text(write_records([run(*r) for r in runs if r[0] != "p"]))
+        path.write_text(write_records(RunTable.from_records([run(*r) for r in runs if r[0] != "p"])))
         run_cli("fit", "--trace", str(path))
         assert "input lengths" not in capsys.readouterr().err
 
@@ -647,7 +647,7 @@ class TestSynthFitPredictPipeline:
             runs += [Run(f"p{k}", RunKind.PREFILL_ONLY, s, 1, 0.1, 1e-5 * s, 0.0, 0.0),
                      Run(f"p{k}", RunKind.FULL, s, g, 0.1 + 0.02 * g, 1e-5 * s + 1e-4 * g, 0.0, 0.0)]
         path = tmp_path / "constant.csv"
-        path.write_text(write_records(runs))
+        path.write_text(write_records(RunTable.from_records(runs)))
         code, out = run_cli("fit", "--trace", str(path), "--component", "gpu", "--out", str(tmp_path / "c"),
                             "--format", "json")
         fits = {row["family"]: row for row in json.loads(out)}
@@ -728,11 +728,11 @@ def cli_flags(tmp_path_factory, bad_files):
     missing; outputs go to a temporary directory."""
     root = tmp_path_factory.mktemp("fuzz")
     two_models = root / "two-models.csv"
-    two_models.write_text(write_records([
+    two_models.write_text(write_records(RunTable.from_records([
         Run("a,b", kind, 10, 1 if kind is RunKind.PREFILL_ONLY else 5, 1.0 + i, 0.1 * i, 0.0, 0.0,
             model, "fp32", 1)
         for i, (model, kind) in enumerate((m, k) for m in "AB" for k in RunKind)
-    ]))
+    ])))
     missing = str(root / "missing")
     trace = ([str(data_path(REFERENCE_TRACE)), str(two_models)], [missing, str(root)])
     coeffs = ([str(data_path("llama31_8b_h100_fp32.coeffs"))],
@@ -843,11 +843,11 @@ _stat_run = st.tuples(
 def test_stats_and_hist_match_the_per_item_selection(runs):
     records = [Run(prompt, kind, 10, 1 if kind is RunKind.PREFILL_ONLY else g, t, *energy, model)
                for prompt, model, kind, g, t, energy in runs]
-    decomps = decompose(records)[0]
+    table = RunTable.from_records(records)
+    decomps = decompose(table)[0]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
-        path.write_text(write_records(records), encoding="utf-8")
-        table = RunTable.from_records(records)
+        path.write_text(write_records(table), encoding="utf-8")
         for phase, items, selected in (("prefill", table, records), ("full", table, records),
                                        ("decode", decomps, decomps)):
             assert _outcome(aggregate, items, phase) == _outcome(_aggregate_oracle, selected, phase)

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -682,6 +683,18 @@ class TestCompareModelsGrid:
     def test_contour_lengths_must_be_positive(self, llama8b, hw):
         with pytest.raises(ValueError, match="need s >= 1 and g >= 1"):
             compare_models([llama8b], hw, WorkloadSpec.single(900, 82), contour_g=(16, 0))
+
+    @pytest.mark.parametrize("contour_g,error,message", [
+        ((16, 2.5), ValueError, "token counts must be whole numbers"),
+        ((float("nan"),), ValueError, "token counts must be whole numbers"),
+        ((2**64,), OverflowError, "token counts of 2**63 or more are implausibly large"),
+    ])
+    def test_contour_lengths_are_checked_as_workload_lengths(self, llama8b, hw, contour_g, error, message):
+        # as a workload's entry of those lengths is refused
+        for call in (lambda: compare_models([llama8b], hw, WorkloadSpec.single(900, 82), contour_g=contour_g),
+                     lambda: WorkloadSpec.single(900, contour_g[-1])):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                call()
 
 
 # --- compare_models as the per-model loop, kept as the reference -------------

@@ -243,12 +243,12 @@ class TestFits:
         assert abs(c / coeffs.decode_energy.c - 1) < 0.05
 
     def test_two_samples_insufficient(self):
-        samples = FitSamples(s=[100, 200], g=[0, 0], t=[0.05, 0.08])
+        samples = FitSamples(s=[100, 200], g=[0, 0], t=[0.05, 0.08], energy_wh=[0.01, 0.02])
         with pytest.raises(InsufficientSamples):
             fit_prefill_latency(samples)
 
     def test_constant_prompt_length_is_rank_deficient(self):
-        samples = FitSamples(s=[500] * 10, g=[0] * 10, t=[0.1 + 0.01 * i for i in range(10)])
+        samples = FitSamples(s=[500] * 10, g=[0] * 10, t=[0.1 + 0.01 * i for i in range(10)], energy_wh=[0.1] * 10)
         with pytest.raises(RankDeficient):
             fit_prefill_latency(samples)
 
@@ -267,7 +267,7 @@ class TestFits:
     def test_raw_fit_keeps_unphysical_signs_but_flags_them(self):
         # decreasing latencies force a negative slope; the fit must return
         # it raw rather than clamping
-        samples = FitSamples(s=[100, 200, 300, 400], g=[0] * 4, t=[1.0, 0.8, 0.6, 0.45])
+        samples = FitSamples(s=[100, 200, 300, 400], g=[0] * 4, t=[1.0, 0.8, 0.6, 0.45], energy_wh=[0.1] * 4)
         fitted, _ = fit_prefill_latency(samples)
         assert fitted.alpha < 0
         assert not fitted.is_physical
@@ -363,11 +363,11 @@ class TestCoefficientFiles:
 class TestSampleValidation:
     def test_sample_invariants(self):
         with pytest.raises(ValueError, match="s must be >= 1"):
-            FitSamples([0], [0], [1.0])
+            FitSamples([0], [0], [1.0], [0.1])
         with pytest.raises(ValueError, match="g must be >= 0"):
-            FitSamples([1], [-1], [1.0])
+            FitSamples([1], [-1], [1.0], [0.1])
         with pytest.raises(ValueError, match="t must be positive"):
-            FitSamples([1], [0], [0.0])
+            FitSamples([1], [0], [0.0], [0.1])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("column", ["s", "g", "t", "energy_wh"])
@@ -379,24 +379,23 @@ class TestSampleValidation:
             with pytest.raises(ValueError, match=f"^{column} must be finite$"):
                 FitSamples(**values)
 
-    @pytest.mark.parametrize("lengths", [(2, 2, 3, None), (2, 1, 2, None), (2, 2, 2, 1), (2, 2, 2, 3)])
+    @pytest.mark.parametrize("lengths", [(2, 2, 3, 2), (2, 1, 2, 2), (2, 2, 2, 1), (2, 2, 2, 3)])
     def test_unequal_lengths_rejected(self, lengths):
-        s, g, t, e = ([1.0] * n if n is not None else None for n in lengths)
+        s, g, t, e = ([1.0] * n for n in lengths)
         with pytest.raises(ValueError, match="equal length"):
             FitSamples(s, g, t, e)
 
     def test_columns_are_one_dimensional(self):
         with pytest.raises(ValueError, match="1-D"):
-            FitSamples([[1.0, 2.0]], [[0.0, 0.0]], [[1.0, 1.0]])
+            FitSamples([[1.0, 2.0]], [[0.0, 0.0]], [[1.0, 1.0]], [[0.1, 0.1]])
         with pytest.raises(ValueError, match="1-D"):
-            FitSamples(1.0, 0.0, 1.0)
+            FitSamples(1.0, 0.0, 1.0, 0.1)
 
     def test_columns_are_read_only_float_copies(self):
         s = np.array([100, 200])
-        samples = FitSamples(s, [0, 4], [0.5, 1.5], energy_wh=None)
+        samples = FitSamples(s, [0, 4], [0.5, 1.5], energy_wh=[0.1, 0.2])
         s[0] = 7
         assert samples.s.tolist() == [100.0, 200.0] and samples.s.dtype == np.float64
-        assert samples.energy_wh is None
         with pytest.raises(ValueError):
             samples.t[0] = 1.0
 
@@ -595,7 +594,7 @@ class _OldSample(NamedTuple):
     s: int
     g: int
     t: float
-    energy_wh: float | None = None
+    energy_wh: float
 
 
 def _old_energy(energy, component):
@@ -626,15 +625,15 @@ def _fit_selection_oracle(records, component):
     """The former selection of `inferwatt fit`: the prefill-only records, then
     the decode samples of the decompositions."""
     prefill = [r for r in records if r.run_kind is RunKind.PREFILL_ONLY]
-    decode = [smp for smp in _to_fit_samples_oracle(decompose(records)[0], component) if smp.g >= 1]
+    decode = [smp for smp in _to_fit_samples_oracle(decompose(RunTable.from_records(records))[0], component)
+              if smp.g >= 1]
     return _to_fit_samples_oracle(prefill, component) + decode
 
 
 def _fit_oracle(family, samples):
     """The former `_fit`: the rows of the family's phase picked sample by sample."""
     energy = family.what == "energy"
-    sel = [smp for smp in samples if (smp.g >= 1 if family.decode else smp.g == 0)
-           and not (energy and smp.energy_wh is None)]
+    sel = [smp for smp in samples if (smp.g >= 1 if family.decode else smp.g == 0)]
     n = len(fields(family))
     if len(sel) < n:
         phase = "decode" if family.decode else "prefill"
@@ -677,9 +676,10 @@ def test_fit_matches_the_per_sample_selection(groups):
         records += [Run(prompt, RunKind.PREFILL_ONLY, s, 1, t, *e, model) for t, e in prefill]
         records += [Run(prompt, RunKind.FULL, s, g, t, *e, model) for t, e in full]
     records = records[1::2] + records[::2]  # interleave the groups
-    decomps = decompose(records)[0]
+    table = RunTable.from_records(records)
+    decomps = decompose(table)[0]
     for component in ("gpu", "cpu", "ram", "total"):
-        samples = to_fit_samples(RunTable.from_records(records), decomps, component)
+        samples = to_fit_samples(table, decomps, component)
         old = _fit_selection_oracle(records, component)
         assert repr(rows(samples)) == repr([(float(x.s), float(x.g), x.t, x.energy_wh) for x in old])
         for family in FAMILIES:

@@ -80,6 +80,18 @@ def as_table(records):
     return traces.RunTable.from_records(records)
 
 
+def columns(table):
+    """A table's columns as lists, in field order: their repr shows every bit."""
+    return [column if isinstance(column, list) else column.tolist() for column in vars(table).values()]
+
+
+def rows_of(table):
+    """A table's runs as rows, for the per-run oracles."""
+    values = columns(table)
+    values[traces._RUN_KIND] = [RunKind.FULL if full else RunKind.PREFILL_ONLY for full in values[traces._RUN_KIND]]
+    return [Run(*row) for row in zip(*values)]
+
+
 class TestParse:
     def test_empty_file_rejected(self):
         with pytest.raises(EmptyInput):
@@ -91,8 +103,8 @@ class TestParse:
         text = HEADER + "\np1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1\n"
         records, issues = parse_records(text)
         assert len(records) == 1 and not issues
-        assert records[0].run_kind is RunKind.FULL
-        assert records[0].latency_s == 1.5
+        assert records.full.tolist() == [True]
+        assert records.latency_s.tolist() == [1.5]
 
     def test_bad_lines_collected_with_line_numbers(self):
         good = "p1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1"
@@ -129,12 +141,12 @@ class TestParse:
                 '"ram_wh": 0.0}\n')
         records, issues = parse_records(text, "line-json")
         assert len(records) == 1 and not issues
-        assert records[0].run_kind is RunKind.PREFILL_ONLY
+        assert records.full.tolist() == [False]
 
     def test_order_preserved(self):
         rows = [f"p{i},full,100,20,1.5,0.3,0.02,0.01,m,fp32,1" for i in range(5)]
         records, _ = parse_records("\n".join([HEADER] + rows))
-        assert [r.prompt_id for r in records] == [f"p{i}" for i in range(5)]
+        assert records.prompt_id == [f"p{i}" for i in range(5)]
 
 
 class TestRoundTrip:
@@ -161,19 +173,19 @@ class TestRoundTrip:
         min_size=1, max_size=10,
     ))
     def test_random_records_round_trip_both_formats(self, rows):
-        records = [
+        records = as_table([
             Run(pid, kind, s, 1 if kind is RunKind.PREFILL_ONLY else g,
                 t, e, e / 3, e / 7, model, precision)
             for pid, kind, s, g, t, e, model, precision in rows
-        ]
+        ])
         for fmt in ("delimited", "line-json"):
             parsed, issues = parse_records(write_records(records, fmt), fmt)
             assert not issues
             assert parsed == records
 
     def test_quoted_cells_round_trip(self):
-        records = [record(prompt='a,b'), record(prompt='say "hi"'),
-                   record(prompt="two\nlines"), record(prompt="crlf\r\nline")]
+        records = as_table([record(prompt='a,b'), record(prompt='say "hi"'),
+                            record(prompt="two\nlines"), record(prompt="crlf\r\nline")])
         text = write_records(records)
         assert text.splitlines()[1].startswith('"a,b",')
         assert parse_records(text) == (records, [])
@@ -181,7 +193,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                                       "\x85", "\u2028", "\u2029"])
     def test_line_break_csv_leaves_unquoted_is_refused(self, char):
-        records = [record(prompt=f"a{char}b")]
+        records = as_table([record(prompt=f"a{char}b")])
         with pytest.raises(ValueError):
             write_records(records)
         # line-json escapes it
@@ -190,14 +202,16 @@ class TestRoundTrip:
     def test_issue_line_is_where_a_multi_line_record_starts(self):
         text = HEADER + '\n"a\nb",full,10,5,1.0,0.1,0,0,m,fp32,1\n"c\nd",full,x,5,1.0,0.1,0,0,m,fp32,1\n'
         records, issues = parse_records(text)
-        assert [r.prompt_id for r in records] == ["a\nb"]
+        assert records.prompt_id == ["a\nb"]
         assert [i.line for i in issues] == [4]
 
 
 # --- the per-record writer before the columnar writer, kept as the reference ---
 
 
-def _write_records_oracle(records, fmt="delimited"):
+def _write_records_oracle(table, fmt="delimited"):
+    records = rows_of(table)
+
     def row(rec):
         return (rec[0], rec[1].value, *rec[2:])
 
@@ -243,16 +257,16 @@ class TestWriteOracle:
     @given(_hostile_records(), st.sampled_from(["delimited", "line-json"]), st.sampled_from([1, 3, 1024]))
     def test_matches_the_per_record_writer(self, records, fmt, block_rows):
         # the same text, or ValueError with the same message
-        want = _result(_write_records_oracle, records, fmt)
+        table = as_table(records)
+        want = _result(_write_records_oracle, table, fmt)
         with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
-            assert _result(write_records, traces.RunTable.from_records(records), fmt) == want
-            assert _result(write_records, records, fmt) == want
+            assert _result(write_records, table, fmt) == want
 
     def test_first_unquoted_break_in_the_text_is_named(self):
         # the earliest row wins, then the leftmost column, then the first break in the value
         rows = [("ok", "ok", "ok"), ("ok", "b\u2028\x0b", "c\x85"), ("\x0b", "ok", "ok")]
-        records = [Run(pid, RunKind.FULL, 10, 2, 1.0, 0.5, 0.0, 0.0, model, precision)
-                   for pid, model, precision in rows]
+        records = as_table([Run(pid, RunKind.FULL, 10, 2, 1.0, 0.5, 0.0, 0.0, model, precision)
+                            for pid, model, precision in rows])
         want = _result(_write_records_oracle, records)
         assert want[0] is ValueError and "'\\u2028'" in want[1]
         assert _result(write_records, records) == want
@@ -263,11 +277,11 @@ class TestWriteOracle:
                       synthesize_trace(plan, coeffs, noise=0.05, seed=2, runs=4),
                       traces.RunTable.from_records([])):
             for fmt in ("delimited", "line-json"):
-                assert write_records(table, fmt) == _write_records_oracle(table.records(), fmt)
+                assert write_records(table, fmt) == _write_records_oracle(table, fmt)
 
     def test_each_distinct_text_is_encoded_once(self, coeffs, monkeypatch):
         table = synthesize_trace([(s, g) for s in (200, 900) for g in (0, 82)], coeffs, noise=0.05, runs=30)
-        want = {fmt: _write_records_oracle(table.records(), fmt) for fmt in ("delimited", "line-json")}
+        want = {fmt: _write_records_oracle(table, fmt) for fmt in ("delimited", "line-json")}
         encoded = []
         monkeypatch.setattr(traces, "json", mock.Mock(
             dumps=lambda value, **options: encoded.append(value) or json.dumps(value, **options)))
@@ -284,9 +298,9 @@ class TestDropWarmup:
     def test_drops_first_k_per_prompt_and_kind(self):
         records = [record(prompt="a", t=float(i + 1)) for i in range(4)]
         records += [record(prompt="a", kind=RunKind.PREFILL_ONLY, t=9.0)]
-        kept = drop_warmup(as_table(records), 2).records()
-        assert [r.latency_s for r in kept if r.run_kind is RunKind.FULL] == [3.0, 4.0]
-        assert len([r for r in kept if r.run_kind is RunKind.PREFILL_ONLY]) == 0
+        kept = drop_warmup(as_table(records), 2)
+        assert kept.latency_s[kept.full].tolist() == [3.0, 4.0]
+        assert np.count_nonzero(~kept.full) == 0
 
     def test_groups_are_the_decompose_groups(self):
         def run(model, kind):
@@ -295,13 +309,13 @@ class TestDropWarmup:
         kinds = (RunKind.PREFILL_ONLY, RunKind.FULL)
         # two runs of each kind per model: each model keeps its second ones
         records = [run(m, k) for k in kinds for m in "AB" for _ in range(2)]
-        assert [(r.model_id, r.run_kind) for r in drop_warmup(as_table(records), 1).records()] == \
-            [(m, k) for k in kinds for m in "AB"]
+        kept = drop_warmup(as_table(records), 1)
+        assert list(zip(kept.model_id, kept.full.tolist())) == [(m, k is RunKind.FULL) for k in kinds for m in "AB"]
         # one run of each: the first model's runs are not counted against the second's
         records = [run(m, k) for m in "AB" for k in kinds]
-        assert drop_warmup(as_table(records), 1).records() == []
+        assert len(drop_warmup(as_table(records), 1)) == 0
         split = [r._replace(precision=p) for r in records for p in ("fp32", "bf16")]
-        assert [r.precision for r in drop_warmup(as_table(split), 1).records()] == []
+        assert drop_warmup(as_table(split), 1).precision == []
 
 
 class TestDecompose:
@@ -310,7 +324,7 @@ class TestDecompose:
             record(kind=RunKind.PREFILL_ONLY, gpu=0.10, cpu=0.0, ram=0.0, t=0.5),
             record(kind=RunKind.FULL, gpu=0.30, cpu=0.0, ram=0.0, t=2.0),
         ]
-        decomps, missing = decompose(records)
+        decomps, missing = decompose(as_table(records))
         assert not missing
         assert decomps[0].decode_wh.gpu == pytest.approx(0.20)
         assert decomps[0].decode_latency_s == pytest.approx(1.5)
@@ -320,7 +334,7 @@ class TestDecompose:
             record(kind=RunKind.PREFILL_ONLY, gpu=0.25, cpu=0.03, ram=0.01),
             record(kind=RunKind.FULL, gpu=0.25, cpu=0.03, ram=0.01),
         ]
-        decomps, _ = decompose(records)
+        decomps, _ = decompose(as_table(records))
         assert decomps[0].decode_wh == ComponentEnergy(0.0, 0.0, 0.0)
 
     def test_known_decode_recovered_exactly(self):
@@ -340,7 +354,7 @@ class TestDecompose:
                                    prefill.gpu + decode.gpu,
                                    prefill.cpu + decode.cpu,
                                    prefill.ram + decode.ram))
-        decomps, missing = decompose(records)
+        decomps, missing = decompose(as_table(records))
         assert not missing
         for d in decomps:
             want = truth[d.prompt_id]
@@ -354,7 +368,7 @@ class TestDecompose:
             record(prompt="both"),
             record(prompt="both", kind=RunKind.PREFILL_ONLY),
         ]
-        decomps, missing = decompose(records)
+        decomps, missing = decompose(as_table(records))
         assert {d.prompt_id for d in decomps} == {"both"}
         reported = {(m.prompt_id, m.missing) for m in missing}
         assert reported == {
@@ -367,7 +381,7 @@ class TestDecompose:
             record(kind=RunKind.PREFILL_ONLY, gpu=0.30),
             record(kind=RunKind.FULL, gpu=0.20),
         ]
-        decomps, _ = decompose(records)
+        decomps, _ = decompose(as_table(records))
         assert decomps[0].decode_wh.gpu == pytest.approx(-0.10)
         assert NEGATIVE_DECODE in decomps[0].flags
 
@@ -382,7 +396,7 @@ class TestAggregate:
     def test_reference_fixture_hits_published_means_exactly(self):
         records, issues = parse_records(REFERENCE_TEXT)
         assert not issues
-        stats = aggregate(as_table(records), phase="full")
+        stats = aggregate(records, phase="full")
         assert stats.components["gpu"].mean == 0.202
         assert stats.components["cpu"].mean == 0.024
         assert stats.components["ram"].mean == 0.019
@@ -420,7 +434,7 @@ class TestAggregate:
         with pytest.raises(EmptySelection):
             aggregate(as_table([record()]), phase="decode")
         records = [record(kind=RunKind.PREFILL_ONLY, gpu=0.1), record(gpu=0.5)]
-        decomps, _ = decompose(records)
+        decomps, _ = decompose(as_table(records))
         stats = aggregate(decomps, phase="decode")
         assert stats.components["gpu"].mean == pytest.approx(0.4)
 
@@ -437,7 +451,7 @@ class TestPhaseEnergies:
     def test_decompositions_give_the_phase_asked_for(self):
         records = [record(kind=RunKind.PREFILL_ONLY, gpu=0.1, cpu=0.0, ram=0.0),
                    record(gpu=0.5, cpu=0.0, ram=0.0)]
-        decomps, _ = decompose(records)
+        decomps, _ = decompose(as_table(records))
         gpu = {phase: phase_energies(decomps, phase)[0].tolist() for phase in ("prefill", "full", "decode")}
         assert gpu == {"prefill": [0.1], "full": [0.5], "decode": [0.5 - 0.1]}
 
@@ -510,7 +524,7 @@ class TestToFitSamples:
             record(prompt="a", kind=RunKind.PREFILL_ONLY, s=300, t=0.5, gpu=0.1, cpu=0.0, ram=0.0),
             record(prompt="b", kind=RunKind.FULL, s=200, g=50, t=0.3),  # decode latency -0.1: skipped
         ]
-        decomps, _ = decompose(records)
+        decomps, _ = decompose(as_table(records))
         samples = to_fit_samples(as_table(records), decomps, component="gpu")
         # full runs are no rows; prefill-only runs come in file order
         assert samples.s.tolist() == [200, 300, 300]
@@ -625,10 +639,10 @@ class TestSynthesizeTrace:
 
     def test_deterministic_per_seed(self, coeffs):
         plan = [(500, 32), (1000, 64)]
-        a = _synthesize_records(plan, coeffs, noise=0.05, seed=3)
-        b = _synthesize_records(plan, coeffs, noise=0.05, seed=3)
+        a = synthesize_trace(plan, coeffs, noise=0.05, seed=3)
+        b = synthesize_trace(plan, coeffs, noise=0.05, seed=3)
         assert a == b
-        c = _synthesize_records(plan, coeffs, noise=0.05, seed=4)
+        c = synthesize_trace(plan, coeffs, noise=0.05, seed=4)
         assert a != c
 
     def test_out_of_range_grid_point_rejected(self, coeffs):
@@ -655,18 +669,17 @@ class TestSynthesizeTrace:
 
     def test_whole_float_plan_points_give_int_token_counts(self, coeffs):
         table = synthesize_trace([(500.0, 32.0)], coeffs)
-        records = table.records()
-        assert records == _synthesize_records([(500, 32)], coeffs)
-        assert all(type(r.input_tokens) is int and type(r.output_tokens) is int for r in records)
-        assert parse_records(write_records(table)) == (records, [])
+        assert table == synthesize_trace([(500, 32)], coeffs)
+        assert table.input_tokens.dtype == table.output_tokens.dtype == np.int64
+        assert parse_records(write_records(table)) == (table, [])
 
     def test_prefill_only_points_check_no_full_run(self, coeffs):
         # at g = 0 the decode latency is its intercept rho < 0, and at s = 1
         # t_pre + rho < 0: a prompt without full runs must not fail on one
         assert coeffs.prefill_latency(1.0) + coeffs.decode_latency(1.0, 0.0) < 0
         plan = [(1, 0), (10, 0), (900, 82)]
-        assert repr(_synthesize_records(plan, coeffs, noise=0.05, runs=2)) == \
-            repr(_synthesize_oracle(plan, coeffs, noise=0.05, runs=2))
+        assert repr(columns(synthesize_trace(plan, coeffs, noise=0.05, runs=2))) == \
+            repr(columns(_synthesize_oracle(plan, coeffs, noise=0.05, runs=2)))
 
     def test_columns_have_the_run_table_types(self, coeffs):
         table = synthesize_trace([(500, 0), (900, 82)], coeffs, noise=0.05, runs=2)
@@ -675,7 +688,7 @@ class TestSynthesizeTrace:
         assert {c.dtype for c in (table.input_tokens, table.output_tokens, table.batch)} == {np.dtype(np.int64)}
         assert {c.dtype for c in (table.latency_s, table.gpu_wh, table.cpu_wh, table.ram_wh)} == \
             {np.dtype(np.float64)}
-        assert repr(traces.RunTable.from_records(table.records())) == repr(table)
+        assert repr(columns(as_table(rows_of(table)))) == repr(columns(table))
 
     def test_synth_builds_no_record(self, coeffs, monkeypatch):
         plan = [(500, 0), (500, 82), (900, 0), (900, 82)]
@@ -739,18 +752,15 @@ def _synthesize_oracle(plan, coeffs, noise=0.0, seed=0, runs=1, model_id="synthe
                         for _ in range(runs if g >= 1 else 0)]
         except ValueError as exc:
             raise InferwattError(f"grid point (s={s}, g={g}) drew a value no run can hold: {exc}") from None
-    return records
-
-
-def _synthesize_records(*args, **kwargs):
-    return synthesize_trace(*args, **kwargs).records()
+    return as_table(records)
 
 
 def _result(fn, *args, **kwargs):
     try:
-        return repr(fn(*args, **kwargs))  # repr shows every bit
+        result = fn(*args, **kwargs)
     except (InferwattError, ValueError, OverflowError) as exc:
         return type(exc), str(exc)
+    return repr(columns(result) if isinstance(result, traces.RunTable) else result)  # repr shows every bit
 
 
 # Mostly coefficient sets and plans that give a trace; some have one value
@@ -797,7 +807,7 @@ class TestSynthesizeOracle:
         # failing point (missing decode group, nonpositive polynomial, a bad
         # draw) fails first in both
         kwargs = dict(noise=noise, seed=seed, runs=runs)
-        assert _result(_synthesize_records, plan, coeffs, **kwargs) == \
+        assert _result(synthesize_trace, plan, coeffs, **kwargs) == \
             _result(_synthesize_oracle, plan, coeffs, **kwargs)
 
     @pytest.mark.parametrize("plan,prefill", [
@@ -813,14 +823,14 @@ class TestSynthesizeOracle:
         kwargs = dict(noise=5.0, seed=11, runs=2)
         want = _result(_synthesize_oracle, plan, coeffs, **kwargs)
         assert isinstance(want, tuple)
-        assert _result(_synthesize_records, plan, coeffs, **kwargs) == want
+        assert _result(synthesize_trace, plan, coeffs, **kwargs) == want
 
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     def test_reference_grid(self, coeffs, noise):
         plan = [(s, g) for s in (500, 900, 3000) for g in (0, 32, 82, 1024)]
-        records = _synthesize_records(plan, coeffs, noise=noise, seed=5, runs=3)
-        assert repr(records) == repr(_synthesize_oracle(plan, coeffs, noise=noise, seed=5, runs=3))
-        assert len(records) == 3 * 12 + 3 * 9
+        table = synthesize_trace(plan, coeffs, noise=noise, seed=5, runs=3)
+        assert repr(columns(table)) == repr(columns(_synthesize_oracle(plan, coeffs, noise=noise, seed=5, runs=3)))
+        assert len(table) == 3 * 12 + 3 * 9
 
 
 @st.composite
@@ -902,7 +912,7 @@ class TestRecordValidation:
         with pytest.raises(ValueError, match="^input_tokens must be a number, got True$"):
             as_table([Run("p", RunKind.FULL, True, 5, True, 0.1, 0.0, 0.0)])
         assert parse_records(_json_run(input_tokens=True, latency_s=True), "line-json") == \
-            ([], [ParseIssue(1, "input_tokens must be a number, got True")])
+            (as_table([]), [ParseIssue(1, "input_tokens must be a number, got True")])
 
     @pytest.mark.parametrize("field", ["input_tokens", "output_tokens", "batch"])
     @pytest.mark.parametrize("value", [2.5, np.float64(2.5), np.float32(2.5), 1e-3])
@@ -912,8 +922,8 @@ class TestRecordValidation:
 
     def test_whole_numbers_convert_to_counts_and_reals(self):
         table = as_table([record()._replace(input_tokens=100.0, latency_s=2, batch=np.int64(3), model_id=7)])
-        assert table.records() == [record()._replace(latency_s=2.0, batch=3, model_id="7")]
-        assert type(table.records()[0].input_tokens) is int and type(table.latency_s[0]) is np.float64
+        assert table == as_table([record()._replace(latency_s=2.0, batch=3, model_id="7")])
+        assert table.input_tokens.dtype == np.int64 and type(table.latency_s[0]) is np.float64
 
     @pytest.mark.parametrize("bad,message", [
         (dict(input_tokens=0, output_tokens=0, latency_s=-1.0, gpu_wh=-1.0, batch=0), "input_tokens must be >= 1"),
@@ -931,7 +941,7 @@ class TestRecordValidation:
             as_table([cells])
         for fmt in ("delimited", "line-json"):
             text = write_records(traces._table([cells]), fmt)
-            assert parse_records(text, fmt) == ([], [ParseIssue(2 if fmt == "delimited" else 1, message)])
+            assert parse_records(text, fmt) == (as_table([]), [ParseIssue(2 if fmt == "delimited" else 1, message)])
 
     @pytest.mark.parametrize("run_kind", ["full", "Full", 1, None])
     def test_a_run_kind_that_is_no_run_kind_is_refused(self, run_kind):
@@ -957,13 +967,13 @@ class TestRecordValidation:
             as_table([row])
         line = json.dumps({name: value.value if isinstance(value, RunKind) else value
                            for name, value in row._asdict().items()})
-        assert parse_records(line, "line-json") == ([], [ParseIssue(1, str(refused.value))])
+        assert parse_records(line, "line-json") == (as_table([]), [ParseIssue(1, str(refused.value))])
 
     def test_the_first_bad_row_raises(self):
         rows = [record(), record()._replace(batch=0), record()._replace(latency_s=0.0)]
         with pytest.raises(ValueError, match="^batch must be >= 1$"):
             as_table(rows)
-        assert as_table(rows[:1]).records() == rows[:1]
+        assert rows_of(as_table(rows[:1])) == rows[:1]
         assert len(as_table(iter(rows[:1]))) == 1
 
     def test_non_finite_cell_is_a_parse_issue(self):
@@ -982,7 +992,7 @@ class TestRecordTuple:
             rec.latency_s = 2.0
 
     def test_optional_fields_may_be_left_out(self):
-        assert as_table([("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)]).records() == \
+        assert rows_of(as_table([("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)])) == \
             [Run("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0)]
 
 
@@ -1080,7 +1090,7 @@ def _parse_records_oracle(text, fmt="delimited", rename=None):
                 records.append(_record_from_fields_oracle(obj))
             except ValueError as exc:
                 issues.append(ParseIssue(lineno, str(exc)))
-    return records, issues
+    return as_table(records), issues
 
 
 # Per field: good cells (with padding whitespace), then bad numbers, NaN,
@@ -1202,7 +1212,7 @@ class TestParseOracle:
         lines += ["x" * 200_000 + good.format(5), good.format(6), "p7,full", "", good.format(8)]
         with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
             records, issues = parse_records("\n".join(lines) + "\n")
-        assert [r.prompt_id for r in records] == ["p0", "p1", "p3", "p6", "p8"]
+        assert records.prompt_id == ["p0", "p1", "p3", "p6", "p8"]
         assert [(i.line, i.message) for i in issues] == [
             (4, "output_tokens: invalid literal for int() with base 10: 'x'"),
             (6, "latency_s must be positive and finite"),
@@ -1220,7 +1230,7 @@ class TestParseOracle:
             table, issues = traces.read_runs(text, fmt)
             want, want_issues = _parse_records_oracle(text, fmt)
             assert not issues and not want_issues
-            assert repr(table.records()) == repr(want)  # repr shows every bit
+            assert repr(columns(table)) == repr(columns(want))  # repr shows every bit
 
     def test_rename_matches_the_split_parser(self):
         text = "prompt,kind,input_tokens,output_tokens,latency_s,gpu_wh,cpu_wh,ram_wh\n" \
@@ -1238,7 +1248,7 @@ class TestParseFuzz:
             records, issues = parse_records(text, fmt)
         except (EmptyInput, UnknownFormat):
             return
-        assert all(isinstance(r, Run) for r in records)
+        assert isinstance(records, traces.RunTable)
         assert all(isinstance(i, ParseIssue) for i in issues)
 
     @pytest.mark.parametrize("value", ["null", "[1]", "Infinity", "1e400"])
@@ -1250,7 +1260,7 @@ class TestParseFuzz:
 
     @pytest.mark.parametrize("fmt,suffix", [("delimited", ".csv"), ("line-json", ".jsonl")])
     def test_text_that_is_not_utf8_is_unknown_format(self, tmp_path, fmt, suffix):
-        good = write_records([record()], fmt).encode("utf-8")
+        good = write_records(as_table([record()]), fmt).encode("utf-8")
         path = tmp_path / f"trace{suffix}"
         path.write_bytes(good + b"\xff\n")
         with pytest.raises(UnknownFormat, match="trace is not UTF-8 text"):
@@ -1402,7 +1412,7 @@ class TestDelimitedPaths:
                 assert _takes_split_path(text)
                 records, issues = parse_records(text)
                 assert issues == [ParseIssue(6, "gpu_wh: could not convert string to float: 'zero'")]
-                assert [r.prompt_id for r in records] == ["p0", "p1", "p2", "p3", "p5", "p6"]
+                assert records.prompt_id == ["p0", "p1", "p2", "p3", "p5", "p6"]
                 assert (records, issues) == parse_records(_through_csv(text))
 
     @pytest.fixture
@@ -1418,16 +1428,16 @@ class TestDelimitedPaths:
         field_limit(50)  # the third line's first cell is longer than the limit
         assert not _takes_split_path(text)
         records, issues = parse_records(text)
-        assert [r.prompt_id for r in records] == [every[0], every[2]]
+        assert records.prompt_id == [every[0], every[2]]
         assert issues == [ParseIssue(3, "field larger than field limit (50)")]
         assert _read_state(text) == _read_state(_through_csv(text))
         field_limit(70)  # the third line is longer than the limit, but none of its cells
         assert not _takes_split_path(text)
         assert parse_records(text) == parse_records(_through_csv(text))
-        assert [r.prompt_id for r in parse_records(text)[0]] == every
+        assert parse_records(text)[0].prompt_id == every
         field_limit(200)  # every line fits
         assert _takes_split_path(text)
-        assert [r.prompt_id for r in parse_records(text)[0]] == every
+        assert parse_records(text)[0].prompt_id == every
 
     def test_unquoted_input_never_reads_a_body_row_with_csv(self, monkeypatch):
         # csv reads the header alone: were it asked for a body row, reading would fail
@@ -1472,7 +1482,7 @@ def _json_lines(table, change=None, row=0, field=0):
     """`table` as line-json lines, built from each value's JSON text, with
     one line changed: a `_JSON_VALUE_CASES` case or a layout change."""
     lines = []
-    for i, values in enumerate(zip(*(c if isinstance(c, list) else c.tolist() for c in vars(table).values()))):
+    for i, values in enumerate(zip(*columns(table))):
         values = list(values)
         values[1] = "full" if values[1] else "prefill_only"
         # texts as they are: _unquoted_tables draws no lone surrogate, which UTF-8 cannot encode
@@ -1547,15 +1557,15 @@ class TestLineJsonPaths:
 
     def test_non_ascii_texts_are_written_as_they_are(self):
         runs = parse_records(REFERENCE_TEXT)[0]
-        text = write_records([run._replace(model_id="caf\xe9", precision="\u2028\U0001f600") for run in runs],
-                             "line-json")
+        n = len(runs)
+        text = write_records(replace(runs, model_id=["caf\xe9"] * n, precision=["\u2028\U0001f600"] * n), "line-json")
         assert '"model_id": "caf\xe9", "precision": "\u2028\U0001f600"' in text
         self._reads_without_decoding(text)
 
     def test_a_lone_surrogate_is_written_escaped(self):
         # only a "\ud800" escape read from line-json gives a str holding one
         runs = parse_records(_json_run(prompt_id="\ud800") + _json_run(prompt_id="caf\xe9"), "line-json")[0]
-        assert [run.prompt_id for run in runs] == ["\ud800", "caf\xe9"]
+        assert runs.prompt_id == ["\ud800", "caf\xe9"]
         text = write_records(runs, "line-json")
         assert text.encode("utf-8").decode("utf-8") == text
         assert ['"prompt_id": "\\ud800"' in line for line in text.splitlines()] == [True, False]
@@ -1566,7 +1576,7 @@ class TestLineJsonPaths:
         run = json.dumps(json.loads(good) | {"prompt_id": "caf\u2028e"}, ensure_ascii=False) + "\n"
         assert "\u2028" in run
         records, issues = parse_records(run + "{\x0c}\n" + good, "line-json")
-        assert [r.prompt_id for r in records] == ["caf\u2028e", "p"]
+        assert records.prompt_id == ["caf\u2028e", "p"]
         assert [i.line for i in issues] == [2]
         crlf = good.replace(", ", ",\r ").replace("\n", "\r\n")  # a CR is JSON whitespace, and CR LF ends a line
         records, issues = parse_records(crlf + good + good.replace("\n", "\x0c\n"), "line-json")
@@ -1596,7 +1606,7 @@ class TestByteOrderMark:
 
     def test_writer_writes_none(self):
         for fmt in ("delimited", "line-json"):
-            assert not write_records([record()], fmt).startswith("\ufeff")
+            assert not write_records(as_table([record()]), fmt).startswith("\ufeff")
 
 
 def _json_run(**values):
@@ -1620,13 +1630,13 @@ class TestNumbers:
     ])
     def test_line_json_truncates_no_number(self, field, value, message):
         # a value read as another number is a parse issue, never a truncated count
-        assert parse_records(_json_run(**{field: value}), "line-json") == ([], [ParseIssue(1, message)])
+        assert parse_records(_json_run(**{field: value}), "line-json") == (as_table([]), [ParseIssue(1, message)])
 
     @pytest.mark.parametrize("value", [7, 7.0, "7", " 7 "])
     def test_a_count_is_an_integer_a_whole_float_or_text_int_reads(self, value):
         records, issues = parse_records(_json_run(input_tokens=value, batch=value), "line-json")
-        assert not issues and (records[0].input_tokens, records[0].batch) == (7, 7)
-        assert type(records[0].input_tokens) is int
+        assert not issues and (records.input_tokens.tolist(), records.batch.tolist()) == ([7], [7])
+        assert records.input_tokens.dtype == np.int64
 
     @pytest.mark.parametrize("cell,message", [
         ("2.5", "input_tokens: invalid literal for int() with base 10: '2.5'"),
@@ -1635,7 +1645,7 @@ class TestNumbers:
     def test_delimited_counts_are_integers_below_2_63(self, cell, message):
         text = HEADER + f"\np,full,{cell},2,1.0,0.1,0,0,m,fp32,1\np,full,{2**63 - 1},2,1.0,0.1,0,0,m,fp32,1\n"
         records, issues = parse_records(text)
-        assert [r.input_tokens for r in records] == [2**63 - 1]
+        assert records.input_tokens.tolist() == [2**63 - 1]
         assert issues == [ParseIssue(2, message)]
 
     @pytest.mark.parametrize("position", [2, 3, 10])
@@ -1644,7 +1654,7 @@ class TestNumbers:
         name = traces._FIELDS[position]
         for good in (2**63 - 1, 5.0):
             fields[position] = good
-            assert as_table([tuple(fields)]).records()[0][position] == good
+            assert columns(as_table([tuple(fields)]))[position] == [good]
         for bad, message in ((2**63, f"{name} must be below 2\\*\\*63"),
                              (5.5, f"{name} must be a whole number, got 5.5")):
             fields[position] = bad
@@ -1654,7 +1664,7 @@ class TestNumbers:
     def test_plan_of_the_largest_count_round_trips(self, coeffs):
         table = synthesize_trace([(2**63 - 1, 1)], coeffs)
         for fmt in ("delimited", "line-json"):
-            assert parse_records(write_records(table, fmt), fmt) == (table.records(), [])
+            assert parse_records(write_records(table, fmt), fmt) == (table, [])
 
     @pytest.mark.parametrize("field,cell,message", [
         ("input_tokens", "x", "input_tokens: invalid literal for int() with base 10: 'x'"),
@@ -1665,9 +1675,9 @@ class TestNumbers:
         good = dict(zip(traces._FIELDS, ["p", "full", "10", "2", "1.0", "0.1", "0", "0", "m", "fp32", "1"]))
         bad = {**good, field: cell}
         delimited = "\n".join([HEADER, ",".join(good.values()), ",".join(bad.values())]) + "\n"
-        assert parse_records(delimited) == ([Run("p", RunKind.FULL, 10, 2, 1.0, 0.1, 0.0, 0.0, "m", "fp32", 1)],
-                                            [ParseIssue(3, message)])
-        assert parse_records(_json_run(**{field: cell}), "line-json") == ([], [ParseIssue(1, message)])
+        good_run = Run("p", RunKind.FULL, 10, 2, 1.0, 0.1, 0.0, 0.0, "m", "fp32", 1)
+        assert parse_records(delimited) == (as_table([good_run]), [ParseIssue(3, message)])
+        assert parse_records(_json_run(**{field: cell}), "line-json") == (as_table([]), [ParseIssue(1, message)])
         assert parse_records(_json_run(**{field: None}), "line-json")[1][0].message.startswith(f"{field}: ")
 
     def test_a_required_field_left_out_is_reported_missing(self):
@@ -1681,7 +1691,7 @@ class TestNumbers:
                           " 'latency_s', 'gpu_wh', 'cpu_wh', 'ram_wh']"),
         ]
         # an optional field left out takes its default; the delimited reader names a missing column in its header
-        assert parse_records(_json_run(), "line-json")[0][0].batch == 1
+        assert parse_records(_json_run(), "line-json")[0].batch.tolist() == [1]
         header = HEADER.replace("ram_wh,", "")
         with pytest.raises(UnknownFormat, match=re.escape("header is missing required columns ['ram_wh']")):
             parse_records(header + "\np,full,10,2,1.0,0.1,0,m,fp32,1\n")
@@ -1742,7 +1752,7 @@ def _decompose_oracle(records):
 
 
 def _assert_same_decomposition(records):
-    got, want = decompose(records), _decompose_oracle(records)
+    got, want = decompose(as_table(records)), _decompose_oracle(records)
     assert got == want
     assert repr(got) == repr(want)  # repr tells -0.0 from 0.0 and shows every bit
 
@@ -1788,10 +1798,10 @@ class TestDecomposeOracle:
 
     def test_synthetic_trace(self, coeffs):
         plan = [(s, g) for s in (300, 900, 2500) for g in (0, 16, 200)]
-        _assert_same_decomposition(_synthesize_records(plan, coeffs, noise=0.05, seed=1, runs=9))
+        _assert_same_decomposition(rows_of(synthesize_trace(plan, coeffs, noise=0.05, seed=1, runs=9)))
 
     def test_empty(self):
-        assert decompose([]) == ([], [])
+        assert decompose(as_table([])) == ([], [])
 
 
 # Values at each edge of the run checks, as int64 and float64 columns hold them
@@ -1812,9 +1822,9 @@ class TestRunTable:
             for pid, model, precision, batch, kind, s, g, t, energy in runs
         ]
         table = traces.RunTable.from_records(records)
-        assert repr(table.records()) == repr(records)
-        decomps = decompose(records)
-        assert repr(decompose(table)) == repr(decomps) == repr(_decompose_oracle(records))
+        assert repr(rows_of(table)) == repr(records)
+        decomps = decompose(table)
+        assert repr(decomps) == repr(_decompose_oracle(records))
         prefill = [r for r in records if r.run_kind is RunKind.PREFILL_ONLY]
         decode = traces.decode_fit_rows(decomps[0])
         for component in ("gpu", "cpu", "ram", "total"):
@@ -1840,7 +1850,7 @@ class TestRunTable:
             seen[key] = seen.get(key, 0) + 1
             if seen[key] > k:
                 kept.append(r)
-        assert repr(drop_warmup(table, k).records()) == repr(kept)
+        assert repr(rows_of(drop_warmup(table, k))) == repr(kept)
 
     def test_columns_are_the_record_fields_in_order(self):
         assert [f.name for f in fields(traces.RunTable)] == \
@@ -1859,9 +1869,25 @@ class TestRunTable:
         table = traces._table([Run(*cells)])  # built unchecked
         assert traces._faults(table).any(axis=0).tolist() == [refused]
 
+    def test_tables_compare_by_value(self):
+        runs = [record("a", gpu=0.25), record("b", RunKind.PREFILL_ONLY, s=7, t=0.5)]
+        table = as_table(runs)
+        assert table == as_table(runs) and not table != as_table(runs)
+        # one value changed in a column of each kind: text, the run kind, a count, a real
+        for name, value in (("model_id", "n"), ("full", True), ("input_tokens", 8), ("latency_s", 0.75)):
+            column = getattr(table, name).copy()
+            column[1] = value
+            other = replace(table, **{name: column})
+            assert table != other and not table == other
+        assert table != table.take(np.array([0])) and as_table([]) != table
+        # -0.0 equals 0.0, as the values of two rows compare
+        assert as_table([record(cpu=-0.0)]) == as_table([record(cpu=0.0)])
+        for other in (runs, None, columns(table)):
+            assert (table == other) is False and (table != other) is True
+
     def test_empty(self):
         table = traces.RunTable.from_records([])
-        assert len(table) == 0 and table.records() == []
+        assert len(table) == 0 and columns(table) == [[]] * len(traces._FIELDS)
         assert decompose(table) == ([], []) and len(drop_warmup(table, 1)) == 0
         assert to_fit_samples(table, []).s.size == 0
 
@@ -1881,7 +1907,7 @@ class TestDecomposeGrouping:
                 Run("p", RunKind.PREFILL_ONLY, s, 1, 0.5, 0.1, 0.0, 0.0, model),
                 Run("p", RunKind.FULL, s, 20, 2.0, 0.3, 0.0, 0.0, model),
             ]
-        decomps, missing = decompose(records)
+        decomps, missing = decompose(as_table(records))
         assert not missing
         assert [(d.model_id, d.input_tokens, d.flags) for d in decomps] == [
             ("small", 10, ()), ("large", 500, ()),
@@ -1894,12 +1920,12 @@ class TestDecomposeGrouping:
             for precision, batch in (("fp32", 1), ("bf16", 1), ("fp32", 4))
             for kind in RunKind
         ]
-        decomps, _ = decompose(records)
+        decomps, _ = decompose(as_table(records))
         assert [(d.precision, d.batch) for d in decomps] == [("fp32", 1), ("bf16", 1), ("fp32", 4)]
 
     def test_disagreeing_input_tokens_flagged(self):
         records = [record(kind=RunKind.PREFILL_ONLY, s=100), record(s=120)]
-        decomps, _ = decompose(records)
+        decomps, _ = decompose(as_table(records))
         assert decomps[0].flags == (MIXED_INPUT_TOKENS,)
         assert decomps[0].input_tokens == 120
 
@@ -1908,7 +1934,7 @@ class TestDecomposeGrouping:
             Run("p", RunKind.FULL, 10, 5, 1.0, 0.1, 0.0, 0.0, "a"),
             Run("p", RunKind.PREFILL_ONLY, 10, 1, 1.0, 0.1, 0.0, 0.0, "b"),
         ]
-        decomps, missing = decompose(records)
+        decomps, missing = decompose(as_table(records))
         assert not decomps
         assert missing == [MissingKind("p", RunKind.PREFILL_ONLY, "a"), MissingKind("p", RunKind.FULL, "b")]
 
@@ -1924,25 +1950,31 @@ def test_reference_fixture_matches_its_generator():
 
 
 @pytest.mark.parametrize("source", ["bundled", "synthesized"])
-def test_the_benchmarks_row_contract(source, tmp_path):
-    # What the trace-fit benchmark's check relies on of the rows `parse_records`
-    # returns: they are the table's, equal across formats, written back to the
-    # file's text, and decomposed as the table is.
+def test_the_benchmarks_table_contract(source, tmp_path):
+    # What the trace-fit benchmark's check of each trace part relies on of the
+    # table `parse_records` reads, step by step: a file and its text read
+    # alike, to every run; the table writes back the file's text and reads
+    # back equal; the formats' tables are equal; and it decomposes as the
+    # table it was written from.
+    assert parse_records is traces.read_runs
     if source == "bundled":
         table = traces.read_runs(REFERENCE_TEXT)[0]
     else:
         plan = [(s, g) for s in (128, 900, 4000) for g in (0, 16, 82)]
         table = synthesize_trace(plan, reference_coefficients(), noise=0.05, seed=11, runs=3)
-    rows = {}
+    parsed = {}
     for fmt in ("delimited", "line-json"):
         path = tmp_path / f"trace.{fmt}"
         path.write_text(write_records(table, fmt), encoding="utf-8")
         text = path.read_text(encoding="utf-8")
         records, issues = parse_records(path, fmt)
-        assert not issues and records == traces.read_runs(path, fmt)[0].records() == parse_records(text, fmt)[0]
+        assert not issues and records == parse_records(text, fmt)[0]
+        assert len(records) == len(table)
         assert write_records(records, fmt) == text
-        assert decompose(records) == decompose(table)
-        rows[fmt] = records
-    assert rows["delimited"] == rows["line-json"]
+        again, issues = parse_records(write_records(records, fmt), fmt)
+        assert again == records and not issues
+        parsed[fmt] = records
+    assert parsed["delimited"] == parsed["line-json"]
+    assert decompose(parsed["delimited"]) == decompose(table)
     if source == "bundled":
-        assert write_records(rows["delimited"]) == REFERENCE_TEXT
+        assert write_records(parsed["delimited"]) == REFERENCE_TEXT
