@@ -41,7 +41,8 @@ import numpy as np
 from .errors import InferwattError
 from .phase_model import CoefficientSet, out_of_range_message
 from .roofline import HardwareProfile, Phase, energy_from_power
-from .transformer_costs import ModelSpec, class_latencies
+from .transformer_costs import (ClassLatency, ModelSpec, _closed_form, _device_table, _DeviceTable, _term_table,
+                                class_latencies)
 
 DAYS_PER_YEAR = 365.25
 DEFAULT_LED_WATTS = 5.0
@@ -73,14 +74,25 @@ class FittedSource:
 
 @dataclass(frozen=True)
 class AnalyticSource:
-    """Predicts energy from roofline latencies times per-phase mean power."""
+    """Predicts energy from roofline latencies times per-phase mean power.
+
+    `table` is the model's term table on the hardware, with the per-class
+    slopes the two fix, formed once here; it takes no part in equality or
+    hashing. Each `phase_energies` call evaluates it on the columns through
+    the closed form `class_latencies` uses, and forms no table. A model whose
+    dimension does not convert to float64 raises OverflowError here.
+    """
 
     model: ModelSpec
     hw: HardwareProfile
+    table: _DeviceTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", _device_table(_term_table(self.model)[..., np.newaxis], self.hw))
 
     def phase_energies(self, s: np.ndarray, g: np.ndarray):
-        """Prefill and decode Wh at each (s, g); no row is flagged."""
-        return *_analytic_energies(self.model, self.hw, s, g), ()
+        """Prefill and decode Wh at each (s, g) of two 1-D columns; no row is flagged."""
+        return *_energies(*_closed_form(self.table, s, g), self.hw), ()
 
     @property
     def provenance(self) -> str:
@@ -88,11 +100,10 @@ class AnalyticSource:
 
 
 @np.errstate(all="ignore")  # an overflow fails the caller's finiteness check
-def _analytic_energies(model: ModelSpec | list[ModelSpec], hw: HardwareProfile, s, g):
-    """Prefill and decode Wh of `class_latencies`' columns."""
-    prefill_latency, decode_latency = class_latencies(model, hw, s, g)
-    return (energy_from_power(Phase.PREFILL, prefill_latency.total_seconds, hw),
-            energy_from_power(Phase.DECODE, decode_latency.total_seconds, hw))
+def _energies(prefill: ClassLatency, decode: ClassLatency, hw: HardwareProfile):
+    """Prefill and decode Wh of both phases' latencies."""
+    return (energy_from_power(Phase.PREFILL, prefill.total_seconds, hw),
+            energy_from_power(Phase.DECODE, decode.total_seconds, hw))
 
 
 def _not_finite(total: float) -> OverflowError:
@@ -132,13 +143,19 @@ class WorkloadEntry(NamedTuple):
     weight: float = 1.0
 
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
 def _read_only(column: np.ndarray) -> np.ndarray:
     column.flags.writeable = False
     return column
 
 
 def _token_counts(values: list) -> np.ndarray:
-    """Whole token counts >= 1 as an int64 column."""
+    """Whole token counts >= 1 as an int64 column. A bool is not a count,
+    though numpy reads True as 1."""
+    if not _BOOLS.isdisjoint(map(type, values)):
+        raise ValueError("token counts must be whole numbers")
     column = np.array(values)
     if column.dtype.kind != "i":
         # Python ints of 2**63 and more make uint64 or object columns
@@ -222,6 +239,8 @@ def _mean_breakdown(source, workload: WorkloadSpec, prefill, decode, notes=()) -
 def _flagged_notes(flagged, prefill, decode, workload: WorkloadSpec) -> list[tuple[str, ...]]:
     """The warning texts of each row, in entry order; () where no phase is flagged."""
     notes = [()] * len(workload.s)
+    if not flagged:
+        return notes
     s, g = workload.s, workload.g
     for row in np.flatnonzero(np.logical_or.reduce([mask for _, mask in flagged], initial=False)).tolist():
         notes[row] = tuple(out_of_range_message(poly, (decode if poly.decode else prefill)[row].item(),
@@ -336,12 +355,12 @@ def compare_models(
     s = np.concatenate([workload.s, np.full(len(contour_g), grid_s)])
     g = np.concatenate([workload.g, contour])
     ordered = sorted(((spec.n_params, spec) for spec in specs), key=lambda pair: pair[0])
-    prefill, decode = _analytic_energies([spec for _, spec in ordered], hw, s, g)
+    prefill, decode = _energies(*class_latencies([spec for _, spec in ordered], hw, s, g), hw)
     rows, grid = [], []
     for (n_params, spec), p, d in zip(ordered, prefill.reshape(len(ordered), -1), decode.reshape(len(ordered), -1)):
         _check_finite(p, d)
         mean = EnergyBreakdown(_weighted_mean(p[:n], workload), _weighted_mean(d[:n], workload))
         name = spec.name or "model"
         rows.append(ModelComparisonRow(name, n_params, mean.total_wh, mean.total_wh / mean_tokens))
-        grid.extend(ContourPoint(name, n_params, c, wh) for c, wh in zip(contour_g, d[n:].tolist()))
+        grid.extend(ContourPoint(name, n_params, c, wh) for c, wh in zip(contour.tolist(), d[n:].tolist()))
     return ModelComparison(rows=tuple(rows), grid=tuple(grid))

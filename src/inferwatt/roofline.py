@@ -73,7 +73,7 @@ class HardwareProfile:
 def energy_from_power(phase: Phase, t, hw: HardwareProfile):
     """Convert a phase latency (seconds, a number or an array) to Wh using
     the phase's mean power draw."""
-    if np.any(t < 0):
+    if np.less(t, 0).any():
         raise ValueError("t must be >= 0")
     return t * hw.power(phase) / SECONDS_PER_HOUR
 

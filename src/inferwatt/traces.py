@@ -467,8 +467,10 @@ def read_runs(
     Line-json lines end at "\n" or "\r\n" only. One leading byte-order
     mark (U+FEFF) is dropped. `rename` maps external column/key names onto
     the canonical field names. A file that is not UTF-8 text, or a source
-    that is neither text nor a Path (a stream, bytes), raises UnknownFormat.
-    The package exports this function as `parse_records`.
+    that is neither text nor a Path (a stream, bytes), raises UnknownFormat;
+    for text without a comma, such as a file name, its message says that a
+    file name must be a Path. The package exports this function as
+    `parse_records`.
     """
     if not (isinstance(source, str) or hasattr(source, "read_text")):
         raise UnknownFormat(f"a trace is text or a pathlib.Path, not {type(source).__name__}")
@@ -484,10 +486,15 @@ def read_runs(
         raise EmptyInput("trace contains no data")
     issues: list[ParseIssue] = []
     tables = []
-    for form, columns, lines in (_read_delimited if fmt == FORMAT_DELIMITED else _read_line_json)(
-            text, rename or {}, issues):
-        tables.append(_convert_block(form, columns, lines, issues))
-        del columns  # before the next block is read: with both alive, reading took ~4 % longer
+    try:
+        for form, columns, lines in (_read_delimited if fmt == FORMAT_DELIMITED else _read_line_json)(
+                text, rename or {}, issues):
+            tables.append(_convert_block(form, columns, lines, issues))
+            del columns  # before the next block is read: with both alive, reading took ~4 % longer
+    except UnknownFormat as exc:
+        if isinstance(source, str) and "," not in text:  # a trace of either format has a comma
+            raise UnknownFormat(f"{exc}; a file name must be given as a pathlib.Path") from None
+        raise
     issues.sort(key=operator.attrgetter("line"))  # a line has at most one issue
     return RunTable.concat(tables), issues
 

@@ -30,28 +30,36 @@ Every class's count is a fixed polynomial in the t positions a pass
 processes and the `span` positions their queries attend over: a*t + b*t*span
 FLOPs and c + e*t + k*span bytes. `_term_table` states the counting rule
 once, as a model's term table: the five coefficient vectors a, b, c, e and
-k, one entry per class of LABELS. Every consumer reads it.
-`class_latencies` evaluates it for many (s, g), of one model or of a list
-of them (the tables stacked, each model's columns bitwise what it gives
-alone), and returns both phases' per-class FLOPs, bytes and seconds as
-(6, n) stacks: prefill (t = span = s) is each class's roofline maximum, and
-decode is the closed form above, whose first step costs a + b*s FLOPs and
-c + e + k*s bytes and each later step b FLOPs and k bytes more.
-`predict_prefill_latency` and `predict_decode_latency` are its n = 1 case,
-the `ClassLatency` of one (s, g); `decode_step_costs` evaluates the table
-at t = 1 and span = ctx, as OpCosts. A count that overflows reads as inf, or
-NaN where no step multiplies it, in its seconds; the estimator refuses it.
+k, one entry per class of LABELS. Every consumer reads it. On a device, a
+table fixes the derated ceilings and each class's growth per decode step in
+compute and memory seconds; `_device_table` forms them with the table, and
+`_closed_form` evaluates the result for many (s, g). `class_latencies`
+forms one table per model per call, of one model or of a list of them (the
+tables stacked, each model's columns bitwise what it gives alone); an
+`estimator.AnalyticSource` forms its model's once, when it is made. Both
+phases' per-class FLOPs, bytes and seconds come back as (6, n) stacks:
+prefill (t = span = s) is each class's roofline maximum, and decode is the
+closed form above, whose first step costs a + b*s FLOPs and c + e + k*s
+bytes and each later step b FLOPs and k bytes more. The decode FLOP and byte
+sums share one index sum over the g steps; the crossover step's bounds are
+formed from masks of the per-class growth, one row per class.
+`predict_prefill_latency` and `predict_decode_latency` are the n = 1 case of
+`class_latencies`, the `ClassLatency` of one (s, g); `decode_step_costs`
+evaluates the table at t = 1 and span = ctx, as OpCosts. A count that
+overflows reads as inf, or NaN where no step multiplies it, in its seconds;
+the estimator refuses it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kvconfig
-from .roofline import HardwareProfile, OpCost, effective_ceilings, roofline_seconds
+from .roofline import HardwareProfile, OpCost, effective_ceilings
 
 SOFTMAX_FLOPS_PER_SCORE = 4
 NORM_FLOPS_PER_ELEMENT = 8
@@ -176,62 +184,91 @@ class ClassLatency(NamedTuple):
         return np.asarray(LABELS)[self.seconds.argmax(axis=0)]
 
 
+# A term table on one device, with what the two fix: the table's rows a, b, c
+# and k, the sums c + e and e + k (as the closed form adds them), the derated
+# ceilings f_eff and b_eff, and each class's growth per decode step in compute
+# seconds c1, memory seconds m1 and their difference d1. Each array has the
+# table's shape past its first axis, so it broadcasts against the (s, g) columns.
+_DeviceTable = namedtuple("_DeviceTable", "a b c k ce ek f_eff b_eff c1 m1 d1")
+
+
 @np.errstate(all="ignore")  # an overflowed count reads as inf or NaN, which the estimator refuses
+def _device_table(table: np.ndarray, hw: HardwareProfile) -> _DeviceTable:
+    """`table` (rows a, b, c, e, k) on `hw`."""
+    a, b, c, e, k = table
+    f_eff, b_eff = effective_ceilings(hw)
+    c1, m1 = b / f_eff, k / b_eff
+    return _DeviceTable(a, b, c, k, c + e, e + k, f_eff, b_eff, c1, m1, c1 - m1)
+
+
+@np.errstate(all="ignore")  # an overflowed count reads as inf or NaN, which the estimator refuses
+def _closed_form(dev: _DeviceTable, s, g) -> tuple[ClassLatency, ClassLatency]:
+    """Both phases' `ClassLatency` at each (s, g), from a device table whose
+    columns broadcast against s and g."""
+    s, g = np.asarray(s), np.asarray(g)
+    if not (s.max() < 2**53 and g.max() < 2**53):
+        raise OverflowError("token counts of 2**53 or more are implausibly large")
+    # whole numbers below 2**53 are exact in float64, and so are the step bounds
+    s, g = s.astype(float), g.astype(float)
+    # decode's first step costs f0 FLOPs and b0 bytes, each later one b FLOPs and k bytes more
+    f0, b0 = dev.a + dev.b * s, dev.ce + dev.k * s
+    flops, nbytes = f0 * s, dev.c + dev.ek * s
+    prefill = ClassLatency(flops, nbytes, np.maximum(flops / dev.f_eff, nbytes / dev.b_eff))
+    c0, m0 = f0 / dev.f_eff, b0 / dev.b_eff
+    lo, hi = _compute_bound_steps(c0 - m0, dev.d1, g)
+    # the FLOP and byte sums over [0, g) share one index sum; the memory-bound
+    # prefix [0, lo) is `_series` from 0
+    index_sum = (g - 1) * g / 2
+    seconds = (lo * m0 + dev.m1 * ((lo - 1) * lo / 2)
+               + _series(c0, dev.c1, lo, hi) + _series(m0, dev.m1, hi, g))
+    return prefill, ClassLatency(g * f0 + dev.b * index_sum, g * b0 + dev.k * index_sum, seconds)
+
+
 def class_latencies(model: ModelSpec | list[ModelSpec], hw: HardwareProfile, s, g) -> tuple[ClassLatency, ClassLatency]:
     """Per-class roofline latency of prefilling an s-token prompt and of
     generating g tokens after it, at each (s, g): numbers or arrays of
     lengths >= 1 (not checked here), for a ModelSpec or a list of them (s and
     g 1-D, every model's columns in turn). Each model's term table is formed
-    once and covers both phases.
+    once per call and covers both phases; `AnalyticSource` forms its model's
+    once, when it is made, and evaluates it through the same closed form.
 
     Prefill is each class's roofline maximum. Decode step j = 0..g-1 runs at
     context s + j; each class's step FLOPs and bytes are affine in j, so the
     sum of step maxima is three arithmetic series split at the crossover
-    step. Token counts of 2**53 or more raise OverflowError: below that they
-    are exact in float64.
+    step, and the FLOP and byte sums are series over all g steps. Token
+    counts of 2**53 or more raise OverflowError: below that they are exact
+    in float64.
     """
-    s, g = np.asarray(s), np.asarray(g)
-    if not (s.max() < 2**53 and g.max() < 2**53):
-        raise OverflowError("token counts of 2**53 or more are implausibly large")
     if isinstance(model, ModelSpec):
-        table = _term_table(model).reshape((5, len(LABELS)) + (1,) * s.ndim)
+        table = _term_table(model).reshape((5, len(LABELS)) + (1,) * np.ndim(s))
     else:
+        s, g = np.asarray(s), np.asarray(g)
         table = np.repeat(np.stack([_term_table(m) for m in model], axis=-1), s.size, axis=-1)
         s, g = np.tile(s, len(model)), np.tile(g, len(model))
-    a, b, c, e, k = table
-    s = s.astype(float)
-    # decode's first step and its growth per step; a prefill is (a + b*s)*s FLOPs
-    f0, df = a + b * s, b
-    b0, db = c + e + k * s, k
-    flops, nbytes = f0 * s, c + (e + k) * s
-    prefill = ClassLatency(flops, nbytes, roofline_seconds(flops, nbytes, hw))
-    f_eff, b_eff = effective_ceilings(hw)
-
-    c0, c1 = f0 / f_eff, df / f_eff
-    m0, m1 = b0 / b_eff, db / b_eff
-    lo, hi = _compute_bound_steps(c0 - m0, c1 - m1, g)
-    seconds = _series(m0, m1, 0, lo) + _series(c0, c1, lo, hi) + _series(m0, m1, hi, g)
-    return prefill, ClassLatency(_series(f0, df, 0, g), _series(b0, db, 0, g), seconds)
+    return _closed_form(_device_table(table, hw), s, g)
 
 
 def _series(v0, v1, lo, hi):
-    """Sum of v0 + v1*j over the integers j in [lo, hi), elementwise. The
-    index sum is formed in float64: exact below 2**53, and above it rounded
-    once, as converting the exact integer would round it."""
+    """Sum of v0 + v1*j over the integers j in [lo, hi), elementwise, for
+    bounds that are whole floats below 2**53. The index sum is rounded as
+    forming it from the exact integers lo + hi - 1 and hi - lo would round it."""
     n = hi - lo
-    return n * v0 + v1 * (np.multiply(lo + hi - 1, n, dtype=float) / 2)
+    return n * v0 + v1 * ((lo + (hi - 1)) * n / 2)
 
 
 def _compute_bound_steps(d0, d1, g):
-    """Elementwise, the steps j in [lo, hi) of 0..g-1 where d0 + d1*j > 0:
-    a prefix or a suffix."""
-    flat = d1 == 0
+    """Elementwise, the steps j in [lo, hi) of 0..g-1 where d0 + d1*j > 0 (a
+    prefix or a suffix), as whole floats, for a float g. The masks have d1's
+    shape, one row per class for a device table's slopes. A d1 of 0 must be
+    +0.0, as the difference of two equal slopes is: then a flat row's crossing
+    -d0/d1 is -inf for d0 > 0 (every step), +inf for d0 < 0 and NaN for a d0
+    of 0 or NaN (no step), and `fmin` reads NaN as g. Call it under
+    np.errstate: a flat row divides by zero."""
+    upper = d1 >= 0  # the steps run to g, from the crossover on
     # clamping to [-1, g] keeps the same integers on each side of the crossover
-    cross = np.minimum(np.maximum(-d0 / np.where(flat, 1.0, d1), -1.0), g)
-    rising = d1 > 0
-    first = np.minimum(g, np.floor(cross).astype(np.int64) + 1)
-    lo = np.where(flat, np.where(d0 > 0, 0, g), np.where(rising, first, 0))
-    hi = np.where(flat | rising, g, np.maximum(0, np.ceil(cross).astype(np.int64)))
+    cross = np.fmax(np.fmin(-d0 / d1, g), -1.0)
+    lo = np.where(upper, np.minimum(g, np.floor(cross) + 1), 0.0)
+    hi = np.where(upper, g, np.maximum(np.ceil(cross), 0.0))
     return lo, hi
 
 

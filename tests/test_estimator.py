@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -40,6 +41,7 @@ from inferwatt.roofline import HardwareProfile, Phase, energy_from_power
 from inferwatt.traces import aggregate, read_runs
 from inferwatt.transformer_costs import (
     ModelSpec,
+    class_latencies,
     decode_step_costs,
     predict_decode_latency,
     predict_prefill_latency,
@@ -541,6 +543,69 @@ class TestOneEvaluationPerWorkload:
         assert all(b.warnings for _, b in estimate_workload(FittedSource(coeffs), workload)[1])
 
 
+class TestTheAnalyticEstimatePath:
+    """An analytic estimate is the phase energies of `class_latencies`, and
+    its source's term table is formed once, when the source is made."""
+
+    @staticmethod
+    def _profiles(model, hw, workload):
+        """The reference profile, then its variants whose mu_comp puts the
+        device balance (f_eff / b_eff) at fifths between the attention
+        class's intensity at the first entry's first and last decode steps,
+        so that the class crosses from memory- to compute-bound inside that
+        generation and the other entries fall on either side."""
+        s, g = workload.s[0].item(), workload.g[0].item()
+        lo, hi = _attn_intensity(model, s), _attn_intensity(model, s + g - 1)
+        yield hw
+        for where in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
+            balance = lo + where * (hi - lo)
+            yield dataclasses.replace(hw, mu_comp=balance * hw.mu_mem * hw.b_max / hw.f_max)
+
+    def test_entries_and_means_are_the_energies_of_class_latencies_bitwise(self, llama8b, hw):
+        workload = drawn_workload(900, 200, 82, 30, count=40, seed=29)
+        for model in qwen_family() + [llama8b]:
+            for profile in self._profiles(model, hw, workload):
+                mean, entries = estimate_workload(AnalyticSource(model, profile), workload)
+                prefill_latency, decode_latency = class_latencies(model, profile, workload.s, workload.g)
+                prefill = energy_from_power(Phase.PREFILL, prefill_latency.total_seconds, profile)
+                decode = energy_from_power(Phase.DECODE, decode_latency.total_seconds, profile)
+                for got, want in ((np.array([b.prefill_wh for _, b in entries]), prefill),
+                                  (np.array([b.decode_wh for _, b in entries]), decode),
+                                  (np.array([b.total_wh for _, b in entries]), prefill + decode)):
+                    assert got.tobytes() == want.tobytes(), (model.name, profile.mu_comp)
+                for got, want in ((mean.prefill_wh, prefill), (mean.decode_wh, decode)):
+                    assert got.hex() == (sum((workload.weight * want).tolist()) / workload.weight_total).hex()
+
+    def test_an_estimate_forms_no_term_table_and_a_source_forms_one(self, llama8b, hw, monkeypatch):
+        tables = []
+        real = transformer_costs._term_table
+
+        def counting(model):
+            tables.append(model)
+            return real(model)
+
+        for module in (transformer_costs, estimator):
+            monkeypatch.setattr(module, "_term_table", counting)
+        source = AnalyticSource(llama8b, hw)
+        assert tables == [llama8b]
+        tables.clear()
+        for workload in (WorkloadSpec.single(900, 82), drawn_workload(900, 200, 82, 30, count=25, seed=2)):
+            estimate_workload(source, workload)
+            estimate_interaction(source, 5, 5)
+        assert tables == []
+
+    def test_the_table_is_derived(self, llama8b, hw):
+        # it takes no part in equality, hashing or repr, and a copy keeps it
+        source = AnalyticSource(llama8b, hw)
+        assert source == AnalyticSource(llama8b, hw) and hash(source) == hash(AnalyticSource(llama8b, hw))
+        assert "table" not in repr(source)
+        with pytest.raises(TypeError):
+            AnalyticSource(llama8b, hw, source.table)
+        for again in (copy.deepcopy(source), pickle.loads(pickle.dumps(source))):
+            assert estimate_workload(again, WorkloadSpec.single(900, 82)) == estimate_workload(
+                source, WorkloadSpec.single(900, 82))
+
+
 class TestThePerEntryTable:
     """The rows are built from the checked columns, after the one finiteness
     check: the same rows EnergyBreakdown's own check builds."""
@@ -688,13 +753,22 @@ class TestCompareModelsGrid:
         ((16, 2.5), ValueError, "token counts must be whole numbers"),
         ((float("nan"),), ValueError, "token counts must be whole numbers"),
         ((2**64,), OverflowError, "token counts of 2**63 or more are implausibly large"),
+        # numpy reads a bool as 0 or 1, alone or among counts
+        ((True,), ValueError, "token counts must be whole numbers"),
+        ((16, np.bool_(True)), ValueError, "token counts must be whole numbers"),
+        ((16, False), ValueError, "token counts must be whole numbers"),
     ])
     def test_contour_lengths_are_checked_as_workload_lengths(self, llama8b, hw, contour_g, error, message):
         # as a workload's entry of those lengths is refused
         for call in (lambda: compare_models([llama8b], hw, WorkloadSpec.single(900, 82), contour_g=contour_g),
-                     lambda: WorkloadSpec.single(900, contour_g[-1])):
+                     lambda: WorkloadSpec.single(900, contour_g[-1]),
+                     lambda: WorkloadSpec(tuple(WorkloadEntry(c, 5) for c in (900,) + contour_g))):
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 call()
+
+    def test_contour_points_carry_the_checked_lengths(self, llama8b, hw):
+        grid = compare_models([llama8b], hw, WorkloadSpec.single(900, 82), contour_g=(16.0, np.int64(64))).grid
+        assert [(type(point.g), point.g) for point in grid] == [(int, 16), (int, 64)]
 
 
 # --- compare_models as the per-model loop, kept as the reference -------------

@@ -121,6 +121,15 @@ class TestEnergyFromPower:
         one = energy_from_power(Phase.DECODE, 1.0, hw)
         assert energy_from_power(Phase.DECODE, 7.5, hw) == pytest.approx(7.5 * one)
 
+    @pytest.mark.parametrize("t", [-1.0, np.float64(-2.0), np.array([1.0, -0.5]), np.array([[0.0], [-1e-300]])])
+    def test_negative_time_is_refused(self, hw, t):
+        with pytest.raises(ValueError, match="^t must be >= 0$"):
+            energy_from_power(Phase.PREFILL, t, hw)
+
+    def test_arrays_convert_elementwise(self, hw):
+        t = np.array([0.0, 1.0, 3600.0])
+        assert energy_from_power(Phase.DECODE, t, hw).tolist() == [0.0, 293 / 3600, 293.0]
+
     def test_cross_model_consistency_at_1000_tokens(self, coeffs, hw):
         t = eval_prefill_latency(coeffs.prefill_latency, 1000)
         from_power = energy_from_power(Phase.PREFILL, t, hw)

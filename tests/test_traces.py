@@ -1272,6 +1272,21 @@ class TestParseFuzz:
         with pytest.raises(UnknownFormat, match=r"^a trace is text or a pathlib\.Path, not [A-Za-z]+$"):
             traces.read_runs(source, fmt)
 
+    def test_a_file_name_given_as_text_is_named(self, tmp_path):
+        # text without a comma is no trace of either format: the header
+        # message says that a file name must be a Path
+        missing = "header is missing required columns ['prompt_id', 'run_kind', 'input_tokens', " \
+                  "'output_tokens', 'latency_s', 'gpu_wh', 'cpu_wh', 'ram_wh']"
+        for name in ("runs.csv", str(tmp_path / "runs.csv")):
+            with pytest.raises(UnknownFormat, match=f"^{re.escape(missing)}; a file name must be given as a "
+                                                    f"pathlib.Path$"):
+                traces.read_runs(name)
+        # a Path to a file without a comma gets the header message alone
+        path = tmp_path / "runs.csv"
+        path.write_text("runs\n", encoding="utf-8")
+        with pytest.raises(UnknownFormat, match=f"^{re.escape(missing)}$"):
+            traces.read_runs(path)
+
     def test_oversized_cell_is_an_issue_and_reading_goes_on(self):
         good = "p1,full,100,20,1.5,0.3,0.02,0.01,m,fp32,1"
         text = "\n".join([HEADER, "x" * 200_000 + good, good]) + "\n"
@@ -1693,7 +1708,7 @@ class TestNumbers:
         # an optional field left out takes its default; the delimited reader names a missing column in its header
         assert parse_records(_json_run(), "line-json")[0].batch.tolist() == [1]
         header = HEADER.replace("ram_wh,", "")
-        with pytest.raises(UnknownFormat, match=re.escape("header is missing required columns ['ram_wh']")):
+        with pytest.raises(UnknownFormat, match=re.escape("header is missing required columns ['ram_wh']") + "$"):
             parse_records(header + "\np,full,10,2,1.0,0.1,0,m,fp32,1\n")
 
 

@@ -1,3 +1,4 @@
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -67,8 +68,10 @@ def _decode_latency_oracle(model, hw, s, g):
 
 
 # The class costs written out expression by expression, as they were before
-# the term table, and `class_latencies` evaluated from them: the oracles the
-# table is checked against, bitwise.
+# the term table, and `class_latencies` evaluated from them with its own
+# copies of the closed form's series and crossover helpers, as they were
+# before the decode sums shared an index sum: the oracles the table and the
+# closed form are checked against, bitwise.
 _Dims = namedtuple("_Dims", "n h kv heads ffn vocab bpp mats width embed qkv_bytes out_bytes ffn_bytes head")
 
 
@@ -114,6 +117,24 @@ def _oracle_table(model):
                      nbytes[:, 0], nbytes[:, 1] - nbytes[:, 0], nbytes[:, 2] - nbytes[:, 0]])
 
 
+def _series_oracle(v0, v1, lo, hi):
+    """Sum of v0 + v1*j over the integers j in [lo, hi), elementwise, with
+    the index sum formed in float64."""
+    n = hi - lo
+    return n * v0 + v1 * (np.multiply(lo + hi - 1, n, dtype=float) / 2)
+
+
+def _compute_bound_steps_oracle(d0, d1, g):
+    """Elementwise, the steps j in [lo, hi) of 0..g-1 where d0 + d1*j > 0."""
+    flat = d1 == 0
+    cross = np.minimum(np.maximum(-d0 / np.where(flat, 1.0, d1), -1.0), g)
+    rising = d1 > 0
+    first = np.minimum(g, np.floor(cross).astype(np.int64) + 1)
+    lo = np.where(flat, np.where(d0 > 0, 0, g), np.where(rising, first, 0))
+    hi = np.where(flat | rising, g, np.maximum(0, np.ceil(cross).astype(np.int64)))
+    return lo, hi
+
+
 @np.errstate(all="ignore")
 def _class_latencies_oracle(model, hw, s, g):
     """`class_latencies` of one model from the oracle's costs: the prefill and
@@ -127,8 +148,8 @@ def _class_latencies_oracle(model, hw, s, g):
     df, db = flops[:, 2] - f0, nbytes[:, 2] - b0
     c0, c1 = f0 / f_eff, df / f_eff
     m0, m1 = b0 / b_eff, db / b_eff
-    lo, hi = _compute_bound_steps(c0 - m0, c1 - m1, g)
-    series = transformer_costs._series
+    lo, hi = _compute_bound_steps_oracle(c0 - m0, c1 - m1, g)
+    series = _series_oracle
     seconds = series(m0, m1, 0, lo) + series(c0, c1, lo, hi) + series(m0, m1, hi, g)
     return prefill, ClassLatency(series(f0, df, 0, g), series(b0, db, 0, g), seconds)
 
@@ -464,11 +485,30 @@ class TestClosedFormDecode:
                          min_size=1, max_size=8))
     def test_compute_bound_steps_are_where_the_difference_is_positive(self, rows):
         # integer-valued differences keep the reference comparison exact;
-        # each row of the arrays is split on its own
-        d0, d1, g = (np.array(column) for column in zip(*rows))
-        lo, hi = _compute_bound_steps(d0.astype(float), d1.astype(float), g)
+        # each row of the arrays is split on its own. A flat row divides by
+        # +0.0, as under the closed form's errstate; the bounds are whole floats.
+        d0, d1, g = (np.array(column, dtype=float) for column in zip(*rows))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo, hi = _compute_bound_steps(d0, d1, g)
         for (a, b, n), first, last in zip(rows, lo.tolist(), hi.tolist()):
-            assert [j for j in range(n) if a + b * j > 0] == list(range(first, last))
+            assert first.is_integer() and last.is_integer()
+            assert [j for j in range(n) if a + b * j > 0] == list(range(int(first), int(last)))
+
+    _DIFFERENCES = st.floats(allow_nan=False) | st.sampled_from([0.0, 1e-300, -1e-300, 5e-324, -5e-324])
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(_DIFFERENCES, _DIFFERENCES, st.integers(1, 2**53 - 1)), min_size=1, max_size=8))
+    def test_compute_bound_steps_match_the_oracle(self, rows):
+        # any finite or infinite differences whose crossing is a number, and
+        # lengths up to 2**53: the same integers as the nested np.where
+        rows = [(a, b + 0.0, n) for a, b, n in rows if not (math.isinf(a) and math.isinf(b))]  # b of 0 is +0.0
+        if not rows:
+            return
+        d0, d1, g = (np.array(column) for column in zip(*rows))
+        with np.errstate(all="ignore"):
+            lo, hi = _compute_bound_steps(d0, d1, g.astype(float))
+            want = _compute_bound_steps_oracle(d0, d1, g)
+        assert (lo.tolist(), hi.tolist()) == tuple(bound.tolist() for bound in want)
 
 
 class TestOnePointIsAColumn:
@@ -531,6 +571,18 @@ class TestTermTable:
         hw = HardwareProfile(f_max=f_max, b_max=1e12)
         s, g = (np.array(column) for column in zip(*points))
         _assert_bitwise(class_latencies(model, hw, s, g), _class_latencies_oracle(model, hw, s, g))
+
+    @pytest.mark.parametrize("where", [0.0, 0.3, 0.5, 0.9, 1.0])
+    def test_class_latencies_match_the_oracle_near_2_to_the_53(self, llama8b, where):
+        # generations of nearly 2**53 steps whose attention class crosses from
+        # memory- to compute-bound at `where` of the way: the step bounds and
+        # index sums pass 2**53, where float64 rounds them (the oracle's
+        # slopes, differences of its costs, are exact at these prompts)
+        s = np.repeat([1, 900, 4096], 8)
+        g = 2**53 - 1 - np.tile(np.arange(8), 3) * 7919
+        lo, hi = _attn_intensity(llama8b, 1), _attn_intensity(llama8b, 2**53 - 1)
+        hw = HardwareProfile(f_max=(lo + where * (hi - lo)) * 1e12, b_max=1e12, mu_comp=1.0, mu_mem=1.0)
+        _assert_bitwise(class_latencies(llama8b, hw, s, g), _class_latencies_oracle(llama8b, hw, s, g))
 
     def test_decode_step_is_the_table_at_one_token(self, llama8b):
         for ctx in (1, 900, 10**6):
